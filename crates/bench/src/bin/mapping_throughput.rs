@@ -8,8 +8,8 @@
 
 use std::path::PathBuf;
 use xbar_bench::throughput::{
-    measure_circuit, measure_model_dispatch, measure_service_overhead, measure_sharded,
-    registry_crosscheck, render_json_full,
+    measure_circuit, measure_service_overhead, measure_sharded, registry_crosscheck,
+    render_json_full,
 };
 use xbar_bench::TABLE2_BENCH_CIRCUITS;
 use xbar_core::SampleStream;
@@ -87,7 +87,7 @@ fn parse_args() -> Args {
                      --out PATH        JSON output path (default BENCH_mapping.json)\n  \
                      --shard-workers N sharded-coordinator entry with N worker\n                    \
 processes (default 3; 0 disables; skipped when\n                    \
-the mc_shard binary is not built)\n  \
+the xbar binary is not built)\n  \
                      --quick           1/10th of the samples (smoke run)"
                 );
                 std::process::exit(0);
@@ -144,7 +144,7 @@ fn main() {
         "registry crosscheck: table2 experiment reproduces every success count (both streams)"
     );
     // Process-sharded coordinator throughput: same campaign through the
-    // mc_shard worker binary, merged stats asserted byte-identical to the
+    // xbar worker binary, merged stats asserted byte-identical to the
     // monolithic run. Tracks the fan-out overhead of the multi-host path.
     let sharded = if args.shard_workers == 0 {
         None
@@ -183,20 +183,6 @@ fn main() {
             }
         }
     };
-    // Defect-model dispatch overhead on the i.i.d. hot path: the frozen
-    // direct resample API vs the same draw routed through the DefectSampler
-    // model dispatch. Guards the PR-8 trait layer against regressing the
-    // V1 Monte Carlo inner loop.
-    let dispatch = measure_model_dispatch(128, 48, args.samples * 50, args.defect_rate, args.seed);
-    println!(
-        "model dispatch ({}x{}, {} resamples): direct {:.1}/s  dispatch {:.1}/s  ({:.2}x)",
-        dispatch.rows,
-        dispatch.cols,
-        dispatch.samples,
-        dispatch.direct_sps(),
-        dispatch.dispatch_sps(),
-        dispatch.ratio()
-    );
     // Yield-oracle service front: the same table2 submit answered cold
     // (execute + cache) vs warm (content-addressed cache hit). Guards the
     // serving path — a repeated question must cost a round-trip, not a
@@ -214,7 +200,6 @@ fn main() {
         args.defect_rate,
         args.seed,
         sharded.as_ref(),
-        Some(&dispatch),
         Some(&service),
     );
     std::fs::write(&args.out, &json).expect("write BENCH_mapping.json");

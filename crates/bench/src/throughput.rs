@@ -210,85 +210,6 @@ pub fn measure_circuit(
     }
 }
 
-/// Measured cost of the [`DefectSampler`] model-dispatch seam on the
-/// i.i.d. hot path: the same V1 dense resample drawn through the frozen
-/// pre-model API ([`CrossbarMatrix::resample_stuck_open`]) vs through the
-/// model-aware handle ([`DefectSampler::resample`], which dispatches on
-/// [`xbar_core::DefectModelKind`] per call). The two paths consume the
-/// RNG identically, so any gap is pure dispatch overhead — the bench gate
-/// pins the ratio so adding defect models can never tax the default
-/// campaigns.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ModelDispatch {
-    /// Crossbar rows of the measured shape.
-    pub rows: usize,
-    /// Crossbar columns of the measured shape.
-    pub cols: usize,
-    /// Resamples per path.
-    pub samples: usize,
-    /// Best-of-3 wall-clock seconds through the direct legacy API.
-    pub direct_secs: f64,
-    /// Best-of-3 wall-clock seconds through the model-dispatch handle.
-    pub dispatch_secs: f64,
-}
-
-impl ModelDispatch {
-    /// Direct-path defect maps per second.
-    #[must_use]
-    pub fn direct_sps(&self) -> f64 {
-        self.samples as f64 / self.direct_secs.max(f64::MIN_POSITIVE)
-    }
-
-    /// Dispatch-path defect maps per second.
-    #[must_use]
-    pub fn dispatch_sps(&self) -> f64 {
-        self.samples as f64 / self.dispatch_secs.max(f64::MIN_POSITIVE)
-    }
-
-    /// Throughput ratio dispatch/direct (1.0 means dispatch is free; the
-    /// gate floor sits below it only by a contention margin).
-    #[must_use]
-    pub fn ratio(&self) -> f64 {
-        self.direct_secs / self.dispatch_secs.max(f64::MIN_POSITIVE)
-    }
-}
-
-/// Measures [`ModelDispatch`] on one shape: `samples` V1 resamples per
-/// path, identical seeds, both sides best-of-3 so a contended repeat on
-/// either side cannot skew the ratio.
-#[must_use]
-pub fn measure_model_dispatch(
-    rows: usize,
-    cols: usize,
-    samples: usize,
-    defect_rate: f64,
-    seed: u64,
-) -> ModelDispatch {
-    let mut cm = CrossbarMatrix::perfect(rows, cols);
-    let direct_secs = best_of_3(|| {
-        for i in 0..samples {
-            let mut rng = StdRng::seed_from_u64(sample_seed(seed, i));
-            cm.resample_stuck_open(defect_rate, &mut rng);
-            std::hint::black_box(&cm);
-        }
-    });
-    let sampler = DefectSampler::v1();
-    let dispatch_secs = best_of_3(|| {
-        for i in 0..samples {
-            let mut rng = StdRng::seed_from_u64(sample_seed(seed, i));
-            sampler.resample(&mut cm, defect_rate, &mut rng);
-            std::hint::black_box(&cm);
-        }
-    });
-    ModelDispatch {
-        rows,
-        cols,
-        samples,
-        direct_secs,
-        dispatch_secs,
-    }
-}
-
 /// Measured throughput of the process-sharded coordinator path vs one
 /// monolithic in-process run of the same campaign (same seeds, same
 /// merged statistics — the coordinator asserts byte-identical stats).
@@ -354,8 +275,8 @@ impl ShardedThroughput {
 ///
 /// # Panics
 ///
-/// Panics when the coordinator fails (e.g. the `mc_shard` worker binary
-/// is missing — build it with `cargo build --release -p xbar-exp --bins`)
+/// Panics when the coordinator fails (e.g. the `xbar` worker binary is
+/// missing — build it with `cargo build --release -p xbar-exp --bins`)
 /// or when the two stats artifacts differ.
 #[must_use]
 pub fn measure_sharded(
@@ -621,20 +542,18 @@ pub fn registry_crosscheck(results: &[CircuitThroughput], defect_rate: f64, seed
 /// this workspace; the format is flat enough to emit by hand).
 #[must_use]
 pub fn render_json(results: &[CircuitThroughput], defect_rate: f64, seed: u64) -> String {
-    render_json_with_sharded(results, defect_rate, seed, None, None)
+    render_json_with_sharded(results, defect_rate, seed, None)
 }
 
-/// [`render_json`] plus the optional process-sharded throughput and
-/// model-dispatch entries.
+/// [`render_json`] plus the optional process-sharded throughput entry.
 #[must_use]
 pub fn render_json_with_sharded(
     results: &[CircuitThroughput],
     defect_rate: f64,
     seed: u64,
     sharded: Option<&ShardedThroughput>,
-    dispatch: Option<&ModelDispatch>,
 ) -> String {
-    render_json_full(results, defect_rate, seed, sharded, dispatch, None)
+    render_json_full(results, defect_rate, seed, sharded, None)
 }
 
 /// [`render_json_with_sharded`] plus the optional yield-oracle service
@@ -645,7 +564,6 @@ pub fn render_json_full(
     defect_rate: f64,
     seed: u64,
     sharded: Option<&ShardedThroughput>,
-    dispatch: Option<&ModelDispatch>,
     service: Option<&ServiceOverhead>,
 ) -> String {
     let mut out = String::from("{\n");
@@ -691,7 +609,7 @@ pub fn render_json_full(
     let legacy_secs: f64 = results.iter().map(|r| r.legacy_secs).sum();
     let engine_secs: f64 = results.iter().map(|r| r.engine_secs).sum();
     let samples: usize = results.iter().map(|r| r.samples).sum();
-    let comma = if sharded.is_some() || dispatch.is_some() || service.is_some() {
+    let comma = if sharded.is_some() || service.is_some() {
         ","
     } else {
         ""
@@ -705,25 +623,6 @@ pub fn render_json_full(
         samples as f64 / engine_secs.max(f64::MIN_POSITIVE),
         legacy_secs / engine_secs.max(f64::MIN_POSITIVE),
     );
-    if let Some(d) = dispatch {
-        let comma = if sharded.is_some() || service.is_some() {
-            ","
-        } else {
-            ""
-        };
-        let _ = writeln!(
-            out,
-            "  \"model_dispatch\": {{\"rows\": {}, \"cols\": {}, \"samples\": {}, \
-             \"direct_samples_per_sec\": {:.1}, \"dispatch_samples_per_sec\": {:.1}, \
-             \"dispatch_over_direct\": {:.2}}}{comma}",
-            d.rows,
-            d.cols,
-            d.samples,
-            d.direct_sps(),
-            d.dispatch_sps(),
-            d.ratio(),
-        );
-    }
     if let Some(s) = sharded {
         let comma = if service.is_some() { "," } else { "" };
         let _ = writeln!(
@@ -812,7 +711,7 @@ mod tests {
         };
         assert_eq!(sharded.total_samples(), 40);
         assert!((sharded.relative() - 0.8).abs() < 1e-12);
-        let json = render_json_with_sharded(&[r], 0.10, 7, Some(&sharded), None);
+        let json = render_json_with_sharded(&[r], 0.10, 7, Some(&sharded));
         assert!(json.contains("\"sharded\""));
         assert!(json.contains("\"spawn_overhead_secs\": 0.050"));
         assert!(json.contains("\"stats_byte_identical\": true"));
@@ -835,36 +734,10 @@ mod tests {
             v.cold_over_hit() > 1.0,
             "a cache hit must beat executing the campaign: {v:?}"
         );
-        let json = render_json_full(&[], 0.10, 77, None, None, Some(&v));
+        let json = render_json_full(&[], 0.10, 77, None, Some(&v));
         assert!(json.contains("\"service_overhead\""));
         assert!(json.contains("\"cold_over_hit\""));
         assert!(json.contains("\"artifact_byte_identical\": true"));
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "balanced braces:\n{json}"
-        );
-    }
-
-    #[test]
-    fn model_dispatch_measures_and_renders() {
-        // Identical RNG consumption on both paths is the precondition for
-        // the ratio meaning "dispatch overhead": check it via the maps.
-        let d = measure_model_dispatch(70, 40, 50, 0.10, 2018);
-        assert_eq!((d.rows, d.cols, d.samples), (70, 40, 50));
-        assert!(d.direct_secs > 0.0 && d.dispatch_secs > 0.0);
-        let mut rng_a = StdRng::seed_from_u64(sample_seed(2018, 3));
-        let mut rng_b = StdRng::seed_from_u64(sample_seed(2018, 3));
-        let mut direct = CrossbarMatrix::perfect(70, 40);
-        direct.resample_stuck_open(0.10, &mut rng_a);
-        let mut via_handle = CrossbarMatrix::perfect(70, 40);
-        DefectSampler::v1().resample(&mut via_handle, 0.10, &mut rng_b);
-        assert_eq!(direct, via_handle, "both paths must draw the same maps");
-
-        let json = render_json_with_sharded(&[], 0.10, 2018, None, Some(&d));
-        assert!(json.contains("\"model_dispatch\""));
-        assert!(json.contains("\"dispatch_over_direct\""));
-        assert!(!json.contains("\"sharded\""));
         assert_eq!(
             json.matches('{').count(),
             json.matches('}').count(),

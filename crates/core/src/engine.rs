@@ -12,8 +12,8 @@
 //! * **Bitplane construction** — [`CrossbarMatrix`] maintains one packed
 //!   defect bitplane per column (bit `r` of plane `c` set when CM row `r`
 //!   is defective at column `c`), kept in sync by
-//!   [`CrossbarMatrix::resample_stuck_open`] during the sampling sweep
-//!   itself. A whole adjacency row for FM row `f` is then
+//!   [`DefectSampler::resample`](crate::DefectSampler::resample) during
+//!   the sampling sweep itself. A whole adjacency row for FM row `f` is then
 //!   `AND(!plane[j])` over `f`'s one-columns — O(|ones(f)| · r/64) word
 //!   ops instead of `r` per-row probes.
 //! * **FM campaign cache** — the FM side of a Monte Carlo campaign never

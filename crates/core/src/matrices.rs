@@ -664,8 +664,8 @@ impl DefectSampler {
     /// with the same generator state both produce bit-identical matrices.
     ///
     /// The default-model path dispatches on two `Copy` enums and lands in
-    /// the same V1/V2 code as before the model layer existed — the bench
-    /// gate pins that this stays within noise of the direct call.
+    /// the same V1/V2 code as before the model layer existed (measured at
+    /// parity with a direct call).
     pub fn resample(self, cm: &mut CrossbarMatrix, rate: f64, rng: &mut StdRng) {
         match self.model.kind() {
             DefectModelKind::Iid => IidDefects {
@@ -747,29 +747,6 @@ impl CrossbarMatrix {
             planes: vec![0; cols * plane_words],
             plane_words,
         }
-    }
-
-    /// Samples a stuck-open-only defect map: each crosspoint is defective
-    /// independently with probability `rate` (the paper's Table II model).
-    ///
-    /// Always draws from the frozen [`SampleStream::V1`] stream; campaigns
-    /// that choose a stream go through [`DefectSampler`] instead.
-    #[must_use]
-    pub fn sample_stuck_open(rows: usize, cols: usize, rate: f64, rng: &mut StdRng) -> Self {
-        DefectSampler::v1().sample(rows, cols, rate, rng)
-    }
-
-    /// Re-samples this matrix in place as a fresh stuck-open defect map,
-    /// reusing the existing row and plane buffers. Consumes the RNG exactly
-    /// like [`CrossbarMatrix::sample_stuck_open`], so with the same
-    /// generator state both produce bit-identical matrices — Monte Carlo
-    /// loops can keep one matrix per worker and resample it every trial
-    /// with zero heap allocation.
-    ///
-    /// Always draws from the frozen [`SampleStream::V1`] stream; campaigns
-    /// that choose a stream go through [`DefectSampler`] instead.
-    pub fn resample_stuck_open(&mut self, rate: f64, rng: &mut StdRng) {
-        self.resample_dense(rate, rng);
     }
 
     /// Resets every crosspoint to functional (rows all-ones, planes zero)
@@ -1342,13 +1319,14 @@ mod tests {
 
     #[test]
     fn resample_matches_fresh_sampling_bit_for_bit() {
+        let sampler = DefectSampler::v1();
         let mut rng_a = StdRng::seed_from_u64(33);
         let mut rng_b = StdRng::seed_from_u64(33);
-        let mut reused = CrossbarMatrix::sample_stuck_open(9, 17, 0.4, &mut rng_a);
-        let _ = CrossbarMatrix::sample_stuck_open(9, 17, 0.4, &mut rng_b);
+        let mut reused = sampler.sample(9, 17, 0.4, &mut rng_a);
+        let _ = sampler.sample(9, 17, 0.4, &mut rng_b);
         for _ in 0..5 {
-            reused.resample_stuck_open(0.2, &mut rng_a);
-            let fresh = CrossbarMatrix::sample_stuck_open(9, 17, 0.2, &mut rng_b);
+            sampler.resample(&mut reused, 0.2, &mut rng_a);
+            let fresh = sampler.sample(9, 17, 0.2, &mut rng_b);
             assert_eq!(reused, fresh);
         }
     }
@@ -1356,7 +1334,7 @@ mod tests {
     #[test]
     fn sampled_cm_rate() {
         let mut rng = StdRng::seed_from_u64(1);
-        let cm = CrossbarMatrix::sample_stuck_open(60, 60, 0.1, &mut rng);
+        let cm = DefectSampler::v1().sample(60, 60, 0.1, &mut rng);
         let frac = cm.functional_fraction();
         assert!((0.87..0.93).contains(&frac), "≈90% functional, got {frac}");
     }
@@ -1374,12 +1352,12 @@ mod tests {
     }
 
     #[test]
-    fn v1_handle_matches_the_legacy_entry_points_bit_for_bit() {
+    fn v1_handle_is_the_default_sampler_bit_for_bit() {
         let mut rng_a = StdRng::seed_from_u64(77);
         let mut rng_b = StdRng::seed_from_u64(77);
         let via_handle = DefectSampler::v1().sample(13, 11, 0.3, &mut rng_a);
-        let legacy = CrossbarMatrix::sample_stuck_open(13, 11, 0.3, &mut rng_b);
-        assert_eq!(via_handle, legacy);
+        let via_default = DefectSampler::default().sample(13, 11, 0.3, &mut rng_b);
+        assert_eq!(via_handle, via_default);
         // And the generators advanced identically.
         assert_eq!(rng_a, rng_b);
     }
@@ -1497,13 +1475,13 @@ mod tests {
         assert_planes_consistent(&CrossbarMatrix::perfect(5, 10));
         // Crossing the 64-row word boundary.
         for rows in [3usize, 64, 65, 130] {
-            let cm = CrossbarMatrix::sample_stuck_open(rows, 12, 0.3, &mut rng);
+            let cm = DefectSampler::v1().sample(rows, 12, 0.3, &mut rng);
             assert_planes_consistent(&cm);
         }
         // In-place resampling keeps planes in sync.
-        let mut cm = CrossbarMatrix::sample_stuck_open(70, 9, 0.4, &mut rng);
+        let mut cm = DefectSampler::v1().sample(70, 9, 0.4, &mut rng);
         for _ in 0..3 {
-            cm.resample_stuck_open(0.15, &mut rng);
+            DefectSampler::v1().resample(&mut cm, 0.15, &mut rng);
             assert_planes_consistent(&cm);
         }
         // Manual defects.

@@ -5,14 +5,14 @@
 //! * `xbar run <exp> [flags]` — run through the typed [`Experiment`] API,
 //!   with `--json` printing the canonical artifact and `--out DIR`
 //!   writing it to disk;
-//! * `xbar mc shard|coordinate` — the sharded Monte Carlo entry points;
+//! * `xbar mc shard|coordinate|launch` — the sharded Monte Carlo entry
+//!   points;
 //! * `xbar serve` / `xbar submit` — the yield-oracle daemon and its
 //!   client (see [`crate::service`]).
 //!
 //! All parsing is `Result`-based: usage problems print the relevant help
 //! to stderr and exit with code **2**, runtime failures exit with **1** —
-//! never a panic/backtrace. The 17 pre-redesign binaries survive as
-//! shims over [`legacy_shim`] / [`legacy_mc_shim`].
+//! never a panic/backtrace.
 
 use crate::experiment::{find_experiment, registry, ExpError, Params, Reporter};
 use crate::shard;
@@ -222,30 +222,6 @@ fn run_experiment(name: &str, rest: Vec<String>) -> i32 {
             1
         }
     }
-}
-
-/// Entry point for the pre-redesign experiment binaries: prints a
-/// deprecation note to stderr, then delegates to `xbar run <experiment>`
-/// with the process's own flags (they are a subset of the experiment's
-/// flags, so old invocations keep working unchanged).
-pub fn legacy_shim(old_name: &str, experiment: &str) -> ! {
-    eprintln!(
-        "note: `{old_name}` is deprecated; use `xbar run {experiment}` \
-         (same flags, plus --json/--out)."
-    );
-    let mut args = vec!["run".to_owned(), experiment.to_owned()];
-    args.extend(std::env::args().skip(1));
-    std::process::exit(run_cli(args));
-}
-
-/// Entry point for the pre-redesign `mc_shard` / `mc_coordinator`
-/// binaries: deprecation note, then `xbar mc <subcommand>` with the same
-/// flags.
-pub fn legacy_mc_shim(old_name: &str, subcommand: &str) -> ! {
-    eprintln!("note: `{old_name}` is deprecated; use `xbar mc {subcommand}` (same flags).");
-    let mut args = vec!["mc".to_owned(), subcommand.to_owned()];
-    args.extend(std::env::args().skip(1));
-    std::process::exit(run_cli(args));
 }
 
 #[cfg(test)]

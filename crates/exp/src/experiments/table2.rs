@@ -138,8 +138,8 @@ pub fn run_circuit_range_on(cover: &Cover, args: &ExpArgs, range: Range<usize>) 
     // build) plus one crossbar matrix it resamples per trial: the hot
     // loop performs zero heap allocations. Sampling goes through the
     // campaign's stream-selected [`DefectSampler`]: under V1 it consumes
-    // the per-sample RNG exactly like `sample_stuck_open`, keeping the
-    // statistics bit-identical to the pre-engine implementation; V2 pins
+    // the per-sample RNG exactly like the original dense sampler, keeping
+    // the statistics bit-identical to the pre-engine implementation; V2 pins
     // its own golden values. Non-default spatial models dispatch through
     // the same handle, so the i.i.d. hot path stays untouched. HBA and EA
     // stay

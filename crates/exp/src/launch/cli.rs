@@ -2,37 +2,30 @@
 //!
 //! Parsing follows the `mc coordinate` conventions (usage problems print
 //! help to stderr and return exit code 2) and reuses the shared
-//! [`CampaignFlags`], so a launch describes its campaign with exactly the
-//! coordinator's vocabulary plus the fleet flags.
+//! [`CampaignFlags`] and `SchedulingFlags`, so a launch describes its
+//! campaign with exactly the coordinator's vocabulary plus the fleet
+//! flags.
 
-use super::pool::{parse_hosts, DEFAULT_QUARANTINE_AFTER};
+use super::pool::{parse_hosts, DEFAULT_PROBATION, DEFAULT_QUARANTINE_AFTER};
 use super::scheduler::{run_launch_with_report, LaunchConfig, LaunchReport};
 use super::transport::{Exec, FaultPlan, Faulty, LocalProc, Transport};
 use crate::experiment::{find_experiment, Params};
 use crate::experiments::table2::table2_artifact_from_accums;
-use crate::shard::coordinator::{
-    default_work_dir, default_worker, render_stats_json, render_timing_table, Worker,
-    DEFAULT_RETRY_BASE,
+use crate::shard::cli::{
+    flag_secs, flag_value, positive_num, positive_secs, SchedulingFlags, SCHEDULING_FLAGS_USAGE,
 };
+use crate::shard::coordinator::{render_stats_json, render_timing_table, DEFAULT_RETRY_BASE};
 use crate::shard::{CampaignFlags, McConfig, CAMPAIGN_FLAGS_USAGE};
 use std::path::PathBuf;
 use std::time::Duration;
 
 struct LaunchArgs {
     campaign: CampaignFlags,
-    shards: usize,
+    scheduling: SchedulingFlags,
     hosts: String,
-    max_attempts: usize,
-    shard_timeout: Option<Duration>,
     hedge_after: Option<Duration>,
     quarantine_after: usize,
     probation: Duration,
-    resume: bool,
-    keep_partials: bool,
-    work_dir: Option<PathBuf>,
-    worker: Option<PathBuf>,
-    worker_args: Vec<String>,
-    out: PathBuf,
     artifact: Option<PathBuf>,
     exec_args: Vec<String>,
     faults: Vec<FaultPlan>,
@@ -42,19 +35,11 @@ impl Default for LaunchArgs {
     fn default() -> Self {
         Self {
             campaign: CampaignFlags::default(),
-            shards: 3,
+            scheduling: SchedulingFlags::default(),
             hosts: String::new(),
-            max_attempts: 3,
-            shard_timeout: None,
             hedge_after: None,
             quarantine_after: DEFAULT_QUARANTINE_AFTER,
-            probation: super::pool::DEFAULT_PROBATION,
-            resume: false,
-            keep_partials: false,
-            work_dir: None,
-            worker: None,
-            worker_args: Vec::new(),
-            out: PathBuf::from("MC_merged.json"),
+            probation: DEFAULT_PROBATION,
             artifact: None,
             exec_args: Vec::new(),
             faults: Vec::new(),
@@ -68,30 +53,18 @@ fn launch_usage() -> String {
          Shards the campaign over a fleet, streams partials back over a\n\
          transport, and merges through a per-host tree. The merged output is\n\
          byte-identical to a monolithic run under every tolerated fault.\n\nflags:\n\
-         {CAMPAIGN_FLAGS_USAGE}\n  \
+         {CAMPAIGN_FLAGS_USAGE}\n\
+         {SCHEDULING_FLAGS_USAGE}\n  \
          --hosts SPEC       the fleet (required): comma-separated `name[*slots]`\n                     \
          entries, e.g. `alpha*4,beta*2,gamma` (slots default 1)\n  \
-         --shards N         sample-range shards (default 3)\n  \
-         --max-attempts N   attempts per shard before giving up (default 3)\n  \
-         --shard-timeout S  kill a flight still running after S seconds and retry\n                     \
-         (fractional ok; default: no watchdog, wait forever)\n  \
          --hedge-after S    re-dispatch a straggling flight onto another host\n                     \
          after S seconds; first valid partial wins (default: off)\n  \
          --quarantine-after N  quarantine a host after N consecutive failures\n                     \
          (default {DEFAULT_QUARANTINE_AFTER})\n  \
          --probation S      quarantine sit-out before a host may be retried\n                     \
-         (default 30)\n  \
-         --resume           reuse valid partials already in the run directory\n  \
-         --out PATH         merged stats artifact (default MC_merged.json)\n  \
+         (default 30; the last host not quarantined never is)\n  \
          --artifact PATH    also write the canonical experiment artifact\n                     \
          (byte-identical to `xbar run table2 --json`)\n  \
-         --work-dir PATH    parent of the per-campaign run directory (shared with\n                     \
-         `mc coordinate`: same checkpoints, same lock)\n  \
-         --worker PATH      worker binary for every dispatch (default: the xbar\n                     \
-         binary next to this one, via `mc shard`)\n  \
-         --worker-arg ARG   extra argument appended to every worker invocation\n                     \
-         (repeatable)\n  \
-         --keep-partials    keep partial files after the merge\n  \
          --exec-arg TOKEN   remote command template token (repeatable). When\n                     \
          present, dispatch runs the rendered template instead of a local\n                     \
          subprocess: `{{host}}` expands to the host name, `{{worker}}` splices\n                     \
@@ -107,59 +80,19 @@ fn launch_usage() -> String {
 fn parse_launch_args(args: Vec<String>) -> Result<Option<LaunchArgs>, String> {
     let mut out = LaunchArgs::default();
     let mut it = args.into_iter();
-    let value = |flag: &str, it: &mut dyn Iterator<Item = String>| {
-        it.next().ok_or_else(|| format!("{flag} needs a value"))
-    };
-    let num = |flag: &str, text: String| -> Result<usize, String> {
-        text.parse()
-            .map_err(|_| format!("{flag}: expected a number, got {text:?}"))
-    };
-    let secs = |flag: &str, text: String| -> Result<Duration, String> {
-        let secs: f64 = text
-            .parse()
-            .map_err(|_| format!("{flag}: expected seconds, got {text:?}"))?;
-        Duration::try_from_secs_f64(secs)
-            .map_err(|_| format!("{flag}: {secs} is not a representable duration"))
-    };
     while let Some(flag) = it.next() {
-        if out.campaign.consume(&flag, &mut it)? {
+        if out.campaign.consume(&flag, &mut it)? || out.scheduling.consume(&flag, &mut it)? {
             continue;
         }
+        let mut value = || flag_value(&flag, &mut it);
         match flag.as_str() {
-            "--hosts" => out.hosts = value(&flag, &mut it)?,
-            "--shards" => out.shards = num(&flag, value(&flag, &mut it)?)?,
-            "--max-attempts" => out.max_attempts = num(&flag, value(&flag, &mut it)?)?,
-            "--shard-timeout" => {
-                let timeout = secs(&flag, value(&flag, &mut it)?)?;
-                if timeout.is_zero() {
-                    return Err(format!("{flag} must be positive"));
-                }
-                out.shard_timeout = Some(timeout);
-            }
-            "--hedge-after" => {
-                let after = secs(&flag, value(&flag, &mut it)?)?;
-                if after.is_zero() {
-                    return Err(format!("{flag} must be positive"));
-                }
-                out.hedge_after = Some(after);
-            }
-            "--quarantine-after" => {
-                let n = num(&flag, value(&flag, &mut it)?)?;
-                if n == 0 {
-                    return Err(format!("{flag} must be at least 1"));
-                }
-                out.quarantine_after = n;
-            }
-            "--probation" => out.probation = secs(&flag, value(&flag, &mut it)?)?,
-            "--resume" => out.resume = true,
-            "--keep-partials" => out.keep_partials = true,
-            "--out" => out.out = PathBuf::from(value(&flag, &mut it)?),
-            "--artifact" => out.artifact = Some(PathBuf::from(value(&flag, &mut it)?)),
-            "--work-dir" => out.work_dir = Some(PathBuf::from(value(&flag, &mut it)?)),
-            "--worker" => out.worker = Some(PathBuf::from(value(&flag, &mut it)?)),
-            "--worker-arg" => out.worker_args.push(value(&flag, &mut it)?),
-            "--exec-arg" => out.exec_args.push(value(&flag, &mut it)?),
-            "--inject-host-fault" => out.faults.push(FaultPlan::parse(&value(&flag, &mut it)?)?),
+            "--hosts" => out.hosts = value()?,
+            "--hedge-after" => out.hedge_after = Some(positive_secs(&flag, &value()?)?),
+            "--quarantine-after" => out.quarantine_after = positive_num(&flag, &value()?)?,
+            "--probation" => out.probation = flag_secs(&flag, &value()?)?,
+            "--artifact" => out.artifact = Some(PathBuf::from(value()?)),
+            "--exec-arg" => out.exec_args.push(value()?),
+            "--inject-host-fault" => out.faults.push(FaultPlan::parse(&value()?)?),
             "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown flag {other:?}; try --help")),
         }
@@ -268,11 +201,8 @@ pub fn launch_main(argv: Vec<String>) -> i32 {
         eprintln!("mc launch: {e}");
         return 2;
     }
-    let worker = match args
-        .worker
-        .clone()
-        .map_or_else(default_worker, |path| Ok(Worker::standalone(path)))
-    {
+    let scheduling = &args.scheduling;
+    let worker = match scheduling.resolve_worker() {
         Ok(worker) => worker,
         Err(e) => {
             eprintln!("mc launch: {e}");
@@ -281,15 +211,15 @@ pub fn launch_main(argv: Vec<String>) -> i32 {
     };
     let cfg = LaunchConfig {
         config: config.clone(),
-        shards: args.shards,
-        max_attempts: args.max_attempts,
+        shards: scheduling.shards,
+        max_attempts: scheduling.max_attempts,
         worker,
-        work_dir: args.work_dir.clone().unwrap_or_else(default_work_dir),
-        extra_worker_args: args.worker_args.clone(),
-        keep_partials: args.keep_partials,
-        shard_timeout: args.shard_timeout,
+        work_dir: scheduling.resolve_work_dir(),
+        extra_worker_args: scheduling.worker_args.clone(),
+        keep_partials: scheduling.keep_partials,
+        shard_timeout: scheduling.shard_timeout,
         hedge_after: args.hedge_after,
-        resume: args.resume,
+        resume: scheduling.resume,
         retry_base: DEFAULT_RETRY_BASE,
         hosts,
         quarantine_after: args.quarantine_after,
@@ -329,11 +259,12 @@ pub fn launch_main(argv: Vec<String>) -> i32 {
     };
     print_report(&report);
     print!("{}", render_timing_table(&merged));
-    if let Err(e) = crate::atomic::write_atomic(&args.out, render_stats_json(&merged).as_bytes()) {
-        eprintln!("mc launch: cannot write {}: {e}", args.out.display());
+    let out = &scheduling.out;
+    if let Err(e) = crate::atomic::write_atomic(out, render_stats_json(&merged).as_bytes()) {
+        eprintln!("mc launch: cannot write {}: {e}", out.display());
         return 1;
     }
-    println!("wrote {}", args.out.display());
+    println!("wrote {}", out.display());
     if let Some(path) = &args.artifact {
         if let Err(e) = write_canonical_artifact(path, &args.campaign, &merged) {
             eprintln!("mc launch: {e}");
@@ -377,7 +308,7 @@ mod tests {
         .expect("parses")
         .expect("not help");
         assert_eq!(args.hosts, "alpha*2,beta");
-        assert_eq!(args.shards, 5);
+        assert_eq!(args.scheduling.shards, 5);
         assert_eq!(args.hedge_after, Some(Duration::from_millis(500)));
         assert_eq!(args.quarantine_after, 2);
         assert_eq!(args.probation, Duration::from_millis(1500));

@@ -1,11 +1,11 @@
 //! Multi-host launcher: fault-tolerant remote dispatch over the sharded
 //! Monte Carlo engine.
 //!
-//! The launcher sits exactly where `xbar mc coordinate` does — same
-//! campaign vocabulary, same run directory, checkpoints, lock, and
-//! deterministic retry backoff — but dispatches shards through a
-//! [`Transport`] onto a fleet of named hosts instead of spawning local
-//! workers directly:
+//! The launcher is the one scheduler: it dispatches shards through a
+//! [`Transport`] onto a fleet of named hosts, and `xbar mc coordinate` is
+//! a launch over the implicit one-host fleet `local*N` — same campaign
+//! vocabulary, run directory, checkpoints, lock, and deterministic retry
+//! backoff:
 //!
 //! * [`transport`] — the dispatch abstraction ([`Transport`]/[`Flight`]),
 //!   its two real implementations ([`LocalProc`] subprocesses and the
@@ -33,5 +33,5 @@ pub mod transport;
 
 pub use merge::merge_host_groups;
 pub use pool::{parse_hosts, HostCount, HostHealth, HostPool, HostSpec};
-pub use scheduler::{run_launch, run_launch_with_report, LaunchConfig, LaunchReport};
+pub use scheduler::{run_launch_with_report, LaunchConfig, LaunchReport};
 pub use transport::{Exec, FaultKind, FaultPlan, Faulty, Flight, LocalProc, Transport, WorkerJob};

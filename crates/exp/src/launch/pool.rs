@@ -7,7 +7,10 @@
 //! consecutive failures into a timed quarantine so a dead or flapping
 //! host stops eating retry attempts, and releases it into a *suspect*
 //! probation where one success restores full health but one failure
-//! re-quarantines immediately.
+//! re-quarantines immediately. The last host not quarantined is never
+//! quarantined: once no other host can take the work, each shard's own
+//! attempt budget is the only limit, so a fleet (the one-host `local*N`
+//! fleet of `mc coordinate` above all) never stalls out a probation.
 
 use std::time::{Duration, Instant};
 
@@ -155,18 +158,6 @@ impl HostPool {
         }
     }
 
-    /// Number of hosts in the fleet.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.hosts.len()
-    }
-
-    /// True when the fleet is empty (never: `new` rejects it).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.hosts.is_empty()
-    }
-
     /// The host name at `index`.
     #[must_use]
     pub fn name(&self, index: usize) -> &str {
@@ -254,13 +245,19 @@ impl HostPool {
 
     /// Records a failed flight (or dispatch error): the host turns
     /// suspect, and after `quarantine_after` *consecutive* failures it is
-    /// quarantined for the probation duration.
+    /// quarantined for the probation duration — unless every other host
+    /// already is, in which case it stays suspect and dispatchable.
     pub fn note_failure(&mut self, index: usize) {
+        let others_available = self
+            .hosts
+            .iter()
+            .enumerate()
+            .any(|(i, h)| i != index && h.health != HostHealth::Quarantined);
         let host = &mut self.hosts[index];
         host.inflight = host.inflight.saturating_sub(1);
         host.consecutive_failures += 1;
         host.counters.failed += 1;
-        if host.consecutive_failures >= self.quarantine_after {
+        if host.consecutive_failures >= self.quarantine_after && others_available {
             host.health = HostHealth::Quarantined;
             host.until = Some(Instant::now() + self.probation);
             host.counters.quarantines += 1;
@@ -275,19 +272,6 @@ impl HostPool {
     pub fn note_discard(&mut self, index: usize) {
         let host = &mut self.hosts[index];
         host.inflight = host.inflight.saturating_sub(1);
-    }
-
-    /// The earliest instant a quarantined host re-enters probation, when
-    /// *no* host is currently dispatchable — the scheduler sleeps until
-    /// then instead of spinning. `None` when some host could still be
-    /// picked (or none is quarantined).
-    #[must_use]
-    pub fn next_available_at(&self) -> Option<Instant> {
-        self.hosts
-            .iter()
-            .filter(|h| h.health == HostHealth::Quarantined)
-            .filter_map(|h| h.until)
-            .min()
     }
 
     /// A snapshot of every host's counters, in fleet order.
@@ -356,18 +340,46 @@ mod tests {
             pool.note_dispatch(1);
         }
         assert_eq!(pool.pick(), None, "b is full, a is quarantined");
-        assert!(pool.next_available_at().is_some());
+    }
+
+    #[test]
+    fn the_last_available_host_is_never_quarantined() {
+        let mut pool = HostPool::new(&fleet("a,b"), 2, Duration::from_secs(3600));
+        for _ in 0..2 {
+            pool.note_dispatch(0);
+            pool.note_failure(0);
+        }
+        assert_eq!(pool.health(0), HostHealth::Quarantined);
+        // `b` is now the only host left: failing well past the threshold
+        // keeps it suspect and dispatchable instead of stalling the fleet
+        // for an hour of probation.
+        for _ in 0..5 {
+            assert_eq!(pool.pick(), Some(1));
+            pool.note_dispatch(1);
+            pool.note_failure(1);
+            assert_eq!(pool.health(1), HostHealth::Suspect);
+        }
+        assert_eq!(pool.counts()[1].quarantines, 0);
+        // A one-host fleet is the degenerate case of the same rule.
+        let mut solo = HostPool::new(&fleet("local*2"), 1, Duration::from_secs(3600));
+        solo.note_dispatch(0);
+        solo.note_failure(0);
+        assert_eq!(solo.health(0), HostHealth::Suspect);
+        assert_eq!(solo.pick(), Some(0));
     }
 
     #[test]
     fn probation_expiry_releases_as_suspect_with_one_strike_left() {
-        let mut pool = HostPool::new(&fleet("a"), 2, Duration::from_millis(30));
+        // `b` stays healthy and busy throughout, so `a` is never the last
+        // available host and the quarantine rule applies to it in full.
+        let mut pool = HostPool::new(&fleet("a,b"), 2, Duration::from_millis(30));
+        pool.note_dispatch(1);
         pool.note_dispatch(0);
         pool.note_failure(0);
         pool.note_dispatch(0);
         pool.note_failure(0);
         assert_eq!(pool.health(0), HostHealth::Quarantined);
-        assert_eq!(pool.pick(), None, "sits out during probation");
+        assert_eq!(pool.pick(), None, "a sits out its probation, b is full");
         std::thread::sleep(Duration::from_millis(40));
         assert_eq!(pool.pick(), Some(0), "probation expired");
         assert_eq!(pool.health(0), HostHealth::Suspect);
@@ -382,6 +394,7 @@ mod tests {
         pool.note_dispatch(0);
         pool.note_success(0);
         assert_eq!(pool.health(0), HostHealth::Healthy);
+        assert_eq!(pool.health(1), HostHealth::Healthy);
     }
 
     #[test]

@@ -1,28 +1,32 @@
-//! The launch scheduler: the coordinator's event loop re-based onto
-//! transports and a health-tracked host pool.
+//! The scheduler: the one event loop that dispatches shards, for both
+//! `mc launch` and `mc coordinate` (a launch over the implicit fleet
+//! `local*N`, see [`crate::shard::coordinator`]) and the service's
+//! sharded jobs.
 //!
-//! Scheduling reuses PR 7's machinery wholesale — the same deterministic
-//! [`backoff_delay`] retry schedule, the same watchdog-deadline shape,
-//! the same checkpoint/resume run directory (and its lock) — and adds
-//! the remote failure modes on top:
+//! It dispatches over transports onto a health-tracked host pool with the
+//! deterministic [`backoff_delay`] retry schedule, per-flight watchdog
+//! deadlines, and the checkpoint/resume run directory (and its lock), and
+//! handles the remote failure modes on top:
 //!
 //! * a flight's result is *untrusted bytes*: every returned stream is
 //!   parsed and re-validated with [`ShardPartial::validate_for`], so a
 //!   torn transfer is detected exactly like a torn local write;
 //! * failures are charged to the host that produced them; the
 //!   [`HostPool`] quarantines hosts that fail repeatedly so a dead node
-//!   cannot eat a shard's whole retry budget;
+//!   cannot eat a shard's whole retry budget — except the last host not
+//!   quarantined, so a fleet never stalls waiting out a probation;
 //! * stragglers past [`LaunchConfig::hedge_after`] are re-dispatched on
 //!   a *different* host — first valid partial wins, the loser is
 //!   cancelled and discarded (the exact-tiling merge validation would
 //!   reject its duplicate anyway).
 
 use super::merge::merge_host_groups;
-use super::pool::{HostCount, HostHealth, HostPool, HostSpec};
+use super::pool::{HostCount, HostPool, HostSpec};
 use super::transport::{Transport, WorkerJob};
+use crate::experiments::table2::CircuitAccum;
 use crate::shard::coordinator::{
     backoff_delay, campaign_run_dir, partial_path, preflight_run_dir, worker_shard_args,
-    MergedResult, RunReport, Worker, DEFAULT_RETRY_BASE,
+    MergedResult, RunReport, Worker,
 };
 use crate::shard::partial::ShardPartial;
 use crate::shard::{McConfig, ShardSpec};
@@ -32,8 +36,20 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 /// Host shards reused from checkpoints (or synthesized empty) are
-/// attributed to in the merge tree and the manifest.
+/// attributed to in the merge tree, and the one host of [`local_fleet`].
 const LOCAL_HOST: &str = "local";
+
+/// The implicit one-host fleet `local*<slots>` that `mc coordinate` and
+/// the service's default job executor run on; `slots` defaults to the
+/// machine's available parallelism.
+pub(crate) fn local_fleet(slots: Option<usize>) -> Vec<HostSpec> {
+    vec![HostSpec {
+        name: LOCAL_HOST.to_owned(),
+        slots: slots.unwrap_or_else(|| {
+            std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get)
+        }),
+    }]
+}
 
 /// How often the scheduler polls flights when nothing has changed.
 const POLL_INTERVAL: Duration = Duration::from_millis(4);
@@ -48,11 +64,10 @@ pub struct LaunchConfig {
     pub shards: usize,
     /// Attempts per shard (first run + retries) before giving up.
     pub max_attempts: usize,
-    /// The worker every dispatch runs (binary + entry-point prefix).
+    /// The worker every dispatch runs.
     pub worker: Worker,
     /// Parent directory for run directories (checkpoints and resume live
-    /// in [`campaign_run_dir`] beneath it, exactly as for the local
-    /// coordinator).
+    /// in [`campaign_run_dir`] beneath it, shared with `mc coordinate`).
     pub work_dir: PathBuf,
     /// Extra arguments appended to every worker invocation.
     pub extra_worker_args: Vec<String>,
@@ -74,35 +89,6 @@ pub struct LaunchConfig {
     pub quarantine_after: usize,
     /// How long a quarantined host sits out before probation.
     pub probation: Duration,
-}
-
-impl LaunchConfig {
-    /// A launcher with the coordinator's defaults plus the given fleet:
-    /// three attempts per shard, no watchdog, no hedging, quarantine
-    /// after [`super::pool::DEFAULT_QUARANTINE_AFTER`] consecutive
-    /// failures with a [`super::pool::DEFAULT_PROBATION`] sit-out.
-    ///
-    /// # Errors
-    ///
-    /// Fails when no worker binary can be located.
-    pub fn new(config: McConfig, shards: usize, hosts: Vec<HostSpec>) -> Result<Self, String> {
-        Ok(Self {
-            config,
-            shards,
-            max_attempts: 3,
-            worker: crate::shard::coordinator::default_worker()?,
-            work_dir: crate::shard::coordinator::default_work_dir(),
-            extra_worker_args: Vec::new(),
-            keep_partials: false,
-            shard_timeout: None,
-            hedge_after: None,
-            resume: false,
-            retry_base: DEFAULT_RETRY_BASE,
-            hosts,
-            quarantine_after: super::pool::DEFAULT_QUARANTINE_AFTER,
-            probation: super::pool::DEFAULT_PROBATION,
-        })
-    }
 }
 
 /// Launch counters: the coordinator's [`RunReport`] plus the remote
@@ -143,6 +129,8 @@ struct FlightSlot {
 struct Launcher<'a> {
     cfg: &'a LaunchConfig,
     transport: &'a dyn Transport,
+    /// The CLI verb prefixed to progress notes on stderr.
+    label: &'static str,
     run_dir: PathBuf,
     pool: HostPool,
     queue: VecDeque<QueueItem>,
@@ -156,7 +144,7 @@ struct Launcher<'a> {
 
 impl Launcher<'_> {
     fn job_for(&self, spec: &ShardSpec) -> WorkerJob {
-        let mut args = self.cfg.worker.prefix_args.clone();
+        let mut args = vec!["mc".to_owned(), "shard".to_owned()];
         args.extend(worker_shard_args(&self.cfg.config, spec));
         args.push("--out".to_owned());
         args.push("-".to_owned());
@@ -171,7 +159,7 @@ impl Launcher<'_> {
     /// flight: backoff retry while attempts remain, else permanent.
     fn note_shard_failure(&mut self, spec: ShardSpec, attempt: usize, error: &str) {
         self.last_error = format!("shard {} (attempt {attempt}): {error}", spec.index);
-        eprintln!("mc launch: {}", self.last_error);
+        eprintln!("{}: {}", self.label, self.last_error);
         if attempt < self.cfg.max_attempts {
             self.report.base.retries += 1;
             let delay = backoff_delay(
@@ -222,7 +210,7 @@ impl Launcher<'_> {
                 if hedged || self.has_sibling(spec.index) {
                     // The primary flight is still working on the shard;
                     // the failed hedge costs the host, not the shard.
-                    eprintln!("mc launch: shard {} hedge: {error}", spec.index);
+                    eprintln!("{}: shard {} hedge: {error}", self.label, spec.index);
                 } else {
                     self.note_shard_failure(spec, attempt, &error);
                 }
@@ -291,13 +279,14 @@ impl Launcher<'_> {
         });
         match outcome {
             Ok((text, partial)) => {
-                // Checkpoint the winning partial under the same path the
-                // local coordinator uses, so `--resume` (and the service
-                // restart flow) work unchanged.
+                // Checkpoint the winning partial in the run directory, so
+                // `--resume` (by either verb) and the service restart flow
+                // pick it up.
                 let path = partial_path(&self.run_dir, slot.spec.index);
                 if let Err(e) = crate::atomic::write_atomic(&path, text.as_bytes()) {
                     eprintln!(
-                        "mc launch: cannot checkpoint {}: {e} (continuing)",
+                        "{}: cannot checkpoint {}: {e} (continuing)",
+                        self.label,
                         path.display()
                     );
                 }
@@ -311,7 +300,8 @@ impl Launcher<'_> {
                     // A sibling is still flying: charge the host, let the
                     // sibling decide the shard's fate.
                     eprintln!(
-                        "mc launch: shard {} ({}): {e}",
+                        "{}: shard {} ({}): {e}",
+                        self.label,
                         slot.spec.index,
                         if slot.hedged { "hedge" } else { "primary" }
                     );
@@ -354,8 +344,9 @@ impl Launcher<'_> {
                     // The shard is covered elsewhere; the hung flight
                     // costs only the host that stalled it.
                     eprintln!(
-                        "mc launch: shard {} straggler on {} hit the {timeout:?} watchdog \
+                        "{}: shard {} straggler on {} hit the {timeout:?} watchdog \
                          deadline; flight killed",
+                        self.label,
                         slot.spec.index,
                         self.pool.name(slot.host)
                     );
@@ -404,7 +395,8 @@ impl Launcher<'_> {
                 self.report.hedges += 1;
                 progressed = true;
                 eprintln!(
-                    "mc launch: shard {} straggling on {} — hedged onto {}",
+                    "{}: shard {} straggling on {} — hedged onto {}",
+                    self.label,
                     spec.index,
                     self.pool.name(straggler_host),
                     self.pool.name(other)
@@ -415,28 +407,22 @@ impl Launcher<'_> {
     }
 
     /// When nothing moved, how long to sleep: the short poll tick while
-    /// flights are live, else until the earliest backoff expiry — pushed
-    /// out to the earliest probation expiry when the whole fleet is
-    /// quarantined (the all-quarantined case must wait, not spin).
+    /// flights are live, else until the earliest backoff expiry. The pool
+    /// never quarantines its last available host, so a due item always
+    /// finds one and the wait is never a probation.
     fn idle_wait(&self) -> Duration {
         if !self.flights.is_empty() {
             return POLL_INTERVAL;
         }
-        let now = Instant::now();
-        let Some(ready) = self.queue.iter().map(|item| item.ready_at).min() else {
-            return POLL_INTERVAL;
-        };
-        let all_quarantined =
-            (0..self.pool.len()).all(|i| self.pool.health(i) == HostHealth::Quarantined);
-        let wake = if all_quarantined {
-            match self.pool.next_available_at() {
-                Some(probation_end) => ready.max(probation_end),
-                None => now + POLL_INTERVAL,
-            }
-        } else {
-            ready
-        };
-        wake.saturating_duration_since(now).max(POLL_INTERVAL)
+        self.queue
+            .iter()
+            .map(|item| item.ready_at)
+            .min()
+            .map_or(POLL_INTERVAL, |ready| {
+                ready
+                    .saturating_duration_since(Instant::now())
+                    .max(POLL_INTERVAL)
+            })
     }
 
     /// Kills and discards every live flight (fail-fast path; checkpoints
@@ -460,11 +446,21 @@ impl Launcher<'_> {
 ///
 /// Reports configuration problems, unwritable work directories, run
 /// directories owned by a different campaign, and permanently failing
-/// shards (with the last per-shard error) — the same failure surface as
-/// the local coordinator, plus dispatch-level errors from the transport.
+/// shards (with the last per-shard error, dispatch-level transport errors
+/// included).
 pub fn run_launch_with_report(
     cfg: &LaunchConfig,
     transport: &dyn Transport,
+) -> Result<(MergedResult, LaunchReport), String> {
+    run_scheduler(cfg, transport, "mc launch")
+}
+
+/// [`run_launch_with_report`] with the CLI verb (`label`) that prefixes
+/// the scheduler's progress notes on stderr.
+pub(crate) fn run_scheduler(
+    cfg: &LaunchConfig,
+    transport: &dyn Transport,
+    label: &'static str,
 ) -> Result<(MergedResult, LaunchReport), String> {
     if cfg.shards == 0 {
         return Err("need at least one shard".to_owned());
@@ -483,15 +479,15 @@ pub fn run_launch_with_report(
         .map_err(|e| format!("cannot create work dir {}: {e}", cfg.work_dir.display()))?;
     let run_dir = campaign_run_dir(&cfg.work_dir, &cfg.config, cfg.shards);
     let host_strings: Vec<String> = cfg.hosts.iter().map(HostSpec::render).collect();
-    // Held until this function returns, exactly like the coordinator:
-    // a concurrent launcher or coordinator on the same campaign fails
-    // fast instead of racing on the run directory.
+    // Held until this function returns: a concurrent scheduler on the
+    // same campaign fails fast instead of racing on the run directory.
     let _lock = preflight_run_dir(&cfg.config, cfg.shards, &host_strings, &run_dir)?;
 
     let specs = ShardSpec::partition(cfg.config.samples, cfg.shards);
     let mut launcher = Launcher {
         cfg,
         transport,
+        label,
         run_dir: run_dir.clone(),
         pool: HostPool::new(&cfg.hosts, cfg.quarantine_after, cfg.probation),
         queue: VecDeque::with_capacity(specs.len()),
@@ -504,39 +500,30 @@ pub fn run_launch_with_report(
 
     let start = Instant::now();
     for spec in specs {
+        // Empty shards (more shards than samples) need no dispatch.
         if spec.is_empty() {
-            // Empty shards (more shards than samples) need no dispatch.
-            launcher.partials[spec.index] = Some((
-                LOCAL_HOST.to_owned(),
-                ShardPartial {
-                    config: cfg.config.clone(),
-                    spec,
-                    circuits: cfg
-                        .config
-                        .circuits
-                        .iter()
-                        .map(|name| {
-                            (
-                                name.clone(),
-                                crate::experiments::table2::CircuitAccum::new(),
-                            )
-                        })
-                        .collect(),
-                },
-            ));
+            let circuits = cfg.config.circuits.iter();
+            let empty = ShardPartial {
+                config: cfg.config.clone(),
+                spec,
+                circuits: circuits.map(|c| (c.clone(), CircuitAccum::new())).collect(),
+            };
+            launcher.partials[spec.index] = Some((LOCAL_HOST.to_owned(), empty));
+            continue;
+        }
+        // With `resume`, a valid checkpoint is reused, not recomputed.
+        let checkpoint = cfg.resume.then(|| {
+            let text = fs::read_to_string(partial_path(&run_dir, spec.index)).ok()?;
+            let partial = ShardPartial::from_json(&text).ok()?;
+            partial
+                .validate_for(&cfg.config, &spec)
+                .ok()
+                .map(|()| partial)
+        });
+        if let Some(partial) = checkpoint.flatten() {
+            launcher.partials[spec.index] = Some((LOCAL_HOST.to_owned(), partial));
+            launcher.report.base.reused += 1;
         } else {
-            if cfg.resume {
-                let path = partial_path(&run_dir, spec.index);
-                if let Ok(text) = fs::read_to_string(&path) {
-                    if let Ok(partial) = ShardPartial::from_json(&text) {
-                        if partial.validate_for(&cfg.config, &spec).is_ok() {
-                            launcher.partials[spec.index] = Some((LOCAL_HOST.to_owned(), partial));
-                            launcher.report.base.reused += 1;
-                            continue;
-                        }
-                    }
-                }
-            }
             launcher.queue.push_back(QueueItem {
                 spec,
                 attempt: 1,
@@ -548,7 +535,7 @@ pub fn run_launch_with_report(
     // The event loop: dispatch due work onto healthy hosts, poll flights,
     // hedge stragglers, sleep only when nothing moved. Terminates because
     // every shard either completes or exhausts its attempts (quarantine
-    // only *delays* dispatch until probation, never blocks it forever).
+    // never takes the last available host, so it cannot block dispatch).
     while launcher.permanent.is_empty()
         && (!launcher.queue.is_empty() || !launcher.flights.is_empty())
     {
@@ -599,13 +586,4 @@ pub fn run_launch_with_report(
         let _ = fs::remove_dir(&cfg.work_dir);
     }
     Ok((merged, report))
-}
-
-/// Runs the campaign and returns only the merged result.
-///
-/// # Errors
-///
-/// See [`run_launch_with_report`].
-pub fn run_launch(cfg: &LaunchConfig, transport: &dyn Transport) -> Result<MergedResult, String> {
-    run_launch_with_report(cfg, transport).map(|(merged, _)| merged)
 }

@@ -9,9 +9,10 @@
 //!   --json --out DIR]` — any experiment, with a canonical
 //!   machine-readable artifact;
 //! * `xbar mc shard|coordinate` — fault-tolerant process-sharded Monte
-//!   Carlo (watchdog timeouts, bounded concurrency, backoff retry,
-//!   checkpoint/resume — see [`shard::coordinator`]);
-//! * `xbar mc launch` — multi-host dispatch over the same engine: a
+//!   Carlo on this machine (watchdog timeouts, bounded concurrency,
+//!   backoff retry, checkpoint/resume — see [`shard::coordinator`]);
+//! * `xbar mc launch` — multi-host dispatch through the same scheduler
+//!   (`mc coordinate` is a launch over the fleet `local*N`): a
 //!   pluggable transport (local subprocesses or an `ssh`-style command
 //!   template), per-host health tracking with quarantine, hedged
 //!   re-dispatch of stragglers, and a two-level merge tree — see
@@ -39,9 +40,6 @@
 //! | Ext-E (column redundancy) | `ext_column_redundancy` |
 //! | Ext-F (defect-map extraction) | `ext_defect_scan` |
 //! | Yield estimation building block | `estimate_yield` |
-//!
-//! The 17 pre-redesign binaries still build as deprecation shims that
-//! delegate into the registry with their old flags.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -56,7 +54,7 @@ pub mod service;
 pub mod shard;
 mod table;
 
-pub use cli::{legacy_mc_shim, legacy_shim, run_cli, ExpArgs};
+pub use cli::{run_cli, ExpArgs};
 pub use experiment::{
     find_experiment, registry, Artifact, ExpError, Experiment, ParamKind, ParamSpec, Params,
     Reporter,

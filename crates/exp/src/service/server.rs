@@ -7,12 +7,14 @@
 //! shared [`JobQueue`] — the pool size *is* the concurrency bound.
 //!
 //! Execution reuses the existing machinery end to end. `table2` (the
-//! flagship Monte Carlo workload) runs through the sharded
-//! [`coordinator`](crate::shard::coordinator) with a per-job run
-//! directory under `<work-dir>/jobs/<cache-key>/` — the same
+//! flagship Monte Carlo workload) runs through the one shard
+//! [`scheduler`](crate::launch::scheduler) over the job fleet, resolved
+//! once at start-up (`--launcher SPEC`, else the implicit local fleet
+//! `local*<job-max-inflight>` that `xbar mc coordinate` runs on), with a
+//! per-job run directory under `<work-dir>/jobs/<cache-key>/` — the same
 //! `coordinator.lock`, watchdog, retry, and resume semantics as
 //! `xbar mc coordinate` — and the artifact is rebuilt from the merged
-//! accumulators via [`table2_artifact_data`], byte-identical to a
+//! accumulators via [`table2_artifact_from_accums`], byte-identical to a
 //! monolithic `xbar run` because the merge is integer-exact. Every other
 //! experiment (and everything when `--in-process-jobs` is set) runs
 //! in-process through [`Experiment::run`], which is the `xbar run` code
@@ -28,6 +30,8 @@
 
 use crate::experiment::{find_experiment, Experiment, Params, Reporter};
 use crate::experiments::table2::{resolve_circuit_subset, table2_artifact_from_accums};
+use crate::launch::pool::{DEFAULT_PROBATION, DEFAULT_QUARANTINE_AFTER};
+use crate::launch::scheduler::local_fleet;
 use crate::launch::{
     parse_hosts, run_launch_with_report, FaultPlan, Faulty, HostCount, HostSpec, LaunchConfig,
     LocalProc, Transport,
@@ -35,9 +39,9 @@ use crate::launch::{
 use crate::service::cache::{cache_key, ArtifactCache, CacheKey};
 use crate::service::protocol::{error_line, response, Request};
 use crate::service::queue::{JobQueue, JobSnapshot, JobSpec, JobState};
+use crate::shard::cli::{flag_value, positive_num, positive_secs};
 use crate::shard::coordinator::{
-    campaign_run_dir, default_worker, run_coordinator_with_report, CoordinatorConfig, RunReport,
-    Worker, DEFAULT_RETRY_BASE,
+    campaign_run_dir, default_worker, RunReport, Worker, DEFAULT_RETRY_BASE,
 };
 use crate::shard::json::JsonValue;
 use crate::shard::McConfig;
@@ -68,16 +72,18 @@ pub struct ServeOptions {
     /// [`ServiceHandle::addr`]).
     pub listen: String,
     /// Service state root (`--work-dir`): the artifact cache lives in
-    /// `cache/`, per-job coordinator run dirs in `jobs/`. Reusing a work
+    /// `cache/`, per-job run dirs in `jobs/`. Reusing a work
     /// dir across restarts keeps the cache and resumes interrupted jobs.
     pub work_dir: PathBuf,
     /// Worker slots — jobs executing simultaneously (`--max-inflight`,
     /// default: available parallelism).
     pub max_inflight: usize,
-    /// Shards per coordinator-backed job (`--job-shards`, default 4).
+    /// Shards per sharded job (`--job-shards`, default 4).
     pub job_shards: usize,
-    /// Worker-process cap *within* one job's coordinator
-    /// (`--job-max-inflight`, default: the coordinator's own default).
+    /// Worker-process cap *within* one job: the slot count of the
+    /// implicit local fleet `local*N` (`--job-max-inflight`, default:
+    /// available parallelism). Exclusive with `launcher_hosts`, whose
+    /// slot counts are the cap.
     pub job_max_inflight: Option<usize>,
     /// Per-shard watchdog deadline (`--shard-timeout`, seconds).
     pub shard_timeout: Option<Duration>,
@@ -87,10 +93,10 @@ pub struct ServeOptions {
     /// Extra arguments forwarded to every shard worker (`--worker-arg`,
     /// repeatable; the failure-injection smoke hooks live here).
     pub worker_args: Vec<String>,
-    /// Route sharded jobs through the multi-host launcher instead of the
-    /// single-host coordinator (`--launcher SPEC`, same `name[*slots]`
-    /// grammar as `xbar mc launch --hosts`). Nothing above the job
-    /// executor changes; artifacts stay byte-identical.
+    /// Dispatch sharded jobs over this fleet instead of the implicit
+    /// local one (`--launcher SPEC`, same `name[*slots]` grammar as
+    /// `xbar mc launch --hosts`). Nothing above the job executor
+    /// changes; artifacts stay byte-identical.
     pub launcher_hosts: Option<Vec<HostSpec>>,
     /// Fault plans injected into the launcher transport
     /// (`--launcher-fault host=kind[@ordinal]`, repeatable; exists for
@@ -120,6 +126,8 @@ impl Default for ServeOptions {
 #[derive(Debug)]
 struct ServiceState {
     options: ServeOptions,
+    /// The fleet every sharded job runs on (see [`job_fleet`]).
+    fleet: Vec<HostSpec>,
     queue: JobQueue,
     cache: ArtifactCache,
     jobs_dir: PathBuf,
@@ -185,6 +193,7 @@ pub fn start(options: ServeOptions) -> Result<ServiceHandle, String> {
     if options.job_shards == 0 {
         return Err("need at least one shard per job".to_owned());
     }
+    let fleet = job_fleet(&options)?;
     fs::create_dir_all(&options.work_dir)
         .map_err(|e| format!("cannot create work dir {}: {e}", options.work_dir.display()))?;
     let cache = ArtifactCache::open(&options.work_dir.join("cache"))?;
@@ -202,6 +211,7 @@ pub fn start(options: ServeOptions) -> Result<ServiceHandle, String> {
 
     let state = Arc::new(ServiceState {
         options,
+        fleet,
         queue: JobQueue::new(),
         cache,
         jobs_dir,
@@ -455,7 +465,7 @@ fn stream_until_settled(state: &Arc<ServiceState>, writer: &mut TcpStream, id: u
     }
 }
 
-/// Counts checkpointed shard partials for a running coordinator job.
+/// Counts checkpointed shard partials for a running sharded job.
 fn shard_progress(snap: &JobSnapshot) -> (usize, usize) {
     let Some(run_dir) = &snap.run_dir else {
         return (0, snap.shards);
@@ -474,7 +484,8 @@ fn shard_progress(snap: &JobSnapshot) -> (usize, usize) {
 }
 
 /// The final line for a settled job: `result` with the artifact (plus the
-/// coordinator counters when it ran sharded), or `error`.
+/// scheduler counters and per-host attribution when it ran sharded), or
+/// `error`.
 fn result_or_error_line(snap: &JobSnapshot) -> String {
     match snap.state {
         JobState::Done => {
@@ -640,27 +651,20 @@ fn run_job(
         .map_err(|e| format!("bad parameters: {e}"))?;
     let key = cache_key(exp, &params);
 
-    // `table2` runs through the sharded coordinator (checkpoints, retry,
-    // resume) unless the daemon was told to stay in-process; with
-    // `--launcher` the same shards are instead dispatched over the host
-    // fleet by the multi-host launcher. Every other experiment runs
-    // through the registry directly — the exact `xbar run` code path, so
-    // the artifact is byte-identical by construction. A missing worker
-    // binary degrades to in-process too, so a daemon started from an
-    // unusual location still serves.
+    // `table2` runs sharded over the job fleet (checkpoints, retry,
+    // resume) unless the daemon was told to stay in-process. Every other
+    // experiment runs through the registry directly — the exact `xbar
+    // run` code path, so the artifact is byte-identical by construction.
+    // A missing worker binary degrades to in-process too, so a daemon
+    // started from an unusual location still serves.
     let sharded = !state.options.in_process_jobs && spec.experiment == "table2";
     let (artifact, report, hosts) = if sharded {
         match default_worker() {
-            Ok(worker) => match &state.options.launcher_hosts {
-                Some(hosts) => {
-                    run_launched_table2(state, spec.id, exp, &params, &key, worker, hosts)?
-                }
-                None => {
-                    let (artifact, report) =
-                        run_coordinated_table2(state, spec.id, exp, &params, &key, worker)?;
-                    (artifact, report, Vec::new())
-                }
-            },
+            Ok(worker) => {
+                let (artifact, report, hosts) =
+                    run_sharded_table2(state, spec.id, exp, &params, &key, worker)?;
+                (artifact, Some(report), hosts)
+            }
             Err(e) => {
                 eprintln!(
                     "xbar serve: no shard worker ({e}); running job {} in-process",
@@ -689,11 +693,6 @@ fn run_in_process(exp: &dyn Experiment, params: &Params) -> Result<String, Strin
     Ok(artifact.render(exp, params))
 }
 
-/// Runs a `table2` job through the fault-tolerant sharded coordinator and
-/// rebuilds the canonical artifact from the merged accumulators. The
-/// job's run directory persists (`keep_partials`) until the artifact is
-/// safely cached, so a daemon killed mid-job resumes instead of
-/// restarting from sample zero.
 fn table2_mc_config(params: &Params) -> Result<McConfig, String> {
     let circuits = resolve_circuit_subset(params.list("circuits")).map_err(|e| match e {
         crate::experiment::ExpError::Usage(m) | crate::experiment::ExpError::Failed(m) => m,
@@ -708,17 +707,40 @@ fn table2_mc_config(params: &Params) -> Result<McConfig, String> {
     })
 }
 
-fn run_coordinated_table2(
+/// The fleet every sharded job runs on: `--launcher SPEC`, else the
+/// implicit local fleet `local*<job-max-inflight>`.
+///
+/// # Errors
+///
+/// Rejects `--job-max-inflight` together with `--launcher`: the launcher
+/// fleet's slot counts are the cap, and silently ignoring N would lie.
+fn job_fleet(options: &ServeOptions) -> Result<Vec<HostSpec>, String> {
+    match (&options.launcher_hosts, options.job_max_inflight) {
+        (Some(_), Some(_)) => Err("--job-max-inflight cannot be combined with --launcher \
+             (the launcher fleet's slot counts cap each job)"
+            .to_owned()),
+        (Some(hosts), None) => Ok(hosts.clone()),
+        (None, slots) => Ok(local_fleet(slots)),
+    }
+}
+
+/// Runs a `table2` job through the scheduler over the job fleet and
+/// rebuilds the canonical artifact from the merged accumulators. The
+/// job's run directory persists (`keep_partials`) until the artifact is
+/// safely cached, so a daemon killed mid-job resumes instead of
+/// restarting from sample zero. The artifact is byte-identical whatever
+/// the fleet did.
+fn run_sharded_table2(
     state: &Arc<ServiceState>,
     id: u64,
     exp: &dyn Experiment,
     params: &Params,
     key: &CacheKey,
     worker: Worker,
-) -> Result<(String, Option<RunReport>), String> {
-    let config = table2_mc_config(params)?;
+) -> Result<(String, RunReport, Vec<HostCount>), String> {
     let job_dir = state.jobs_dir.join(&key.name);
-    let cfg = CoordinatorConfig {
+    let cfg = LaunchConfig {
+        config: table2_mc_config(params)?,
         shards: state.options.job_shards,
         max_attempts: 3,
         worker,
@@ -726,49 +748,13 @@ fn run_coordinated_table2(
         extra_worker_args: state.options.worker_args.clone(),
         keep_partials: true,
         shard_timeout: state.options.shard_timeout,
-        max_inflight: state.options.job_max_inflight,
+        hedge_after: None,
         resume: true,
         retry_base: DEFAULT_RETRY_BASE,
-        config,
+        hosts: state.fleet.clone(),
+        quarantine_after: DEFAULT_QUARANTINE_AFTER,
+        probation: DEFAULT_PROBATION,
     };
-    state.queue.set_run_dir(
-        id,
-        campaign_run_dir(&cfg.work_dir, &cfg.config, cfg.shards),
-        cfg.shards,
-    );
-    let (merged, report) = run_coordinator_with_report(&cfg)?;
-    let artifact = table2_artifact_from_accums(&merged.circuits, cfg.config.seed, exp, params)?;
-
-    // The checkpoints have served their purpose once the artifact exists;
-    // the caller caches it before reporting done, and the cache — not the
-    // run dir — is the durable record.
-    let _ = fs::remove_dir_all(&job_dir);
-    Ok((artifact, Some(report)))
-}
-
-/// Runs a `table2` job through the multi-host launcher (`--launcher`):
-/// the same shard partition, checkpoint format, and integer-exact merge
-/// as the coordinator path, but dispatched across the configured fleet
-/// with per-host health tracking and hedged stragglers. Nothing above
-/// this executor changes, and the artifact stays byte-identical.
-fn run_launched_table2(
-    state: &Arc<ServiceState>,
-    id: u64,
-    exp: &dyn Experiment,
-    params: &Params,
-    key: &CacheKey,
-    worker: Worker,
-    hosts: &[HostSpec],
-) -> Result<(String, Option<RunReport>, Vec<HostCount>), String> {
-    let config = table2_mc_config(params)?;
-    let job_dir = state.jobs_dir.join(&key.name);
-    let mut cfg = LaunchConfig::new(config, state.options.job_shards, hosts.to_vec())?;
-    cfg.worker = worker;
-    cfg.work_dir = job_dir.clone();
-    cfg.extra_worker_args = state.options.worker_args.clone();
-    cfg.keep_partials = true;
-    cfg.shard_timeout = state.options.shard_timeout;
-    cfg.resume = true;
     state.queue.set_run_dir(
         id,
         campaign_run_dir(&cfg.work_dir, &cfg.config, cfg.shards),
@@ -784,8 +770,12 @@ fn run_launched_table2(
     };
     let (merged, report) = run_launch_with_report(&cfg, &transport)?;
     let artifact = table2_artifact_from_accums(&merged.circuits, cfg.config.seed, exp, params)?;
+
+    // The checkpoints have served their purpose once the artifact exists;
+    // the caller caches it before reporting done, and the cache — not the
+    // run dir — is the durable record.
     let _ = fs::remove_dir_all(&job_dir);
-    Ok((artifact, Some(report.base), report.hosts))
+    Ok((artifact, report.base, report.hosts))
 }
 
 fn serve_usage() -> String {
@@ -801,18 +791,19 @@ fn serve_usage() -> String {
      restarts to keep the cache and resume interrupted jobs)\n  \
      --max-inflight N     jobs executing at once (default: available\n                       \
      parallelism)\n  \
-     --job-shards N       worker processes per coordinator-backed job (default 4)\n  \
-     --job-max-inflight N live shard workers within one job (default: the\n                       \
-     coordinator's choice)\n  \
+     --job-shards N       shards (worker processes) per sharded job (default 4)\n  \
+     --job-max-inflight N live shard workers within one job: the slots of the\n                       \
+     local fleet `local*N` (default: available parallelism;\n                       \
+     not with --launcher)\n  \
      --shard-timeout S    per-shard watchdog seconds, fractional ok (default:\n                       \
      no watchdog)\n  \
      --in-process-jobs    run jobs in-process instead of spawning shard workers\n  \
      --worker-arg ARG     extra argument for every shard worker (repeatable;\n                       \
      used by fault-injection tests)\n  \
-     --launcher SPEC      dispatch sharded jobs over a host fleet via the\n                       \
-     multi-host launcher (same `name[*slots],...` grammar\n                       \
-     as `xbar mc launch --hosts`); artifacts stay\n                       \
-     byte-identical to the coordinator path\n  \
+     --launcher SPEC      dispatch sharded jobs over this host fleet instead of\n                       \
+     the local one (same `name[*slots],...` grammar as\n                       \
+     `xbar mc launch --hosts`); artifacts stay\n                       \
+     byte-identical\n  \
      --launcher-fault P   inject a transport fault `host=kind[@ordinal]`\n                       \
      (repeatable; used by the failure-injection smokes)"
         .to_owned()
@@ -821,65 +812,34 @@ fn serve_usage() -> String {
 fn parse_serve_args(argv: Vec<String>) -> Result<Option<ServeOptions>, String> {
     let mut options = ServeOptions::default();
     let mut it = argv.into_iter();
-    let value = |flag: &str, it: &mut dyn Iterator<Item = String>| {
-        it.next().ok_or_else(|| format!("{flag} needs a value"))
-    };
-    let num = |flag: &str, text: String| -> Result<usize, String> {
-        text.parse()
-            .map_err(|_| format!("{flag}: expected a number, got {text:?}"))
-    };
     while let Some(flag) = it.next() {
+        let mut value = || flag_value(&flag, &mut it);
         match flag.as_str() {
-            "--listen" => options.listen = value(&flag, &mut it)?,
-            "--work-dir" => options.work_dir = PathBuf::from(value(&flag, &mut it)?),
-            "--max-inflight" => {
-                options.max_inflight = num(&flag, value(&flag, &mut it)?)?;
-                if options.max_inflight == 0 {
-                    return Err(format!("{flag} must be at least 1"));
-                }
-            }
-            "--job-shards" => {
-                options.job_shards = num(&flag, value(&flag, &mut it)?)?;
-                if options.job_shards == 0 {
-                    return Err(format!("{flag} must be at least 1"));
-                }
-            }
+            "--listen" => options.listen = value()?,
+            "--work-dir" => options.work_dir = PathBuf::from(value()?),
+            "--max-inflight" => options.max_inflight = positive_num(&flag, &value()?)?,
+            "--job-shards" => options.job_shards = positive_num(&flag, &value()?)?,
             "--job-max-inflight" => {
-                let n = num(&flag, value(&flag, &mut it)?)?;
-                if n == 0 {
-                    return Err(format!("{flag} must be at least 1"));
-                }
-                options.job_max_inflight = Some(n);
+                options.job_max_inflight = Some(positive_num(&flag, &value()?)?);
             }
-            "--shard-timeout" => {
-                let text = value(&flag, &mut it)?;
-                let secs: f64 = text
-                    .parse()
-                    .map_err(|_| format!("{flag}: expected seconds, got {text:?}"))?;
-                let timeout = Duration::try_from_secs_f64(secs)
-                    .map_err(|_| format!("{flag}: {secs} is not a representable duration"))?;
-                if timeout.is_zero() {
-                    return Err(format!("{flag} must be positive"));
-                }
-                options.shard_timeout = Some(timeout);
-            }
+            "--shard-timeout" => options.shard_timeout = Some(positive_secs(&flag, &value()?)?),
             "--in-process-jobs" => options.in_process_jobs = true,
-            "--worker-arg" => options.worker_args.push(value(&flag, &mut it)?),
+            "--worker-arg" => options.worker_args.push(value()?),
             "--launcher" => {
-                let spec = value(&flag, &mut it)?;
                 options.launcher_hosts =
-                    Some(parse_hosts(&spec).map_err(|e| format!("{flag}: {e}"))?);
+                    Some(parse_hosts(&value()?).map_err(|e| format!("{flag}: {e}"))?);
             }
             "--launcher-fault" => {
-                let plan = value(&flag, &mut it)?;
-                options
-                    .launcher_faults
-                    .push(FaultPlan::parse(&plan).map_err(|e| format!("{flag}: {e}"))?);
+                let plan = FaultPlan::parse(&value()?).map_err(|e| format!("{flag}: {e}"))?;
+                options.launcher_faults.push(plan);
             }
             "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown flag {other:?}; try --help")),
         }
     }
+    // Resolved again at start-up; rejecting here makes a contradictory
+    // fleet a usage error (exit 2).
+    job_fleet(&options)?;
     Ok(Some(options))
 }
 
@@ -942,8 +902,6 @@ mod tests {
             "2",
             "--job-shards",
             "3",
-            "--job-max-inflight",
-            "1",
             "--shard-timeout",
             "2.5",
             "--in-process-jobs",
@@ -964,7 +922,10 @@ mod tests {
         assert_eq!(options.work_dir, PathBuf::from("/tmp/svc"));
         assert_eq!(options.max_inflight, 2);
         assert_eq!(options.job_shards, 3);
-        assert_eq!(options.job_max_inflight, Some(1));
+        assert_eq!(
+            options.job_max_inflight, None,
+            "the launcher fleet sets the cap"
+        );
         assert_eq!(options.shard_timeout, Some(Duration::from_millis(2500)));
         assert!(options.in_process_jobs);
         assert_eq!(options.worker_args, ["--inject-slow-ms", "50"]);
@@ -982,6 +943,7 @@ mod tests {
             &["--max-inflight", "0"][..],
             &["--job-shards", "0"][..],
             &["--job-max-inflight", "0"][..],
+            &["--launcher", "a", "--job-max-inflight", "2"][..],
             &["--shard-timeout", "0"][..],
             &["--shard-timeout", "soon"][..],
             &["--listen"][..],

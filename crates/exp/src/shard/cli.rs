@@ -1,7 +1,8 @@
-//! CLI entry points for the sharded Monte Carlo subsystem, shared by
-//! `xbar mc shard` / `xbar mc coordinate` and the deprecated standalone
-//! `mc_shard` / `mc_coordinator` shims. Parsing is `Result`-based: usage
-//! problems print help to stderr and return exit code 2.
+//! CLI entry points for the sharded Monte Carlo subsystem (`xbar mc
+//! shard` / `xbar mc coordinate`) and the parsing pieces every scheduling
+//! verb shares: `SchedulingFlags` (`mc coordinate` and `mc launch`) and
+//! the flag-value helpers (`xbar serve` too). Parsing is `Result`-based:
+//! usage problems print help to stderr and return exit code 2.
 
 use super::coordinator::{
     default_work_dir, default_worker, render_stats_json, render_timing_table,
@@ -11,6 +12,146 @@ use super::coordinator::{
 use super::{partial::ShardPartial, run_shard, CampaignFlags, ShardSpec, CAMPAIGN_FLAGS_USAGE};
 use std::path::PathBuf;
 use std::time::Duration;
+
+/// The value following `flag`, or a usage error.
+pub(crate) fn flag_value(
+    flag: &str,
+    it: &mut dyn Iterator<Item = String>,
+) -> Result<String, String> {
+    it.next().ok_or_else(|| format!("{flag} needs a value"))
+}
+
+/// `text` as an integer, or a usage error naming `flag`.
+pub(crate) fn flag_num<T: std::str::FromStr>(flag: &str, text: &str) -> Result<T, String> {
+    text.parse()
+        .map_err(|_| format!("{flag}: expected a number, got {text:?}"))
+}
+
+/// `text` as a count of at least one.
+pub(crate) fn positive_num(flag: &str, text: &str) -> Result<usize, String> {
+    match flag_num(flag, text)? {
+        0 => Err(format!("{flag} must be at least 1")),
+        n => Ok(n),
+    }
+}
+
+/// `text` as (fractional) seconds.
+pub(crate) fn flag_secs(flag: &str, text: &str) -> Result<Duration, String> {
+    let secs: f64 = text
+        .parse()
+        .map_err(|_| format!("{flag}: expected seconds, got {text:?}"))?;
+    Duration::try_from_secs_f64(secs)
+        .map_err(|_| format!("{flag}: {secs} is not a representable duration"))
+}
+
+/// `text` as a strictly positive number of seconds: the one parser for
+/// `--shard-timeout` (all verbs) and `--hedge-after`.
+pub(crate) fn positive_secs(flag: &str, text: &str) -> Result<Duration, String> {
+    let secs = flag_secs(flag, text)?;
+    if secs.is_zero() {
+        return Err(format!("{flag} must be positive"));
+    }
+    Ok(secs)
+}
+
+/// The scheduling flags `mc coordinate` and `mc launch` share, with one
+/// parser ([`SchedulingFlags::consume`]) and one usage block
+/// ([`SCHEDULING_FLAGS_USAGE`]), so the two verbs cannot drift apart on
+/// how a campaign is scheduled.
+#[derive(Debug)]
+pub(crate) struct SchedulingFlags {
+    pub(crate) shards: usize,
+    pub(crate) max_attempts: usize,
+    pub(crate) shard_timeout: Option<Duration>,
+    pub(crate) resume: bool,
+    pub(crate) keep_partials: bool,
+    pub(crate) out: PathBuf,
+    pub(crate) work_dir: Option<PathBuf>,
+    pub(crate) worker: Option<PathBuf>,
+    pub(crate) worker_args: Vec<String>,
+}
+
+impl Default for SchedulingFlags {
+    fn default() -> Self {
+        Self {
+            shards: 3,
+            max_attempts: 3,
+            shard_timeout: None,
+            resume: false,
+            keep_partials: false,
+            out: PathBuf::from("MC_merged.json"),
+            work_dir: None,
+            worker: None,
+            worker_args: Vec::new(),
+        }
+    }
+}
+
+/// The usage lines for the flags [`SchedulingFlags::consume`] accepts.
+pub(crate) const SCHEDULING_FLAGS_USAGE: &str =
+    "  --shards N         sample-range shards, one worker process each (default 3)\n  \
+--max-attempts N   attempts per shard before giving up (default 3)\n  \
+--shard-timeout S  kill a worker still running after S seconds and retry\n                     \
+(fractional ok; default: no watchdog, wait forever)\n  \
+--resume           reuse valid partials already in the run directory and\n                     \
+schedule only missing or corrupt shards\n  \
+--out PATH         merged stats artifact (default MC_merged.json)\n  \
+--work-dir PATH    parent of the per-campaign run directory, shared by\n                     \
+`mc coordinate` and `mc launch` (default: <temp>/xbar-mc;\n                     \
+partials live in\n                     \
+<work-dir>/run-seed<seed>-n<samples>-k<shards>-<stream>[-<model>])\n  \
+--worker PATH      the xbar binary every shard runs, as `PATH mc shard ...`\n                     \
+(default: the xbar binary next to this one)\n  \
+--worker-arg ARG   extra argument appended to every worker invocation\n                     \
+(repeatable; used by fault-injection tests and CI)\n  \
+--keep-partials    keep partial files after the merge";
+
+impl SchedulingFlags {
+    /// Tries to consume one scheduling flag (plus its value from `it`);
+    /// `Ok(false)` when `flag` is not a scheduling flag.
+    ///
+    /// # Errors
+    ///
+    /// Reports a missing or malformed value.
+    pub(crate) fn consume(
+        &mut self,
+        flag: &str,
+        it: &mut dyn Iterator<Item = String>,
+    ) -> Result<bool, String> {
+        match flag {
+            "--shards" => self.shards = flag_num(flag, &flag_value(flag, it)?)?,
+            "--max-attempts" => self.max_attempts = flag_num(flag, &flag_value(flag, it)?)?,
+            "--shard-timeout" => {
+                self.shard_timeout = Some(positive_secs(flag, &flag_value(flag, it)?)?);
+            }
+            "--resume" => self.resume = true,
+            "--keep-partials" => self.keep_partials = true,
+            "--out" => self.out = PathBuf::from(flag_value(flag, it)?),
+            "--work-dir" => self.work_dir = Some(PathBuf::from(flag_value(flag, it)?)),
+            "--worker" => self.worker = Some(PathBuf::from(flag_value(flag, it)?)),
+            "--worker-arg" => self.worker_args.push(flag_value(flag, it)?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// The worker every shard runs: `--worker PATH` names an `xbar`
+    /// binary (spawned as `PATH mc shard ...`), else [`default_worker`].
+    ///
+    /// # Errors
+    ///
+    /// Fails when no `--worker` was given and no default can be located.
+    pub(crate) fn resolve_worker(&self) -> Result<Worker, String> {
+        self.worker
+            .clone()
+            .map_or_else(default_worker, |path| Ok(Worker::xbar(path)))
+    }
+
+    /// The run directories' parent: `--work-dir`, else the default.
+    pub(crate) fn resolve_work_dir(&self) -> PathBuf {
+        self.work_dir.clone().unwrap_or_else(default_work_dir)
+    }
+}
 
 struct ShardArgs {
     campaign: CampaignFlags,
@@ -63,40 +204,23 @@ fn shard_usage() -> String {
 fn parse_shard_args(args: Vec<String>) -> Result<Option<ShardArgs>, String> {
     let mut out = ShardArgs::default();
     let mut it = args.into_iter();
-    let value = |flag: &str, it: &mut dyn Iterator<Item = String>| {
-        it.next().ok_or_else(|| format!("{flag} needs a value"))
-    };
-    let num = |flag: &str, text: String| -> Result<usize, String> {
-        text.parse()
-            .map_err(|_| format!("{flag}: expected a number, got {text:?}"))
-    };
     while let Some(flag) = it.next() {
         if out.campaign.consume(&flag, &mut it)? {
             continue;
         }
+        let path = |it: &mut dyn Iterator<Item = String>| flag_value(&flag, it).map(PathBuf::from);
         match flag.as_str() {
-            "--shard-index" => out.shard_index = num(&flag, value(&flag, &mut it)?)?,
-            "--num-shards" => out.num_shards = num(&flag, value(&flag, &mut it)?)?,
-            "--out" => out.out = PathBuf::from(value(&flag, &mut it)?),
-            "--inject-fail-once" => {
-                out.inject_fail_once = Some(PathBuf::from(value(&flag, &mut it)?));
-            }
+            "--shard-index" => out.shard_index = flag_num(&flag, &flag_value(&flag, &mut it)?)?,
+            "--num-shards" => out.num_shards = flag_num(&flag, &flag_value(&flag, &mut it)?)?,
+            "--out" => out.out = path(&mut it)?,
+            "--inject-fail-once" => out.inject_fail_once = Some(path(&mut it)?),
             "--inject-fail-always" => out.inject_fail_always = true,
-            "--inject-truncate-once" => {
-                out.inject_truncate_once = Some(PathBuf::from(value(&flag, &mut it)?));
-            }
-            "--inject-hang-once" => {
-                out.inject_hang_once = Some(PathBuf::from(value(&flag, &mut it)?));
-            }
+            "--inject-truncate-once" => out.inject_truncate_once = Some(path(&mut it)?),
+            "--inject-hang-once" => out.inject_hang_once = Some(path(&mut it)?),
             "--inject-slow-ms" => {
-                let text = value(&flag, &mut it)?;
-                out.inject_slow_ms = text
-                    .parse()
-                    .map_err(|_| format!("{flag}: expected a number, got {text:?}"))?;
+                out.inject_slow_ms = flag_num(&flag, &flag_value(&flag, &mut it)?)?
             }
-            "--inject-concurrency-dir" => {
-                out.inject_concurrency_dir = Some(PathBuf::from(value(&flag, &mut it)?));
-            }
+            "--inject-concurrency-dir" => out.inject_concurrency_dir = Some(path(&mut it)?),
             "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown flag {other:?}; try --help")),
         }
@@ -114,9 +238,8 @@ fn first_time(marker: &PathBuf) -> bool {
     }
 }
 
-/// `xbar mc shard` / legacy `mc_shard`: runs one contiguous slice of a
-/// campaign and writes a self-describing partial file. Returns the
-/// process exit code.
+/// `xbar mc shard`: runs one contiguous slice of a campaign and writes a
+/// self-describing partial file. Returns the process exit code.
 #[must_use]
 pub fn shard_main(argv: Vec<String>) -> i32 {
     let args = match parse_shard_args(argv) {
@@ -142,7 +265,7 @@ pub fn shard_main(argv: Vec<String>) -> i32 {
     }
     if let Some(marker) = &args.inject_hang_once {
         if first_time(marker) {
-            // A worker that never exits: the coordinator's watchdog must
+            // A worker that never exits: the scheduler's watchdog must
             // kill it at --shard-timeout (there is nothing else to stop it).
             eprintln!("mc shard: injected hang (waiting to be killed)");
             loop {
@@ -167,8 +290,8 @@ pub fn shard_main(argv: Vec<String>) -> i32 {
 
     // Concurrency probe: hold a live-marker for the worker's lifetime and
     // record how many live markers exist, so a process-level test can
-    // assert the coordinator's --max-inflight bound from *inside* the
-    // worker fleet. O_APPEND keeps the short count lines atomic.
+    // assert the scheduler's slot bound from *inside* the worker fleet.
+    // O_APPEND keeps the short count lines atomic.
     let live_marker = args.inject_concurrency_dir.as_ref().map(|dir| {
         let _ = std::fs::create_dir_all(dir);
         let marker = dir.join(format!("live-{}", std::process::id()));
@@ -244,7 +367,7 @@ fn run_shard_to_file(args: &ShardArgs, config: &super::McConfig, spec: ShardSpec
         );
         return 0;
     }
-    // Atomic: the coordinator treats any file at this path as a checkpoint
+    // Atomic: a scheduler treats any file at this path as a checkpoint
     // candidate, so it must never observe a half-written partial (the
     // injected torn write above stays a plain write on purpose).
     if let Err(e) = crate::atomic::write_atomic(&args.out, partial.to_json().as_bytes()) {
@@ -262,60 +385,22 @@ fn run_shard_to_file(args: &ShardArgs, config: &super::McConfig, spec: ShardSpec
     0
 }
 
+#[derive(Default)]
 struct CoordinateArgs {
     campaign: CampaignFlags,
-    shards: usize,
-    max_attempts: usize,
-    out: PathBuf,
-    work_dir: Option<PathBuf>,
-    worker: Option<PathBuf>,
-    keep_partials: bool,
-    in_process: bool,
-    shard_timeout: Option<Duration>,
+    scheduling: SchedulingFlags,
     max_inflight: Option<usize>,
-    resume: bool,
-    worker_args: Vec<String>,
-}
-
-impl Default for CoordinateArgs {
-    fn default() -> Self {
-        Self {
-            campaign: CampaignFlags::default(),
-            shards: 3,
-            max_attempts: 3,
-            out: PathBuf::from("MC_merged.json"),
-            work_dir: None,
-            worker: None,
-            keep_partials: false,
-            in_process: false,
-            shard_timeout: None,
-            max_inflight: None,
-            resume: false,
-            worker_args: Vec::new(),
-        }
-    }
+    in_process: bool,
 }
 
 fn coordinate_usage() -> String {
     format!(
-        "xbar mc coordinate: fault-tolerant sharded Monte Carlo over worker processes\n\nflags:\n\
-         {CAMPAIGN_FLAGS_USAGE}\n  \
-         --shards N         worker processes / sample-range shards (default 3)\n  \
-         --max-attempts N   attempts per shard before giving up (default 3)\n  \
-         --shard-timeout S  kill a worker still running after S seconds and retry\n                     \
-         (fractional ok; default: no watchdog, wait forever)\n  \
+        "xbar mc coordinate: fault-tolerant sharded Monte Carlo over local worker processes\n\n\
+         A launch over the implicit one-host fleet `local*<max-inflight>` with\n\
+         hedging off; the merged output is byte-identical to a monolithic run.\n\nflags:\n\
+         {CAMPAIGN_FLAGS_USAGE}\n\
+         {SCHEDULING_FLAGS_USAGE}\n  \
          --max-inflight N   live workers at once (default: available parallelism)\n  \
-         --resume           reuse valid partials already in the run directory and\n                     \
-         schedule only missing or corrupt shards\n  \
-         --out PATH         merged stats artifact (default MC_merged.json)\n  \
-         --work-dir PATH    parent of the per-campaign run directory\n                     \
-         (default: <temp>/xbar-mc; partials live in\n                     \
-         <work-dir>/run-seed<seed>-n<samples>-k<shards>-<stream>[-<model>])\n  \
-         --worker PATH      worker binary, spawned with the shard flags directly\n                     \
-         (default: the xbar binary next to this one, via `mc shard`)\n  \
-         --worker-arg ARG   extra argument appended to every worker invocation\n                     \
-         (repeatable; used by fault-injection tests and CI)\n  \
-         --keep-partials    keep partial files after the merge\n  \
          --in-process       run monolithically (no processes) through the same\n                     \
          accumulators; output is byte-identical to a sharded run"
     )
@@ -324,45 +409,14 @@ fn coordinate_usage() -> String {
 fn parse_coordinate_args(args: Vec<String>) -> Result<Option<CoordinateArgs>, String> {
     let mut out = CoordinateArgs::default();
     let mut it = args.into_iter();
-    let value = |flag: &str, it: &mut dyn Iterator<Item = String>| {
-        it.next().ok_or_else(|| format!("{flag} needs a value"))
-    };
-    let num = |flag: &str, text: String| -> Result<usize, String> {
-        text.parse()
-            .map_err(|_| format!("{flag}: expected a number, got {text:?}"))
-    };
     while let Some(flag) = it.next() {
-        if out.campaign.consume(&flag, &mut it)? {
+        if out.campaign.consume(&flag, &mut it)? || out.scheduling.consume(&flag, &mut it)? {
             continue;
         }
         match flag.as_str() {
-            "--shards" => out.shards = num(&flag, value(&flag, &mut it)?)?,
-            "--max-attempts" => out.max_attempts = num(&flag, value(&flag, &mut it)?)?,
-            "--shard-timeout" => {
-                let text = value(&flag, &mut it)?;
-                let secs: f64 = text
-                    .parse()
-                    .map_err(|_| format!("{flag}: expected seconds, got {text:?}"))?;
-                let timeout = Duration::try_from_secs_f64(secs)
-                    .map_err(|_| format!("{flag}: {secs} is not a representable duration"))?;
-                if timeout.is_zero() {
-                    return Err(format!("{flag} must be positive"));
-                }
-                out.shard_timeout = Some(timeout);
-            }
             "--max-inflight" => {
-                let inflight = num(&flag, value(&flag, &mut it)?)?;
-                if inflight == 0 {
-                    return Err(format!("{flag} must be at least 1"));
-                }
-                out.max_inflight = Some(inflight);
+                out.max_inflight = Some(positive_num(&flag, &flag_value(&flag, &mut it)?)?);
             }
-            "--resume" => out.resume = true,
-            "--out" => out.out = PathBuf::from(value(&flag, &mut it)?),
-            "--work-dir" => out.work_dir = Some(PathBuf::from(value(&flag, &mut it)?)),
-            "--worker" => out.worker = Some(PathBuf::from(value(&flag, &mut it)?)),
-            "--worker-arg" => out.worker_args.push(value(&flag, &mut it)?),
-            "--keep-partials" => out.keep_partials = true,
             "--in-process" => out.in_process = true,
             "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown flag {other:?}; try --help")),
@@ -387,10 +441,10 @@ fn print_report(report: &RunReport) {
     );
 }
 
-/// `xbar mc coordinate` / legacy `mc_coordinator`: partitions a campaign
-/// across worker processes (or runs it monolithically with
-/// `--in-process`), merges partials, and writes the deterministic merged
-/// stats artifact. Returns the process exit code.
+/// `xbar mc coordinate`: partitions a campaign across local worker
+/// processes (or runs it monolithically with `--in-process`), merges
+/// partials, and writes the deterministic merged stats artifact. Returns
+/// the process exit code.
 #[must_use]
 pub fn coordinate_main(argv: Vec<String>) -> i32 {
     let args = match parse_coordinate_args(argv) {
@@ -417,11 +471,8 @@ pub fn coordinate_main(argv: Vec<String>) -> i32 {
         );
         run_monolithic(&config)
     } else {
-        let worker = match args
-            .worker
-            .clone()
-            .map_or_else(default_worker, |path| Ok(Worker::standalone(path)))
-        {
+        let scheduling = &args.scheduling;
+        let worker = match scheduling.resolve_worker() {
             Ok(worker) => worker,
             Err(e) => {
                 eprintln!("mc coordinate: {e}");
@@ -430,15 +481,15 @@ pub fn coordinate_main(argv: Vec<String>) -> i32 {
         };
         let coordinator = CoordinatorConfig {
             config: config.clone(),
-            shards: args.shards,
-            max_attempts: args.max_attempts,
+            shards: scheduling.shards,
+            max_attempts: scheduling.max_attempts,
             worker,
-            work_dir: args.work_dir.clone().unwrap_or_else(default_work_dir),
-            extra_worker_args: args.worker_args.clone(),
-            keep_partials: args.keep_partials,
-            shard_timeout: args.shard_timeout,
+            work_dir: scheduling.resolve_work_dir(),
+            extra_worker_args: scheduling.worker_args.clone(),
+            keep_partials: scheduling.keep_partials,
+            shard_timeout: scheduling.shard_timeout,
             max_inflight: args.max_inflight,
-            resume: args.resume,
+            resume: scheduling.resume,
             retry_base: DEFAULT_RETRY_BASE,
         };
         println!(
@@ -461,11 +512,12 @@ pub fn coordinate_main(argv: Vec<String>) -> i32 {
     };
 
     print!("{}", render_timing_table(&merged));
-    if let Err(e) = crate::atomic::write_atomic(&args.out, render_stats_json(&merged).as_bytes()) {
-        eprintln!("mc coordinate: cannot write {}: {e}", args.out.display());
+    let out = &args.scheduling.out;
+    if let Err(e) = crate::atomic::write_atomic(out, render_stats_json(&merged).as_bytes()) {
+        eprintln!("mc coordinate: cannot write {}: {e}", out.display());
         return 1;
     }
-    println!("wrote {}", args.out.display());
+    println!("wrote {}", out.display());
     0
 }
 
@@ -495,12 +547,12 @@ mod tests {
         let args = parse_coordinate_args(argv)
             .expect("parses")
             .expect("not help");
-        assert_eq!(args.shards, 5);
+        assert_eq!(args.scheduling.shards, 5);
         assert!(args.in_process);
         assert_eq!(args.campaign.seed, 7);
-        assert_eq!(args.shard_timeout, None, "watchdog defaults off");
+        assert_eq!(args.scheduling.shard_timeout, None, "watchdog defaults off");
         assert_eq!(args.max_inflight, None, "inflight defaults to auto");
-        assert!(!args.resume);
+        assert!(!args.scheduling.resume);
 
         let help = parse_coordinate_args(vec!["--help".to_owned()]).expect("ok");
         assert!(help.is_none(), "--help short-circuits");
@@ -525,10 +577,16 @@ mod tests {
         let args = parse_coordinate_args(argv)
             .expect("parses")
             .expect("not help");
-        assert_eq!(args.shard_timeout, Some(Duration::from_millis(2500)));
+        assert_eq!(
+            args.scheduling.shard_timeout,
+            Some(Duration::from_millis(2500))
+        );
         assert_eq!(args.max_inflight, Some(4));
-        assert!(args.resume);
-        assert_eq!(args.worker_args, ["--inject-fail-once", "/tmp/marker"]);
+        assert!(args.scheduling.resume);
+        assert_eq!(
+            args.scheduling.worker_args,
+            ["--inject-fail-once", "/tmp/marker"]
+        );
     }
 
     #[test]

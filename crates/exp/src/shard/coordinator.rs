@@ -1,10 +1,12 @@
-//! The fault-tolerant campaign runner: schedules `mc_shard` worker
-//! processes over a bounded work queue, enforces per-shard watchdog
-//! deadlines, retries failed shards with deterministic exponential
-//! backoff, and checkpoints progress so a killed coordinator can
-//! `--resume` instead of restarting.
+//! The local campaign runner and the campaign plumbing every scheduler
+//! shares: run directories, manifests, locks, the merge, and the
+//! rendered artifacts.
 //!
-//! Process supervision, in order of defense:
+//! [`run_coordinator_with_report`] is a launch over the implicit one-host
+//! fleet `local*<max_inflight>` through [`LocalProc`], with hedging off:
+//! the launcher's event loop ([`crate::launch::scheduler`]) does all
+//! process supervision. What a coordinator run gets from it, in order of
+//! defense:
 //!
 //! * **Bounded, event-driven scheduling** — at most
 //!   [`CoordinatorConfig::max_inflight`] workers are ever live; a work
@@ -13,19 +15,21 @@
 //! * **Watchdog timeouts** — with [`CoordinatorConfig::shard_timeout`]
 //!   set, a worker that outlives its wall-clock deadline is killed and
 //!   reaped, turning a hang into an ordinary retriable failure (without a
-//!   timeout the coordinator waits indefinitely, the historical
-//!   behaviour).
+//!   timeout the scheduler waits indefinitely).
 //! * **Backoff retry** — each shard retries independently up to
 //!   [`CoordinatorConfig::max_attempts`] times, delayed by
 //!   [`backoff_delay`]: exponential growth plus jitter that is a pure
 //!   function of `(seed, shard, attempt)`, so retry schedules are
-//!   reproducible — no wall-clock RNG.
+//!   reproducible — no wall-clock RNG. A one-host fleet is never
+//!   quarantined, so this budget is the only limit.
 //! * **Checkpoint/resume** — every campaign owns a run directory derived
 //!   from its identity ([`campaign_run_dir`]) with a `campaign.json`
 //!   manifest; a directory holding a *different* campaign is rejected
 //!   with a clear error instead of clobbered. With
 //!   [`CoordinatorConfig::resume`], valid partials found there are reused
-//!   and only missing or corrupt shards are scheduled.
+//!   and only missing or corrupt shards are scheduled. `mc coordinate`
+//!   and `mc launch` share one run-directory contract, so either verb
+//!   resumes the other's checkpoints.
 //!
 //! The merged **stats artifact** ([`render_stats_json`]) contains only
 //! integer-derived statistics, so it is byte-identical across shard
@@ -37,14 +41,14 @@
 use super::partial::ShardPartial;
 use super::{run_shard, McConfig, ShardSpec};
 use crate::experiments::table2::CircuitAccum;
+use crate::launch::pool::{DEFAULT_PROBATION, DEFAULT_QUARANTINE_AFTER};
+use crate::launch::scheduler::{local_fleet, run_scheduler, LaunchConfig};
+use crate::launch::transport::LocalProc;
 use crate::table::{pct, secs, Table};
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::fs;
-use std::io::Read as _;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use xbar_core::{DefectModelKind, DefectModelSpec, SampleStream};
 
 /// Schema tag of the merged stats artifact.
@@ -56,38 +60,19 @@ pub const CAMPAIGN_SCHEMA: &str = "xbar-mc-campaign/1";
 /// Default base delay of the exponential retry backoff.
 pub const DEFAULT_RETRY_BASE: Duration = Duration::from_millis(100);
 
-/// How often the scheduler polls children when nothing has changed.
-const POLL_INTERVAL: Duration = Duration::from_millis(4);
-
-/// The worker process a coordinator spawns per shard: a binary path plus
-/// the argument prefix selecting its shard entry point — empty for the
-/// legacy standalone `mc_shard` binary, `["mc", "shard"]` for the unified
-/// `xbar` binary (which is its own worker).
+/// The worker a scheduler runs per shard: an `xbar` binary (which is its
+/// own worker), invoked as `xbar mc shard <shard flags>`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Worker {
-    /// Worker binary path.
+    /// Path of the `xbar` binary.
     pub binary: PathBuf,
-    /// Arguments prepended before the shard flags.
-    pub prefix_args: Vec<String>,
 }
 
 impl Worker {
-    /// A standalone shard binary (no prefix arguments).
-    #[must_use]
-    pub fn standalone(binary: PathBuf) -> Self {
-        Self {
-            binary,
-            prefix_args: Vec::new(),
-        }
-    }
-
-    /// An `xbar` multiplexer binary driven through `mc shard`.
+    /// An `xbar` binary driven through `mc shard`.
     #[must_use]
     pub fn xbar(binary: PathBuf) -> Self {
-        Self {
-            binary,
-            prefix_args: vec!["mc".to_owned(), "shard".to_owned()],
-        }
+        Self { binary }
     }
 }
 
@@ -124,31 +109,6 @@ pub struct CoordinatorConfig {
     /// Base delay of the exponential retry backoff (see
     /// [`backoff_delay`]).
     pub retry_base: Duration,
-}
-
-impl CoordinatorConfig {
-    /// A coordinator with defaults: worker binary next to the current
-    /// executable, partials under the default work dir, three attempts
-    /// per shard, no watchdog, inflight bound = available parallelism.
-    ///
-    /// # Errors
-    ///
-    /// Fails when no worker binary can be located.
-    pub fn new(config: McConfig, shards: usize) -> Result<Self, String> {
-        Ok(Self {
-            config,
-            shards,
-            max_attempts: 3,
-            worker: default_worker()?,
-            work_dir: default_work_dir(),
-            extra_worker_args: Vec::new(),
-            keep_partials: false,
-            shard_timeout: None,
-            max_inflight: None,
-            resume: false,
-            retry_base: DEFAULT_RETRY_BASE,
-        })
-    }
 }
 
 /// The default parent directory for run directories. Deliberately stable
@@ -208,15 +168,14 @@ pub struct MergedResult {
     pub circuits: Vec<(String, CircuitAccum)>,
 }
 
-/// Locates the default worker next to the currently running executable
-/// (all experiment binaries live in the same Cargo target directory):
-/// prefers the unified `xbar` binary (spawned as `xbar mc shard`, so when
-/// the current executable *is* `xbar` the coordinator is self-contained),
-/// falling back to the legacy standalone `mc_shard` binary.
+/// Locates the default worker: the `xbar` binary next to the currently
+/// running executable (all experiment binaries live in the same Cargo
+/// target directory), spawned as `xbar mc shard` — so when the current
+/// executable *is* `xbar` the scheduler is self-contained.
 ///
 /// # Errors
 ///
-/// Reports both paths it looked at when neither binary exists.
+/// Reports the path it looked at when no `xbar` binary exists there.
 pub fn default_worker() -> Result<Worker, String> {
     let exe = std::env::current_exe().map_err(|e| format!("cannot locate current exe: {e}"))?;
     let dir = exe
@@ -226,15 +185,10 @@ pub fn default_worker() -> Result<Worker, String> {
     if xbar.is_file() {
         return Ok(Worker::xbar(xbar));
     }
-    let standalone = dir.join(format!("mc_shard{}", std::env::consts::EXE_SUFFIX));
-    if standalone.is_file() {
-        return Ok(Worker::standalone(standalone));
-    }
     Err(format!(
-        "no worker binary found: neither {} nor {} exists (build them with \
+        "no worker binary found: {} does not exist (build it with \
          `cargo build --release -p xbar-exp --bins`)",
-        xbar.display(),
-        standalone.display()
+        xbar.display()
     ))
 }
 
@@ -383,12 +337,11 @@ pub fn backoff_delay(seed: u64, shard: usize, attempt: usize, base: Duration) ->
 // Campaign manifest: what a run directory belongs to
 // ---------------------------------------------------------------------------
 
-/// Renders the `campaign.json` manifest. `hosts` is the launcher's host
-/// attribution (`"name*slots"` per entry) — informational provenance for
-/// a resumed launch, rendered only when non-empty so coordinator-written
-/// manifests keep their exact pre-launcher bytes. It deliberately does
-/// NOT participate in [`campaign_mismatch`]: the same campaign may be
-/// resumed with a different host fleet.
+/// Renders the `campaign.json` manifest. `hosts` is the fleet's host
+/// attribution (`"name*slots"` per entry, `["local*N"]` for `mc
+/// coordinate`) — informational provenance, rendered only when non-empty.
+/// It deliberately does NOT participate in [`campaign_mismatch`]: the
+/// same campaign may be resumed with a different fleet or verb.
 pub(crate) fn render_campaign_manifest(
     config: &McConfig,
     shards: usize,
@@ -771,15 +724,13 @@ pub(crate) fn preflight_run_dir(
 }
 
 // ---------------------------------------------------------------------------
-// The event-driven scheduler
+// Worker argv and the local runner
 // ---------------------------------------------------------------------------
 
 /// The shard-describing worker flags every dispatch shares: campaign
-/// identity plus the shard slice, exactly as [`spawn_worker`] has always
-/// passed them (model flags only for non-default models, so default
-/// campaigns keep the exact pre-model argv). Excludes `--out` — the
-/// local coordinator points it at the partial file while the launcher
-/// streams over stdout (`--out -`).
+/// identity plus the shard slice (model flags only for non-default
+/// models, so default campaigns keep the exact pre-model argv). Excludes
+/// `--out`: the scheduler streams every partial over stdout (`--out -`).
 pub(crate) fn worker_shard_args(config: &McConfig, spec: &ShardSpec) -> Vec<String> {
     let mut args = vec![
         "--samples".to_owned(),
@@ -813,217 +764,6 @@ pub(crate) fn worker_shard_args(config: &McConfig, spec: &ShardSpec) -> Vec<Stri
     args
 }
 
-fn spawn_worker(cfg: &CoordinatorConfig, spec: &ShardSpec, out: &Path) -> std::io::Result<Child> {
-    let mut command = Command::new(&cfg.worker.binary);
-    command
-        .args(&cfg.worker.prefix_args)
-        .args(worker_shard_args(&cfg.config, spec))
-        .arg("--out")
-        .arg(out)
-        .args(&cfg.extra_worker_args)
-        // stdout is the worker's one-line progress note — discard it; a
-        // full pipe must never be able to block a child the scheduler is
-        // only polling.
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-}
-
-/// Reads whatever the exited child wrote to stderr and keeps the tail.
-fn stderr_tail(child: &mut Child) -> String {
-    let mut text = String::new();
-    if let Some(stderr) = child.stderr.as_mut() {
-        let _ = stderr.read_to_string(&mut text);
-    }
-    let lines: Vec<&str> = text.lines().collect();
-    lines[lines.len().saturating_sub(3)..].join(" | ")
-}
-
-/// A shard waiting (or backing off) for a worker slot.
-#[derive(Debug, Clone, Copy)]
-struct QueueItem {
-    spec: ShardSpec,
-    /// 1-based attempt number this spawn would be.
-    attempt: usize,
-    /// Earliest instant the attempt may start (backoff delay).
-    ready_at: Instant,
-}
-
-/// A live worker process.
-struct Inflight {
-    spec: ShardSpec,
-    attempt: usize,
-    deadline: Option<Instant>,
-    child: Child,
-}
-
-struct Scheduler<'a> {
-    cfg: &'a CoordinatorConfig,
-    run_dir: PathBuf,
-    max_inflight: usize,
-    queue: VecDeque<QueueItem>,
-    inflight: Vec<Inflight>,
-    partials: Vec<Option<ShardPartial>>,
-    report: RunReport,
-    /// Indices of shards that exhausted their attempts.
-    permanent: Vec<usize>,
-    last_error: String,
-}
-
-impl Scheduler<'_> {
-    /// Records a failed attempt: schedules a backoff retry while attempts
-    /// remain, otherwise marks the shard permanently failed.
-    fn note_failure(&mut self, spec: ShardSpec, attempt: usize, error: &str) {
-        self.last_error = format!("shard {} (attempt {attempt}): {error}", spec.index);
-        eprintln!("mc coordinate: {}", self.last_error);
-        if attempt < self.cfg.max_attempts {
-            self.report.retries += 1;
-            let delay = backoff_delay(
-                self.cfg.config.seed,
-                spec.index,
-                attempt,
-                self.cfg.retry_base,
-            );
-            self.queue.push_back(QueueItem {
-                spec,
-                attempt: attempt + 1,
-                ready_at: Instant::now() + delay,
-            });
-        } else {
-            self.permanent.push(spec.index);
-        }
-    }
-
-    /// Validates the partial a successfully exited worker left behind.
-    fn collect_exited(&self, spec: &ShardSpec) -> Result<ShardPartial, String> {
-        let path = partial_path(&self.run_dir, spec.index);
-        let text = fs::read_to_string(&path)
-            .map_err(|e| format!("cannot read partial {}: {e}", path.display()))?;
-        let partial = ShardPartial::from_json(&text)?;
-        partial.validate_for(&self.cfg.config, spec)?;
-        Ok(partial)
-    }
-
-    /// Spawns due queue items into free worker slots; true when at least
-    /// one child was spawned (or a spawn failure was recorded).
-    fn fill_slots(&mut self) -> bool {
-        let mut progressed = false;
-        while self.inflight.len() < self.max_inflight {
-            let now = Instant::now();
-            let Some(pos) = self.queue.iter().position(|item| item.ready_at <= now) else {
-                break;
-            };
-            let item = self.queue.remove(pos).expect("position is in range");
-            let out = partial_path(&self.run_dir, item.spec.index);
-            progressed = true;
-            match spawn_worker(self.cfg, &item.spec, &out) {
-                Ok(child) => {
-                    self.report.spawned += 1;
-                    self.inflight.push(Inflight {
-                        spec: item.spec,
-                        attempt: item.attempt,
-                        deadline: self.cfg.shard_timeout.map(|t| now + t),
-                        child,
-                    });
-                }
-                Err(e) => {
-                    self.note_failure(item.spec, item.attempt, &format!("spawn failed: {e}"));
-                }
-            }
-        }
-        self.report.max_inflight_observed =
-            self.report.max_inflight_observed.max(self.inflight.len());
-        progressed
-    }
-
-    /// Polls every live worker once: collects exits, kills and reaps
-    /// children past their watchdog deadline. True when anything changed.
-    fn reap(&mut self) -> bool {
-        let mut progressed = false;
-        let mut index = 0;
-        while index < self.inflight.len() {
-            match self.inflight[index].child.try_wait() {
-                Ok(Some(status)) => {
-                    let mut slot = self.inflight.swap_remove(index);
-                    progressed = true;
-                    if status.success() {
-                        match self.collect_exited(&slot.spec) {
-                            Ok(partial) => self.partials[slot.spec.index] = Some(partial),
-                            Err(e) => self.note_failure(slot.spec, slot.attempt, &e),
-                        }
-                    } else {
-                        let tail = stderr_tail(&mut slot.child);
-                        self.note_failure(
-                            slot.spec,
-                            slot.attempt,
-                            &format!("worker exited with {status}: {tail}"),
-                        );
-                    }
-                }
-                Ok(None) => {
-                    let overdue = self.inflight[index]
-                        .deadline
-                        .is_some_and(|deadline| Instant::now() >= deadline);
-                    if overdue {
-                        let mut slot = self.inflight.swap_remove(index);
-                        progressed = true;
-                        self.report.timeouts += 1;
-                        let _ = slot.child.kill();
-                        let _ = slot.child.wait();
-                        let timeout = self
-                            .cfg
-                            .shard_timeout
-                            .expect("a deadline implies a configured timeout");
-                        self.note_failure(
-                            slot.spec,
-                            slot.attempt,
-                            &format!("hit the {timeout:?} watchdog deadline; worker killed"),
-                        );
-                    } else {
-                        index += 1;
-                    }
-                }
-                Err(e) => {
-                    let mut slot = self.inflight.swap_remove(index);
-                    progressed = true;
-                    let _ = slot.child.kill();
-                    let _ = slot.child.wait();
-                    self.note_failure(slot.spec, slot.attempt, &format!("wait failed: {e}"));
-                }
-            }
-        }
-        progressed
-    }
-
-    /// Kills and reaps every still-running worker (fail-fast path; their
-    /// partial files stay on disk for a later `--resume`).
-    fn abort_inflight(&mut self) {
-        for slot in &mut self.inflight {
-            let _ = slot.child.kill();
-            let _ = slot.child.wait();
-        }
-        self.inflight.clear();
-    }
-}
-
-/// Turns the scheduler's `Option`-slotted partials into the merge input,
-/// surfacing a coordinator bug as an error (exit 1 with a message at the
-/// CLI) instead of an unwrap panic.
-fn take_collected(partials: Vec<Option<ShardPartial>>) -> Result<Vec<ShardPartial>, String> {
-    partials
-        .into_iter()
-        .enumerate()
-        .map(|(index, partial)| {
-            partial.ok_or_else(|| {
-                format!(
-                    "internal coordinator invariant violated: shard {index} has no partial \
-                     although scheduling reported the campaign complete — please report this bug"
-                )
-            })
-        })
-        .collect()
-}
-
 /// Runs the sharded campaign and returns the merged result (see
 /// [`run_coordinator_with_report`] for the full contract).
 ///
@@ -1036,13 +776,15 @@ pub fn run_coordinator(cfg: &CoordinatorConfig) -> Result<MergedResult, String> 
     run_coordinator_with_report(cfg).map(|(merged, _)| merged)
 }
 
-/// Runs the sharded campaign through the fault-tolerant scheduler:
-/// at most `max_inflight` workers live at once, each shard retried
-/// independently with deterministic backoff, hung workers killed at the
-/// watchdog deadline, and (with `resume`) valid partials from a previous
-/// run reused instead of recomputed. With a `shard_timeout` configured
-/// the coordinator can never hang on a stuck worker; a shard that keeps
-/// failing surfaces as an error after `max_attempts` attempts.
+/// Runs the sharded campaign on this machine: a launch over the implicit
+/// fleet `local*<max_inflight>` (available parallelism when unset)
+/// through [`LocalProc`], hedging off. At most `max_inflight` workers
+/// live at once, each shard retried independently with deterministic
+/// backoff, hung workers killed at the watchdog deadline, and (with
+/// `resume`) valid partials from a previous run — by either verb —
+/// reused instead of recomputed. The manifest records the fleet as
+/// `"hosts": ["local*N"]`; the report is the launch report's
+/// [`LaunchReport::base`](crate::launch::LaunchReport::base).
 ///
 /// # Errors
 ///
@@ -1050,121 +792,27 @@ pub fn run_coordinator(cfg: &CoordinatorConfig) -> Result<MergedResult, String> 
 pub fn run_coordinator_with_report(
     cfg: &CoordinatorConfig,
 ) -> Result<(MergedResult, RunReport), String> {
-    if cfg.shards == 0 {
-        return Err("need at least one shard".to_owned());
-    }
-    if cfg.max_attempts == 0 {
-        return Err("need at least one attempt per shard".to_owned());
-    }
     if cfg.max_inflight == Some(0) {
         return Err("need at least one in-flight worker slot".to_owned());
     }
-    cfg.config.validate()?;
-    fs::create_dir_all(&cfg.work_dir)
-        .map_err(|e| format!("cannot create work dir {}: {e}", cfg.work_dir.display()))?;
-    let run_dir = campaign_run_dir(&cfg.work_dir, &cfg.config, cfg.shards);
-    // Held until this function returns: a second coordinator on the same
-    // live campaign fails fast instead of racing on the run directory.
-    let _lock = preflight_run_dir(&cfg.config, cfg.shards, &[], &run_dir)?;
-
-    let max_inflight = cfg.max_inflight.unwrap_or_else(|| {
-        std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get)
-    });
-    let specs = ShardSpec::partition(cfg.config.samples, cfg.shards);
-    let mut scheduler = Scheduler {
-        cfg,
-        run_dir: run_dir.clone(),
-        max_inflight,
-        queue: VecDeque::with_capacity(specs.len()),
-        inflight: Vec::new(),
-        partials: vec![None; specs.len()],
-        report: RunReport::default(),
-        permanent: Vec::new(),
-        last_error: String::new(),
+    let launch = LaunchConfig {
+        config: cfg.config.clone(),
+        shards: cfg.shards,
+        max_attempts: cfg.max_attempts,
+        worker: cfg.worker.clone(),
+        work_dir: cfg.work_dir.clone(),
+        extra_worker_args: cfg.extra_worker_args.clone(),
+        keep_partials: cfg.keep_partials,
+        shard_timeout: cfg.shard_timeout,
+        hedge_after: None,
+        resume: cfg.resume,
+        retry_base: cfg.retry_base,
+        hosts: local_fleet(cfg.max_inflight),
+        quarantine_after: DEFAULT_QUARANTINE_AFTER,
+        probation: DEFAULT_PROBATION,
     };
-
-    let start = Instant::now();
-    for spec in specs {
-        if spec.is_empty() {
-            // Empty shards (more shards than samples) need no process:
-            // their partial is the empty accumulator, synthesized here
-            // instead of paying a worker spawn for zero samples.
-            scheduler.partials[spec.index] = Some(ShardPartial {
-                config: cfg.config.clone(),
-                spec,
-                circuits: cfg
-                    .config
-                    .circuits
-                    .iter()
-                    .map(|name| (name.clone(), CircuitAccum::new()))
-                    .collect(),
-            });
-        } else {
-            // With --resume, a valid checkpoint from a previous (killed
-            // or partial) run is reused; only missing/corrupt shards get
-            // scheduled.
-            if cfg.resume {
-                if let Ok(partial) = scheduler.collect_exited(&spec) {
-                    scheduler.partials[spec.index] = Some(partial);
-                    scheduler.report.reused += 1;
-                    continue;
-                }
-            }
-            scheduler.queue.push_back(QueueItem {
-                spec,
-                attempt: 1,
-                ready_at: start,
-            });
-        }
-    }
-
-    // The event loop: fill free slots with due work, poll children, and
-    // sleep briefly only when nothing moved. Terminates because every
-    // shard either completes or runs out of attempts.
-    while scheduler.permanent.is_empty()
-        && (!scheduler.queue.is_empty() || !scheduler.inflight.is_empty())
-    {
-        let spawned = scheduler.fill_slots();
-        let reaped = scheduler.reap();
-        if !spawned && !reaped {
-            std::thread::sleep(POLL_INTERVAL);
-        }
-    }
-
-    if !scheduler.permanent.is_empty() {
-        // Fail fast: kill the rest (their partials stay for --resume) and
-        // surface the first permanent failure.
-        scheduler.abort_inflight();
-        scheduler.permanent.sort_unstable();
-        scheduler.permanent.dedup();
-        let indices: Vec<String> = scheduler
-            .permanent
-            .iter()
-            .map(ToString::to_string)
-            .collect();
-        return Err(format!(
-            "shard(s) {} failed permanently after {} attempt(s); last error: {}",
-            indices.join(", "),
-            cfg.max_attempts,
-            scheduler.last_error
-        ));
-    }
-
-    let report = scheduler.report;
-    let collected = take_collected(scheduler.partials)?;
-    let merged = merge_partials(&cfg.config, &collected)?;
-    if !cfg.keep_partials {
-        for index in 0..cfg.shards {
-            let _ = fs::remove_file(partial_path(&run_dir, index));
-        }
-        let _ = fs::remove_file(run_dir.join("campaign.json"));
-        // The lock guard removes its file on drop, but that runs after
-        // this cleanup — remove it now so the directory removal succeeds.
-        let _ = fs::remove_file(run_dir.join("coordinator.lock"));
-        let _ = fs::remove_dir(&run_dir);
-        let _ = fs::remove_dir(&cfg.work_dir);
-    }
-    Ok((merged, report))
+    run_scheduler(&launch, &LocalProc, "mc coordinate")
+        .map(|(merged, report)| (merged, report.base))
 }
 
 /// Renders the deterministic merged-stats artifact: **only**
@@ -1526,10 +1174,10 @@ mod tests {
 
     #[test]
     fn manifest_host_attribution_roundtrips_and_stays_out_of_identity() {
-        // A launcher-written manifest records its fleet; the key parses
-        // back cleanly (it is in CAMPAIGN_MANIFEST_KEYS) and never feeds
-        // campaign_mismatch — the same campaign may resume on different
-        // hosts. Coordinator-written manifests stay byte-free of it.
+        // A manifest records its fleet; the key parses back cleanly (it
+        // is in CAMPAIGN_MANIFEST_KEYS) and never feeds campaign_mismatch
+        // — the same campaign may resume on different hosts. Manifests
+        // written before fleets were recorded carry no such key.
         let config = config();
         let hosts = vec!["alpha*2".to_owned(), "beta".to_owned()];
         let text = render_campaign_manifest(&config, 3, &hosts);
@@ -1641,12 +1289,5 @@ mod tests {
         }
         // A pid that cannot exist yields None, not a panic.
         assert_eq!(proc_starttime(u32::MAX - 1), None);
-    }
-
-    #[test]
-    fn missing_partial_after_scheduling_is_an_invariant_error_not_a_panic() {
-        let err = take_collected(vec![None]).expect_err("must be an error");
-        assert!(err.contains("invariant"), "{err}");
-        assert!(err.contains("shard 0"), "{err}");
     }
 }

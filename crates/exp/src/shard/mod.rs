@@ -163,8 +163,8 @@ impl McConfig {
     }
 }
 
-/// Campaign-level CLI flags shared by the `mc_shard` and `mc_coordinator`
-/// binaries, so the two cannot drift apart on how a campaign is described.
+/// Campaign-level CLI flags shared by `mc shard`, `mc coordinate` and
+/// `mc launch`, so they cannot drift apart on how a campaign is described.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignFlags {
     /// Total Monte Carlo samples (`--samples`, default 200).
@@ -224,50 +224,33 @@ impl CampaignFlags {
         flag: &str,
         it: &mut dyn Iterator<Item = String>,
     ) -> Result<bool, String> {
-        let value = |it: &mut dyn Iterator<Item = String>| {
-            it.next().ok_or_else(|| format!("{flag} needs a value"))
-        };
-        let num = |flag: &str, text: String| -> Result<u64, String> {
+        let value = |it: &mut dyn Iterator<Item = String>| cli::flag_value(flag, it);
+        let float = |it: &mut dyn Iterator<Item = String>| -> Result<f64, String> {
+            let text = value(it)?;
             text.parse()
-                .map_err(|_| format!("{flag}: expected a number, got {text:?}"))
+                .map_err(|_| format!("{flag}: expected a float, got {text:?}"))
         };
         match flag {
-            "--samples" => {
-                self.samples = usize::try_from(num(flag, value(it)?)?)
-                    .map_err(|_| format!("{flag}: value exceeds usize"))?;
-            }
-            "--seed" => self.seed = num(flag, value(it)?)?,
+            "--samples" => self.samples = cli::flag_num(flag, &value(it)?)?,
+            "--seed" => self.seed = cli::flag_num(flag, &value(it)?)?,
             "--defect-rate" => {
-                let text = value(it)?;
-                let rate: f64 = text
-                    .parse()
-                    .map_err(|_| format!("{flag}: expected a float, got {text:?}"))?;
+                let rate = float(it)?;
                 if !rate.is_finite() {
                     return Err(format!("{flag} must be finite"));
                 }
                 self.defect_rate = rate;
             }
-            "--rng-stream" => {
-                self.stream = SampleStream::parse(&value(it)?)?;
-            }
-            "--defect-model" => {
-                self.model_kind = DefectModelKind::parse(&value(it)?)?;
-            }
+            "--rng-stream" => self.stream = SampleStream::parse(&value(it)?)?,
+            "--defect-model" => self.model_kind = DefectModelKind::parse(&value(it)?)?,
             "--cluster-size" => {
-                let text = value(it)?;
-                let size: f64 = text
-                    .parse()
-                    .map_err(|_| format!("{flag}: expected a float, got {text:?}"))?;
+                let size = float(it)?;
                 if !size.is_finite() || size < 1.0 {
                     return Err(format!("{flag} must be at least 1"));
                 }
                 self.cluster_size = size;
             }
             "--line-rate" => {
-                let text = value(it)?;
-                let rate: f64 = text
-                    .parse()
-                    .map_err(|_| format!("{flag}: expected a float, got {text:?}"))?;
+                let rate = float(it)?;
                 if !rate.is_finite() || !(0.0..=1.0).contains(&rate) {
                     return Err(format!("{flag} must be a probability in [0, 1]"));
                 }

@@ -1,5 +1,5 @@
-//! Self-describing partial-result files: what an `mc_shard` worker writes
-//! and the coordinator merges.
+//! Self-describing partial-result files: what an `xbar mc shard` worker
+//! writes and the scheduler merges.
 //!
 //! The document embeds the full experiment configuration and the shard's
 //! slice, so a partial is verifiable on its own — the coordinator rejects

@@ -1,7 +1,7 @@
 //! Integration tests of the typed `Experiment` API and the `xbar` CLI:
 //! registry completeness, parse round-trips (including error paths and
-//! exit codes), golden artifact-schema pins, legacy-shim equivalence, and
-//! the `xbar mc` byte-identity contract.
+//! exit codes), golden artifact-schema pins, and the `xbar mc`
+//! byte-identity contract.
 
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -422,7 +422,7 @@ fn every_experiment_declares_a_parseable_artifact_envelope() {
 }
 
 // ---------------------------------------------------------------------------
-// Process-level: exit codes, shim equivalence, mc byte-identity
+// Process-level: exit codes, mc byte-identity
 // ---------------------------------------------------------------------------
 
 fn xbar(args: &[&str]) -> Output {
@@ -503,75 +503,46 @@ fn describe_and_help_exit_0() {
 }
 
 #[test]
-fn legacy_shim_produces_byte_identical_artifacts() {
-    let flags = ["--quick", "--json", "--circuits", "rd53"];
-    let via_xbar = xbar(&["run", "table2", "--quick", "--json", "--circuits", "rd53"]);
-    assert!(via_xbar.status.success());
-    let shim = Command::new(env!("CARGO_BIN_EXE_table2_defect_tolerance"))
-        .args(flags)
-        .output()
-        .expect("spawn shim");
-    assert!(shim.status.success());
-    assert_eq!(
-        stdout(&via_xbar),
-        stdout(&shim),
-        "shim must delegate to the identical registry run"
-    );
-    assert!(
-        stderr(&shim).contains("deprecated"),
-        "shim must announce its replacement"
-    );
-}
-
-#[test]
 fn mc_coordinate_is_byte_identical_to_in_process_with_xbar_as_its_own_worker() {
     let dir = std::env::temp_dir().join(format!("xbar-cli-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
-    let sharded_path = dir.join("sharded.json");
-    let single_path = dir.join("single.json");
+    let path = |name: &str| dir.join(name).to_str().expect("utf8 path").to_owned();
+    let campaign = ["--samples", "30", "--circuits", "rd53"];
+    let coordinate = |flags: &[&str], out: &str| -> String {
+        let done = xbar(
+            &[
+                &["mc", "coordinate", "--out", &path(out)][..],
+                flags,
+                &campaign,
+            ]
+            .concat(),
+        );
+        assert!(done.status.success(), "{flags:?}: {}", stderr(&done));
+        std::fs::read_to_string(dir.join(out)).expect("merged artifact")
+    };
+    let single = coordinate(&["--in-process"], "single.json");
 
     // No --worker: default resolution finds the xbar binary next to the
     // running xbar and spawns it as `xbar mc shard` — the self-contained
     // path production uses.
-    let sharded = xbar(&[
-        "mc",
-        "coordinate",
-        "--shards",
-        "3",
-        "--samples",
-        "30",
-        "--circuits",
-        "rd53",
-        "--work-dir",
-        dir.join("work").to_str().expect("utf8 path"),
-        "--out",
-        sharded_path.to_str().expect("utf8 path"),
-    ]);
-    assert!(
-        sharded.status.success(),
-        "sharded run failed: {}",
-        stderr(&sharded)
-    );
-    let single = xbar(&[
-        "mc",
-        "coordinate",
-        "--in-process",
-        "--samples",
-        "30",
-        "--circuits",
-        "rd53",
-        "--out",
-        single_path.to_str().expect("utf8 path"),
-    ]);
-    assert!(single.status.success(), "{}", stderr(&single));
-
-    let sharded_text = std::fs::read_to_string(&sharded_path).expect("sharded artifact");
-    let single_text = std::fs::read_to_string(&single_path).expect("single artifact");
+    let work = path("work");
+    let sharded = coordinate(&["--shards", "3", "--work-dir", &work], "sharded.json");
     assert_eq!(
-        sharded_text, single_text,
+        sharded, single,
         "3-shard xbar run must be byte-identical to --in-process"
     );
-    Json::parse(&sharded_text).expect("merged artifact parses");
+    Json::parse(&sharded).expect("merged artifact parses");
+
+    // `--worker PATH` names an xbar binary, spawned as `PATH mc shard ...`.
+    let xbar_bin = env!("CARGO_BIN_EXE_xbar");
+    let named = coordinate(
+        &["--shards", "3", "--work-dir", &work, "--worker", xbar_bin],
+        "named.json",
+    );
+    assert_eq!(
+        named, single,
+        "--worker $xbar must be byte-identical to --in-process"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -41,15 +41,15 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 /// A launch over the loopback fleet with test-friendly settings: the
-/// standalone worker binary, a scratch work dir, tiny retry backoff, and
-/// a probation long enough that a quarantined host never returns within
+/// `xbar` binary as worker, a scratch work dir, tiny retry backoff, and a
+/// probation long enough that a quarantined host never returns within
 /// the test.
 fn launch(tag: &str, hosts: &str) -> LaunchConfig {
     LaunchConfig {
         config: campaign(),
         shards: 3,
         max_attempts: 3,
-        worker: Worker::standalone(PathBuf::from(env!("CARGO_BIN_EXE_mc_shard"))),
+        worker: Worker::xbar(PathBuf::from(env!("CARGO_BIN_EXE_xbar"))),
         work_dir: scratch(tag),
         extra_worker_args: Vec::new(),
         keep_partials: false,
@@ -185,9 +185,34 @@ fn quarantined_host_receives_no_further_shards() {
 }
 
 #[test]
+fn a_fleet_whose_hosts_all_die_fails_permanently_without_waiting_out_probation() {
+    // Both hosts die on their first dispatch. The first to reach the
+    // threshold is quarantined for an hour; the survivor is the last
+    // available host and is never quarantined, so the shards exhaust
+    // their attempts on it and the campaign fails — it does not stall.
+    let cfg = launch("all-dead", "alpha,beta");
+    let transport = faults(&["alpha=die@0", "beta=die@0"]);
+    let start = std::time::Instant::now();
+    let err = run_launch_with_report(&cfg, &transport).expect_err("must give up");
+    assert!(err.contains("failed permanently"), "{err}");
+    assert!(
+        start.elapsed() < Duration::from_secs(30),
+        "a dead fleet must fail well inside the {:?} probation, took {:?}",
+        cfg.probation,
+        start.elapsed()
+    );
+    let _ = std::fs::remove_dir_all(&cfg.work_dir);
+}
+
+#[test]
 fn hedged_straggler_wins_on_the_other_host_and_the_loser_is_discarded() {
     let mut cfg = launch("hedge", "alpha,beta");
     cfg.hedge_after = Some(Duration::from_millis(50));
+    // Two shards, so nothing is left queued once the hedge lands: with a
+    // third shard, alpha (freed when its stalled flight is cancelled) may
+    // legitimately complete that one, depending on whether the hedge or
+    // the queue gets beta's slot first.
+    cfg.shards = 2;
     let transport = faults(&["alpha=stall@0"]);
     let (merged, report) = run_launch_with_report(&cfg, &transport).expect("launch");
     assert_eq!(

@@ -1,8 +1,8 @@
 //! Process-level tests of the sharded Monte Carlo subsystem: the
 //! fault-tolerant coordinator spawning real worker processes
-//! (`CARGO_BIN_EXE_mc_shard` / `CARGO_BIN_EXE_xbar`), killing hung
-//! workers at the watchdog deadline, bounding in-flight concurrency,
-//! resuming from checkpoints after a `kill -9`, and always producing a
+//! (`CARGO_BIN_EXE_xbar` as `xbar mc shard`), killing hung workers at the
+//! watchdog deadline, bounding in-flight concurrency, resuming from
+//! checkpoints after a `kill -9` or across verbs, and always producing a
 //! merged stats artifact byte-identical to the monolithic in-process run.
 
 use std::path::PathBuf;
@@ -17,9 +17,7 @@ use xbar_exp::shard::partial::ShardPartial;
 use xbar_exp::shard::McConfig;
 
 fn worker_binary() -> Worker {
-    // The legacy standalone worker shim; the `xbar mc shard` path is
-    // exercised by crates/exp/tests/cli.rs and the kill/resume test below.
-    Worker::standalone(PathBuf::from(env!("CARGO_BIN_EXE_mc_shard")))
+    Worker::xbar(PathBuf::from(env!("CARGO_BIN_EXE_xbar")))
 }
 
 fn campaign() -> McConfig {
@@ -402,6 +400,64 @@ fn resume_after_coordinator_kill_finishes_the_campaign_with_identical_bytes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Runs `xbar mc <args>` on `campaign()` in 2 shards, asserting success;
+/// returns its stdout.
+fn xbar_mc(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_xbar"))
+        .arg("mc")
+        .args(args)
+        .args(["--samples", "30", "--circuits", "rd53", "--shards", "2"])
+        .output()
+        .expect("spawn xbar");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "xbar mc {args:?}: {stderr}");
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+#[test]
+fn launch_checkpoints_resume_under_coordinate_with_or_without_recorded_hosts() {
+    // One run-directory contract across both verbs: a campaign
+    // checkpointed by `mc launch` resumes under `mc coordinate --resume`
+    // (whose fleet differs), and so does a hand-written manifest that
+    // records no fleet at all. Either way the surviving checkpoint is
+    // reused and the bytes equal the monolithic run.
+    let dir = scratch("cross-verb");
+    let _ = std::fs::remove_dir_all(&dir);
+    let path = |name: &str| dir.join(name).to_str().expect("utf8 path").to_owned();
+    let mono = render_stats_json(&run_monolithic(&campaign()));
+    let hand_written = "{\n  \"schema\": \"xbar-mc-campaign/1\",\n  \"seed\": 2018,\n  \
+                        \"defect_rate\": 0.1,\n  \"samples\": 30,\n  \"shards\": 2,\n  \
+                        \"rng_stream\": \"v1\",\n  \"circuits\": [\"rd53\"]\n}\n";
+
+    for (tag, manifest) in [("launched", None), ("hand-written", Some(hand_written))] {
+        let (work, out) = (path(tag), path(&format!("{tag}.json")));
+        let fleet = ["launch", "--hosts", "alpha*2", "--keep-partials"];
+        xbar_mc(&[&fleet[..], &["--work-dir", &work, "--out", &out]].concat());
+        let run_dir = campaign_run_dir(&dir.join(tag), &campaign(), 2);
+        let recorded = std::fs::read_to_string(run_dir.join("campaign.json")).expect("manifest");
+        assert!(
+            recorded.contains("\"hosts\": [\"alpha*2\"]"),
+            "the launch records its fleet: {recorded}"
+        );
+        if let Some(text) = manifest {
+            std::fs::write(run_dir.join("campaign.json"), text).expect("hand-write manifest");
+        }
+        std::fs::remove_file(run_dir.join("partial-1.json")).expect("delete a checkpoint");
+
+        let report = xbar_mc(&["coordinate", "--resume", "--work-dir", &work, "--out", &out]);
+        assert!(
+            report.contains("reused 1 partial"),
+            "{tag}: coordinate must reuse the launch's checkpoint: {report}"
+        );
+        assert_eq!(
+            std::fs::read_to_string(&out).expect("resumed artifact"),
+            mono,
+            "{tag}: the cross-verb resume must merge to the monolithic bytes"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn a_second_coordinator_on_a_live_campaign_fails_fast() {
     // Two coordinators race for the same campaign: the first to create
@@ -510,18 +566,28 @@ fn a_run_dir_claimed_by_a_different_campaign_is_rejected() {
 
 #[test]
 fn permanently_failing_shard_surfaces_an_error_not_a_hang() {
+    // Two shards failing on the one `local` host is six consecutive host
+    // failures — past the quarantine threshold. The last available host
+    // is never quarantined, so the shards' own attempt budgets end the
+    // campaign instead of a 30 s probation.
     let mut cfg = coordinator("fail-always", 2);
     cfg.extra_worker_args = vec!["--inject-fail-always".to_owned()];
+    let start = Instant::now();
     let err = run_coordinator(&cfg).expect_err("must give up");
     assert!(err.contains("failed permanently"), "{err}");
     assert!(err.contains("attempt"), "{err}");
+    assert!(
+        start.elapsed() < Duration::from_secs(30),
+        "a one-host fleet must never sit out a probation: {:?}",
+        start.elapsed()
+    );
     let _ = std::fs::remove_dir_all(&cfg.work_dir);
 }
 
 #[test]
 fn missing_worker_binary_is_a_clear_error() {
     let mut cfg = coordinator("no-worker", 2);
-    cfg.worker = Worker::standalone(PathBuf::from("/nonexistent/mc_shard"));
+    cfg.worker = Worker::xbar(PathBuf::from("/nonexistent/xbar"));
     let err = run_coordinator(&cfg).expect_err("must fail");
     assert!(err.contains("failed permanently"), "{err}");
     let _ = std::fs::remove_dir_all(&cfg.work_dir);

@@ -18,10 +18,6 @@ Fails (exit 1) when
 * the V2 geometric-skip stream loses its pinned advantage over the V1
   dense sweep on the large circuits: resample-phase throughput must stay
   >= 5x and end-to-end engine throughput >= 2x on ex1010 and alu4, or
-* the defect-model dispatch layer regresses the i.i.d. hot path: the
-  `model_dispatch` entry's dispatch-over-direct ratio must stay >= 0.7
-  (and the entry must be present — a silently dropped measurement would
-  otherwise disable the guard), or
 * the yield-oracle service's cache front stops saving work: the
   `service_overhead` entry's cold-over-hit ratio must stay >= 3.0 (and
   the entry must be present). A warm submit is a TCP round-trip plus a
@@ -75,14 +71,6 @@ V2_OVER_V1 = {
     "ex1010": (5.0, 2.0),
     "alu4": (5.0, 2.0),
 }
-
-# Minimum dispatch-over-direct throughput ratio for the i.i.d. V1 resample
-# routed through the DefectSampler model dispatch vs the direct frozen
-# API. The dispatch is a branch on an enum held in a register — measured
-# parity is ~1.0x; 0.7 leaves room for runner noise while still tripping
-# if the model layer grows a real per-sample cost (allocation, indirect
-# call, parameter recomputation).
-DISPATCH_FLOOR = 0.7
 
 # Minimum cold-over-hit ratio for the yield-oracle service entry: a warm
 # submit (content-addressed cache hit) vs the cold submit that executed
@@ -150,16 +138,6 @@ def main(path: str) -> int:
                 f"{name}: V2 end-to-end only {engine_ratio:.2f}x V1 "
                 f"(floor {engine_floor}x)"
             )
-    dispatch = doc.get("model_dispatch")
-    if dispatch is None:
-        failures.append(
-            "missing model_dispatch entry (dispatch-overhead guard disabled)"
-        )
-    elif dispatch["dispatch_over_direct"] < DISPATCH_FLOOR:
-        failures.append(
-            f"model dispatch only {dispatch['dispatch_over_direct']:.2f}x the "
-            f"direct resample (floor {DISPATCH_FLOOR}x)"
-        )
     service = doc.get("service_overhead")
     if service is None:
         failures.append(
@@ -177,8 +155,7 @@ def main(path: str) -> int:
         return 1
     print(
         f"bench gate passed: {len(seen)} circuit entries at or above pinned "
-        f"floors, counts golden, V2/V1, model-dispatch, and service-cache "
-        f"ratios hold"
+        f"floors, counts golden, V2/V1 and service-cache ratios hold"
     )
     return 0
 
