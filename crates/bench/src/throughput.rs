@@ -400,18 +400,13 @@ pub fn measure_service_overhead(samples: usize, defect_rate: f64, seed: u64) -> 
     .expect("service starts");
     let addr = handle.addr();
 
+    let campaign = McConfig {
+        circuits: vec!["rd53".to_owned()],
+        ..McConfig::with_default_circuits(samples, seed, defect_rate)
+    };
     let request = Request::Submit {
         experiment: "table2".to_owned(),
-        args: vec![
-            "--samples".to_owned(),
-            samples.to_string(),
-            "--seed".to_owned(),
-            seed.to_string(),
-            "--defect-rate".to_owned(),
-            format!("{defect_rate:?}"),
-            "--circuits".to_owned(),
-            "rd53".to_owned(),
-        ],
+        args: campaign.campaign_args(),
         wait: true,
     }
     .render();
@@ -498,21 +493,13 @@ pub fn registry_crosscheck(results: &[CircuitThroughput], defect_rate: f64, seed
         let Some(first) = group.first() else {
             continue;
         };
-        let samples = first.samples;
-        let circuits: Vec<String> = group.iter().map(|r| r.name.clone()).collect();
-        let flags = [
-            "--samples".to_owned(),
-            samples.to_string(),
-            "--seed".to_owned(),
-            seed.to_string(),
-            "--defect-rate".to_owned(),
-            format!("{defect_rate:?}"),
-            "--circuits".to_owned(),
-            circuits.join(","),
-            "--rng-stream".to_owned(),
-            stream.as_str().to_owned(),
-        ];
-        let params = Params::parse(exp.extra_params(), flags).expect("bench flags parse");
+        let campaign = McConfig {
+            stream,
+            circuits: group.iter().map(|r| r.name.clone()).collect(),
+            ..McConfig::with_default_circuits(first.samples, seed, defect_rate)
+        };
+        let params =
+            Params::parse(exp.extra_params(), campaign.campaign_args()).expect("bench flags parse");
         let artifact = exp
             .run(&params, &mut Reporter::quiet())
             .expect("registry table2 run succeeds");

@@ -14,13 +14,13 @@
 //! to stderr and exit with code **2**, runtime failures exit with **1** —
 //! never a panic/backtrace.
 
-use crate::experiment::{find_experiment, registry, ExpError, Params, Reporter};
+use crate::experiment::{find_experiment, registry, ExpError, Experiment, Params, Reporter};
 use crate::shard;
 use std::path::PathBuf;
 
 /// Common experiment parameters (the pre-registry surface, kept as the
 /// bridge type experiment library code receives via
-/// [`Params::exp_args`]).
+/// [`Params::exp_args`]; flags are parsed only by [`Params`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExpArgs {
     /// Monte Carlo sample count (paper default: 200).
@@ -39,29 +39,7 @@ pub struct ExpArgs {
 
 impl Default for ExpArgs {
     fn default() -> Self {
-        Self {
-            samples: 200,
-            seed: 2018,
-            defect_rate: 0.10,
-            stream: xbar_core::SampleStream::V1,
-            model: xbar_core::DefectModelSpec::default(),
-            csv: None,
-        }
-    }
-}
-
-impl ExpArgs {
-    /// Parses the common flag set from an explicit iterator.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`crate::experiment::UsageError`] on unknown flags or
-    /// malformed values — the panicking `parse_from` of the pre-registry
-    /// CLI is gone.
-    pub fn try_parse_from(
-        args: impl IntoIterator<Item = String>,
-    ) -> Result<Self, crate::experiment::UsageError> {
-        Params::parse(&[], args).map(|p| p.exp_args())
+        Params::defaults(&[]).exp_args()
     }
 }
 
@@ -136,6 +114,40 @@ pub fn run_cli(args: impl IntoIterator<Item = String>) -> i32 {
     }
 }
 
+/// Runs one CLI verb under the driver's exit-code contract: `--help`
+/// prints `usage` and exits 0, a parse error prints it with the error and
+/// exits 2; then `body` runs, and its [`ExpError::Usage`] exits 2 and
+/// [`ExpError::Failed`] exits 1, each printed after the verb's name.
+pub(crate) fn run_verb<A>(
+    verb: &str,
+    usage: impl Fn() -> String,
+    parsed: Result<Option<A>, String>,
+    body: impl FnOnce(A) -> Result<(), ExpError>,
+) -> i32 {
+    let args = match parsed {
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            println!("{}", usage());
+            return 0;
+        }
+        Err(e) => {
+            eprintln!("{verb}: {e}\n\n{}", usage());
+            return 2;
+        }
+    };
+    match body(args) {
+        Ok(()) => 0,
+        Err(ExpError::Usage(e)) => {
+            eprintln!("{verb}: {e}");
+            2
+        }
+        Err(ExpError::Failed(e)) => {
+            eprintln!("{verb}: {e}");
+            1
+        }
+    }
+}
+
 fn list_experiments() {
     let width = registry().iter().map(|e| e.name().len()).max().unwrap_or(0);
     for exp in registry() {
@@ -146,10 +158,7 @@ fn list_experiments() {
 fn describe_experiment(name: &str) -> i32 {
     match find_experiment(name) {
         Some(exp) => {
-            println!(
-                "{}",
-                Params::usage(exp.name(), exp.description(), exp.extra_params())
-            );
+            println!("{}", experiment_usage(exp));
             0
         }
         None => {
@@ -159,107 +168,53 @@ fn describe_experiment(name: &str) -> i32 {
     }
 }
 
+fn experiment_usage(exp: &dyn Experiment) -> String {
+    Params::usage(exp.name(), exp.description(), exp.extra_params())
+}
+
 fn run_experiment(name: &str, rest: Vec<String>) -> i32 {
     let Some(exp) = find_experiment(name) else {
         eprintln!("xbar: unknown experiment {name:?} (see `xbar list`)");
         return 2;
     };
-    if rest.iter().any(|a| a == "--help" || a == "-h") {
-        println!(
-            "{}",
-            Params::usage(exp.name(), exp.description(), exp.extra_params())
-        );
-        return 0;
-    }
-    let params = match Params::parse(exp.extra_params(), rest) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!(
-                "xbar run {name}: {e}\n\n{}",
-                Params::usage(exp.name(), exp.description(), exp.extra_params())
-            );
-            return 2;
-        }
-    };
-    let mut reporter = if params.json {
-        Reporter::quiet()
+    let parsed = if rest.iter().any(|a| a == "--help" || a == "-h") {
+        Ok(None)
     } else {
-        Reporter::stdout()
+        Params::parse(exp.extra_params(), rest)
+            .map(Some)
+            .map_err(String::from)
     };
-    match exp.run(&params, &mut reporter) {
-        Ok(artifact) => {
-            let document = artifact.render(exp, &params);
-            if params.json {
-                print!("{document}");
+    let usage = || experiment_usage(exp);
+    run_verb(&format!("xbar run {name}"), usage, parsed, |params| {
+        let mut reporter = if params.json {
+            Reporter::quiet()
+        } else {
+            Reporter::stdout()
+        };
+        // A bad parameter value found while running is a usage error like
+        // a bad flag: it is reported with the usage text.
+        let artifact = exp.run(&params, &mut reporter).map_err(|e| match e {
+            ExpError::Usage(msg) => ExpError::Usage(format!("{msg}\n\n{}", usage())),
+            failed @ ExpError::Failed(_) => failed,
+        })?;
+        let document = artifact.render(exp, &params);
+        if params.json {
+            print!("{document}");
+        }
+        if let Some(dir) = &params.out {
+            let failed = |what: &str, path: &std::path::Path, e: std::io::Error| {
+                ExpError::Failed(format!("cannot {what} {}: {e}", path.display()))
+            };
+            std::fs::create_dir_all(dir).map_err(|e| failed("create", dir, e))?;
+            let path = dir.join(format!("{name}.json"));
+            // Atomic so a crash mid-write never leaves a torn artifact
+            // where a previous good one stood.
+            crate::atomic::write_atomic(&path, document.as_bytes())
+                .map_err(|e| failed("write", &path, e))?;
+            if !params.json {
+                println!("wrote artifact to {}", path.display());
             }
-            if let Some(dir) = &params.out {
-                if let Err(e) = std::fs::create_dir_all(dir) {
-                    eprintln!("xbar: cannot create {}: {e}", dir.display());
-                    return 1;
-                }
-                let path = dir.join(format!("{name}.json"));
-                // Atomic so a crash mid-write never leaves a torn artifact
-                // where a previous good one stood.
-                if let Err(e) = crate::atomic::write_atomic(&path, document.as_bytes()) {
-                    eprintln!("xbar: cannot write {}: {e}", path.display());
-                    return 1;
-                }
-                if !params.json {
-                    println!("wrote artifact to {}", path.display());
-                }
-            }
-            0
         }
-        Err(ExpError::Usage(msg)) => {
-            eprintln!(
-                "xbar run {name}: {msg}\n\n{}",
-                Params::usage(exp.name(), exp.description(), exp.extra_params())
-            );
-            2
-        }
-        Err(ExpError::Failed(msg)) => {
-            eprintln!("xbar run {name}: {msg}");
-            1
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn parse(words: &[&str]) -> Result<ExpArgs, crate::experiment::UsageError> {
-        ExpArgs::try_parse_from(words.iter().map(|s| (*s).to_owned()))
-    }
-
-    #[test]
-    fn defaults_match_the_paper() {
-        let args = parse(&[]).expect("defaults parse");
-        assert_eq!(args.samples, 200);
-        assert!((args.defect_rate - 0.10).abs() < 1e-12);
-    }
-
-    #[test]
-    fn flags_override() {
-        let args =
-            parse(&["--samples", "50", "--seed", "9", "--defect-rate", "0.2"]).expect("parses");
-        assert_eq!(args.samples, 50);
-        assert_eq!(args.seed, 9);
-        assert!((args.defect_rate - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn quick_divides_samples() {
-        assert_eq!(parse(&["--quick"]).expect("parses").samples, 20);
-    }
-
-    #[test]
-    fn unknown_flag_is_an_error_not_a_panic() {
-        let err = parse(&["--frobnicate"]).expect_err("must fail");
-        assert!(err.0.contains("unknown flag"), "{err}");
-        let err = parse(&["--samples"]).expect_err("must fail");
-        assert!(err.0.contains("needs a value"), "{err}");
-        let err = parse(&["--samples", "many"]).expect_err("must fail");
-        assert!(err.0.contains("expected a number"), "{err}");
-    }
+        Ok(())
+    })
 }

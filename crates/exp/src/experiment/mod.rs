@@ -16,8 +16,9 @@
 mod params;
 mod registry;
 
+pub(crate) use params::{flag_num, flag_value};
 pub use params::{
-    spec, ParamKind, ParamSpec, ParamValue, Params, UsageError, CLUSTER_SIZE_PARAM, COMMON_PARAMS,
+    spec, ParamKind, ParamSpec, ParamValue, Params, UsageError, CLUSTER_SIZE_PARAM,
     DEFECT_MODEL_PARAM, DEFECT_MODEL_PARAMS, LINE_RATE_PARAM, RNG_STREAM_PARAM,
 };
 pub use registry::{find_experiment, registry};

@@ -2,7 +2,9 @@
 //! API: every experiment declares its extra flags **once** as
 //! [`ParamSpec`]s and the CLI derives parsing, `--help` text, and the
 //! artifact's `params` echo from the same declaration — no per-binary
-//! flag loops.
+//! flag loops. The `xbar mc` verbs describe a Table II campaign with the
+//! same layer ([`Params::consume`]), so a campaign means the same thing
+//! whichever verb runs it.
 //!
 //! Parsing is `Result`-returning throughout: a malformed flag produces a
 //! [`UsageError`] the driver turns into usage text and exit code 2, never
@@ -26,6 +28,12 @@ impl fmt::Display for UsageError {
 }
 
 impl std::error::Error for UsageError {}
+
+impl From<UsageError> for String {
+    fn from(e: UsageError) -> Self {
+        e.0
+    }
+}
 
 /// Convenience constructor used by parsing code.
 pub(crate) fn usage_err(message: impl Into<String>) -> UsageError {
@@ -215,9 +223,10 @@ const OMIT_DEFAULT_ECHO: [&str; 3] = [
     LINE_RATE_PARAM.name,
 ];
 
-/// The parameters every experiment shares (the old `ExpArgs` surface plus
-/// output routing), rendered in usage text for all experiments.
-pub const COMMON_PARAMS: &[ParamSpec] = &[
+/// The parameters every experiment shares that change what it computes
+/// (the old `ExpArgs` surface): echoed in every artifact's `params` block
+/// and accepted by [`Params::consume`], so by the `xbar mc` verbs too.
+pub(crate) const SHARED_PARAMS: &[ParamSpec] = &[
     spec(
         "samples",
         ParamKind::USize,
@@ -231,6 +240,11 @@ pub const COMMON_PARAMS: &[ParamSpec] = &[
         "0.10",
         "per-crosspoint defect probability",
     ),
+];
+
+/// `xbar run`'s own flags on top of [`SHARED_PARAMS`]: smoke mode and
+/// output routing, none of which reaches the artifact.
+pub(crate) const RUN_PARAMS: &[ParamSpec] = &[
     spec(
         "quick",
         ParamKind::Flag,
@@ -308,10 +322,10 @@ impl Params {
         }
     }
 
-    /// Parses a flag stream against the common set plus `extra`.
-    ///
-    /// `--quick` is applied **after** all flags (order-independent):
-    /// `samples = (samples / 10).max(10)`.
+    /// Parses a flag stream against the shared flags (`--samples --seed
+    /// --defect-rate`), `xbar run`'s own (`--quick --json --out --csv`) and
+    /// `extra`. `--quick` is applied **after** all flags
+    /// (order-independent): `samples = (samples / 10).max(10)`.
     ///
     /// # Errors
     ///
@@ -324,67 +338,101 @@ impl Params {
         let mut out = Self::defaults(extra);
         let mut it = args.into_iter();
         while let Some(flag) = it.next() {
+            if out.consume(extra, &flag, &mut it)? {
+                continue;
+            }
             let name = flag
                 .strip_prefix("--")
                 .ok_or_else(|| usage_err(format!("expected a --flag, got {flag:?}")))?;
-            let mut value_of = |flag_name: &str| {
-                it.next()
-                    .ok_or_else(|| usage_err(format!("--{flag_name} needs a value")))
-            };
+            let mut path = || flag_value(&flag, &mut it).map(PathBuf::from);
             match name {
-                "samples" => out.samples = parse_num(name, &value_of(name)?)?,
-                "seed" => out.seed = parse_num(name, &value_of(name)?)?,
-                "defect-rate" => {
-                    let v: f64 = parse_num(name, &value_of(name)?)?;
-                    if !(0.0..=1.0).contains(&v) {
-                        return Err(usage_err("--defect-rate must be a probability in [0, 1]"));
-                    }
-                    out.defect_rate = v;
-                }
                 "quick" => out.quick = true,
                 "json" => out.json = true,
-                "out" => out.out = Some(PathBuf::from(value_of(name)?)),
-                "csv" => out.csv = Some(PathBuf::from(value_of(name)?)),
-                other => {
-                    let spec = extra
-                        .iter()
-                        .find(|s| s.name == other)
-                        .ok_or_else(|| usage_err(format!("unknown flag --{other}")))?;
-                    let value = if spec.kind == ParamKind::Flag {
-                        ParamValue::Flag(true)
-                    } else {
-                        spec.parse_value(&value_of(other)?)?
-                    };
-                    out.extras.insert(spec.name, value);
-                }
+                "out" => out.out = Some(path()?),
+                "csv" => out.csv = Some(path()?),
+                other => return Err(usage_err(format!("unknown flag --{other}"))),
             }
         }
-        if out.quick {
-            out.samples = (out.samples / 10).max(10);
+        out.finish()
+    }
+
+    /// Tries to consume one flag that changes what the experiment computes
+    /// — one of [`SHARED_PARAMS`] or `extra` — plus its value from `it`;
+    /// `Ok(false)` when `flag` is none of them, so a caller with flags of
+    /// its own (the `xbar mc` verbs) can interleave them. Finish the
+    /// stream with [`Params::finish`].
+    ///
+    /// # Errors
+    ///
+    /// Reports a missing or malformed value, or one out of its range.
+    pub(crate) fn consume(
+        &mut self,
+        extra: &[ParamSpec],
+        flag: &str,
+        it: &mut dyn Iterator<Item = String>,
+    ) -> Result<bool, UsageError> {
+        let Some(name) = flag.strip_prefix("--") else {
+            return Ok(false);
+        };
+        match name {
+            "samples" => self.samples = flag_num(flag, &flag_value(flag, it)?)?,
+            "seed" => self.seed = flag_num(flag, &flag_value(flag, it)?)?,
+            "defect-rate" => {
+                let v: f64 = flag_num(flag, &flag_value(flag, it)?)?;
+                if !(0.0..=1.0).contains(&v) {
+                    return Err(usage_err("--defect-rate must be a probability in [0, 1]"));
+                }
+                self.defect_rate = v;
+            }
+            other => {
+                let Some(spec) = extra.iter().find(|s| s.name == other) else {
+                    return Ok(false);
+                };
+                let value = if spec.kind == ParamKind::Flag {
+                    ParamValue::Flag(true)
+                } else {
+                    spec.parse_value(&flag_value(flag, it)?)?
+                };
+                self.extras.insert(spec.name, value);
+            }
+        }
+        Ok(true)
+    }
+
+    /// Completes a flag stream: applies `--quick` **after** all flags
+    /// (order-independent, `samples = (samples / 10).max(10)`), then the
+    /// checks that span flags.
+    ///
+    /// # Errors
+    ///
+    /// Rejects a zero sample count and out-of-range defect-model params.
+    pub(crate) fn finish(mut self) -> Result<Self, UsageError> {
+        if self.quick {
+            self.samples = (self.samples / 10).max(10);
         }
         // Central floor: every Monte Carlo experiment divides by the
         // sample count or asserts it non-zero; deterministic experiments
         // ignore it, so rejecting 0 here costs nothing and keeps the
         // no-panic exit-code contract for all of them.
-        if out.samples == 0 {
+        if self.samples == 0 {
             return Err(usage_err("--samples must be at least 1"));
         }
         // Central range checks for the shared defect-model params (the
         // same role the `--defect-rate` bound plays above), so
         // `Params::defect_model` is infallible for accessor code.
-        if let Some(ParamValue::F64(v)) = out.extras.get(CLUSTER_SIZE_PARAM.name) {
+        if let Some(ParamValue::F64(v)) = self.extras.get(CLUSTER_SIZE_PARAM.name) {
             // Non-finite values never reach here: `parse_value` rejects
             // them for every F64 param.
             if *v < 1.0 {
                 return Err(usage_err("--cluster-size must be at least 1"));
             }
         }
-        if let Some(ParamValue::F64(v)) = out.extras.get(LINE_RATE_PARAM.name) {
+        if let Some(ParamValue::F64(v)) = self.extras.get(LINE_RATE_PARAM.name) {
             if !(0.0..=1.0).contains(v) {
                 return Err(usage_err("--line-rate must be a probability in [0, 1]"));
             }
         }
-        Ok(out)
+        Ok(self)
     }
 
     /// An extra `usize` parameter declared by the experiment.
@@ -557,7 +605,7 @@ impl Params {
     #[must_use]
     pub fn usage(exp_name: &str, description: &str, extra: &[ParamSpec]) -> String {
         let mut out = format!("{description}\n\nusage: xbar run {exp_name} [flags]\n\nflags:\n");
-        for s in COMMON_PARAMS {
+        for s in SHARED_PARAMS.iter().chain(RUN_PARAMS) {
             push_flag_line(&mut out, s);
         }
         if !extra.is_empty() {
@@ -568,6 +616,27 @@ impl Params {
         }
         out
     }
+
+    /// The usage lines of the flags [`Params::consume`] accepts with
+    /// `extra`, one per line: the campaign block of the `xbar mc` verbs.
+    #[must_use]
+    pub(crate) fn consume_usage(extra: &[ParamSpec]) -> String {
+        let mut out = String::new();
+        for s in SHARED_PARAMS.iter().chain(extra) {
+            push_flag_line(&mut out, s);
+        }
+        out
+    }
+}
+
+/// The value following `flag`, or a usage error: the value reader of
+/// every flag parser in the crate.
+pub(crate) fn flag_value(
+    flag: &str,
+    it: &mut dyn Iterator<Item = String>,
+) -> Result<String, UsageError> {
+    it.next()
+        .ok_or_else(|| usage_err(format!("{flag} needs a value")))
 }
 
 fn push_flag_line(out: &mut String, s: &ParamSpec) {
@@ -585,9 +654,10 @@ fn push_flag_line(out: &mut String, s: &ParamSpec) {
     out.push_str(&format!("  {flag:<22} {}{default}\n", s.help));
 }
 
-fn parse_num<T: std::str::FromStr>(flag: &str, text: &str) -> Result<T, UsageError> {
+/// `text` as a number, or a usage error naming `flag`.
+pub(crate) fn flag_num<T: std::str::FromStr>(flag: &str, text: &str) -> Result<T, UsageError> {
     text.parse()
-        .map_err(|_| usage_err(format!("--{flag}: expected a number, got {text:?}")))
+        .map_err(|_| usage_err(format!("{flag}: expected a number, got {text:?}")))
 }
 
 #[cfg(test)]
@@ -650,6 +720,57 @@ mod tests {
         assert!(p.flag("verbose"));
         assert_eq!(p.list("sizes"), ["10", "15"]);
         assert_eq!(p.csv.as_deref(), Some(std::path::Path::new("/tmp/x.csv")));
+    }
+
+    #[test]
+    fn consume_takes_experiment_flags_and_leaves_the_caller_its_own() {
+        // A caller with flags of its own (here a valued `--out`)
+        // interleaves them with the experiment's; output routing is never
+        // consume's, so `--json` stays with the caller too.
+        let words = [
+            "--samples",
+            "50",
+            "--out",
+            "x",
+            "--spare-rows",
+            "4",
+            "--json",
+            "--verbose",
+        ];
+        let mut p = Params::defaults(EXTRA);
+        let mut it = words.iter().map(|s| (*s).to_owned());
+        let (mut out, mut foreign) = (None, Vec::new());
+        while let Some(flag) = it.next() {
+            if p.consume(EXTRA, &flag, &mut it).expect("well-formed") {
+                continue;
+            }
+            match flag.as_str() {
+                "--out" => out = it.next(),
+                _ => foreign.push(flag),
+            }
+        }
+        assert_eq!(out.as_deref(), Some("x"));
+        assert_eq!(foreign, ["--json"]);
+        let p = p.finish().expect("finishes");
+        assert_eq!(p.samples, 50);
+        assert_eq!(p.usize("spare-rows"), 4);
+        assert!(p.flag("verbose"));
+        assert!(!p.json);
+
+        let err = Params::defaults(EXTRA)
+            .consume(EXTRA, "--samples", &mut std::iter::empty())
+            .expect_err("missing value");
+        assert!(err.0.contains("needs a value"), "{err}");
+        let mut p = Params::defaults(EXTRA);
+        let mut zero = ["0".to_owned()].into_iter();
+        assert_eq!(p.consume(EXTRA, "--samples", &mut zero), Ok(true));
+        let err = p.finish().expect_err("the sample floor spans flags");
+        assert!(err.0.contains("at least 1"), "{err}");
+
+        let text = Params::consume_usage(EXTRA);
+        assert!(text.contains("--samples N"), "{text}");
+        assert!(text.contains("--rng-stream v1|v2"), "{text}");
+        assert!(!text.contains("--json"), "{text}");
     }
 
     #[test]

@@ -234,7 +234,9 @@ pub fn table2_circuit_names() -> Vec<String> {
 #[derive(Debug, Clone, Copy)]
 pub struct Table2Experiment;
 
-const TABLE2_PARAMS: &[ParamSpec] = &[
+/// Table II's experiment flags — with `--samples --seed --defect-rate`,
+/// the campaign vocabulary of `xbar run table2` and every `xbar mc` verb.
+pub(crate) const TABLE2_PARAMS: &[ParamSpec] = &[
     spec(
         "circuits",
         ParamKind::StrList,

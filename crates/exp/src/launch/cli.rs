@@ -1,26 +1,27 @@
 //! `xbar mc launch`: the multi-host CLI over the launch scheduler.
 //!
 //! Parsing follows the `mc coordinate` conventions (usage problems print
-//! help to stderr and return exit code 2) and reuses the shared
-//! [`CampaignFlags`] and `SchedulingFlags`, so a launch describes its
-//! campaign with exactly the coordinator's vocabulary plus the fleet
-//! flags.
+//! help to stderr and return exit code 2) and reuses the shared campaign
+//! flags (`xbar run table2`'s own, through `Params::consume`) and
+//! `SchedulingFlags`, so a launch describes its campaign with exactly the
+//! coordinator's vocabulary plus the fleet flags.
 
 use super::pool::{parse_hosts, DEFAULT_PROBATION, DEFAULT_QUARANTINE_AFTER};
 use super::scheduler::{run_launch_with_report, LaunchConfig, LaunchReport};
 use super::transport::{Exec, FaultPlan, Faulty, LocalProc, Transport};
-use crate::experiment::{find_experiment, Params};
-use crate::experiments::table2::table2_artifact_from_accums;
+use crate::cli::run_verb;
+use crate::experiment::{find_experiment, flag_value, ExpError, Params};
+use crate::experiments::table2::{table2_artifact_from_accums, TABLE2_PARAMS};
 use crate::shard::cli::{
-    flag_secs, flag_value, positive_num, positive_secs, SchedulingFlags, SCHEDULING_FLAGS_USAGE,
+    campaign_usage, flag_secs, positive_num, positive_secs, SchedulingFlags, SCHEDULING_FLAGS_USAGE,
 };
-use crate::shard::coordinator::{render_stats_json, render_timing_table, DEFAULT_RETRY_BASE};
-use crate::shard::{CampaignFlags, McConfig, CAMPAIGN_FLAGS_USAGE};
+use crate::shard::coordinator::DEFAULT_RETRY_BASE;
+use crate::shard::McConfig;
 use std::path::PathBuf;
 use std::time::Duration;
 
 struct LaunchArgs {
-    campaign: CampaignFlags,
+    campaign: Params,
     scheduling: SchedulingFlags,
     hosts: String,
     hedge_after: Option<Duration>,
@@ -34,7 +35,7 @@ struct LaunchArgs {
 impl Default for LaunchArgs {
     fn default() -> Self {
         Self {
-            campaign: CampaignFlags::default(),
+            campaign: Params::defaults(TABLE2_PARAMS),
             scheduling: SchedulingFlags::default(),
             hosts: String::new(),
             hedge_after: None,
@@ -52,8 +53,9 @@ fn launch_usage() -> String {
         "xbar mc launch: fault-tolerant multi-host Monte Carlo dispatch\n\n\
          Shards the campaign over a fleet, streams partials back over a\n\
          transport, and merges through a per-host tree. The merged output is\n\
-         byte-identical to a monolithic run under every tolerated fault.\n\nflags:\n\
-         {CAMPAIGN_FLAGS_USAGE}\n\
+         byte-identical to a monolithic run under every tolerated fault.\n\n\
+         {}\n\
+         scheduling flags:\n\
          {SCHEDULING_FLAGS_USAGE}\n  \
          --hosts SPEC       the fleet (required): comma-separated `name[*slots]`\n                     \
          entries, e.g. `alpha*4,beta*2,gamma` (slots default 1)\n  \
@@ -73,7 +75,8 @@ fn launch_usage() -> String {
          --exec-arg {{worker:sh}}` dispatches over ssh.\n\n\
          test-only fault injection:\n  \
          --inject-host-fault SPEC  wrap the transport with an injected fault:\n                     \
-         `host=drop|stall|truncate|die[@ordinal]` (repeatable)"
+         `host=drop|stall|truncate|die[@ordinal]` (repeatable)",
+        campaign_usage()
     )
 }
 
@@ -81,7 +84,9 @@ fn parse_launch_args(args: Vec<String>) -> Result<Option<LaunchArgs>, String> {
     let mut out = LaunchArgs::default();
     let mut it = args.into_iter();
     while let Some(flag) = it.next() {
-        if out.campaign.consume(&flag, &mut it)? || out.scheduling.consume(&flag, &mut it)? {
+        if out.scheduling.consume(&flag, &mut it)?
+            || out.campaign.consume(TABLE2_PARAMS, &flag, &mut it)?
+        {
             continue;
         }
         let mut value = || flag_value(&flag, &mut it);
@@ -100,6 +105,7 @@ fn parse_launch_args(args: Vec<String>) -> Result<Option<LaunchArgs>, String> {
     if out.hosts.is_empty() {
         return Err("--hosts is required (e.g. --hosts alpha*2,beta)".to_owned());
     }
+    out.campaign = out.campaign.finish()?;
     Ok(Some(out))
 }
 
@@ -125,49 +131,17 @@ fn print_report(report: &LaunchReport) {
     }
 }
 
-/// The `xbar run table2`-equivalent argv for this campaign, so the
-/// canonical artifact is rebuilt against the exact [`Params`] a
-/// monolithic run of the same flags would parse.
-fn table2_argv(flags: &CampaignFlags) -> Vec<String> {
-    let mut argv = vec![
-        "--samples".to_owned(),
-        flags.samples.to_string(),
-        "--seed".to_owned(),
-        flags.seed.to_string(),
-        "--defect-rate".to_owned(),
-        // Shortest-round-trip text: parses back to the exact bits.
-        format!("{:?}", flags.defect_rate),
-        "--rng-stream".to_owned(),
-        flags.stream.as_str().to_owned(),
-    ];
-    if flags.model_kind != xbar_core::DefectModelKind::Iid {
-        argv.push("--defect-model".to_owned());
-        argv.push(flags.model_kind.as_str().to_owned());
-        argv.push("--cluster-size".to_owned());
-        argv.push(format!("{:?}", flags.cluster_size));
-        argv.push("--line-rate".to_owned());
-        argv.push(format!("{:?}", flags.line_rate));
-    }
-    if let Some(circuits) = &flags.circuits {
-        argv.push("--circuits".to_owned());
-        argv.push(circuits.join(","));
-    }
-    argv
-}
-
 /// Rebuilds and writes the canonical `xbar-artifact/1` document for the
 /// campaign, byte-identical to `xbar run table2 --json` with the same
-/// flags (the merge is integer-exact, the rebuild path is shared with the
-/// serving daemon).
+/// flags: `params` are the very flags that run would parse, the merge is
+/// integer-exact, and the rebuild path is shared with the serving daemon.
 fn write_canonical_artifact(
     path: &std::path::Path,
-    flags: &CampaignFlags,
+    params: &Params,
     merged: &crate::shard::coordinator::MergedResult,
 ) -> Result<(), String> {
     let exp = find_experiment("table2").ok_or("table2 vanished from the registry")?;
-    let params = Params::parse(exp.extra_params(), table2_argv(flags))
-        .map_err(|e| format!("rebuilding table2 parameters: {e}"))?;
-    let artifact = table2_artifact_from_accums(&merged.circuits, merged.config.seed, exp, &params)?;
+    let artifact = table2_artifact_from_accums(&merged.circuits, merged.config.seed, exp, params)?;
     crate::atomic::write_atomic(path, artifact.as_bytes())
         .map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
@@ -178,101 +152,59 @@ fn write_canonical_artifact(
 /// document). Returns the process exit code.
 #[must_use]
 pub fn launch_main(argv: Vec<String>) -> i32 {
-    let args = match parse_launch_args(argv) {
-        Ok(Some(args)) => args,
-        Ok(None) => {
-            println!("{}", launch_usage());
-            return 0;
-        }
-        Err(e) => {
-            eprintln!("mc launch: {e}\n\n{}", launch_usage());
-            return 2;
-        }
-    };
-    let hosts = match parse_hosts(&args.hosts) {
-        Ok(hosts) => hosts,
-        Err(e) => {
-            eprintln!("mc launch: --hosts: {e}");
-            return 2;
-        }
-    };
-    let config: McConfig = args.campaign.clone().into_config();
-    if let Err(e) = config.validate() {
-        eprintln!("mc launch: {e}");
-        return 2;
-    }
-    let scheduling = &args.scheduling;
-    let worker = match scheduling.resolve_worker() {
-        Ok(worker) => worker,
-        Err(e) => {
-            eprintln!("mc launch: {e}");
-            return 2;
-        }
-    };
-    let cfg = LaunchConfig {
-        config: config.clone(),
-        shards: scheduling.shards,
-        max_attempts: scheduling.max_attempts,
-        worker,
-        work_dir: scheduling.resolve_work_dir(),
-        extra_worker_args: scheduling.worker_args.clone(),
-        keep_partials: scheduling.keep_partials,
-        shard_timeout: scheduling.shard_timeout,
-        hedge_after: args.hedge_after,
-        resume: scheduling.resume,
-        retry_base: DEFAULT_RETRY_BASE,
-        hosts,
-        quarantine_after: args.quarantine_after,
-        probation: args.probation,
-    };
-    let transport: Box<dyn Transport> = if args.exec_args.is_empty() {
-        Box::new(LocalProc)
-    } else {
-        match Exec::new(args.exec_args.clone()) {
-            Ok(exec) => Box::new(exec),
-            Err(e) => {
-                eprintln!("mc launch: --exec-arg: {e}");
-                return 2;
-            }
-        }
-    };
-    let transport: Box<dyn Transport> = if args.faults.is_empty() {
-        transport
-    } else {
-        Box::new(Faulty::new(transport, args.faults.clone()))
-    };
+    let parsed = parse_launch_args(argv);
+    run_verb("mc launch", launch_usage, parsed, |args| {
+        let hosts =
+            parse_hosts(&args.hosts).map_err(|e| ExpError::Usage(format!("--hosts: {e}")))?;
+        let config = McConfig::from_params(&args.campaign).map_err(ExpError::Usage)?;
+        let scheduling = &args.scheduling;
+        let cfg = LaunchConfig {
+            config: config.clone(),
+            shards: scheduling.shards,
+            max_attempts: scheduling.max_attempts,
+            worker: scheduling.resolve_worker().map_err(ExpError::Usage)?,
+            work_dir: scheduling.resolve_work_dir(),
+            extra_worker_args: scheduling.worker_args.clone(),
+            keep_partials: scheduling.keep_partials,
+            shard_timeout: scheduling.shard_timeout,
+            hedge_after: args.hedge_after,
+            resume: scheduling.resume,
+            retry_base: DEFAULT_RETRY_BASE,
+            hosts,
+            quarantine_after: args.quarantine_after,
+            probation: args.probation,
+        };
+        let transport: Box<dyn Transport> = if args.exec_args.is_empty() {
+            Box::new(LocalProc)
+        } else {
+            let exec = Exec::new(args.exec_args.clone())
+                .map_err(|e| ExpError::Usage(format!("--exec-arg: {e}")))?;
+            Box::new(exec)
+        };
+        let transport: Box<dyn Transport> = if args.faults.is_empty() {
+            transport
+        } else {
+            Box::new(Faulty::new(transport, args.faults.clone()))
+        };
 
-    println!(
-        "launching {} samples as {} shard(s) over {} host(s) (seed {}, {:.0}% defects)",
-        config.samples,
-        cfg.shards,
-        cfg.hosts.len(),
-        config.seed,
-        config.defect_rate * 100.0
-    );
-    let (merged, report) = match run_launch_with_report(&cfg, transport.as_ref()) {
-        Ok(done) => done,
-        Err(e) => {
-            eprintln!("mc launch: {e}");
-            return 1;
+        println!(
+            "launching {} samples as {} shard(s) over {} host(s) (seed {}, {:.0}% defects)",
+            config.samples,
+            cfg.shards,
+            cfg.hosts.len(),
+            config.seed,
+            config.defect_rate * 100.0
+        );
+        let (merged, report) =
+            run_launch_with_report(&cfg, transport.as_ref()).map_err(ExpError::Failed)?;
+        print_report(&report);
+        scheduling.write_merged(&merged)?;
+        if let Some(path) = &args.artifact {
+            write_canonical_artifact(path, &args.campaign, &merged).map_err(ExpError::Failed)?;
+            println!("wrote {}", path.display());
         }
-    };
-    print_report(&report);
-    print!("{}", render_timing_table(&merged));
-    let out = &scheduling.out;
-    if let Err(e) = crate::atomic::write_atomic(out, render_stats_json(&merged).as_bytes()) {
-        eprintln!("mc launch: cannot write {}: {e}", out.display());
-        return 1;
-    }
-    println!("wrote {}", out.display());
-    if let Some(path) = &args.artifact {
-        if let Err(e) = write_canonical_artifact(path, &args.campaign, &merged) {
-            eprintln!("mc launch: {e}");
-            return 1;
-        }
-        println!("wrote {}", path.display());
-    }
-    0
+        Ok(())
+    })
 }
 
 #[cfg(test)]
@@ -334,22 +266,31 @@ mod tests {
     }
 
     #[test]
-    fn table2_argv_round_trips_campaign_flags_into_params() {
-        let flags = CampaignFlags {
-            samples: 30,
-            seed: 7,
-            circuits: Some(vec!["rd53".to_owned()]),
-            ..Default::default()
-        };
+    fn launch_parses_its_campaign_exactly_as_xbar_run_table2() {
+        // The `--artifact` document echoes these params, so they must be
+        // the very params `xbar run table2` parses from the same flags.
+        let campaign = [
+            "--samples",
+            "30",
+            "--seed",
+            "7",
+            "--rng-stream",
+            "v2",
+            "--defect-model",
+            "lines",
+            "--line-rate",
+            "0.125",
+            "--circuits",
+            "rd53",
+        ];
+        let args = parse_launch_args(argv(&[&["--hosts", "alpha*2"][..], &campaign].concat()))
+            .expect("parses")
+            .expect("not help");
         let exp = find_experiment("table2").expect("registered");
-        let params = Params::parse(exp.extra_params(), table2_argv(&flags)).expect("parses");
-        assert_eq!(params.samples, 30);
-        assert_eq!(params.seed, 7);
-        assert_eq!(params.list("circuits"), ["rd53"]);
-        // The synthesized params resolve to exactly the launch's config.
-        let config = flags.clone().into_config();
-        assert_eq!(params.sample_stream(), config.stream);
-        assert_eq!(params.defect_model(), config.model);
-        assert!((params.defect_rate - config.defect_rate).abs() < f64::EPSILON);
+        let run = Params::parse(exp.extra_params(), argv(&campaign)).expect("parses");
+        assert_eq!(args.campaign, run);
+        let config = McConfig::from_params(&args.campaign).expect("Table II circuit");
+        assert_eq!(config.circuits, ["rd53"]);
+        assert_eq!(config.model, run.defect_model());
     }
 }

@@ -5,23 +5,20 @@
 //! root for validation *and* accumulation: each host's partials are
 //! pre-merged into one accumulator set first, and the root merges one
 //! entry per host. The result is byte-identical to the flat
-//! [`merge_partials`] merge — success counters are integers (order
-//! irrelevant) and wall-clock moments never enter compared bytes; the
-//! equivalence is pinned by a proptest in `tests/launch.rs`, leaning on
-//! the PR 3 two-level property that accumulators re-merge merged
-//! partials exactly.
+//! [`merge_partials`](crate::shard::coordinator::merge_partials) merge —
+//! success counters are integers (order irrelevant) and wall-clock
+//! moments never enter compared bytes; the equivalence is pinned by a
+//! proptest in `tests/launch.rs`, leaning on the two-level property that
+//! accumulators re-merge merged partials exactly.
 //!
-//! Validation is *shared code*, not a re-implementation: every partial
-//! passes the same per-partial checks as the flat merge
-//! ([`validate_partial_for_merge`]) and the union of all slices must
-//! tile the campaign range exactly ([`check_exact_tiling`]) — which is
-//! precisely the backstop that discards a hedge loser's duplicate
-//! partial: two partials for one slice can never tile.
+//! Validation is *shared code*, not a re-implementation: the partials
+//! pass the flat merge's own checks (`validated_in_order`) — per
+//! partial, and an exact tiling of the campaign range by their union,
+//! which is precisely the backstop that discards a hedge loser's
+//! duplicate partial: two partials for one slice can never tile.
 
 use crate::experiments::table2::CircuitAccum;
-use crate::shard::coordinator::{
-    check_exact_tiling, merge_partials, validate_partial_for_merge, MergedResult,
-};
+use crate::shard::coordinator::{validated_in_order, MergedResult};
 use crate::shard::partial::ShardPartial;
 use crate::shard::McConfig;
 
@@ -41,18 +38,7 @@ pub fn merge_host_groups(
     config: &McConfig,
     assigned: &[(String, ShardPartial)],
 ) -> Result<MergedResult, String> {
-    // Degenerate fan-in: a single host's group IS the flat merge.
-    if assigned.len() <= 1 {
-        let partials: Vec<ShardPartial> = assigned.iter().map(|(_, p)| p.clone()).collect();
-        return merge_partials(config, &partials);
-    }
-
-    let mut ordered: Vec<&ShardPartial> = assigned.iter().map(|(_, p)| p).collect();
-    ordered.sort_by_key(|p| p.spec.start);
-    for partial in &ordered {
-        validate_partial_for_merge(config, partial)?;
-    }
-    check_exact_tiling(config.samples, &ordered)?;
+    validated_in_order(config, assigned.iter().map(|(_, p)| p))?;
 
     // Group by host, preserving per-host start order; order the groups by
     // their minimal start so the root merge is deterministic.
@@ -104,7 +90,7 @@ pub fn merge_host_groups(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::coordinator::render_stats_json;
+    use crate::shard::coordinator::{merge_partials, render_stats_json};
     use crate::shard::{run_shard, ShardSpec};
     use xbar_core::{DefectModelSpec, SampleStream};
 

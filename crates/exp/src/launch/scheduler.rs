@@ -25,8 +25,8 @@ use super::pool::{HostCount, HostPool, HostSpec};
 use super::transport::{Transport, WorkerJob};
 use crate::experiments::table2::CircuitAccum;
 use crate::shard::coordinator::{
-    backoff_delay, campaign_run_dir, partial_path, preflight_run_dir, worker_shard_args,
-    MergedResult, RunReport, Worker,
+    backoff_delay, campaign_run_dir, partial_path, preflight_run_dir, MergedResult, RunReport,
+    Worker,
 };
 use crate::shard::partial::ShardPartial;
 use crate::shard::{McConfig, ShardSpec};
@@ -143,11 +143,20 @@ struct Launcher<'a> {
 }
 
 impl Launcher<'_> {
+    /// The worker invocation for one shard: `mc shard`, the campaign's
+    /// own flags ([`McConfig::campaign_args`]), the slice, and `--out -`
+    /// (every partial streams back over stdout).
     fn job_for(&self, spec: &ShardSpec) -> WorkerJob {
         let mut args = vec!["mc".to_owned(), "shard".to_owned()];
-        args.extend(worker_shard_args(&self.cfg.config, spec));
-        args.push("--out".to_owned());
-        args.push("-".to_owned());
+        args.extend(self.cfg.config.campaign_args());
+        args.extend([
+            "--shard-index".to_owned(),
+            spec.index.to_string(),
+            "--num-shards".to_owned(),
+            spec.num_shards.to_string(),
+            "--out".to_owned(),
+            "-".to_owned(),
+        ]);
         args.extend(self.cfg.extra_worker_args.iter().cloned());
         WorkerJob {
             binary: self.cfg.worker.binary.clone(),

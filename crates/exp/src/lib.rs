@@ -10,7 +10,8 @@
 //!   machine-readable artifact;
 //! * `xbar mc shard|coordinate` — fault-tolerant process-sharded Monte
 //!   Carlo on this machine (watchdog timeouts, bounded concurrency,
-//!   backoff retry, checkpoint/resume — see [`shard::coordinator`]);
+//!   backoff retry, checkpoint/resume — see [`shard::coordinator`]); every
+//!   `mc` verb describes its campaign with `xbar run table2`'s flags;
 //! * `xbar mc launch` — multi-host dispatch through the same scheduler
 //!   (`mc coordinate` is a launch over the fleet `local*N`): a
 //!   pluggable transport (local subprocesses or an `ssh`-style command

@@ -495,24 +495,12 @@ fn print_reply_line(reply: &Reply) -> Result<(), String> {
 /// 2 usage).
 #[must_use]
 pub fn submit_main(argv: Vec<String>) -> i32 {
-    let args = match parse_submit_args(argv) {
-        Ok(Some(args)) => args,
-        Ok(None) => {
-            println!("{}", submit_usage());
-            return 0;
-        }
-        Err(e) => {
-            eprintln!("xbar submit: {e}\n\n{}", submit_usage());
-            return 2;
-        }
-    };
-    match run_submit(&args) {
-        Ok(()) => 0,
-        Err(e) => {
-            eprintln!("xbar submit: {e}");
-            1
-        }
-    }
+    crate::cli::run_verb(
+        "xbar submit",
+        submit_usage,
+        parse_submit_args(argv),
+        |args| run_submit(&args).map_err(crate::experiment::ExpError::Failed),
+    )
 }
 
 #[cfg(test)]

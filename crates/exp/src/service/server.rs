@@ -28,8 +28,8 @@
 //! disconnects mid-wait detaches from the job, which keeps running and
 //! caches its artifact — resubmitting later is a cache hit.
 
-use crate::experiment::{find_experiment, Experiment, Params, Reporter};
-use crate::experiments::table2::{resolve_circuit_subset, table2_artifact_from_accums};
+use crate::experiment::{find_experiment, flag_value, ExpError, Experiment, Params, Reporter};
+use crate::experiments::table2::table2_artifact_from_accums;
 use crate::launch::pool::{DEFAULT_PROBATION, DEFAULT_QUARANTINE_AFTER};
 use crate::launch::scheduler::local_fleet;
 use crate::launch::{
@@ -39,7 +39,7 @@ use crate::launch::{
 use crate::service::cache::{cache_key, ArtifactCache, CacheKey};
 use crate::service::protocol::{error_line, response, Request};
 use crate::service::queue::{JobQueue, JobSnapshot, JobSpec, JobState};
-use crate::shard::cli::{flag_value, positive_num, positive_secs};
+use crate::shard::cli::{positive_num, positive_secs};
 use crate::shard::coordinator::{
     campaign_run_dir, default_worker, RunReport, Worker, DEFAULT_RETRY_BASE,
 };
@@ -687,24 +687,10 @@ fn run_in_process(exp: &dyn Experiment, params: &Params) -> Result<String, Strin
     let artifact = exp
         .run(params, &mut Reporter::quiet())
         .map_err(|e| match e {
-            crate::experiment::ExpError::Usage(m) => format!("bad parameters: {m}"),
-            crate::experiment::ExpError::Failed(m) => m,
+            ExpError::Usage(m) => format!("bad parameters: {m}"),
+            ExpError::Failed(m) => m,
         })?;
     Ok(artifact.render(exp, params))
-}
-
-fn table2_mc_config(params: &Params) -> Result<McConfig, String> {
-    let circuits = resolve_circuit_subset(params.list("circuits")).map_err(|e| match e {
-        crate::experiment::ExpError::Usage(m) | crate::experiment::ExpError::Failed(m) => m,
-    })?;
-    Ok(McConfig {
-        samples: params.samples,
-        seed: params.seed,
-        defect_rate: params.defect_rate,
-        stream: params.sample_stream(),
-        model: params.defect_model(),
-        circuits,
-    })
 }
 
 /// The fleet every sharded job runs on: `--launcher SPEC`, else the
@@ -740,7 +726,7 @@ fn run_sharded_table2(
 ) -> Result<(String, RunReport, Vec<HostCount>), String> {
     let job_dir = state.jobs_dir.join(&key.name);
     let cfg = LaunchConfig {
-        config: table2_mc_config(params)?,
+        config: McConfig::from_params(params)?,
         shards: state.options.job_shards,
         max_attempts: 3,
         worker,
@@ -849,40 +835,30 @@ fn parse_serve_args(argv: Vec<String>) -> Result<Option<ServeOptions>, String> {
 /// so scripts driving `--listen 127.0.0.1:0` can discover the port.
 #[must_use]
 pub fn serve_main(argv: Vec<String>) -> i32 {
-    let options = match parse_serve_args(argv) {
-        Ok(Some(options)) => options,
-        Ok(None) => {
-            println!("{}", serve_usage());
-            return 0;
-        }
-        Err(e) => {
-            eprintln!("xbar serve: {e}\n\n{}", serve_usage());
-            return 2;
-        }
-    };
-    let work_dir = options.work_dir.clone();
-    let slots = options.max_inflight;
-    let handle = match start(options) {
-        Ok(handle) => handle,
-        Err(e) => {
-            eprintln!("xbar serve: {e}");
-            return 1;
-        }
-    };
-    // Ignore stdout write errors: a supervisor that read the address off
-    // the first line and closed the pipe must not take the daemon down
-    // with an EPIPE panic mid-serve.
-    let mut stdout = std::io::stdout();
-    let _ = writeln!(stdout, "xbar serve: listening on {}", handle.addr());
-    let _ = writeln!(
-        stdout,
-        "xbar serve: {slots} worker slot(s), state in {}",
-        work_dir.display()
-    );
-    let _ = stdout.flush();
-    handle.wait();
-    let _ = writeln!(std::io::stdout(), "xbar serve: drained, exiting");
-    0
+    crate::cli::run_verb(
+        "xbar serve",
+        serve_usage,
+        parse_serve_args(argv),
+        |options| {
+            let work_dir = options.work_dir.clone();
+            let slots = options.max_inflight;
+            let handle = start(options).map_err(ExpError::Failed)?;
+            // Ignore stdout write errors: a supervisor that read the address
+            // off the first line and closed the pipe must not take the daemon
+            // down with an EPIPE panic mid-serve.
+            let mut stdout = std::io::stdout();
+            let _ = writeln!(stdout, "xbar serve: listening on {}", handle.addr());
+            let _ = writeln!(
+                stdout,
+                "xbar serve: {slots} worker slot(s), state in {}",
+                work_dir.display()
+            );
+            let _ = stdout.flush();
+            handle.wait();
+            let _ = writeln!(std::io::stdout(), "xbar serve: drained, exiting");
+            Ok(())
+        },
+    )
 }
 
 #[cfg(test)]

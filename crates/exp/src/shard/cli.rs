@@ -1,35 +1,38 @@
 //! CLI entry points for the sharded Monte Carlo subsystem (`xbar mc
-//! shard` / `xbar mc coordinate`) and the parsing pieces every scheduling
-//! verb shares: `SchedulingFlags` (`mc coordinate` and `mc launch`) and
-//! the flag-value helpers (`xbar serve` too). Parsing is `Result`-based:
-//! usage problems print help to stderr and return exit code 2.
+//! shard` / `xbar mc coordinate`) and the parsing pieces every `mc` verb
+//! shares: the campaign flags, which are `xbar run table2`'s own, parsed
+//! by `Params::consume`; `SchedulingFlags` (`mc coordinate` and `mc
+//! launch`); and the flag-value helpers (`xbar serve` too). Parsing is
+//! `Result`-based: usage problems print help to stderr and return exit
+//! code 2.
 
 use super::coordinator::{
     default_work_dir, default_worker, render_stats_json, render_timing_table,
-    run_coordinator_with_report, run_monolithic, CoordinatorConfig, RunReport, Worker,
-    DEFAULT_RETRY_BASE,
+    run_coordinator_with_report, run_monolithic, CoordinatorConfig, MergedResult, RunReport,
+    Worker, DEFAULT_RETRY_BASE,
 };
-use super::{partial::ShardPartial, run_shard, CampaignFlags, ShardSpec, CAMPAIGN_FLAGS_USAGE};
+use super::{partial::ShardPartial, run_shard, McConfig, ShardSpec};
+use crate::cli::run_verb;
+use crate::experiment::{flag_num, flag_value, ExpError, Params};
+use crate::experiments::table2::TABLE2_PARAMS;
 use std::path::PathBuf;
 use std::time::Duration;
 
-/// The value following `flag`, or a usage error.
-pub(crate) fn flag_value(
-    flag: &str,
-    it: &mut dyn Iterator<Item = String>,
-) -> Result<String, String> {
-    it.next().ok_or_else(|| format!("{flag} needs a value"))
-}
-
-/// `text` as an integer, or a usage error naming `flag`.
-pub(crate) fn flag_num<T: std::str::FromStr>(flag: &str, text: &str) -> Result<T, String> {
-    text.parse()
-        .map_err(|_| format!("{flag}: expected a number, got {text:?}"))
+/// The campaign block of every `mc` verb's usage, rendered from the same
+/// declarations `xbar describe table2` shows. Every `mc` verb feeds its
+/// argv through [`Params::consume`] against [`TABLE2_PARAMS`] and
+/// resolves the result with [`McConfig::from_params`], so a campaign is
+/// described, validated and echoed exactly as `xbar run table2` would.
+pub(crate) fn campaign_usage() -> String {
+    format!(
+        "campaign flags (those of `xbar run table2`):\n{}",
+        Params::consume_usage(TABLE2_PARAMS)
+    )
 }
 
 /// `text` as a count of at least one.
 pub(crate) fn positive_num(flag: &str, text: &str) -> Result<usize, String> {
-    match flag_num(flag, text)? {
+    match flag_num::<usize>(flag, text)? {
         0 => Err(format!("{flag} must be at least 1")),
         n => Ok(n),
     }
@@ -151,10 +154,24 @@ impl SchedulingFlags {
     pub(crate) fn resolve_work_dir(&self) -> PathBuf {
         self.work_dir.clone().unwrap_or_else(default_work_dir)
     }
+
+    /// Prints the informational timing table and writes the merged stats
+    /// artifact to `--out`: how every scheduling verb finishes.
+    ///
+    /// # Errors
+    ///
+    /// Reports an unwritable `--out` path.
+    pub(crate) fn write_merged(&self, merged: &MergedResult) -> Result<(), ExpError> {
+        print!("{}", render_timing_table(merged));
+        crate::atomic::write_atomic(&self.out, render_stats_json(merged).as_bytes())
+            .map_err(|e| ExpError::Failed(format!("cannot write {}: {e}", self.out.display())))?;
+        println!("wrote {}", self.out.display());
+        Ok(())
+    }
 }
 
 struct ShardArgs {
-    campaign: CampaignFlags,
+    campaign: Params,
     shard_index: usize,
     num_shards: usize,
     out: PathBuf,
@@ -169,7 +186,7 @@ struct ShardArgs {
 impl Default for ShardArgs {
     fn default() -> Self {
         Self {
-            campaign: CampaignFlags::default(),
+            campaign: Params::defaults(TABLE2_PARAMS),
             shard_index: 0,
             num_shards: 1,
             out: PathBuf::from("partial-0.json"),
@@ -185,8 +202,8 @@ impl Default for ShardArgs {
 
 fn shard_usage() -> String {
     format!(
-        "xbar mc shard: run one shard of a sharded Monte Carlo campaign\n\nflags:\n\
-         {CAMPAIGN_FLAGS_USAGE}\n  \
+        "xbar mc shard: run one shard of a sharded Monte Carlo campaign\n\n{}\n\
+         shard flags:\n  \
          --shard-index I    this shard's index (default 0)\n  \
          --num-shards N     shards in the campaign (default 1)\n  \
          --out PATH         partial-result output path (default partial-0.json);\n                     \
@@ -197,7 +214,8 @@ fn shard_usage() -> String {
          --inject-truncate-once MARKER  write a torn partial once, then behave\n  \
          --inject-hang-once MARKER      hang forever unless MARKER exists (watchdog bait)\n  \
          --inject-slow-ms N             sleep N ms before running the shard\n  \
-         --inject-concurrency-dir DIR   record live-worker counts into DIR/observed.txt"
+         --inject-concurrency-dir DIR   record live-worker counts into DIR/observed.txt",
+        campaign_usage()
     )
 }
 
@@ -205,7 +223,7 @@ fn parse_shard_args(args: Vec<String>) -> Result<Option<ShardArgs>, String> {
     let mut out = ShardArgs::default();
     let mut it = args.into_iter();
     while let Some(flag) = it.next() {
-        if out.campaign.consume(&flag, &mut it)? {
+        if out.campaign.consume(TABLE2_PARAMS, &flag, &mut it)? {
             continue;
         }
         let path = |it: &mut dyn Iterator<Item = String>| flag_value(&flag, it).map(PathBuf::from);
@@ -225,6 +243,7 @@ fn parse_shard_args(args: Vec<String>) -> Result<Option<ShardArgs>, String> {
             other => return Err(format!("unknown flag {other:?}; try --help")),
         }
     }
+    out.campaign = out.campaign.finish()?;
     Ok(Some(out))
 }
 
@@ -274,11 +293,13 @@ pub fn shard_main(argv: Vec<String>) -> i32 {
         }
     }
 
-    let config = args.campaign.clone().into_config();
-    if let Err(e) = config.validate() {
-        eprintln!("mc shard: {e}");
-        return 2;
-    }
+    let config = match McConfig::from_params(&args.campaign) {
+        Ok(config) => config,
+        Err(e) => {
+            eprintln!("mc shard: {e}");
+            return 2;
+        }
+    };
     if args.shard_index >= args.num_shards {
         eprintln!(
             "mc shard: --shard-index {} out of range for --num-shards {}",
@@ -316,7 +337,10 @@ pub fn shard_main(argv: Vec<String>) -> i32 {
             .append(true)
             .open(dir.join("observed.txt"))
         {
-            let _ = writeln!(file, "{live}");
+            // One write per line: `writeln!` would issue the digits and
+            // the newline as two appends, which concurrent workers can
+            // interleave into a torn line.
+            let _ = file.write_all(format!("{live}\n").as_bytes());
         }
     }
 
@@ -333,7 +357,7 @@ pub fn shard_main(argv: Vec<String>) -> i32 {
 /// transport contract — so stdout carries *only* partial bytes (the
 /// progress note is suppressed; the torn injection prints its truncated
 /// prefix to stdout, exercising the receiver's torn-transfer detection).
-fn run_shard_to_file(args: &ShardArgs, config: &super::McConfig, spec: ShardSpec) -> i32 {
+fn run_shard_to_file(args: &ShardArgs, config: &McConfig, spec: ShardSpec) -> i32 {
     let stream_stdout = args.out.as_os_str() == "-";
     if let Some(marker) = &args.inject_truncate_once {
         if first_time(marker) {
@@ -385,24 +409,36 @@ fn run_shard_to_file(args: &ShardArgs, config: &super::McConfig, spec: ShardSpec
     0
 }
 
-#[derive(Default)]
 struct CoordinateArgs {
-    campaign: CampaignFlags,
+    campaign: Params,
     scheduling: SchedulingFlags,
     max_inflight: Option<usize>,
     in_process: bool,
+}
+
+impl Default for CoordinateArgs {
+    fn default() -> Self {
+        Self {
+            campaign: Params::defaults(TABLE2_PARAMS),
+            scheduling: SchedulingFlags::default(),
+            max_inflight: None,
+            in_process: false,
+        }
+    }
 }
 
 fn coordinate_usage() -> String {
     format!(
         "xbar mc coordinate: fault-tolerant sharded Monte Carlo over local worker processes\n\n\
          A launch over the implicit one-host fleet `local*<max-inflight>` with\n\
-         hedging off; the merged output is byte-identical to a monolithic run.\n\nflags:\n\
-         {CAMPAIGN_FLAGS_USAGE}\n\
+         hedging off; the merged output is byte-identical to a monolithic run.\n\n\
+         {}\n\
+         scheduling flags:\n\
          {SCHEDULING_FLAGS_USAGE}\n  \
          --max-inflight N   live workers at once (default: available parallelism)\n  \
          --in-process       run monolithically (no processes) through the same\n                     \
-         accumulators; output is byte-identical to a sharded run"
+         accumulators; output is byte-identical to a sharded run",
+        campaign_usage()
     )
 }
 
@@ -410,7 +446,9 @@ fn parse_coordinate_args(args: Vec<String>) -> Result<Option<CoordinateArgs>, St
     let mut out = CoordinateArgs::default();
     let mut it = args.into_iter();
     while let Some(flag) = it.next() {
-        if out.campaign.consume(&flag, &mut it)? || out.scheduling.consume(&flag, &mut it)? {
+        if out.scheduling.consume(&flag, &mut it)?
+            || out.campaign.consume(TABLE2_PARAMS, &flag, &mut it)?
+        {
             continue;
         }
         match flag.as_str() {
@@ -422,6 +460,7 @@ fn parse_coordinate_args(args: Vec<String>) -> Result<Option<CoordinateArgs>, St
             other => return Err(format!("unknown flag {other:?}; try --help")),
         }
     }
+    out.campaign = out.campaign.finish()?;
     Ok(Some(out))
 }
 
@@ -447,78 +486,44 @@ fn print_report(report: &RunReport) {
 /// the process exit code.
 #[must_use]
 pub fn coordinate_main(argv: Vec<String>) -> i32 {
-    let args = match parse_coordinate_args(argv) {
-        Ok(Some(args)) => args,
-        Ok(None) => {
-            println!("{}", coordinate_usage());
-            return 0;
-        }
-        Err(e) => {
-            eprintln!("mc coordinate: {e}\n\n{}", coordinate_usage());
-            return 2;
-        }
-    };
-    let config = args.campaign.clone().into_config();
-    if let Err(e) = config.validate() {
-        eprintln!("mc coordinate: {e}");
-        return 2;
-    }
-
-    let merged = if args.in_process {
-        println!(
-            "running {} samples monolithically (same accumulators as sharded mode)",
-            config.samples
-        );
-        run_monolithic(&config)
-    } else {
-        let scheduling = &args.scheduling;
-        let worker = match scheduling.resolve_worker() {
-            Ok(worker) => worker,
-            Err(e) => {
-                eprintln!("mc coordinate: {e}");
-                return 2;
-            }
+    let parsed = parse_coordinate_args(argv);
+    run_verb("mc coordinate", coordinate_usage, parsed, |args| {
+        let config = McConfig::from_params(&args.campaign).map_err(ExpError::Usage)?;
+        let merged = if args.in_process {
+            println!(
+                "running {} samples monolithically (same accumulators as sharded mode)",
+                config.samples
+            );
+            run_monolithic(&config)
+        } else {
+            let scheduling = &args.scheduling;
+            let coordinator = CoordinatorConfig {
+                config: config.clone(),
+                shards: scheduling.shards,
+                max_attempts: scheduling.max_attempts,
+                worker: scheduling.resolve_worker().map_err(ExpError::Usage)?,
+                work_dir: scheduling.resolve_work_dir(),
+                extra_worker_args: scheduling.worker_args.clone(),
+                keep_partials: scheduling.keep_partials,
+                shard_timeout: scheduling.shard_timeout,
+                max_inflight: args.max_inflight,
+                resume: scheduling.resume,
+                retry_base: DEFAULT_RETRY_BASE,
+            };
+            println!(
+                "running {} samples across {} worker process(es) (seed {}, {:.0}% defects)",
+                config.samples,
+                coordinator.shards,
+                config.seed,
+                config.defect_rate * 100.0
+            );
+            let (merged, report) =
+                run_coordinator_with_report(&coordinator).map_err(ExpError::Failed)?;
+            print_report(&report);
+            merged
         };
-        let coordinator = CoordinatorConfig {
-            config: config.clone(),
-            shards: scheduling.shards,
-            max_attempts: scheduling.max_attempts,
-            worker,
-            work_dir: scheduling.resolve_work_dir(),
-            extra_worker_args: scheduling.worker_args.clone(),
-            keep_partials: scheduling.keep_partials,
-            shard_timeout: scheduling.shard_timeout,
-            max_inflight: args.max_inflight,
-            resume: scheduling.resume,
-            retry_base: DEFAULT_RETRY_BASE,
-        };
-        println!(
-            "running {} samples across {} worker process(es) (seed {}, {:.0}% defects)",
-            config.samples,
-            coordinator.shards,
-            config.seed,
-            config.defect_rate * 100.0
-        );
-        match run_coordinator_with_report(&coordinator) {
-            Ok((merged, report)) => {
-                print_report(&report);
-                merged
-            }
-            Err(e) => {
-                eprintln!("mc coordinate: {e}");
-                return 1;
-            }
-        }
-    };
-
-    print!("{}", render_timing_table(&merged));
-    let out = &args.scheduling.out;
-    if let Err(e) = crate::atomic::write_atomic(out, render_stats_json(&merged).as_bytes()) {
-        eprintln!("mc coordinate: cannot write {}: {e}", out.display());
-        return 1;
-    }
-    println!("wrote {}", out.display());
-    0
+        args.scheduling.write_merged(&merged)
+    })
 }
 
 #[cfg(test)]
@@ -630,35 +635,57 @@ mod tests {
     }
 
     #[test]
-    fn campaign_model_flags_parse_on_both_entry_points() {
-        let argv: Vec<String> = ["--defect-model", "clustered", "--cluster-size", "6"]
-            .iter()
-            .map(|s| (*s).to_owned())
-            .collect();
+    fn campaign_flags_parse_exactly_as_xbar_run_table2_on_both_entry_points() {
+        let words = [
+            "--defect-model",
+            "clustered",
+            "--cluster-size",
+            "6",
+            "--defect-rate",
+            "0.25",
+            "--circuits",
+            "misex1,rd53",
+        ];
+        let argv: Vec<String> = words.iter().map(|s| (*s).to_owned()).collect();
+        let run = Params::parse(TABLE2_PARAMS, argv.clone()).expect("xbar run table2 parses");
         let shard = parse_shard_args(argv.clone())
             .expect("parses")
             .expect("not help");
-        let config = shard.campaign.into_config();
-        assert_eq!(config.model.kind(), xbar_core::DefectModelKind::Clustered);
-        assert_eq!(config.model.cluster_size(), 6.0);
+        assert_eq!(shard.campaign, run);
         let coord = parse_coordinate_args(argv)
             .expect("parses")
             .expect("not help");
-        assert_eq!(
-            coord.campaign.model_kind,
-            xbar_core::DefectModelKind::Clustered
-        );
+        assert_eq!(coord.campaign, run);
+        let config = McConfig::from_params(&coord.campaign).expect("Table II circuits");
+        assert_eq!(config.model.kind(), xbar_core::DefectModelKind::Clustered);
+        assert_eq!(config.model.cluster_size(), 6.0);
 
+        // What `xbar run table2` refuses, every mc verb refuses.
         for words in [
             &["--defect-model", "blobs"][..],
             &["--cluster-size", "0.5"][..],
             &["--cluster-size", "NaN"][..],
             &["--line-rate", "1.5"][..],
             &["--line-rate", "-0.1"][..],
+            &["--defect-rate", "1.5"][..],
+            &["--defect-rate", "-0.1"][..],
+            &["--samples", "0"][..],
+            &["--circuits", ""][..],
+            &["--quick"][..],
+            &["--json"][..],
         ] {
-            let argv = words.iter().map(|s| (*s).to_owned()).collect();
-            assert!(parse_shard_args(argv).is_err(), "{words:?} must fail");
+            let argv: Vec<String> = words.iter().map(|s| (*s).to_owned()).collect();
+            assert!(
+                parse_shard_args(argv.clone()).is_err(),
+                "{words:?} must fail"
+            );
+            assert!(parse_coordinate_args(argv).is_err(), "{words:?} must fail");
         }
+        let repeated = parse_coordinate_args(vec!["--circuits".to_owned(), "rd53,rd53".to_owned()])
+            .expect("parses")
+            .expect("not help");
+        let err = McConfig::from_params(&repeated.campaign).expect_err("must fail");
+        assert!(err.contains("listed twice"), "{err}");
     }
 
     #[test]

@@ -49,7 +49,6 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
-use xbar_core::{DefectModelKind, DefectModelSpec, SampleStream};
 
 /// Schema tag of the merged stats artifact.
 pub const MERGED_SCHEMA: &str = "xbar-mc-merged/1";
@@ -223,14 +222,7 @@ pub fn merge_partials(
     config: &McConfig,
     partials: &[ShardPartial],
 ) -> Result<MergedResult, String> {
-    let mut ordered: Vec<&ShardPartial> = partials.iter().collect();
-    ordered.sort_by_key(|p| p.spec.start);
-
-    for partial in &ordered {
-        validate_partial_for_merge(config, partial)?;
-    }
-    check_exact_tiling(config.samples, &ordered)?;
-
+    let ordered = validated_in_order(config, partials)?;
     let mut circuits: Vec<(String, CircuitAccum)> = config
         .circuits
         .iter()
@@ -247,42 +239,29 @@ pub fn merge_partials(
     })
 }
 
-/// Validates one partial against the campaign it claims to belong to:
-/// configuration echo, circuit-name order, and folded sample counts equal
-/// to the claimed slice. Shared between the flat [`merge_partials`] merge
-/// and the launcher's two-level per-host merge tree, so both reject torn
-/// or foreign partials with identical messages.
-pub(crate) fn validate_partial_for_merge(
+/// The merge input in ascending `start` order, after the checks every
+/// merge shares — the flat [`merge_partials`] and the launcher's
+/// two-level per-host tree alike, so both reject torn or foreign partials
+/// with identical messages: each partial passes
+/// [`ShardPartial::validate_for`] against its own slice, and together
+/// they tile `0..samples` exactly (no gap, no overlap, full coverage; a
+/// duplicated shard — a hedge loser whose partial leaked into the merge
+/// input — fails here).
+///
+/// # Errors
+///
+/// Names the first foreign partial or tiling fault.
+pub(crate) fn validated_in_order<'a>(
     config: &McConfig,
-    partial: &ShardPartial,
-) -> Result<(), String> {
-    let id = format!("shard {}", partial.spec.index);
-    partial
-        .validate_config_echo(config)
-        .map_err(|e| format!("{id}: {e}"))?;
-    let expected: u64 = partial.spec.len() as u64;
-    for ((name, accum), campaign_name) in partial.circuits.iter().zip(&config.circuits) {
-        if name != campaign_name {
-            return Err(format!(
-                "{id}: circuit entry {name:?} out of order (expected {campaign_name:?})"
-            ));
-        }
-        if accum.samples() != expected {
-            return Err(format!(
-                "{id}: circuit {name:?} folded {} samples, range holds {expected}",
-                accum.samples()
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Checks that `ordered` (ascending by `start`) tiles `0..samples`
-/// exactly: no gap, no overlap, full coverage. A duplicated shard (a
-/// hedge loser whose partial leaked into the merge input) fails here.
-pub(crate) fn check_exact_tiling(samples: usize, ordered: &[&ShardPartial]) -> Result<(), String> {
+    partials: impl IntoIterator<Item = &'a ShardPartial>,
+) -> Result<Vec<&'a ShardPartial>, String> {
+    let mut ordered: Vec<&ShardPartial> = partials.into_iter().collect();
+    ordered.sort_by_key(|p| p.spec.start);
     let mut cursor = 0usize;
-    for partial in ordered {
+    for partial in &ordered {
+        partial
+            .validate_for(config, &partial.spec)
+            .map_err(|e| format!("shard {}: {e}", partial.spec.index))?;
         if partial.spec.start != cursor {
             return Err(format!(
                 "sample range not tiled: expected a shard starting at {cursor}, \
@@ -292,12 +271,13 @@ pub(crate) fn check_exact_tiling(samples: usize, ordered: &[&ShardPartial]) -> R
         }
         cursor = partial.spec.end;
     }
-    if cursor != samples {
+    if cursor != config.samples {
         return Err(format!(
-            "sample range not covered: shards end at {cursor}, campaign has {samples} samples"
+            "sample range not covered: shards end at {cursor}, campaign has {} samples",
+            config.samples
         ));
     }
-    Ok(())
+    Ok(ordered)
 }
 
 pub(crate) fn partial_path(run_dir: &Path, index: usize) -> PathBuf {
@@ -337,57 +317,34 @@ pub fn backoff_delay(seed: u64, shard: usize, attempt: usize, base: Duration) ->
 // Campaign manifest: what a run directory belongs to
 // ---------------------------------------------------------------------------
 
-/// Renders the `campaign.json` manifest. `hosts` is the fleet's host
-/// attribution (`"name*slots"` per entry, `["local*N"]` for `mc
-/// coordinate`) — informational provenance, rendered only when non-empty.
-/// It deliberately does NOT participate in [`campaign_mismatch`]: the
-/// same campaign may be resumed with a different fleet or verb.
+/// Renders the `campaign.json` manifest: the campaign identity in the
+/// encoding partials and the merged artifact share
+/// ([`McConfig::write_identity`]), the shard count, the fleet and the
+/// circuit list. `hosts` is the fleet's host attribution (`"name*slots"`
+/// per entry, `["local*N"]` for `mc coordinate`) — informational
+/// provenance, rendered only when non-empty. It deliberately does NOT
+/// participate in [`campaign_mismatch`]: the same campaign may be resumed
+/// with a different fleet or verb.
 pub(crate) fn render_campaign_manifest(
     config: &McConfig,
     shards: usize,
     hosts: &[String],
 ) -> String {
+    let quoted = |names: &[String]| -> String {
+        let entries: Vec<String> = names
+            .iter()
+            .map(|name| format!("\"{}\"", super::json::escape(name)))
+            .collect();
+        entries.join(", ")
+    };
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"schema\": \"{CAMPAIGN_SCHEMA}\",");
-    let _ = writeln!(out, "  \"seed\": {},", config.seed);
-    let _ = writeln!(out, "  \"defect_rate\": {:?},", config.defect_rate);
-    let _ = writeln!(out, "  \"samples\": {},", config.samples);
+    config.write_identity(&mut out);
     let _ = writeln!(out, "  \"shards\": {shards},");
-    let _ = writeln!(out, "  \"rng_stream\": \"{}\",", config.stream);
     if !hosts.is_empty() {
-        let entries: Vec<String> = hosts
-            .iter()
-            .map(|host| format!("\"{}\"", super::json::escape(host)))
-            .collect();
-        let _ = writeln!(out, "  \"hosts\": [{}],", entries.join(", "));
+        let _ = writeln!(out, "  \"hosts\": [{}],", quoted(hosts));
     }
-    // Default-model manifests keep their pre-model bytes (so `--resume`
-    // against a run dir written before spatial models existed still
-    // validates); non-default models declare their kind plus exactly the
-    // parameters that kind consumes.
-    if !config.model.is_default() {
-        let _ = writeln!(
-            out,
-            "  \"defect_model\": \"{}\",",
-            config.model.kind().as_str()
-        );
-        if config.model.uses_cluster() {
-            let _ = writeln!(
-                out,
-                "  \"cluster_size\": {:?},",
-                config.model.cluster_size()
-            );
-        }
-        if config.model.uses_lines() {
-            let _ = writeln!(out, "  \"line_rate\": {:?},", config.model.line_rate());
-        }
-    }
-    let names: Vec<String> = config
-        .circuits
-        .iter()
-        .map(|name| format!("\"{}\"", super::json::escape(name)))
-        .collect();
-    let _ = writeln!(out, "  \"circuits\": [{}]", names.join(", "));
+    let _ = writeln!(out, "  \"circuits\": [{}]", quoted(&config.circuits));
     out.push_str("}\n");
     out
 }
@@ -435,11 +392,6 @@ fn parse_campaign_manifest(text: &str) -> Result<(McConfig, usize), String> {
             ));
         }
     }
-    let u64_field = |key: &str| {
-        doc.get(key)
-            .and_then(super::json::Json::as_u64)
-            .ok_or_else(|| format!("manifest missing u64 `{key}`"))
-    };
     let circuits = doc
         .get("circuits")
         .and_then(super::json::Json::as_arr)
@@ -452,93 +404,28 @@ fn parse_campaign_manifest(text: &str) -> Result<(McConfig, usize), String> {
                 .ok_or_else(|| "manifest circuit entry is not a string".to_owned())
         })
         .collect::<Result<Vec<String>, String>>()?;
-    let config = McConfig {
-        samples: usize::try_from(u64_field("samples")?)
-            .map_err(|_| "manifest samples exceeds usize".to_owned())?,
-        seed: u64_field("seed")?,
-        defect_rate: doc
-            .get("defect_rate")
-            .and_then(super::json::Json::as_f64)
-            .ok_or("manifest missing f64 `defect_rate`")?,
-        stream: SampleStream::parse(
-            doc.get("rng_stream")
-                .and_then(super::json::Json::as_str)
-                .ok_or("manifest missing `rng_stream`")?,
-        )?,
-        // Absent in manifests written before spatial models existed (and
-        // for default-model campaigns today): both mean i.i.d. sampling.
-        model: {
-            let kind = match doc.get("defect_model").map(super::json::Json::as_str) {
-                None => DefectModelKind::Iid,
-                Some(Some(name)) => DefectModelKind::parse(name)?,
-                Some(None) => return Err("manifest `defect_model` is not a string".to_owned()),
-            };
-            let f64_opt =
-                |key: &str, default: f64| match doc.get(key).map(super::json::Json::as_f64) {
-                    None => Ok(default),
-                    Some(Some(v)) => Ok(v),
-                    Some(None) => Err(format!("manifest `{key}` is not a number")),
-                };
-            DefectModelSpec::new(
-                kind,
-                f64_opt("cluster_size", DefectModelSpec::DEFAULT_CLUSTER_SIZE)?,
-                f64_opt("line_rate", DefectModelSpec::DEFAULT_LINE_RATE)?,
-            )?
-        },
-        circuits,
-    };
-    let shards = usize::try_from(u64_field("shards")?)
-        .map_err(|_| "manifest shards exceeds usize".to_owned())?;
+    let config = McConfig::read_identity(&doc, circuits).map_err(|e| format!("manifest {e}"))?;
+    let shards = doc
+        .get("shards")
+        .and_then(super::json::Json::as_usize)
+        .ok_or("manifest missing usize `shards`")?;
     Ok((config, shards))
 }
 
-/// Describes how `found` differs from the campaign `expected`; `None`
-/// when they describe the same campaign.
+/// Describes how `found` differs from the campaign `expected`
+/// ([`McConfig::mismatch`] plus the shard count, which fixes the slice
+/// every checkpoint holds); `None` when they describe the same campaign.
 fn campaign_mismatch(
     expected: &McConfig,
     expected_shards: usize,
     found: &McConfig,
     found_shards: usize,
 ) -> Option<String> {
-    let mut diffs = Vec::new();
-    if found.seed != expected.seed {
-        diffs.push(format!("seed {} != {}", found.seed, expected.seed));
-    }
-    if found.samples != expected.samples {
-        diffs.push(format!("samples {} != {}", found.samples, expected.samples));
-    }
-    if found.defect_rate.to_bits() != expected.defect_rate.to_bits() {
-        diffs.push(format!(
-            "defect_rate {} != {}",
-            found.defect_rate, expected.defect_rate
-        ));
-    }
-    if found.stream != expected.stream {
-        diffs.push(format!(
-            "rng stream {} != {}",
-            found.stream, expected.stream
-        ));
-    }
-    if found.model != expected.model {
-        diffs.push(format!(
-            "defect_model {} != {}",
-            found.model, expected.model
-        ));
-    }
-    if found.circuits != expected.circuits {
-        diffs.push(format!(
-            "circuits {:?} != {:?}",
-            found.circuits, expected.circuits
-        ));
-    }
+    let mut diffs: Vec<String> = expected.mismatch(found).into_iter().collect();
     if found_shards != expected_shards {
         diffs.push(format!("shards {found_shards} != {expected_shards}"));
     }
-    if diffs.is_empty() {
-        None
-    } else {
-        Some(diffs.join(", "))
-    }
+    (!diffs.is_empty()).then(|| diffs.join(", "))
 }
 
 /// An exclusive claim on a campaign run directory, held for the
@@ -724,45 +611,8 @@ pub(crate) fn preflight_run_dir(
 }
 
 // ---------------------------------------------------------------------------
-// Worker argv and the local runner
+// The local runner
 // ---------------------------------------------------------------------------
-
-/// The shard-describing worker flags every dispatch shares: campaign
-/// identity plus the shard slice (model flags only for non-default
-/// models, so default campaigns keep the exact pre-model argv). Excludes
-/// `--out`: the scheduler streams every partial over stdout (`--out -`).
-pub(crate) fn worker_shard_args(config: &McConfig, spec: &ShardSpec) -> Vec<String> {
-    let mut args = vec![
-        "--samples".to_owned(),
-        config.samples.to_string(),
-        "--seed".to_owned(),
-        config.seed.to_string(),
-        "--defect-rate".to_owned(),
-        // Shortest-round-trip text: the worker parses back the exact bits.
-        format!("{:?}", config.defect_rate),
-        "--rng-stream".to_owned(),
-        config.stream.as_str().to_owned(),
-    ];
-    if !config.model.is_default() {
-        args.push("--defect-model".to_owned());
-        args.push(config.model.kind().as_str().to_owned());
-        if config.model.uses_cluster() {
-            args.push("--cluster-size".to_owned());
-            args.push(format!("{:?}", config.model.cluster_size()));
-        }
-        if config.model.uses_lines() {
-            args.push("--line-rate".to_owned());
-            args.push(format!("{:?}", config.model.line_rate()));
-        }
-    }
-    args.push("--circuits".to_owned());
-    args.push(config.circuits.join(","));
-    args.push("--shard-index".to_owned());
-    args.push(spec.index.to_string());
-    args.push("--num-shards".to_owned());
-    args.push(spec.num_shards.to_string());
-    args
-}
 
 /// Runs the sharded campaign and returns the merged result (see
 /// [`run_coordinator_with_report`] for the full contract).
@@ -824,37 +674,7 @@ pub fn render_stats_json(merged: &MergedResult) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"schema\": \"{MERGED_SCHEMA}\",");
     let _ = writeln!(out, "  \"experiment\": \"table2\",");
-    let _ = writeln!(out, "  \"seed\": {},", merged.config.seed);
-    let _ = writeln!(out, "  \"defect_rate\": {:?},", merged.config.defect_rate);
-    let _ = writeln!(out, "  \"samples\": {},", merged.config.samples);
-    // V1 artifacts keep their pre-versioning bytes; V2 campaigns declare
-    // the stream they were sampled under.
-    if merged.config.stream != SampleStream::V1 {
-        let _ = writeln!(out, "  \"rng_stream\": \"{}\",", merged.config.stream);
-    }
-    // Same freeze rule for the spatial model: default (i.i.d.) artifacts
-    // keep their pre-model bytes.
-    if !merged.config.model.is_default() {
-        let _ = writeln!(
-            out,
-            "  \"defect_model\": \"{}\",",
-            merged.config.model.kind().as_str()
-        );
-        if merged.config.model.uses_cluster() {
-            let _ = writeln!(
-                out,
-                "  \"cluster_size\": {:?},",
-                merged.config.model.cluster_size()
-            );
-        }
-        if merged.config.model.uses_lines() {
-            let _ = writeln!(
-                out,
-                "  \"line_rate\": {:?},",
-                merged.config.model.line_rate()
-            );
-        }
-    }
+    merged.config.write_identity(&mut out);
     let _ = writeln!(out, "  \"circuits\": [");
     for (idx, (name, accum)) in merged.circuits.iter().enumerate() {
         let comma = if idx + 1 < merged.circuits.len() {
@@ -914,6 +734,7 @@ pub fn render_timing_table(merged: &MergedResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xbar_core::{DefectModelKind, DefectModelSpec, SampleStream};
 
     fn config() -> McConfig {
         McConfig {
@@ -987,7 +808,7 @@ mod tests {
         let mut partials = partials_for(&config, 2);
         partials[1].config.stream = SampleStream::V2;
         let err = merge_partials(&config, &partials).expect_err("must fail");
-        assert!(err.contains("rng stream"), "{err}");
+        assert!(err.contains("rng_stream"), "{err}");
     }
 
     #[test]
@@ -1011,7 +832,7 @@ mod tests {
         let mut partials = partials_for(&config, 2);
         partials[1].config.model = clustered_model();
         let err = merge_partials(&config, &partials).expect_err("must fail");
-        assert!(err.contains("defect model"), "{err}");
+        assert!(err.contains("defect_model"), "{err}");
     }
 
     #[test]
@@ -1127,6 +948,15 @@ mod tests {
         assert_eq!(back, config);
         assert_eq!(shards, 3);
         assert!(campaign_mismatch(&config, 3, &back, shards).is_none());
+        // Manifests from before partials and manifests shared one identity
+        // encoding spell out the default stream; they still read.
+        let legacy = "{\n  \"schema\": \"xbar-mc-campaign/1\",\n  \"seed\": 5,\n  \
+                      \"defect_rate\": 0.1,\n  \"samples\": 20,\n  \"shards\": 3,\n  \
+                      \"rng_stream\": \"v1\",\n  \"circuits\": [\"rd53\"]\n}\n";
+        assert_eq!(
+            parse_campaign_manifest(legacy).expect("legacy layout"),
+            (config.clone(), 3)
+        );
 
         let mut other = config.clone();
         other.defect_rate = 0.25;
@@ -1139,24 +969,13 @@ mod tests {
         other.model = clustered_model();
         let diff = campaign_mismatch(&config, 3, &other, 3).expect("must differ");
         assert!(diff.contains("defect_model"), "{diff}");
-    }
-
-    #[test]
-    fn modeled_manifest_roundtrips_and_default_manifest_stays_model_free() {
-        let default_text = render_campaign_manifest(&config(), 3, &[]);
-        assert!(!default_text.contains("defect_model"), "{default_text}");
-
-        let config = McConfig {
-            model: DefectModelSpec::new(DefectModelKind::Composite, 2.5, 0.125).expect("valid"),
-            ..self::config()
-        };
-        let text = render_campaign_manifest(&config, 3, &[]);
-        assert!(text.contains("\"defect_model\": \"composite\""), "{text}");
-        assert!(text.contains("\"cluster_size\": 2.5"), "{text}");
-        assert!(text.contains("\"line_rate\": 0.125"), "{text}");
-        let (back, shards) = parse_campaign_manifest(&text).expect("parses");
-        assert_eq!(back, config);
-        assert_eq!(shards, 3);
+        // A non-default campaign's manifest declares and round-trips its
+        // stream and model (a default one never mentions them, above).
+        assert!(!text.contains("rng_stream") && !text.contains("defect_model"));
+        other.stream = SampleStream::V2;
+        let text = render_campaign_manifest(&other, 3, &[]);
+        assert!(text.contains("\"cluster_size\": 3.0"), "{text}");
+        assert_eq!(parse_campaign_manifest(&text).expect("parses"), (other, 3));
     }
 
     #[test]
@@ -1164,8 +983,8 @@ mod tests {
         // A future tool that extends campaign identity must not have its
         // manifests silently reinterpreted by this coordinator.
         let text = render_campaign_manifest(&config(), 3, &[]).replace(
-            "\"rng_stream\": \"v1\",",
-            "\"rng_stream\": \"v1\",\n  \"voltage_drift\": 0.3,",
+            "\"shards\": 3,",
+            "\"shards\": 3,\n  \"voltage_drift\": 0.3,",
         );
         let err = parse_campaign_manifest(&text).expect_err("must fail");
         assert!(err.contains("voltage_drift"), "{err}");

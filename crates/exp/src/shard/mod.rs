@@ -24,6 +24,14 @@
 //! * runtime moments (Welford) merge deterministically for a fixed layout
 //!   but are wall-clock measurements, so they stay out of byte-compared
 //!   artifacts.
+//!
+//! A campaign ([`McConfig`]) has one vocabulary and one encoding. On the
+//! command line it is `xbar run table2`'s flags, read by
+//! `McConfig::from_params` and written for workers by
+//! `McConfig::campaign_args`; in partials, the merged artifact and the
+//! run-directory manifest it is the fields of
+//! `McConfig::write_identity`, read back by `McConfig::read_identity`
+//! and compared by `McConfig::mismatch`.
 
 pub mod cli;
 pub mod coordinator;
@@ -31,7 +39,12 @@ pub mod json;
 pub mod partial;
 
 use crate::cli::ExpArgs;
-use crate::experiments::table2::{run_circuit_range, table2_circuit_names, CircuitAccum};
+use crate::experiment::Params;
+use crate::experiments::table2::{
+    resolve_circuit_subset, run_circuit_range, table2_circuit_names, CircuitAccum,
+};
+use json::Json;
+use std::fmt::Write as _;
 use std::ops::Range;
 use xbar_core::{DefectModelKind, DefectModelSpec, SampleStream};
 use xbar_logic::bench_reg::find;
@@ -132,21 +145,192 @@ impl McConfig {
         }
     }
 
-    /// Checks every circuit name against the benchmark registry.
+    /// The campaign `xbar run table2` would run with `params` — the one
+    /// translation from flags to a campaign, used by every `xbar mc` verb
+    /// and the service.
     ///
     /// # Errors
     ///
-    /// Names the first unknown circuit.
-    pub fn validate(&self) -> Result<(), String> {
-        for name in &self.circuits {
-            if find(name).is_err() {
-                return Err(format!("unknown circuit {name:?} (not in the registry)"));
+    /// Rejects a `--circuits` list that is not `all` or a Table II subset
+    /// without repeats (the same message `xbar run table2` prints).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `params` were not parsed against Table II's flags.
+    pub(crate) fn from_params(params: &Params) -> Result<Self, String> {
+        Ok(Self {
+            samples: params.samples,
+            seed: params.seed,
+            defect_rate: params.defect_rate,
+            stream: params.sample_stream(),
+            model: params.defect_model(),
+            circuits: resolve_circuit_subset(params.list("circuits")).map_err(|e| e.to_string())?,
+        })
+    }
+
+    /// This campaign as `xbar run table2` flags — what every `xbar mc`
+    /// worker is handed and parses back (the inverse of the crate's
+    /// flags-to-campaign translation): floats in shortest-round-trip text,
+    /// so they parse back to the exact bits, and model flags only for
+    /// non-default models.
+    #[must_use]
+    pub fn campaign_args(&self) -> Vec<String> {
+        let mut args = vec![
+            "--samples".to_owned(),
+            self.samples.to_string(),
+            "--seed".to_owned(),
+            self.seed.to_string(),
+            "--defect-rate".to_owned(),
+            format!("{:?}", self.defect_rate),
+            "--rng-stream".to_owned(),
+            self.stream.as_str().to_owned(),
+        ];
+        if !self.model.is_default() {
+            args.push("--defect-model".to_owned());
+            args.push(self.model.kind().as_str().to_owned());
+            if self.model.uses_cluster() {
+                args.push("--cluster-size".to_owned());
+                args.push(format!("{:?}", self.model.cluster_size()));
             }
+            if self.model.uses_lines() {
+                args.push("--line-rate".to_owned());
+                args.push(format!("{:?}", self.model.line_rate()));
+            }
+        }
+        args.push("--circuits".to_owned());
+        args.push(self.circuits.join(","));
+        args
+    }
+
+    /// Checks the campaign by the rules its flags obey: a defect rate in
+    /// `[0, 1]` and a non-empty list of Table II circuits without repeats.
+    ///
+    /// # Errors
+    ///
+    /// Names the first offending value.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(0.0..=1.0).contains(&self.defect_rate) {
+            return Err(format!(
+                "defect rate {} is not a probability in [0, 1]",
+                self.defect_rate
+            ));
         }
         if self.circuits.is_empty() {
             return Err("no circuits selected".to_owned());
         }
-        Ok(())
+        match resolve_circuit_subset(&self.circuits) {
+            Ok(resolved) if resolved == self.circuits => Ok(()),
+            Ok(_) => Err("circuit selector `all` must be resolved before running".to_owned()),
+            Err(e) => Err(e.to_string()),
+        }
+    }
+
+    /// Writes the identity fields every campaign document carries —
+    /// shard partials, the merged stats artifact and the run-directory
+    /// manifest — as `"key": value,` lines: `seed`, `defect_rate` and
+    /// `samples` always, `rng_stream` and the defect-model fields only
+    /// when non-default, so default campaigns keep the bytes they had
+    /// before streams and models existed. Floats are written in
+    /// shortest-round-trip form. [`McConfig::read_identity`] reads them
+    /// back.
+    pub(crate) fn write_identity(&self, out: &mut String) {
+        let _ = writeln!(out, "  \"seed\": {},", self.seed);
+        let _ = writeln!(out, "  \"defect_rate\": {:?},", self.defect_rate);
+        let _ = writeln!(out, "  \"samples\": {},", self.samples);
+        if self.stream != SampleStream::V1 {
+            let _ = writeln!(out, "  \"rng_stream\": \"{}\",", self.stream);
+        }
+        if !self.model.is_default() {
+            let _ = writeln!(
+                out,
+                "  \"defect_model\": \"{}\",",
+                self.model.kind().as_str()
+            );
+            if self.model.uses_cluster() {
+                let _ = writeln!(out, "  \"cluster_size\": {:?},", self.model.cluster_size());
+            }
+            if self.model.uses_lines() {
+                let _ = writeln!(out, "  \"line_rate\": {:?},", self.model.line_rate());
+            }
+        }
+    }
+
+    /// Reads the fields [`McConfig::write_identity`] writes out of a
+    /// parsed document, with the document's own `circuits`. An absent
+    /// `rng_stream` or model field means its default, which is also how
+    /// documents from before streams and models existed read.
+    ///
+    /// # Errors
+    ///
+    /// Names a missing or mistyped field, or an unknown stream or model.
+    pub(crate) fn read_identity(doc: &Json, circuits: Vec<String>) -> Result<Self, String> {
+        let u64_field = |key: &str| {
+            doc.get(key)
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("missing u64 `{key}`"))
+        };
+        let str_or = |key: &str, default: &'static str| match doc.get(key) {
+            None => Ok(default),
+            Some(value) => value
+                .as_str()
+                .ok_or_else(|| format!("`{key}` is not a string")),
+        };
+        let f64_or = |key: &str, default: f64| match doc.get(key) {
+            None => Ok(default),
+            Some(value) => value
+                .as_f64()
+                .ok_or_else(|| format!("`{key}` is not a number")),
+        };
+        Ok(Self {
+            samples: usize::try_from(u64_field("samples")?)
+                .map_err(|_| "`samples` exceeds usize".to_owned())?,
+            seed: u64_field("seed")?,
+            defect_rate: doc
+                .get("defect_rate")
+                .and_then(Json::as_f64)
+                .ok_or("missing f64 `defect_rate`")?,
+            stream: SampleStream::parse(str_or("rng_stream", SampleStream::V1.as_str())?)?,
+            model: DefectModelSpec::new(
+                DefectModelKind::parse(str_or("defect_model", DefectModelKind::Iid.as_str())?)?,
+                f64_or("cluster_size", DefectModelSpec::DEFAULT_CLUSTER_SIZE)?,
+                f64_or("line_rate", DefectModelSpec::DEFAULT_LINE_RATE)?,
+            )?,
+            circuits,
+        })
+    }
+
+    /// How `found` differs from this campaign, field by field (`key found
+    /// != expected`, floats compared bit for bit); `None` when both
+    /// describe the same campaign. The one identity check behind both
+    /// the partial validation and the run-directory manifest check.
+    #[must_use]
+    pub(crate) fn mismatch(&self, found: &McConfig) -> Option<String> {
+        let mut diffs = Vec::new();
+        if found.seed != self.seed {
+            diffs.push(format!("seed {} != {}", found.seed, self.seed));
+        }
+        if found.samples != self.samples {
+            diffs.push(format!("samples {} != {}", found.samples, self.samples));
+        }
+        if found.defect_rate.to_bits() != self.defect_rate.to_bits() {
+            diffs.push(format!(
+                "defect_rate {} != {}",
+                found.defect_rate, self.defect_rate
+            ));
+        }
+        if found.stream != self.stream {
+            diffs.push(format!("rng_stream {} != {}", found.stream, self.stream));
+        }
+        if found.model != self.model {
+            diffs.push(format!("defect_model {} != {}", found.model, self.model));
+        }
+        if found.circuits != self.circuits {
+            diffs.push(format!(
+                "circuits {:?} != {:?}",
+                found.circuits, self.circuits
+            ));
+        }
+        (!diffs.is_empty()).then(|| diffs.join(", "))
     }
 
     /// The equivalent single-process experiment arguments.
@@ -159,124 +343,6 @@ impl McConfig {
             stream: self.stream,
             model: self.model,
             csv: None,
-        }
-    }
-}
-
-/// Campaign-level CLI flags shared by `mc shard`, `mc coordinate` and
-/// `mc launch`, so they cannot drift apart on how a campaign is described.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CampaignFlags {
-    /// Total Monte Carlo samples (`--samples`, default 200).
-    pub samples: usize,
-    /// Experiment seed (`--seed`, default 2018).
-    pub seed: u64,
-    /// Stuck-open probability (`--defect-rate`, default 0.10).
-    pub defect_rate: f64,
-    /// Defect sampling stream (`--rng-stream`, default `v1`).
-    pub stream: SampleStream,
-    /// Spatial defect model kind (`--defect-model`, default `iid`).
-    pub model_kind: DefectModelKind,
-    /// Mean defect cluster size (`--cluster-size`, default 4).
-    pub cluster_size: f64,
-    /// Broken-line probability (`--line-rate`, default 0.02).
-    pub line_rate: f64,
-    /// Explicit circuit list (`--circuits`); `None` = the Table II set.
-    pub circuits: Option<Vec<String>>,
-}
-
-impl Default for CampaignFlags {
-    fn default() -> Self {
-        Self {
-            samples: 200,
-            seed: 2018,
-            defect_rate: 0.10,
-            stream: SampleStream::V1,
-            model_kind: DefectModelKind::Iid,
-            cluster_size: DefectModelSpec::DEFAULT_CLUSTER_SIZE,
-            line_rate: DefectModelSpec::DEFAULT_LINE_RATE,
-            circuits: None,
-        }
-    }
-}
-
-/// The usage lines for the flags [`CampaignFlags::consume`] accepts.
-pub const CAMPAIGN_FLAGS_USAGE: &str =
-    "  --samples N        total campaign samples (default 200)\n  \
---seed N           experiment seed (default 2018)\n  \
---defect-rate F    stuck-open probability (default 0.10)\n  \
---rng-stream v1|v2 defect sampling stream (default v1)\n  \
---defect-model M   iid|clustered|lines|composite (default iid)\n  \
---cluster-size F   mean defect cluster size, >= 1 (default 4)\n  \
---line-rate F      broken-line probability in [0, 1] (default 0.02)\n  \
---circuits a,b     registry circuits (default: the Table II set)";
-
-impl CampaignFlags {
-    /// Tries to consume one campaign flag (plus its value from `it`);
-    /// `Ok(false)` when `flag` is not a campaign flag.
-    ///
-    /// # Errors
-    ///
-    /// Reports a missing or malformed value (the CLI prints it with usage
-    /// text and exits with code 2 — never a panic/backtrace).
-    pub fn consume(
-        &mut self,
-        flag: &str,
-        it: &mut dyn Iterator<Item = String>,
-    ) -> Result<bool, String> {
-        let value = |it: &mut dyn Iterator<Item = String>| cli::flag_value(flag, it);
-        let float = |it: &mut dyn Iterator<Item = String>| -> Result<f64, String> {
-            let text = value(it)?;
-            text.parse()
-                .map_err(|_| format!("{flag}: expected a float, got {text:?}"))
-        };
-        match flag {
-            "--samples" => self.samples = cli::flag_num(flag, &value(it)?)?,
-            "--seed" => self.seed = cli::flag_num(flag, &value(it)?)?,
-            "--defect-rate" => {
-                let rate = float(it)?;
-                if !rate.is_finite() {
-                    return Err(format!("{flag} must be finite"));
-                }
-                self.defect_rate = rate;
-            }
-            "--rng-stream" => self.stream = SampleStream::parse(&value(it)?)?,
-            "--defect-model" => self.model_kind = DefectModelKind::parse(&value(it)?)?,
-            "--cluster-size" => {
-                let size = float(it)?;
-                if !size.is_finite() || size < 1.0 {
-                    return Err(format!("{flag} must be at least 1"));
-                }
-                self.cluster_size = size;
-            }
-            "--line-rate" => {
-                let rate = float(it)?;
-                if !rate.is_finite() || !(0.0..=1.0).contains(&rate) {
-                    return Err(format!("{flag} must be a probability in [0, 1]"));
-                }
-                self.line_rate = rate;
-            }
-            "--circuits" => {
-                self.circuits = Some(value(it)?.split(',').map(str::to_owned).collect());
-            }
-            _ => return Ok(false),
-        }
-        Ok(true)
-    }
-
-    /// Resolves into a campaign configuration (defaulting the circuit
-    /// list to the Table II set).
-    #[must_use]
-    pub fn into_config(self) -> McConfig {
-        let model = DefectModelSpec::new(self.model_kind, self.cluster_size, self.line_rate)
-            .expect("consume() range-checked the model parameters");
-        McConfig {
-            samples: self.samples,
-            seed: self.seed,
-            defect_rate: self.defect_rate,
-            stream: self.stream,
-            model,
-            circuits: self.circuits.unwrap_or_else(table2_circuit_names),
         }
     }
 }
@@ -309,6 +375,7 @@ pub fn run_shard(config: &McConfig, spec: &ShardSpec) -> partial::ShardPartial {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::table2::TABLE2_PARAMS;
 
     #[test]
     fn partition_tiles_the_range_exactly() {
@@ -350,10 +417,13 @@ mod tests {
         assert_eq!(parts.iter().map(ShardSpec::len).sum::<usize>(), 2);
     }
 
+    fn table2_params(words: &[&str]) -> Params {
+        Params::parse(TABLE2_PARAMS, words.iter().map(|s| (*s).to_owned())).expect("parses")
+    }
+
     #[test]
-    fn campaign_flags_consume_shared_flags_and_resolve_defaults() {
-        let mut flags = CampaignFlags::default();
-        let words = [
+    fn from_params_reads_the_campaign_xbar_run_table2_would_run() {
+        let config = McConfig::from_params(&table2_params(&[
             "--samples",
             "50",
             "--seed",
@@ -362,36 +432,108 @@ mod tests {
             "0.25",
             "--circuits",
             "rd53,bw",
-        ];
-        let mut it = words.iter().map(|s| (*s).to_owned());
-        while let Some(flag) = it.next() {
-            assert_eq!(
-                flags.consume(&flag, &mut it),
-                Ok(true),
-                "{flag} must be consumed"
-            );
-        }
-        let mut other = ["--shards".to_owned()].into_iter();
-        assert_eq!(
-            flags.consume("--shards", &mut other),
-            Ok(false),
-            "non-campaign flags are left for the caller"
-        );
-        let mut empty = std::iter::empty();
-        let err = flags
-            .consume("--samples", &mut empty)
-            .expect_err("missing value is an error, not a panic");
-        assert!(err.contains("needs a value"), "{err}");
-        let mut bad = ["many".to_owned()].into_iter();
-        let err = flags.consume("--samples", &mut bad).expect_err("must fail");
-        assert!(err.contains("expected a number"), "{err}");
-        let config = flags.into_config();
+        ]))
+        .expect("a Table II subset");
         assert_eq!(config.samples, 50);
         assert_eq!(config.seed, 9);
         assert_eq!(config.circuits, ["rd53", "bw"]);
 
-        let defaulted = CampaignFlags::default().into_config();
-        assert_eq!(defaulted.circuits, table2_circuit_names());
+        let defaulted = McConfig::from_params(&table2_params(&[])).expect("defaults");
+        assert_eq!(defaulted, McConfig::with_default_circuits(200, 2018, 0.10));
+
+        for (circuits, needle) in [("rd53,rd53", "listed twice"), ("t481", "not a Table II")] {
+            let err = McConfig::from_params(&table2_params(&["--circuits", circuits]))
+                .expect_err("table2 refuses it, so every mc verb does");
+            assert!(err.contains(needle), "{circuits}: {err}");
+        }
+    }
+
+    /// Campaigns over every stream and model, with awkward floats.
+    fn campaigns() -> Vec<McConfig> {
+        let kinds = [
+            DefectModelKind::Iid,
+            DefectModelKind::Clustered,
+            DefectModelKind::Lines,
+            DefectModelKind::Composite,
+        ];
+        let mut out = Vec::new();
+        for (i, kind) in kinds.into_iter().enumerate() {
+            for stream in [SampleStream::V1, SampleStream::V2] {
+                out.push(McConfig {
+                    samples: 33,
+                    seed: u64::MAX - i as u64,
+                    defect_rate: [0.1 + 0.2, 0.0, 1.0, 0.1][i],
+                    stream,
+                    model: DefectModelSpec::new(kind, 2.5, 0.1 + 0.2).expect("valid"),
+                    circuits: vec!["misex1".to_owned(), "rd53".to_owned()],
+                });
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn every_campaign_round_trips_through_its_flags_and_its_documents() {
+        for config in campaigns() {
+            // Flags: what the scheduler hands a worker, the worker reads
+            // back bit for bit.
+            let args = config.campaign_args();
+            let flags = McConfig::from_params(&table2_params(
+                &args.iter().map(String::as_str).collect::<Vec<_>>(),
+            ));
+            assert_eq!(flags.expect("the worker accepts it"), config);
+
+            // Documents: defaults are omitted, everything else reads back.
+            let mut text = String::from("{\n");
+            config.write_identity(&mut text);
+            text.push_str("  \"end\": true\n}\n");
+            let doc = Json::parse(&text).expect("valid JSON");
+            let back = McConfig::read_identity(&doc, config.circuits.clone()).expect("reads");
+            assert_eq!(back, config, "{text}");
+            assert_eq!(back.defect_rate.to_bits(), config.defect_rate.to_bits());
+            assert_eq!(
+                text.contains("rng_stream"),
+                config.stream != SampleStream::V1
+            );
+            for key in ["defect_model", "cluster_size", "line_rate"] {
+                let used = match key {
+                    "defect_model" => !config.model.is_default(),
+                    "cluster_size" => config.model.uses_cluster(),
+                    _ => config.model.uses_lines(),
+                };
+                assert_eq!(text.contains(key), used, "{key}: {text}");
+            }
+        }
+        for (bad, needle) in [
+            (r#""seed": 1, "rng_stream": "v9""#, "v9"),
+            (r#""seed": 1, "rng_stream": 2"#, "not a string"),
+            (r#""seed": 1, "defect_model": "blobs""#, "blobs"),
+            (r#""seed": 1, "cluster_size": "big""#, "not a number"),
+            (r#""seed": -1"#, "missing u64 `seed`"),
+        ] {
+            let text = format!("{{\"samples\": 2, \"defect_rate\": 0.1, {bad}}}");
+            let doc = Json::parse(&text).expect("valid JSON");
+            let err = McConfig::read_identity(&doc, Vec::new()).expect_err(bad);
+            assert!(err.contains(needle), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn mismatch_names_every_differing_field() {
+        let config = McConfig::with_default_circuits(10, 1, 0.1);
+        assert_eq!(config.mismatch(&config), None);
+        let model = DefectModelSpec::new(DefectModelKind::Lines, 4.0, 0.5).expect("valid");
+        let other = McConfig {
+            seed: 2,
+            stream: SampleStream::V2,
+            model,
+            ..config.clone()
+        };
+        let diff = config.mismatch(&other).expect("differs");
+        for key in ["seed 2 != 1", "rng_stream v2 != v1", "defect_model"] {
+            assert!(diff.contains(key), "{key}: {diff}");
+        }
+        assert!(!diff.contains("samples"), "{diff}");
     }
 
     #[test]
@@ -401,5 +543,19 @@ mod tests {
         config.circuits.push("no-such-circuit".to_owned());
         let err = config.validate().expect_err("must fail");
         assert!(err.contains("no-such-circuit"), "{err}");
+
+        // The library holds campaigns to the rules of their flags.
+        let mut repeated = McConfig::with_default_circuits(10, 1, 0.1);
+        repeated.circuits.push("rd53".to_owned());
+        assert!(repeated.validate().is_err());
+        let mut selector = McConfig::with_default_circuits(10, 1, 0.1);
+        selector.circuits = vec!["all".to_owned()];
+        assert!(selector.validate().is_err());
+        for rate in [1.5, -0.1, f64::NAN] {
+            let err = McConfig::with_default_circuits(10, 1, rate)
+                .validate()
+                .expect_err("not a probability");
+            assert!(err.contains("[0, 1]"), "{err}");
+        }
     }
 }

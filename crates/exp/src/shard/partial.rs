@@ -14,7 +14,6 @@ use super::{McConfig, ShardSpec};
 use crate::experiments::table2::CircuitAccum;
 use std::fmt::Write as _;
 use xbar_core::stats::{Moments, SuccessCount};
-use xbar_core::{DefectModelKind, DefectModelSpec, SampleStream};
 
 /// Schema tag written into (and required from) every partial file.
 pub const PARTIAL_SCHEMA: &str = "xbar-mc-partial/1";
@@ -68,67 +67,11 @@ fn parse_moments(value: &Json, context: &str) -> Result<Moments, String> {
 }
 
 impl ShardPartial {
-    /// Checks this partial's embedded configuration echo against a
-    /// campaign — the shared gate the coordinator applies before a
-    /// partial may contribute to a merge.
-    ///
-    /// # Errors
-    ///
-    /// Names the first disagreeing field.
-    pub fn validate_config_echo(&self, config: &McConfig) -> Result<(), String> {
-        if self.config.samples != config.samples {
-            return Err(format!(
-                "samples {} != campaign {}",
-                self.config.samples, config.samples
-            ));
-        }
-        if self.config.seed != config.seed {
-            return Err(format!(
-                "seed {} != campaign {}",
-                self.config.seed, config.seed
-            ));
-        }
-        if self.config.defect_rate.to_bits() != config.defect_rate.to_bits() {
-            return Err(format!(
-                "defect_rate {} != campaign {}",
-                self.config.defect_rate, config.defect_rate
-            ));
-        }
-        if self.config.stream != config.stream {
-            return Err(format!(
-                "rng stream {} != campaign {} (a shard sampled under a \
-                 different stream cannot merge into this campaign)",
-                self.config.stream, config.stream
-            ));
-        }
-        if self.config.model != config.model {
-            return Err(format!(
-                "defect model {} != campaign {} (a shard sampled under a \
-                 different spatial model cannot merge into this campaign)",
-                self.config.model, config.model
-            ));
-        }
-        if self.config.circuits != config.circuits {
-            return Err(format!(
-                "circuit list {:?} != campaign {:?}",
-                self.config.circuits, config.circuits
-            ));
-        }
-        if self.circuits.len() != config.circuits.len() {
-            return Err(format!(
-                "{} circuit entries, campaign has {}",
-                self.circuits.len(),
-                config.circuits.len()
-            ));
-        }
-        Ok(())
-    }
-
     /// Full per-file validation: the configuration echo, the exact slice
-    /// the coordinator expected this file to hold, and per-circuit folded
-    /// sample counts. Applied both to a worker's fresh output and to
-    /// checkpoint files found by `--resume` — a stale, foreign, or torn
-    /// partial can never be merged.
+    /// the scheduler expected this file to hold, and per-circuit folded
+    /// sample counts. Applied to every worker's output, to checkpoint
+    /// files found by `--resume` and again at merge time — a stale,
+    /// foreign, or torn partial can never be merged.
     ///
     /// # Errors
     ///
@@ -140,7 +83,19 @@ impl ShardPartial {
                 self.spec, spec
             ));
         }
-        self.validate_config_echo(config)?;
+        if let Some(diff) = config.mismatch(&self.config) {
+            return Err(format!(
+                "config echo is not the campaign's ({diff}); a shard sampled under \
+                 another campaign cannot merge into this one"
+            ));
+        }
+        if self.circuits.len() != config.circuits.len() {
+            return Err(format!(
+                "{} circuit entries, campaign has {}",
+                self.circuits.len(),
+                config.circuits.len()
+            ));
+        }
         let expected: u64 = spec.len() as u64;
         for ((name, accum), campaign_name) in self.circuits.iter().zip(&config.circuits) {
             if name != campaign_name {
@@ -164,42 +119,7 @@ impl ShardPartial {
         let mut out = String::from("{\n");
         let _ = writeln!(out, "  \"schema\": \"{PARTIAL_SCHEMA}\",");
         let _ = writeln!(out, "  \"experiment\": \"table2\",");
-        let _ = writeln!(out, "  \"seed\": {},", self.config.seed);
-        let _ = writeln!(
-            out,
-            "  \"defect_rate\": {},",
-            fmt_f64(self.config.defect_rate)
-        );
-        let _ = writeln!(out, "  \"samples\": {},", self.config.samples);
-        // Echoed only for non-default streams: V1 partials keep the exact
-        // bytes they had before stream versioning existed.
-        if self.config.stream != SampleStream::V1 {
-            let _ = writeln!(out, "  \"rng_stream\": \"{}\",", self.config.stream);
-        }
-        // Same freeze rule for the spatial model: default (i.i.d.) partials
-        // keep their pre-model bytes; non-default models declare their kind
-        // and whichever parameters that kind consumes.
-        if !self.config.model.is_default() {
-            let _ = writeln!(
-                out,
-                "  \"defect_model\": \"{}\",",
-                self.config.model.kind().as_str()
-            );
-            if self.config.model.uses_cluster() {
-                let _ = writeln!(
-                    out,
-                    "  \"cluster_size\": {},",
-                    fmt_f64(self.config.model.cluster_size())
-                );
-            }
-            if self.config.model.uses_lines() {
-                let _ = writeln!(
-                    out,
-                    "  \"line_rate\": {},",
-                    fmt_f64(self.config.model.line_rate())
-                );
-            }
-        }
+        self.config.write_identity(&mut out);
         let _ = writeln!(
             out,
             "  \"shard\": {{\"index\": {}, \"num_shards\": {}, \"start\": {}, \"end\": {}}},",
@@ -253,11 +173,6 @@ impl ShardPartial {
         if doc.get("complete").and_then(Json::as_bool) != Some(true) {
             return Err("partial not marked complete (torn write?)".to_owned());
         }
-        let u64_field = |key: &str| {
-            doc.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("partial missing u64 `{key}`"))
-        };
         let shard = doc.get("shard").ok_or("partial missing `shard`")?;
         let shard_field = |key: &str| {
             shard
@@ -326,43 +241,9 @@ impl ShardPartial {
             };
             circuits.push((name, accum));
         }
-        // Absent in files written before spatial models existed (and by
-        // default-model workers today): both mean i.i.d. sampling.
-        let model_kind = match doc.get("defect_model").map(Json::as_str) {
-            None => DefectModelKind::Iid,
-            Some(Some(name)) => DefectModelKind::parse(name)?,
-            Some(None) => return Err("`defect_model` is not a string".to_owned()),
-        };
-        let f64_opt = |key: &str, default: f64| match doc.get(key).map(Json::as_f64) {
-            None => Ok(default),
-            Some(Some(v)) => Ok(v),
-            Some(None) => Err(format!("`{key}` is not a number")),
-        };
-        let model = DefectModelSpec::new(
-            model_kind,
-            f64_opt("cluster_size", DefectModelSpec::DEFAULT_CLUSTER_SIZE)?,
-            f64_opt("line_rate", DefectModelSpec::DEFAULT_LINE_RATE)?,
-        )?;
+        let names = circuits.iter().map(|(name, _)| name.clone()).collect();
         Ok(ShardPartial {
-            config: McConfig {
-                samples: u64_field("samples")?
-                    .try_into()
-                    .map_err(|_| "samples exceeds usize".to_owned())?,
-                seed: u64_field("seed")?,
-                defect_rate: doc
-                    .get("defect_rate")
-                    .and_then(Json::as_f64)
-                    .ok_or("partial missing f64 `defect_rate`")?,
-                // Absent in files written before stream versioning (and by
-                // V1 workers today): both mean the frozen V1 stream.
-                stream: match doc.get("rng_stream").map(Json::as_str) {
-                    None => SampleStream::V1,
-                    Some(Some(name)) => SampleStream::parse(name)?,
-                    Some(None) => return Err("`rng_stream` is not a string".to_owned()),
-                },
-                model,
-                circuits: circuits.iter().map(|(name, _)| name.clone()).collect(),
-            },
+            config: McConfig::read_identity(&doc, names).map_err(|e| format!("partial {e}"))?,
             spec,
             circuits,
         })
@@ -372,6 +253,7 @@ impl ShardPartial {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xbar_core::{DefectModelKind, DefectModelSpec, SampleStream};
 
     fn sample_partial() -> ShardPartial {
         let mut accum = CircuitAccum::new();
@@ -414,85 +296,23 @@ mod tests {
         assert_eq!(a.ea_time.m2.to_bits(), b.ea_time.m2.to_bits());
         // Writing again produces the identical document.
         assert_eq!(back.to_json(), json);
-    }
 
-    #[test]
-    fn v1_partials_never_mention_the_stream_and_v2_partials_roundtrip() {
-        // V1 files must keep their pre-versioning bytes (the sharded
-        // byte-identity guarantee reaches into the partial format), while
-        // V2 files must declare their stream and round-trip it.
-        let v1 = sample_partial();
-        assert!(!v1.to_json().contains("rng_stream"));
-
-        let mut v2 = sample_partial();
-        v2.config.stream = SampleStream::V2;
-        let json = v2.to_json();
-        assert!(json.contains("\"rng_stream\": \"v2\""), "{json}");
-        let back = ShardPartial::from_json(&json).expect("parses");
-        assert_eq!(back, v2);
-        assert_eq!(back.config.stream, SampleStream::V2);
-        assert_eq!(back.to_json(), json);
-    }
-
-    #[test]
-    fn default_model_partials_never_mention_the_model_and_others_roundtrip() {
-        // The byte-freeze rule extends to spatial models: default (i.i.d.)
-        // partials carry no model keys at all, each non-default kind
-        // declares itself plus exactly the parameters it consumes.
-        let iid = sample_partial();
-        let json = iid.to_json();
-        for key in ["defect_model", "cluster_size", "line_rate"] {
+        // The identity header is the shared campaign encoding: a default
+        // campaign's partial keeps its pre-stream, pre-model bytes, and a
+        // non-default one declares (and round-trips) its stream and model.
+        for key in ["rng_stream", "defect_model", "cluster_size", "line_rate"] {
             assert!(!json.contains(key), "{key} leaked into a default partial");
         }
-
-        let mut clustered = sample_partial();
-        clustered.config.model =
-            DefectModelSpec::new(DefectModelKind::Clustered, 6.5, 0.5).expect("valid");
-        let json = clustered.to_json();
-        assert!(json.contains("\"defect_model\": \"clustered\""), "{json}");
-        assert!(json.contains("\"cluster_size\": 6.5"), "{json}");
-        assert!(!json.contains("line_rate"), "clustered ignores line_rate");
-        let back = ShardPartial::from_json(&json).expect("parses");
-        assert_eq!(back, clustered);
-        assert_eq!(back.to_json(), json);
-
-        let mut composite = sample_partial();
-        composite.config.model =
+        let mut modeled = partial;
+        modeled.config.stream = SampleStream::V2;
+        modeled.config.model =
             DefectModelSpec::new(DefectModelKind::Composite, 2.0, 0.125).expect("valid");
-        let json = composite.to_json();
-        assert!(json.contains("\"cluster_size\": 2.0"), "{json}");
+        let json = modeled.to_json();
+        assert!(json.contains("\"rng_stream\": \"v2\""), "{json}");
         assert!(json.contains("\"line_rate\": 0.125"), "{json}");
         let back = ShardPartial::from_json(&json).expect("parses");
-        assert_eq!(back, composite);
+        assert_eq!(back, modeled);
         assert_eq!(back.to_json(), json);
-    }
-
-    #[test]
-    fn unknown_defect_model_is_rejected() {
-        let mut lines = sample_partial();
-        lines.config.model =
-            DefectModelSpec::new(DefectModelKind::Lines, 1.0, 0.25).expect("valid");
-        let json = lines.to_json().replace("\"lines\"", "\"blobs\"");
-        let err = ShardPartial::from_json(&json).expect_err("must fail");
-        assert!(err.contains("blobs"), "{err}");
-    }
-
-    #[test]
-    fn model_mismatch_is_rejected_by_the_config_echo() {
-        let partial = sample_partial();
-        let mut other = partial.config.clone();
-        other.model = DefectModelSpec::new(DefectModelKind::Lines, 1.0, 0.02).expect("valid");
-        let err = partial.validate_config_echo(&other).expect_err("must fail");
-        assert!(err.contains("defect model"), "{err}");
-    }
-
-    #[test]
-    fn unknown_rng_stream_is_rejected() {
-        let mut v2 = sample_partial();
-        v2.config.stream = SampleStream::V2;
-        let json = v2.to_json().replace("\"v2\"", "\"v9\"");
-        let err = ShardPartial::from_json(&json).expect_err("must fail");
-        assert!(err.contains("v9"), "{err}");
     }
 
     #[test]
@@ -583,7 +403,7 @@ mod tests {
         let err = partial
             .validate_for(&other_config, &spec)
             .expect_err("stream");
-        assert!(err.contains("rng stream"), "{err}");
+        assert!(err.contains("rng_stream"), "{err}");
 
         let mut short = partial.clone();
         short.circuits[0].1 = CircuitAccum::new();

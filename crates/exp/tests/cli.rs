@@ -473,6 +473,21 @@ fn usage_problems_exit_2_with_help_not_a_backtrace() {
         &["mc", "coordinate", "--shard-timeout", "0"][..],
         &["mc", "coordinate", "--max-inflight", "0"][..],
         &["mc", "coordinate", "--worker-arg"][..],
+        // The campaign flags are `xbar run table2`'s: what it refuses,
+        // every mc verb refuses; `xbar run`'s own flags stay its own.
+        &["mc", "coordinate", "--in-process", "--defect-rate", "1.5"][..],
+        &["mc", "coordinate", "--in-process", "--samples", "0"][..],
+        &[
+            "mc",
+            "coordinate",
+            "--in-process",
+            "--circuits",
+            "rd53,rd53",
+        ][..],
+        &["mc", "coordinate", "--in-process", "--circuits", "t481"][..],
+        &["mc", "coordinate", "--quick"][..],
+        &["mc", "shard", "--defect-rate", "-0.5"][..],
+        &["mc", "shard", "--circuits", "cordic"][..],
     ] {
         let out = xbar(args);
         assert_eq!(
@@ -495,10 +510,42 @@ fn describe_and_help_exit_0() {
         &["run", "table2", "--help"][..],
         &["mc", "shard", "--help"][..],
         &["mc", "coordinate", "--help"][..],
+        &["mc", "launch", "--help"][..],
     ] {
         let out = xbar(args);
         assert!(out.status.success(), "xbar {args:?} failed");
         assert!(!stdout(&out).is_empty());
+    }
+}
+
+#[test]
+fn mc_verbs_list_the_campaign_flags_xbar_describe_table2_lists() {
+    // One vocabulary: every mc verb's usage carries table2's own flag
+    // lines, rendered from the same declarations.
+    let describe = stdout(&xbar(&["describe", "table2"]));
+    let table2_lines: Vec<&str> = describe
+        .lines()
+        .filter(|line| {
+            [
+                "--samples",
+                "--seed",
+                "--defect-rate",
+                "--circuits",
+                "--rng-stream",
+                "--defect-model",
+                "--cluster-size",
+                "--line-rate",
+            ]
+            .iter()
+            .any(|flag| line.trim_start().starts_with(flag))
+        })
+        .collect();
+    assert_eq!(table2_lines.len(), 8, "{describe}");
+    for verb in ["shard", "coordinate", "launch"] {
+        let usage = stdout(&xbar(&["mc", verb, "--help"]));
+        for line in &table2_lines {
+            assert!(usage.contains(line), "mc {verb} lacks {line:?}:\n{usage}");
+        }
     }
 }
 

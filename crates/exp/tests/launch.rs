@@ -492,6 +492,68 @@ fn cli_launch_artifact_is_byte_identical_to_xbar_run_even_under_faults() {
 }
 
 #[test]
+fn cli_launch_speaks_xbar_run_table2_for_non_default_streams_and_models() {
+    // The launch parses its campaign with `xbar run table2`'s own flags,
+    // so a V2 composite-model campaign over a circuit subset yields the
+    // exact `xbar run table2 --json` document, and the same merged stats
+    // as the in-process coordinator.
+    let dir = scratch("vocabulary");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let campaign = [
+        "--samples",
+        "24",
+        "--seed",
+        "5",
+        "--rng-stream",
+        "v2",
+        "--defect-model",
+        "composite",
+        "--cluster-size",
+        "1.5",
+        "--line-rate",
+        "0.01",
+        "--circuits",
+        "misex1,rd53",
+    ];
+    let path = |name: &str| dir.join(name).to_str().expect("utf8").to_owned();
+    let mono = xbar(&[&["run", "table2", "--json"], &campaign[..]].concat());
+    assert!(mono.status.success(), "monolithic run: {}", stderr(&mono));
+    let single = xbar(
+        &[
+            &[
+                "mc",
+                "coordinate",
+                "--in-process",
+                "--out",
+                &path("single.json"),
+            ],
+            &campaign[..],
+        ]
+        .concat(),
+    );
+    assert!(single.status.success(), "in-process: {}", stderr(&single));
+    let launched = xbar(
+        &[
+            &["mc", "launch", "--hosts", "alpha*2", "--shards", "3"][..],
+            &["--work-dir", &path("work"), "--out", &path("stats.json")],
+            &["--artifact", &path("artifact.json")],
+            &campaign,
+        ]
+        .concat(),
+    );
+    assert!(launched.status.success(), "launch: {}", stderr(&launched));
+    let read = |name: &str| std::fs::read_to_string(dir.join(name)).expect("written");
+    assert_eq!(read("artifact.json"), stdout(&mono));
+    assert_eq!(read("stats.json"), read("single.json"));
+    assert!(
+        read("stats.json").contains("\"defect_model\": \"composite\""),
+        "{}",
+        read("stats.json")
+    );
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+#[test]
 fn cli_launch_rejects_bad_fleets_with_usage_not_panic() {
     for args in [
         &["mc", "launch"][..],
@@ -506,6 +568,10 @@ fn cli_launch_rejects_bad_fleets_with_usage_not_panic() {
             "a=melt",
         ][..],
         &["mc", "launch", "--hosts", "a", "--hedge-after", "soon"][..],
+        // Campaigns `xbar run table2` refuses are refused here too.
+        &["mc", "launch", "--hosts", "a", "--defect-rate", "1.5"][..],
+        &["mc", "launch", "--hosts", "a", "--circuits", "t481"][..],
+        &["mc", "launch", "--hosts", "a", "--circuits", "rd53,rd53"][..],
     ] {
         let out = xbar(args);
         assert_eq!(
