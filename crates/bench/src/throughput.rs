@@ -216,11 +216,12 @@ pub fn measure_circuit(
 ///
 /// On a single machine both sides use every core, so this entry tracks
 /// the *fan-out overhead* of the multi-host scaling path (process spawn,
-/// partial-file round-trip, merge), not a speedup. The fixed part of that
-/// overhead is measured separately ([`ShardedThroughput::spawn_overhead_secs`],
-/// a near-empty coordinator run) so the relative-throughput number can be
-/// taken at a per-shard sample count large enough to reflect steady-state
-/// sharding rather than process startup.
+/// each worker's cover preparation, partial-file round-trip, merge), not a
+/// speedup. The fixed part of that overhead is measured separately
+/// ([`ShardedThroughput::spawn_overhead_secs`], a near-empty coordinator
+/// run) so the relative-throughput number can be taken at a per-shard
+/// sample count large enough to reflect steady-state sharding rather than
+/// worker startup.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardedThroughput {
     /// Worker processes / sample-range shards.
@@ -234,8 +235,13 @@ pub struct ShardedThroughput {
     /// Wall-clock seconds for the monolithic in-process run.
     pub single_secs: f64,
     /// Wall-clock seconds for a minimal coordinator run (one sample per
-    /// shard, same circuits): process spawn + partial-file round-trip +
-    /// merge, with essentially no simulation amortized on top.
+    /// shard, same circuits), with essentially no simulation amortized on
+    /// top. Despite the name, this was mostly cover preparation: every
+    /// worker minimizes its exact circuits' covers (and their complements)
+    /// before its first sample. On a 2-core x86-64 machine that took about
+    /// 0.3 s per process until the minimizer answered containment on
+    /// minterm bitsets (about 0.02 s since), while a spawn costs about
+    /// 2 ms. The partial-file round-trip and the merge make up the rest.
     pub spawn_overhead_secs: f64,
 }
 
@@ -309,7 +315,7 @@ pub fn measure_sharded(
     };
 
     // Fixed fan-out cost: one sample per shard, so the run is all spawn,
-    // partial round-trip, and merge.
+    // per-worker cover preparation, partial round-trip, and merge.
     let overhead = coordinator_for(shards, "overhead");
     let t0 = Instant::now();
     let _ = run_coordinator(&overhead).expect("overhead coordinator run");

@@ -79,8 +79,9 @@ fn multilevel_area_of_cover(cover: &Cover) -> usize {
 }
 
 /// Negated cover of an exact benchmark: complement the truth table and
-/// minimize.
-fn exact_negated_cover(name: &str) -> Option<Cover> {
+/// minimize. `None` when `name` has no exact definition.
+#[must_use]
+pub fn exact_negated_cover(name: &str) -> Option<Cover> {
     let table = exact_truth_table(name)?.complemented();
     let on = table.minterm_cover();
     let dc = Cover::new(table.num_inputs(), table.num_outputs());

@@ -124,9 +124,11 @@ pub fn run_circuit_range(
     run_circuit_range_on(&info.mapping_cover(args.seed), args, range)
 }
 
-/// [`run_circuit_range`] with the cover already minimized — lets callers
+/// [`run_circuit_range`] with the cover already prepared — lets callers
 /// that need both the accumulator and the layout pay for
-/// [`BenchmarkInfo::mapping_cover`] (a potentially full minimization) once.
+/// [`BenchmarkInfo::mapping_cover`] once. For an exact circuit that is two
+/// minimizations (the function and its complement), milliseconds even for
+/// rd84; twins are generated, not minimized.
 #[must_use]
 pub fn run_circuit_range_on(cover: &Cover, args: &ExpArgs, range: Range<usize>) -> CircuitAccum {
     let fm = FunctionMatrix::from_cover(cover);

@@ -560,6 +560,28 @@ mod tests {
     }
 
     #[test]
+    fn exact_covers_match_their_truth_tables() {
+        let exact = registry()
+            .iter()
+            .filter(|b| b.source == BenchmarkSource::Exact);
+        for info in exact {
+            let table = exact_truth_table(info.name).expect("exact entries are defined");
+            assert!(
+                table.matches_cover(&info.cover(0)),
+                "{}: cover differs from its truth table",
+                info.name
+            );
+            // The dual optimization may map the complement instead.
+            let mapping = info.mapping_cover(0);
+            assert!(
+                table.matches_cover(&mapping) || table.complemented().matches_cover(&mapping),
+                "{}: mapping cover is neither the function nor its complement",
+                info.name
+            );
+        }
+    }
+
+    #[test]
     fn sqrt8_is_the_integer_square_root() {
         let t = exact_truth_table("sqrt8").expect("defined");
         for x in [0u64, 1, 4, 15, 16, 100, 255] {

@@ -130,9 +130,6 @@ fn select_any_literal_variable(cubes: &[Cube], num_inputs: usize) -> Option<usiz
 /// Computed as tautology of the cover cofactored against the cube.
 #[must_use]
 pub fn cover_contains_input_cube(cover: &Cover, cube: &Cube) -> bool {
-    let free: Vec<usize> = (0..cover.num_inputs())
-        .filter(|&v| !matches!(cube.var_state(v), VarState::Literal(_)))
-        .collect();
     let mut cofactored: Vec<Cube> = Vec::new();
     'cubes: for c in cover.iter() {
         // Cofactor c against cube's literals.
@@ -146,12 +143,9 @@ pub fn cover_contains_input_cube(cover: &Cover, cube: &Cube) -> bool {
         }
         cofactored.push(cc);
     }
-    // Tautology over the free variables only; bound literals are now DC in
-    // every cofactored cube, so the recursion treats them as free too. The
-    // minterm bound must therefore use the full input count, which is what
-    // tautology_rec does. That is conservative but correct because bound
-    // variables are DC everywhere.
-    let _ = free;
+    // The variables bound by the cube are now DC in every cofactored cube,
+    // so a tautology over all inputs is one over the free variables: the
+    // minterm bound in tautology_rec counts bound variables on both sides.
     tautology_rec(&cofactored, cover.num_inputs(), 0)
 }
 
@@ -160,22 +154,8 @@ pub fn cover_contains_input_cube(cover: &Cover, cube: &Cube) -> bool {
 /// output's cover.
 #[must_use]
 pub fn cover_contains_cube(cover: &Cover, cube: &Cube) -> bool {
-    for out in cube.outputs() {
-        let restricted = cover.output_cover(out);
-        let single = single_output_input_part(cube);
-        if !cover_contains_input_cube(&restricted, &single) {
-            return false;
-        }
-    }
-    true
-}
-
-fn single_output_input_part(cube: &Cube) -> Cube {
-    let mut c = Cube::universe(cube.num_inputs(), 1);
-    for (var, phase) in cube.literals() {
-        c.set_literal(var, phase);
-    }
-    c
+    cube.outputs()
+        .all(|out| cover_contains_input_cube(&cover.output_cover(out), cube))
 }
 
 /// Complement of a single-output cover.

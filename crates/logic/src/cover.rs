@@ -194,11 +194,7 @@ impl Cover {
         let mut cover = Cover::new(self.num_inputs, 1);
         for cube in &self.cubes {
             if cube.output(output) {
-                let mut c = Cube::universe(self.num_inputs, 1);
-                for (var, phase) in cube.literals() {
-                    c.set_literal(var, phase);
-                }
-                cover.cubes.push(c);
+                cover.cubes.push(cube.input_part());
             }
         }
         cover

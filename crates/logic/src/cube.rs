@@ -251,6 +251,17 @@ impl Cube {
         cube
     }
 
+    /// The input part alone, as a cube of a single-output function: the
+    /// form in which the cover calculus compares input parts.
+    #[must_use]
+    pub(crate) fn input_part(&self) -> Self {
+        let mut cube = Self::universe(self.num_inputs(), 1);
+        for (var, phase) in self.literals() {
+            cube.set_literal(var, phase);
+        }
+        cube
+    }
+
     /// Number of literals (constrained variables) in the input part.
     #[must_use]
     pub fn literal_count(&self) -> usize {

@@ -12,13 +12,25 @@
 //! * **reduce** shrinks cubes to give the next expand pass freedom to escape
 //!   local minima.
 //!
-//! The validity oracle — "is this candidate cube inside the function?" — is
-//! the fixed per-output cover `ON(o) ∪ DC(o)`, queried through
+//! All three steps ask one question: does a cube's input part lie inside a
+//! per-output minterm set `X(o)`? EXPAND asks it of `ON(o) ∪ DC(o)`;
+//! IRREDUNDANT and REDUCE of `DC(o)` plus the other live cubes driving `o`.
+//! A function of at most `BITSET_MAX_INPUTS` (15) inputs answers it on
+//! `2ⁿ`-bit minterm sets, where it is `cube & !X == 0` over the few words
+//! the cube touches. Wider functions keep `X(o)` as a cover and answer
+//! through the unate-recursive
 //! [`cover_contains_input_cube`](crate::calculus::cover_contains_input_cube).
+//! Both forms decide the same exact predicate, so the minimized cover is the
+//! same, cube for cube and in the same order, whichever form answers.
 
 use crate::calculus::cover_contains_input_cube;
 use crate::cover::Cover;
 use crate::cube::{Cube, Phase, VarState};
+
+/// Widest function whose containment questions are answered on minterm
+/// bitsets: one set of `2^15` minterms is 4 KiB. Every exact Table I/II
+/// circuit has at most 9 inputs.
+const BITSET_MAX_INPUTS: usize = 15;
 
 /// Tuning knobs for [`minimize`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,11 +99,16 @@ impl CoverCost {
 /// Panics if `on` and `dc` dimensions disagree.
 #[must_use]
 pub fn minimize(on: &Cover, dc: &Cover, options: MinimizeOptions) -> Cover {
+    minimize_with(on, dc, options, on.num_inputs() <= BITSET_MAX_INPUTS)
+}
+
+/// [`minimize`] with the oracle form picked by the caller: minterm bitsets
+/// when `bitsets`, covers and tautology otherwise.
+fn minimize_with(on: &Cover, dc: &Cover, options: MinimizeOptions, bitsets: bool) -> Cover {
     assert_eq!(on.num_inputs(), dc.num_inputs(), "ON/DC input arity");
     assert_eq!(on.num_outputs(), dc.num_outputs(), "ON/DC output arity");
 
-    // Fixed validity oracle: per-output ON ∪ DC.
-    let oracle = ValidityOracle::new(on, dc);
+    let mut oracle = Oracle::new(on, dc, bitsets);
 
     let mut current = on.clone();
     current.drop_empty_cubes();
@@ -102,7 +119,7 @@ pub fn minimize(on: &Cover, dc: &Cover, options: MinimizeOptions) -> Cover {
 
     for iteration in 0..options.max_iterations {
         expand(&mut current, &oracle, options.expand_outputs);
-        irredundant(&mut current, dc);
+        irredundant(&mut current, &mut oracle);
         let cost = CoverCost::of(&current);
         if cost < best_cost {
             best = current.clone();
@@ -116,56 +133,210 @@ pub fn minimize(on: &Cover, dc: &Cover, options: MinimizeOptions) -> Cover {
             }
             continue;
         }
-        reduce(&mut current, dc);
+        reduce(&mut current, &mut oracle);
     }
     best
 }
 
-/// Per-output `ON ∪ DC` covers used as the expand validity oracle.
-struct ValidityOracle {
-    per_output: Vec<Cover>,
+/// The minimizer's containment oracle, in the form picked once per call.
+/// Besides the fixed per-output sets it caches the input part of every
+/// cube of the cover a pass works on, from which IRREDUNDANT and REDUCE
+/// build their `X(o)`.
+enum Oracle {
+    /// `2ⁿ`-bit minterm sets.
+    Bits {
+        on_dc: Vec<Vec<u64>>,
+        dc: Vec<Vec<u64>>,
+        parts: Vec<InputPart>,
+    },
+    /// Single-output covers, queried through the tautology check.
+    Covers {
+        on_dc: Vec<Cover>,
+        dc: Vec<Cover>,
+        parts: Vec<Cube>,
+    },
 }
 
-impl ValidityOracle {
-    fn new(on: &Cover, dc: &Cover) -> Self {
-        let per_output = (0..on.num_outputs())
-            .map(|o| {
+/// One `X(o)`, in the oracle's form.
+enum Region {
+    Bits(Vec<u64>),
+    Cover(Cover),
+}
+
+impl Oracle {
+    fn new(on: &Cover, dc: &Cover, bitsets: bool) -> Self {
+        let inputs = on.num_inputs();
+        let outputs = 0..on.num_outputs();
+        if bitsets {
+            assert!(inputs <= BITSET_MAX_INPUTS, "too many inputs for bitsets");
+            let set_of = |covers: &[&Cover], o: usize| {
+                let mut set = vec![0; (1usize << inputs).div_ceil(64)];
+                for cube in covers.iter().flat_map(|c| c.iter()) {
+                    if cube.output(o) {
+                        InputPart::of(cube).insert_into(&mut set);
+                    }
+                }
+                set
+            };
+            Self::Bits {
+                on_dc: outputs.clone().map(|o| set_of(&[on, dc], o)).collect(),
+                dc: outputs.map(|o| set_of(&[dc], o)).collect(),
+                parts: Vec::new(),
+            }
+        } else {
+            let on_dc = outputs.clone().map(|o| {
                 let mut cover = on.output_cover(o);
-                for cube in dc.output_cover(o).iter() {
-                    cover.push(cube.clone());
+                for cube in dc.output_cover(o) {
+                    cover.push(cube);
                 }
                 cover
-            })
-            .collect();
-        Self { per_output }
-    }
-
-    /// True when `input_part` (a 1-output cube) fits inside output `out`.
-    fn admits(&self, input_part: &Cube, out: usize) -> bool {
-        cover_contains_input_cube(&self.per_output[out], input_part)
-    }
-
-    /// True when the input part fits inside every output in `outs`.
-    fn admits_all(&self, input_part: &Cube, outs: impl Iterator<Item = usize>) -> bool {
-        for o in outs {
-            if !self.admits(input_part, o) {
-                return false;
+            });
+            Self::Covers {
+                on_dc: on_dc.collect(),
+                dc: outputs.map(|o| dc.output_cover(o)).collect(),
+                parts: Vec::new(),
             }
         }
-        true
+    }
+
+    /// EXPAND's question: does the input part of `cube` lie inside
+    /// `ON(o) ∪ DC(o)`?
+    fn admits(&self, cube: &Cube, o: usize) -> bool {
+        match self {
+            Self::Bits { on_dc, .. } => InputPart::of(cube).inside(&on_dc[o]),
+            Self::Covers { on_dc, .. } => cover_contains_input_cube(&on_dc[o], cube),
+        }
+    }
+
+    /// Caches the input parts of `cubes`, indexed in order, for [`Self::rest`].
+    fn load<'a>(&mut self, cubes: impl Iterator<Item = &'a Cube>) {
+        match self {
+            Self::Bits { parts, .. } => *parts = cubes.map(InputPart::of).collect(),
+            Self::Covers { parts, .. } => *parts = cubes.map(Cube::input_part).collect(),
+        }
+    }
+
+    /// Re-caches the input part of cube `idx` after REDUCE shrank it.
+    fn refresh(&mut self, idx: usize, cube: &Cube) {
+        match self {
+            Self::Bits { parts, .. } => parts[idx] = InputPart::of(cube),
+            Self::Covers { parts, .. } => parts[idx] = cube.input_part(),
+        }
+    }
+
+    /// IRREDUNDANT's and REDUCE's `X(o)`: `DC(o)` plus the cached input
+    /// parts of the cubes `others`.
+    fn rest(&self, o: usize, others: impl Iterator<Item = usize>) -> Region {
+        match self {
+            Self::Bits { dc, parts, .. } => {
+                let mut set = dc[o].clone();
+                for j in others {
+                    parts[j].insert_into(&mut set);
+                }
+                Region::Bits(set)
+            }
+            Self::Covers { dc, parts, .. } => {
+                let mut cover = Cover::new(dc[o].num_inputs(), 1);
+                for j in others {
+                    cover.push(parts[j].clone());
+                }
+                for cube in dc[o].iter() {
+                    cover.push(cube.clone());
+                }
+                Region::Cover(cover)
+            }
+        }
     }
 }
 
-fn single_output_input_part(cube: &Cube) -> Cube {
-    let mut c = Cube::universe(cube.num_inputs(), 1);
-    for (var, phase) in cube.literals() {
-        c.set_literal(var, phase);
+impl Region {
+    /// Whether the input part of `cube` lies inside this set.
+    fn contains(&self, cube: &Cube) -> bool {
+        match self {
+            Self::Bits(set) => InputPart::of(cube).inside(set),
+            Self::Cover(cover) => cover_contains_input_cube(cover, cube),
+        }
     }
-    c
+}
+
+/// A cube's input part packed for the bitset form: bit `v` of `pos`
+/// (`neg`) is set when input `v` appears as `x_v` (`x̄_v`).
+///
+/// Minterm `a` of a set is bit `a % 64` of word `a / 64`, so inputs 0–5
+/// pick a bit inside a word and inputs 6 and up pick the word.
+#[derive(Clone, Copy)]
+struct InputPart {
+    pos: u32,
+    neg: u32,
+}
+
+/// Per input `v < 6`: the bits of a word whose minterms have `x_v = 1`.
+const WORD_PATTERN: [u64; 6] = [
+    0xAAAA_AAAA_AAAA_AAAA,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xFF00_FF00_FF00_FF00,
+    0xFFFF_0000_FFFF_0000,
+    0xFFFF_FFFF_0000_0000,
+];
+
+impl InputPart {
+    fn of(cube: &Cube) -> Self {
+        let mut part = Self { pos: 0, neg: 0 };
+        for (var, phase) in cube.literals() {
+            match phase {
+                Phase::Positive => part.pos |= 1 << var,
+                Phase::Negative => part.neg |= 1 << var,
+            }
+        }
+        part
+    }
+
+    /// The part's minterms within each word it touches. Below 6 inputs the
+    /// single word's spare bits repeat the real minterms (inputs that do
+    /// not exist are never constrained), so they never change an answer.
+    fn word(self) -> u64 {
+        let mut word = u64::MAX;
+        for (v, pattern) in WORD_PATTERN.into_iter().enumerate() {
+            if self.pos >> v & 1 == 1 {
+                word &= pattern;
+            } else if self.neg >> v & 1 == 1 {
+                word &= !pattern;
+            }
+        }
+        word
+    }
+
+    /// Indices of the words the part touches among `count`: those whose
+    /// bits agree with every literal on inputs 6 and up.
+    fn words(self, count: usize) -> impl Iterator<Item = usize> {
+        let fixed = ((self.pos | self.neg) >> 6) as usize;
+        let ones = (self.pos >> 6) as usize;
+        let free = (count - 1) & !fixed;
+        // Every subset of `free`, in increasing order.
+        let mut next = Some(0);
+        std::iter::from_fn(move || {
+            let subset = next?;
+            next = (subset != free).then(|| subset.wrapping_sub(free) & free);
+            Some(ones | subset)
+        })
+    }
+
+    fn insert_into(self, set: &mut [u64]) {
+        let word = self.word();
+        for w in self.words(set.len()) {
+            set[w] |= word;
+        }
+    }
+
+    fn inside(self, set: &[u64]) -> bool {
+        let word = self.word();
+        self.words(set.len()).all(|w| word & !set[w] == 0)
+    }
 }
 
 /// EXPAND: raise each cube maximally, then drop cubes contained in others.
-fn expand(cover: &mut Cover, oracle: &ValidityOracle, expand_outputs: bool) {
+fn expand(cover: &mut Cover, oracle: &Oracle, expand_outputs: bool) {
     // Process cubes from most specific (most literals) to least; expanded
     // large cubes then swallow the rest.
     let mut order: Vec<usize> = (0..cover.len()).collect();
@@ -182,30 +353,19 @@ fn expand(cover: &mut Cover, oracle: &ValidityOracle, expand_outputs: bool) {
         // literals (which only lowers IR). Raising literals first would
         // often block the sharing.
         if expand_outputs {
-            let input_part = single_output_input_part(&cube);
-            for o in 0..cube.num_outputs() {
-                if !cube.output(o) && oracle.admits(&input_part, o) {
-                    cube.set_output(o, true);
-                }
-            }
+            raise_outputs(&mut cube, oracle);
         }
         // Then try clearing each literal, subject to every driven output.
         let literals: Vec<(usize, Phase)> = cube.literals().collect();
-        for (var, _) in literals {
-            let mut candidate = single_output_input_part(&cube);
-            candidate.clear_literal(var);
-            if oracle.admits_all(&candidate, cube.outputs()) {
-                cube.clear_literal(var);
+        for (var, phase) in literals {
+            cube.clear_literal(var);
+            if !cube.outputs().all(|o| oracle.admits(&cube, o)) {
+                cube.set_literal(var, phase);
             }
         }
         // A raised input part may now fit additional outputs.
         if expand_outputs {
-            let input_part = single_output_input_part(&cube);
-            for o in 0..cube.num_outputs() {
-                if !cube.output(o) && oracle.admits(&input_part, o) {
-                    cube.set_output(o, true);
-                }
-            }
+            raise_outputs(&mut cube, oracle);
         }
         // Swallow other cubes fully contained in the expanded cube.
         for other in cubes.iter_mut() {
@@ -224,49 +384,41 @@ fn expand(cover: &mut Cover, oracle: &ValidityOracle, expand_outputs: bool) {
         .expect("dimensions preserved by expand");
 }
 
+/// Adds every output whose `ON ∪ DC` holds the cube's input part.
+fn raise_outputs(cube: &mut Cube, oracle: &Oracle) {
+    for o in 0..cube.num_outputs() {
+        if !cube.output(o) && oracle.admits(cube, o) {
+            cube.set_output(o, true);
+        }
+    }
+}
+
 /// IRREDUNDANT: remove cubes, or individual output memberships, that the
 /// rest of the cover (plus DC) already covers.
-fn irredundant(cover: &mut Cover, dc: &Cover) {
+fn irredundant(cover: &mut Cover, oracle: &mut Oracle) {
     // Drop the most specific (least useful) cubes first.
     let mut order: Vec<usize> = (0..cover.len()).collect();
     let counts: Vec<usize> = cover.iter().map(Cube::literal_count).collect();
     order.sort_by_key(|&i| std::cmp::Reverse(counts[i]));
 
+    // Input parts never change here, only output memberships.
+    oracle.load(cover.iter());
     let mut cubes: Vec<Option<Cube>> = cover.iter().cloned().map(Some).collect();
     for &idx in &order {
-        let Some(cube) = cubes[idx].clone() else {
+        let Some(cube) = &cubes[idx] else {
             continue;
         };
-        let input_part = single_output_input_part(&cube);
         let mut kept = cube.clone();
-        let mut changed = false;
         for o in cube.outputs() {
-            // Cover of output o from all other live cubes + DC.
-            let mut rest = Cover::new(cover.num_inputs(), 1);
-            for (j, other) in cubes.iter().enumerate() {
-                if j == idx {
-                    continue;
-                }
-                if let Some(c) = other {
-                    if c.output(o) {
-                        rest.push(single_output_input_part(c));
-                    }
-                }
-            }
-            for c in dc.output_cover(o).iter() {
-                rest.push(c.clone());
-            }
-            if cover_contains_input_cube(&rest, &input_part) {
+            // X(o): DC plus every other live cube driving o.
+            let others = (0..cubes.len())
+                .filter(|&j| j != idx && cubes[j].as_ref().is_some_and(|c| c.output(o)));
+            if oracle.rest(o, others).contains(cube) {
                 kept.set_output(o, false);
-                changed = true;
             }
         }
-        if changed {
-            cubes[idx] = if kept.output_count() == 0 {
-                None
-            } else {
-                Some(kept)
-            };
+        if kept != *cube {
+            cubes[idx] = (kept.output_count() > 0).then_some(kept);
         }
     }
     let ni = cover.num_inputs();
@@ -278,55 +430,44 @@ fn irredundant(cover: &mut Cover, dc: &Cover) {
 /// REDUCE: shrink each cube to the smallest cube that still keeps the whole
 /// cover covering the ON-set, giving the next EXPAND pass a different
 /// starting point.
-fn reduce(cover: &mut Cover, dc: &Cover) {
-    let len = cover.len();
-    for idx in 0..len {
-        let cube = cover.cubes()[idx].clone();
-        let mut shrunk = cube.clone();
-        for var in 0..cover.num_inputs() {
+fn reduce(cover: &mut Cover, oracle: &mut Oracle) {
+    let ni = cover.num_inputs();
+    let no = cover.num_outputs();
+    let mut cubes: Vec<Cube> = std::mem::replace(cover, Cover::new(ni, no))
+        .into_iter()
+        .collect();
+    oracle.load(cubes.iter());
+    for idx in 0..cubes.len() {
+        // X(o) for every output the cube drives. Shrinking only sets
+        // literals, so these sets hold while this cube shrinks.
+        let rests: Vec<Region> = cubes[idx]
+            .outputs()
+            .map(|o| {
+                oracle.rest(
+                    o,
+                    (0..cubes.len()).filter(|&j| j != idx && cubes[j].output(o)),
+                )
+            })
+            .collect();
+        let shrunk = &mut cubes[idx];
+        for var in 0..ni {
             if !matches!(shrunk.var_state(var), VarState::DontCare) {
                 continue;
             }
             for phase in [Phase::Positive, Phase::Negative] {
-                // Candidate: restrict var to `phase`; the dropped half is
-                // `shrunk` with var = !phase. Shrinking is safe when the
-                // dropped half is covered by the rest of the cover + DC for
-                // every output the cube drives.
-                let mut dropped = single_output_input_part(&shrunk);
-                dropped.set_literal(var, phase.inverted());
-                let mut safe = true;
-                for o in shrunk.outputs() {
-                    let mut rest = Cover::new(cover.num_inputs(), 1);
-                    for (j, other) in cover.iter().enumerate() {
-                        if j != idx && other.output(o) {
-                            rest.push(single_output_input_part(other));
-                        }
-                    }
-                    for c in dc.output_cover(o).iter() {
-                        rest.push(c.clone());
-                    }
-                    if !cover_contains_input_cube(&rest, &dropped) {
-                        safe = false;
-                        break;
-                    }
-                }
-                if safe {
+                // Restricting var to `phase` drops the half with var =
+                // !phase; that is safe when the half lies inside every X(o).
+                shrunk.set_literal(var, phase.inverted());
+                if rests.iter().all(|rest| rest.contains(shrunk)) {
                     shrunk.set_literal(var, phase);
                     break;
                 }
+                shrunk.clear_literal(var);
             }
         }
-        if shrunk != cube {
-            *cover = replace_cube(cover, idx, shrunk);
-        }
+        oracle.refresh(idx, &cubes[idx]);
     }
-}
-
-fn replace_cube(cover: &Cover, idx: usize, cube: Cube) -> Cover {
-    let mut cubes: Vec<Cube> = cover.iter().cloned().collect();
-    cubes[idx] = cube;
-    Cover::from_cubes(cover.num_inputs(), cover.num_outputs(), cubes)
-        .expect("dimensions preserved by replace")
+    *cover = Cover::from_cubes(ni, no, cubes).expect("dimensions preserved by reduce");
 }
 
 #[cfg(test)]
@@ -334,6 +475,8 @@ mod tests {
     use super::*;
     use crate::cover::cube;
     use crate::truth::TruthTable;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn minimize_default(on: &Cover) -> Cover {
         let dc = Cover::new(on.num_inputs(), on.num_outputs());
@@ -415,22 +558,117 @@ mod tests {
         assert!(table.matches_cover(&min));
     }
 
+    /// A random cover: each input is a literal with probability
+    /// `literal_p`, and each cube drives at least one output.
+    fn random_cover(
+        rng: &mut StdRng,
+        inputs: usize,
+        outputs: usize,
+        cubes: usize,
+        literal_p: f64,
+    ) -> Cover {
+        let mut cover = Cover::new(inputs, outputs);
+        for _ in 0..cubes {
+            let mut cube = Cube::universe(inputs, outputs);
+            for var in 0..inputs {
+                if rng.random_bool(literal_p) {
+                    cube.set_literal(var, Phase::from_bool(rng.random_bool(0.5)));
+                }
+            }
+            for o in 0..outputs {
+                cube.set_output(o, rng.random_bool(0.5));
+            }
+            cube.set_output(rng.random_range(0..outputs), true);
+            cover.push(cube);
+        }
+        cover
+    }
+
+    /// Whether `min` agrees with `on` on every minterm outside `dc`.
+    fn agrees_outside_dc(on: &Cover, dc: &Cover, min: &Cover) -> bool {
+        let [on, dc, min] = [on, dc, min].map(|c| TruthTable::from_cover(c).expect("small"));
+        (0..1u64 << on.num_inputs()).all(|a| {
+            (0..on.num_outputs()).all(|o| dc.value(a, o) || on.value(a, o) == min.value(a, o))
+        })
+    }
+
+    /// A random ON cover over 1–12 inputs and 1–4 outputs, with a DC cover
+    /// half of the time (empty otherwise).
+    fn random_on_dc(rng: &mut StdRng) -> (Cover, Cover) {
+        let inputs = rng.random_range(1..=12);
+        let outputs = rng.random_range(1..=4);
+        let literal_p = rng.random_range(0.2..0.9);
+        let cubes = rng.random_range(1..=30);
+        let on = random_cover(rng, inputs, outputs, cubes, literal_p);
+        let dc = if rng.random_bool(0.5) {
+            let cubes = rng.random_range(1..=4);
+            random_cover(rng, inputs, outputs, cubes, literal_p)
+        } else {
+            Cover::new(inputs, outputs)
+        };
+        (on, dc)
+    }
+
+    /// REDUCE alone, on covers it can actually shrink: the next EXPAND
+    /// would hide most minterms a faulty REDUCE drops.
     #[test]
     fn reduce_does_not_change_function() {
-        let table = TruthTable::from_fn(4, 2, |a| vec![a.count_ones() >= 2, (a & 0b11) == 0b10])
-            .expect("small");
-        let on = table.minterm_cover();
-        let mut cover = on.clone();
-        let dc = Cover::new(4, 2);
-        let oracle_opts = MinimizeOptions {
-            reduce: true,
-            ..MinimizeOptions::default()
-        };
-        let min = minimize(&cover, &dc, oracle_opts);
-        assert!(table.matches_cover(&min));
-        // Direct reduce on the raw cover must also preserve the function.
-        reduce(&mut cover, &dc);
-        assert!(table.matches_cover(&cover));
+        let mut rng = StdRng::seed_from_u64(14);
+        for case in 0..200 {
+            let (on, dc) = random_on_dc(&mut rng);
+            let [bits, covers] = [true, false].map(|bitsets| {
+                let mut cover = on.clone();
+                reduce(&mut cover, &mut Oracle::new(&on, &dc, bitsets));
+                cover
+            });
+            assert_eq!(bits, covers, "case {case}, ON:\n{on}DC:\n{dc}");
+            assert!(
+                agrees_outside_dc(&on, &dc, &bits),
+                "case {case}: REDUCE changed the function"
+            );
+        }
+    }
+
+    /// Both oracle forms decide the same exact predicate, so they must give
+    /// the same cover, cube for cube and in order, under any options; and
+    /// that cover must keep the function outside the DC set.
+    #[test]
+    fn bitset_and_tautology_oracles_minimize_identically() {
+        let mut rng = StdRng::seed_from_u64(15);
+        for case in 0..300 {
+            let (on, dc) = random_on_dc(&mut rng);
+            let options = MinimizeOptions {
+                max_iterations: rng.random_range(0..=5),
+                reduce: rng.random_bool(0.5),
+                expand_outputs: rng.random_bool(0.5),
+            };
+            let min = minimize_with(&on, &dc, options, true);
+            assert_eq!(
+                min,
+                minimize_with(&on, &dc, options, false),
+                "case {case}, {options:?}, ON:\n{on}DC:\n{dc}"
+            );
+            assert!(
+                agrees_outside_dc(&on, &dc, &min),
+                "case {case}: minimized cover changed the function"
+            );
+        }
+    }
+
+    /// Just above the cutoff `minimize` answers through the tautology
+    /// check; the function must survive that path too.
+    #[test]
+    fn wide_function_keeps_its_function() {
+        let inputs = BITSET_MAX_INPUTS + 1;
+        let mut rng = StdRng::seed_from_u64(16);
+        let on = random_cover(&mut rng, inputs, 2, 24, 0.5);
+        let min = minimize(&on, &Cover::new(inputs, 2), MinimizeOptions::default());
+        let table = TruthTable::from_cover(&on).expect("fits a truth table");
+        assert!(
+            table.matches_cover(&min),
+            "minimized cover changed the function"
+        );
+        assert!(min.len() <= on.len());
     }
 
     #[test]

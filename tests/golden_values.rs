@@ -1,11 +1,13 @@
-//! Golden-value pins: exact `sample_seed` outputs and a seeded Table II
-//! summary row. The per-sample seed derivation and the success statistics
-//! it produces are the reproducibility contract of every Monte Carlo
-//! result in this repository (and of the sharded coordinator's
-//! byte-identity guarantee) — if either changes, these tests must be
-//! updated *deliberately*, never silently.
+//! Golden-value pins: exact `sample_seed` outputs, seeded Table II
+//! summary rows, and the minimized covers those rows map. The per-sample
+//! seed derivation, the covers and the success statistics they produce are
+//! the reproducibility contract of every Monte Carlo result in this
+//! repository (and of the sharded coordinator's byte-identity guarantee) —
+//! if any of them changes, these tests must be updated *deliberately*,
+//! never silently.
 
-use memristive_xbar_repro::core::{DefectModelKind, DefectModelSpec, SampleStream};
+use memristive_xbar_repro::core::{content_key, DefectModelKind, DefectModelSpec, SampleStream};
+use memristive_xbar_repro::exp::experiments::table1::exact_negated_cover;
 use memristive_xbar_repro::exp::experiments::table2::{mc_seed, run_circuit, run_circuit_range};
 use memristive_xbar_repro::exp::{sample_seed, ExpArgs};
 use memristive_xbar_repro::logic::bench_reg::find;
@@ -111,6 +113,41 @@ fn seeded_table2_model_rows_are_pinned() {
         assert_eq!(accum.hba.samples, 40);
         assert_eq!(accum.hba.successes, hba, "{kind}: HBA successes drifted");
         assert_eq!(accum.ea.successes, ea, "{kind}: EA successes drifted");
+    }
+}
+
+/// The minimized covers behind every exact circuit: Table II's mapping
+/// covers (after the dual choice) and Table I's negated covers. Each is
+/// pinned by the content key of its espresso-style `Display` text, so a
+/// minimizer change that moves any cube, literal, output membership or
+/// cube order fails here, not only through the artifacts downstream.
+#[test]
+fn exact_minimized_covers_are_pinned() {
+    for (name, key) in [
+        ("rd53", "28ab2cb7710f253652cee9c0c0e12a29"),
+        ("squar5", "652127837e3593aec803edf2785d4a1d"),
+        ("sqrt8", "e29658a9ebea656caa6c24bc6d5872e0"),
+        ("rd73", "0314166bb33e70ceccc979b1335475e1"),
+        ("rd84", "7a4fe7023dfdebc69ddda6436645da75"),
+    ] {
+        let cover = find(name).expect("registered").mapping_cover(2018);
+        assert_eq!(
+            content_key(cover.to_string().as_bytes()),
+            key,
+            "{name}: mapping cover drifted"
+        );
+    }
+    for (name, key) in [
+        ("rd53", "1a5af87e9ff5aa152e8f5ee4aec4af81"),
+        ("sqrt8", "7429b851487891980dca6a07d213b758"),
+        ("rd84", "3c8fedf692d74087beb0c3acfe1b225a"),
+    ] {
+        let cover = exact_negated_cover(name).expect("exact circuit");
+        assert_eq!(
+            content_key(cover.to_string().as_bytes()),
+            key,
+            "{name}: Table I negated cover drifted"
+        );
     }
 }
 
