@@ -3,8 +3,10 @@
 //!
 //! The paper reports HBA 1–2 orders of magnitude faster than EA on the
 //! large circuits; these benches regenerate that comparison, for both the
-//! legacy dense mappers and the bitset `MatchEngine` hot path (see the
-//! `mapping_throughput` binary for the tracked before/after JSON).
+//! bitset `MatchEngine` calls `xbar run table2` makes and the dense
+//! `reference` mappers the equivalence tests pin it to. End-to-end
+//! numbers for the product come from the repository benchmark
+//! (`perfbench/`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

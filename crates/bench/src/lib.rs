@@ -47,8 +47,6 @@ pub fn mapping_workload(name: &str, maps: usize, seed: u64) -> MappingWorkload {
     }
 }
 
-pub mod throughput;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -331,9 +331,10 @@ impl MatchEngine {
     /// Builds the **full** packed compatibility adjacency for `(fm, cm)` —
     /// no Hall fast-fail truncation — and returns `(words_per_row, rows)`:
     /// bit `c` of row `f` (at word `f * words_per_row + c / 64`) is set
-    /// when FM row `f` fits CM row `c`. This is the introspection /
-    /// benchmarking hook; the query methods build the same adjacency
-    /// internally (modulo fast-fail truncation).
+    /// when FM row `f` fits CM row `c`. A test hook: the equivalence
+    /// tests compare it against the dense `row_compatible` sweep, and the
+    /// query methods build the same adjacency internally (modulo
+    /// fast-fail truncation).
     ///
     /// # Panics
     ///

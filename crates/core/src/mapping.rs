@@ -4,8 +4,7 @@
 //!
 //! The algorithms run on the bitset [`MatchEngine`] (see [`crate::engine`]);
 //! the pre-engine dense implementations live on in [`reference`] as the
-//! equivalence baseline for tests and the "before" side of the mapping
-//! throughput benchmark.
+//! equivalence baseline for tests.
 
 use crate::engine::MatchEngine;
 use crate::matrices::{row_compatible, CrossbarMatrix, FunctionMatrix};
@@ -181,10 +180,11 @@ pub fn mapping_feasible_with_scratch(
 
 pub mod reference {
     //! The pre-engine dense mapping implementations, kept verbatim as the
-    //! equivalence baseline: property tests pin the
+    //! test oracle: the equivalence tests pin the
     //! [`MatchEngine`](crate::engine::MatchEngine) to byte-identical HBA
-    //! outcomes and EA ≡ feasibility agreement against these, and the
-    //! mapping throughput benchmark measures its speedup relative to them.
+    //! outcomes and EA ≡ feasibility agreement against these, on random
+    //! covers and on Table II's own campaigns. Nothing in the product
+    //! calls them.
 
     use super::{HybridOptions, MappingOutcome, MappingStats, RowAssignment};
     use crate::matrices::{row_compatible, CrossbarMatrix, FunctionMatrix};

@@ -12,14 +12,20 @@
 //!   `row_compatible` adjacency word for word on random
 //!   (FM, CM, defect-rate) triples;
 //! * the Hall fast-fail never changes a `MappingOutcome` (assignment or
-//!   stats) relative to the full-construction engine.
+//!   stats) relative to the full-construction engine;
+//! * on Table II's own covers and per-sample defect maps, including
+//!   crossbars several 64-row words tall, HBA outcomes and EA decisions
+//!   equal the dense reference sample for sample.
 
 use memristive_xbar_repro::core::bits;
 use memristive_xbar_repro::core::{
     map_exact_with_scratch, map_hybrid, map_hybrid_with_scratch, mapping_feasible,
     mapping_feasible_with_scratch, reference, row_compatible, CrossbarMatrix, DefectSampler,
-    FunctionMatrix, HybridOptions, MatchEngine,
+    FunctionMatrix, HybridOptions, MatchEngine, SampleStream,
 };
+use memristive_xbar_repro::exp::experiments::table2::mc_seed;
+use memristive_xbar_repro::exp::sample_seed;
+use memristive_xbar_repro::logic::bench_reg::find;
 use memristive_xbar_repro::logic::{Cover, Cube, Phase};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -224,5 +230,43 @@ proptest! {
             fast.hybrid_and_exact_success(&fm, &cm),
             full.hybrid_and_exact_success(&fm, &cm)
         );
+    }
+}
+
+/// The mapping proptests above build at most 13 crossbar rows; Table II's
+/// crossbars are several 64-row words tall. Replays table2's campaigns
+/// (seed 2018: its covers, per-sample seeds and stream samplers) through
+/// one reused engine and the dense reference: rd73 spans 3 words of CM
+/// rows, exp5 3 words with 63 output rows. rd84 is left out because the
+/// dense reference is too slow on it for a debug-build test.
+#[test]
+fn engine_equals_reference_on_table2_campaigns() {
+    let mut engine = MatchEngine::new();
+    for (name, samples, rate) in [
+        ("rd53", 20, 0.10),
+        ("misex1", 20, 0.10),
+        ("rd73", 10, 0.10),
+        ("exp5", 6, 0.12),
+    ] {
+        let cover = find(name).expect("registered").mapping_cover(2018);
+        let fm = FunctionMatrix::from_cover(&cover);
+        let mut cm = CrossbarMatrix::perfect(fm.num_rows(), fm.num_cols());
+        for stream in SampleStream::ALL {
+            let sampler = DefectSampler::new(stream);
+            for i in 0..samples {
+                let mut rng = StdRng::seed_from_u64(sample_seed(mc_seed(2018), i));
+                sampler.resample(&mut cm, rate, &mut rng);
+                assert_eq!(
+                    engine.map_hybrid(&fm, &cm),
+                    reference::map_hybrid(&fm, &cm),
+                    "{name} [{stream}] sample {i}: HBA outcome"
+                );
+                assert_eq!(
+                    engine.exact_success(&fm, &cm).0,
+                    reference::map_exact(&fm, &cm).is_success(),
+                    "{name} [{stream}] sample {i}: EA decision"
+                );
+            }
+        }
     }
 }

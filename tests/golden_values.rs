@@ -166,3 +166,50 @@ fn seeded_table2_misex1_summary_is_pinned() {
     assert_eq!(accum.hba.successes, 60);
     assert_eq!(accum.ea.successes, 60);
 }
+
+/// Multi-circuit campaigns at seed 2018, per stream: 20 samples at 10%
+/// defects over the small-to-large mapping set (rd53 … alu4), and 40
+/// samples at 12% over multi-output circuits where HBA actually fails.
+/// exp5's 63 outputs make these the golden an HBA output-stage change
+/// must reproduce; at 10% and 20 samples exp5 maps every time and pins
+/// nothing.
+#[test]
+fn seeded_table2_multi_circuit_rows_are_pinned() {
+    use SampleStream::{V1, V2};
+    for (stream, samples, defect_rate, name, hba, ea) in [
+        (V1, 20, 0.10, "rd53", 18, 18),
+        (V1, 20, 0.10, "misex1", 20, 20),
+        (V1, 20, 0.10, "rd73", 15, 16),
+        (V1, 20, 0.10, "rd84", 12, 15),
+        (V1, 20, 0.10, "ex1010", 20, 20),
+        (V1, 20, 0.10, "alu4", 20, 20),
+        (V2, 20, 0.10, "rd53", 20, 20),
+        (V2, 20, 0.10, "misex1", 20, 20),
+        (V2, 20, 0.10, "rd73", 15, 16),
+        (V2, 20, 0.10, "rd84", 15, 15),
+        (V2, 20, 0.10, "ex1010", 20, 20),
+        (V2, 20, 0.10, "alu4", 20, 20),
+        (V1, 40, 0.12, "exp5", 13, 25),
+        (V1, 40, 0.12, "table3", 38, 40),
+        (V1, 40, 0.12, "sao2", 36, 39),
+        (V1, 40, 0.12, "clip", 39, 40),
+        (V2, 40, 0.12, "exp5", 10, 20),
+        (V2, 40, 0.12, "table3", 37, 40),
+        (V2, 40, 0.12, "sao2", 35, 40),
+        (V2, 40, 0.12, "clip", 40, 40),
+    ] {
+        let args = ExpArgs {
+            samples,
+            seed: 2018,
+            defect_rate,
+            stream,
+            ..ExpArgs::default()
+        };
+        let accum = run_circuit_range(find(name).expect("registered"), &args, 0..samples);
+        assert_eq!(
+            (accum.hba.successes, accum.ea.successes),
+            (hba, ea),
+            "{name} [{stream}] at {defect_rate}: HBA/EA successes drifted"
+        );
+    }
+}
