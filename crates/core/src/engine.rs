@@ -32,14 +32,22 @@
 //!   to the un-truncated engine (see `MatchEngine::set_fast_fail` for the
 //!   equivalence-testing knob).
 //!
-//! The solver layers are unchanged from PR 2:
+//! The solver layers:
 //!
 //! * **HBA** — greedy and backtracking scans as `trailing_zeros` walks
-//!   over `free & candidates` words; the exact output stage feeds the
-//!   matching matrix to Munkres through reusable scratch. Decisions *and*
-//!   [`MappingStats`] are bit-identical to the reference algorithm
-//!   ([`crate::reference::map_hybrid_with`]); the counters report what the
-//!   dense scan would have checked, reconstructed from popcounts.
+//!   over `free & candidates` words. The exact output stage asks whether
+//!   the 0/1 matching matrix (output rows × free CM rows) has a
+//!   zero-cost assignment, which by Hall/König holds exactly when the
+//!   output rows have a perfect matching into the free rows. The
+//!   success-only entry points ([`MatchEngine::hybrid_success`],
+//!   [`MatchEngine::hybrid_success_with`]) decide it with the bitset
+//!   Hopcroft–Karp over `candidates & free`; [`MatchEngine::map_hybrid_with`],
+//!   which returns the assignment, solves the matrix with Munkres through
+//!   reusable scratch, as the paper does. Decisions *and* [`MappingStats`]
+//!   are bit-identical to the reference algorithm
+//!   ([`crate::reference::map_hybrid_with`]) on both paths; the counters
+//!   report what the dense scan would have checked, reconstructed from
+//!   popcounts.
 //! * **EA / feasibility** — a pure 0/1 matching problem, routed to the
 //!   bitset Hopcroft–Karp of `xbar-assign` (Munkres remains the solver for
 //!   genuinely weighted problems).
@@ -142,11 +150,16 @@ pub struct MatchEngine {
     fm_to_cm: Vec<usize>,
     /// Unmatched-row list for the output stage.
     unmatched: Vec<usize>,
+    /// Output rows' candidates restricted to the unmatched CM rows: the
+    /// success-only output stage's matching adjacency (`k` rows of
+    /// `words` words).
+    output_cand: Vec<u64>,
     /// Greedy-output ablation bookkeeping.
     taken: Vec<bool>,
     /// Backing storage for the output-stage matching matrix.
     cost_data: Vec<i64>,
-    /// Bitset Hopcroft–Karp scratch (EA / feasibility).
+    /// Bitset Hopcroft–Karp scratch (EA / feasibility and the
+    /// success-only HBA output stage).
     matcher: BitsetMatching,
     /// Munkres scratch (HBA output stage).
     munkres: MunkresScratch,
@@ -222,7 +235,7 @@ impl MatchEngine {
         cm: &CrossbarMatrix,
         options: HybridOptions,
     ) -> MappingOutcome {
-        let (ok, stats) = self.run_hybrid(fm, cm, options);
+        let (ok, stats) = self.run_hybrid(fm, cm, options, true);
         let assignment = ok.then(|| {
             let assignment = RowAssignment {
                 fm_to_cm: self.fm_to_cm.clone(),
@@ -234,13 +247,15 @@ impl MatchEngine {
     }
 
     /// HBA success/stats without materialising the assignment — the
-    /// zero-allocation variant for Monte Carlo success-rate loops.
+    /// zero-allocation variant for Monte Carlo success-rate loops. The
+    /// exact output stage is decided by a bitset matching instead of a
+    /// Munkres solve; success and stats equal [`MatchEngine::map_hybrid`]'s.
     pub fn hybrid_success(
         &mut self,
         fm: &FunctionMatrix,
         cm: &CrossbarMatrix,
     ) -> (bool, MappingStats) {
-        self.run_hybrid(fm, cm, HybridOptions::default())
+        self.run_hybrid(fm, cm, HybridOptions::default(), false)
     }
 
     /// [`MatchEngine::hybrid_success`] with explicit options.
@@ -250,7 +265,7 @@ impl MatchEngine {
         cm: &CrossbarMatrix,
         options: HybridOptions,
     ) -> (bool, MappingStats) {
-        self.run_hybrid(fm, cm, options)
+        self.run_hybrid(fm, cm, options, false)
     }
 
     /// EA: succeeds iff *any* valid mapping exists, solved as a bitset
@@ -275,42 +290,6 @@ impl MatchEngine {
         cm: &CrossbarMatrix,
     ) -> (bool, MappingStats) {
         self.run_exact(fm, cm)
-    }
-
-    /// Runs HBA *and* EA on the same pair over a single adjacency build —
-    /// the paired query Table-II-style loops issue per sample, where
-    /// building the packed adjacency twice would double the dominant cost.
-    /// Returns `((hba_ok, hba_stats), (ea_ok, ea_stats))`, each identical
-    /// to the corresponding standalone call.
-    pub fn hybrid_and_exact_success(
-        &mut self,
-        fm: &FunctionMatrix,
-        cm: &CrossbarMatrix,
-    ) -> ((bool, MappingStats), (bool, MappingStats)) {
-        if fm.num_rows() > cm.num_rows() {
-            let fail = (false, MappingStats::default());
-            return (fail, fail);
-        }
-        self.prepare(fm, cm);
-        let hybrid = self.run_hybrid_prepared(HybridOptions::default());
-        let exact = if hybrid.0 {
-            // HBA produced a valid full assignment, which *is* a perfect
-            // matching — EA succeeds without running Hopcroft–Karp. EA
-            // stats are a function of the dimensions alone, so they are
-            // identical to the solved ones.
-            let (n, r) = (self.n, self.r);
-            (
-                true,
-                MappingStats {
-                    compatibility_checks: n * r,
-                    backtracks: 0,
-                    assignment_rows: n,
-                },
-            )
-        } else {
-            self.run_exact_prepared()
-        };
-        (hybrid, exact)
     }
 
     /// Feasibility oracle: does any valid mapping exist? Equivalent to
@@ -400,19 +379,20 @@ impl MatchEngine {
     }
 
     /// Algorithm 1 over the packed adjacency, reproducing the reference
-    /// implementation's decisions and [`MappingStats`] exactly. On success
-    /// the assignment is left in `self.fm_to_cm`.
+    /// implementation's decisions and [`MappingStats`] exactly. With
+    /// `assign`, a success leaves the assignment in `self.fm_to_cm`.
     fn run_hybrid(
         &mut self,
         fm: &FunctionMatrix,
         cm: &CrossbarMatrix,
         options: HybridOptions,
+        assign: bool,
     ) -> (bool, MappingStats) {
         if fm.num_rows() > cm.num_rows() {
             return (false, MappingStats::default());
         }
         self.prepare(fm, cm);
-        self.run_hybrid_prepared(options)
+        self.run_hybrid_prepared(options, assign)
     }
 
     /// [`MatchEngine::run_hybrid`] minus the adjacency build — the caller
@@ -423,10 +403,22 @@ impl MatchEngine {
     /// strictly in row order and row `e`'s (genuinely) empty candidate set
     /// forces a failure at or before `e`, so rows past `e` — the unbuilt
     /// ones — are never read; when `e` is an output row, the exact output
-    /// stage is decided without Munkres (an all-1 cost row caps the best
+    /// stage is decided without solving (an all-1 cost row caps the best
     /// assignment cost above 0) using the very stats updates the full run
     /// performs before solving.
-    fn run_hybrid_prepared(&mut self, options: HybridOptions) -> (bool, MappingStats) {
+    ///
+    /// `assign` selects how the exact output stage is decided. With it,
+    /// Munkres solves the matching matrix and its assignment completes
+    /// `self.fm_to_cm`. Without it, only the decision is needed: the matrix
+    /// has a zero-cost assignment exactly when the `k` output rows have a
+    /// perfect matching into the unmatched CM rows (Hall/König), which the
+    /// bitset Hopcroft–Karp decides over `candidates & free`. Both record
+    /// the same stats, so the two paths differ only in `self.fm_to_cm`.
+    fn run_hybrid_prepared(
+        &mut self,
+        options: HybridOptions,
+        assign: bool,
+    ) -> (bool, MappingStats) {
         let mut stats = MappingStats::default();
         let p = self.fm_minterms;
         let k = self.fm_outputs;
@@ -517,6 +509,16 @@ impl MatchEngine {
                     // before solving, and a failing solve writes nothing.
                     return (false, stats);
                 }
+                if !assign {
+                    self.output_cand.clear();
+                    for o in 0..k {
+                        let cand_o = &self.cand[(p + o) * words..(p + o + 1) * words];
+                        self.output_cand
+                            .extend(cand_o.iter().zip(&self.free).map(|(&c, &f)| c & f));
+                    }
+                    let matched = self.matcher.run(k, r, &self.output_cand);
+                    return (matched == k, stats);
+                }
                 let mut data = std::mem::take(&mut self.cost_data);
                 data.clear();
                 for o in 0..k {
@@ -571,21 +573,15 @@ impl MatchEngine {
     /// EA over the packed adjacency: maximum bipartite matching via the
     /// bitset Hopcroft–Karp. Stats keep the reference semantics
     /// (`assignment_rows = n`, one compatibility check per FM×CM pair).
+    /// When the Hall fast-fail recorded an empty candidate row, no perfect
+    /// matching can exist and the Hopcroft–Karp solve is skipped outright
+    /// (EA stats are a function of the dimensions alone, so they are
+    /// unchanged).
     fn run_exact(&mut self, fm: &FunctionMatrix, cm: &CrossbarMatrix) -> (bool, MappingStats) {
         if fm.num_rows() > cm.num_rows() {
             return (false, MappingStats::default());
         }
         self.prepare(fm, cm);
-        self.run_exact_prepared()
-    }
-
-    /// [`MatchEngine::run_exact`] minus the adjacency build — the caller
-    /// guarantees [`MatchEngine::prepare`] ran for this exact pair. When
-    /// the Hall fast-fail recorded an empty candidate row, no perfect
-    /// matching can exist and the Hopcroft–Karp solve is skipped outright
-    /// (EA stats are a function of the dimensions alone, so they are
-    /// unchanged).
-    fn run_exact_prepared(&mut self) -> (bool, MappingStats) {
         let (n, r) = (self.n, self.r);
         let stats = MappingStats {
             compatibility_checks: n * r,
@@ -721,23 +717,6 @@ mod tests {
     }
 
     #[test]
-    fn paired_query_matches_standalone_calls() {
-        let fm = fig8_fm();
-        let mut engine = MatchEngine::new();
-        let mut rng = StdRng::seed_from_u64(23);
-        for _ in 0..200 {
-            let cm = DefectSampler::v1().sample(7, 10, 0.15, &mut rng);
-            let (hybrid, exact) = engine.hybrid_and_exact_success(&fm, &cm);
-            assert_eq!(hybrid, engine.hybrid_success(&fm, &cm));
-            assert_eq!(exact, engine.exact_success(&fm, &cm));
-        }
-        // Undersized crossbar short-circuits both.
-        let small = CrossbarMatrix::perfect(3, 10);
-        let (hybrid, exact) = engine.hybrid_and_exact_success(&fm, &small);
-        assert!(!hybrid.0 && !exact.0);
-    }
-
-    #[test]
     fn adjacency_matches_dense_row_compatible() {
         let fm = fig8_fm();
         let mut engine = MatchEngine::new();
@@ -818,13 +797,14 @@ mod tests {
                     full.map_hybrid_with(&fm, &cm, options),
                     "trial {trial}, {options:?}"
                 );
+                assert_eq!(
+                    fast.hybrid_success_with(&fm, &cm, options),
+                    full.hybrid_success_with(&fm, &cm, options),
+                    "trial {trial}, {options:?}"
+                );
             }
             assert_eq!(fast.map_exact(&fm, &cm), full.map_exact(&fm, &cm));
             assert_eq!(fast.feasible(&fm, &cm), full.feasible(&fm, &cm));
-            assert_eq!(
-                fast.hybrid_and_exact_success(&fm, &cm),
-                full.hybrid_and_exact_success(&fm, &cm)
-            );
             failures += usize::from(!full.feasible(&fm, &cm));
         }
         assert!(failures > 50, "sweep must exercise the fast-fail path");

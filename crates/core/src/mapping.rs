@@ -46,7 +46,8 @@ pub struct MappingStats {
     pub compatibility_checks: usize,
     /// Backtracking steps taken (HBA only).
     pub backtracks: usize,
-    /// Size of the assignment problem handed to Munkres (0 if none).
+    /// Size of the exact assignment problem, the one the paper hands to
+    /// Munkres (0 if none).
     pub assignment_rows: usize,
 }
 

@@ -49,7 +49,9 @@ pub struct Table2Row {
     pub hba_time: f64,
     /// Measured EA success rate (0..1).
     pub ea_success: f64,
-    /// Mean EA runtime per attempt (seconds).
+    /// Mean EA runtime per attempt (seconds), measured on the trials whose
+    /// global sample index is a multiple of [`EA_TIMING_STRIDE`] (0.0 when
+    /// the range holds none).
     pub ea_time: f64,
     /// Published HBA `(success fraction, seconds)`.
     pub hba_published: Option<(f64, f64)>,
@@ -68,7 +70,8 @@ pub struct CircuitAccum {
     pub ea: SuccessCount,
     /// HBA per-attempt runtime moments (seconds).
     pub hba_time: Moments,
-    /// EA per-attempt runtime moments (seconds).
+    /// EA per-attempt runtime moments (seconds), over the trials whose
+    /// global sample index is a multiple of [`EA_TIMING_STRIDE`].
     pub ea_time: Moments,
 }
 
@@ -101,6 +104,13 @@ impl CircuitAccum {
         self.hba.samples
     }
 }
+
+/// Table II solves EA on every trial whose global sample index is a
+/// multiple of this stride, and times it there only; elsewhere it solves
+/// EA only when HBA fails. The subsample depends on the global index alone,
+/// so it is the same under every shard layout, and the `EA time` column
+/// stays an unbiased per-attempt mean.
+pub const EA_TIMING_STRIDE: usize = 16;
 
 /// The Monte Carlo seed Table II derives from the experiment seed (kept
 /// stable since the first implementation so published statistics never
@@ -143,14 +153,18 @@ pub fn run_circuit_range_on(cover: &Cover, args: &ExpArgs, range: Range<usize>) 
     // the per-sample RNG exactly like the original dense sampler, keeping
     // the statistics bit-identical to the pre-engine implementation; V2 pins
     // its own golden values. Non-default spatial models dispatch through
-    // the same handle, so the i.i.d. hot path stays untouched. HBA and EA
-    // stay
-    // separate calls (each paying its own adjacency build) because this
-    // table reports per-algorithm runtime; success-only loops should
-    // prefer `hybrid_and_exact_success`. Trials fold straight into
-    // per-worker accumulators (nothing per-sample is materialized, so
-    // memory stays flat at any sample count); success counters are
-    // merge-exact, so the worker count never shows in the statistics.
+    // the same handle, so the i.i.d. hot path stays untouched. Trials
+    // fold straight into per-worker accumulators (nothing per-sample is
+    // materialized, so memory stays flat at any sample count); success
+    // counters are merge-exact, so the worker count never shows in the
+    // statistics.
+    //
+    // HBA runs and is timed on every trial. An HBA success is a valid full
+    // assignment, hence a perfect matching, so it certifies EA success;
+    // EA is solved only when HBA fails, or on the timing subsample (see
+    // [`EA_TIMING_STRIDE`]), where it is solved and timed whatever HBA
+    // decided. Each call pays its own adjacency build, so both times are
+    // per-attempt costs.
     let sampler = DefectSampler::with_model(args.stream, args.model);
     monte_carlo_range_fold(
         range,
@@ -161,17 +175,23 @@ pub fn run_circuit_range_on(cover: &Cover, args: &ExpArgs, range: Range<usize>) 
             (engine, CrossbarMatrix::perfect(rows, cols))
         },
         CircuitAccum::new,
-        |accum, (engine, cm), _, seed| {
+        |accum, (engine, cm), index, seed| {
             let mut rng: rand::rngs::StdRng = rand::SeedableRng::seed_from_u64(seed);
             sampler.resample(cm, args.defect_rate, &mut rng);
             let t0 = Instant::now();
             let (hba_ok, _) = engine.hybrid_success(&fm, cm);
-            let hba_secs = t0.elapsed().as_secs_f64();
-            let t1 = Instant::now();
-            let (ea_ok, _) = engine.exact_success(&fm, cm);
-            let ea_secs = t1.elapsed().as_secs_f64();
+            accum.hba_time.push(t0.elapsed().as_secs_f64());
+            let ea_ok = if index % EA_TIMING_STRIDE == 0 {
+                let t1 = Instant::now();
+                let (ea_ok, _) = engine.exact_success(&fm, cm);
+                accum.ea_time.push(t1.elapsed().as_secs_f64());
+                ea_ok
+            } else {
+                hba_ok || engine.exact_success(&fm, cm).0
+            };
             debug_assert!(!hba_ok || ea_ok, "HBA success must imply EA success");
-            accum.push(hba_ok, hba_secs, ea_ok, ea_secs);
+            accum.hba.push(hba_ok);
+            accum.ea.push(ea_ok);
         },
         |accum, piece| accum.merge(&piece),
     )
@@ -315,7 +335,10 @@ impl Experiment for Table2Experiment {
         }
 
         let mut table = Table::new(
-            "Table II — HBA vs EA on optimum-size crossbars",
+            &format!(
+                "Table II — HBA vs EA on optimum-size crossbars \
+                 (EA time measured on every {EA_TIMING_STRIDE}th trial)"
+            ),
             &[
                 "name",
                 "I",

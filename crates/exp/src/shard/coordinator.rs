@@ -40,7 +40,7 @@
 
 use super::partial::ShardPartial;
 use super::{run_shard, McConfig, ShardSpec};
-use crate::experiments::table2::CircuitAccum;
+use crate::experiments::table2::{CircuitAccum, EA_TIMING_STRIDE};
 use crate::launch::pool::{DEFAULT_PROBATION, DEFAULT_QUARANTINE_AFTER};
 use crate::launch::scheduler::{local_fleet, run_scheduler, LaunchConfig};
 use crate::launch::transport::LocalProc;
@@ -704,7 +704,10 @@ pub fn render_stats_json(merged: &MergedResult) -> String {
 #[must_use]
 pub fn render_timing_table(merged: &MergedResult) -> String {
     let mut table = Table::new(
-        "Merged Monte Carlo statistics (timing is wall-clock, informational)",
+        &format!(
+            "Merged Monte Carlo statistics (timing is wall-clock, informational; \
+             EA timed on every {EA_TIMING_STRIDE}th trial)"
+        ),
         &[
             "name",
             "samples",

@@ -11,20 +11,26 @@
 //! * the bitplane-built packed adjacency equals the dense
 //!   `row_compatible` adjacency word for word on random
 //!   (FM, CM, defect-rate) triples;
+//! * the success-only HBA entry points, which decide the exact output
+//!   stage by a bitset matching instead of Munkres, return the reference's
+//!   success and stats on covers with up to 16 outputs;
 //! * the Hall fast-fail never changes a `MappingOutcome` (assignment or
 //!   stats) relative to the full-construction engine;
 //! * on Table II's own covers and per-sample defect maps, including
 //!   crossbars several 64-row words tall, HBA outcomes and EA decisions
-//!   equal the dense reference sample for sample.
+//!   equal the dense reference sample for sample;
+//! * Table II's EA counts, which take EA's answer from HBA successes off
+//!   the timing subsample, equal solving EA on every sample under the
+//!   non-i.i.d. defect models.
 
 use memristive_xbar_repro::core::bits;
 use memristive_xbar_repro::core::{
     map_exact_with_scratch, map_hybrid, map_hybrid_with_scratch, mapping_feasible,
-    mapping_feasible_with_scratch, reference, row_compatible, CrossbarMatrix, DefectSampler,
-    FunctionMatrix, HybridOptions, MatchEngine, SampleStream,
+    mapping_feasible_with_scratch, reference, row_compatible, CrossbarMatrix, DefectModelKind,
+    DefectModelSpec, DefectSampler, FunctionMatrix, HybridOptions, MatchEngine, SampleStream,
 };
-use memristive_xbar_repro::exp::experiments::table2::mc_seed;
-use memristive_xbar_repro::exp::sample_seed;
+use memristive_xbar_repro::exp::experiments::table2::{mc_seed, run_circuit_range};
+use memristive_xbar_repro::exp::{sample_seed, ExpArgs};
 use memristive_xbar_repro::logic::bench_reg::find;
 use memristive_xbar_repro::logic::{Cover, Cube, Phase};
 use proptest::prelude::*;
@@ -133,6 +139,35 @@ proptest! {
         prop_assert_eq!(&map_hybrid_with_scratch(&fm, &cm, &mut engine), &expected);
     }
 
+    /// The success-only HBA path decides the exact output stage by a
+    /// bitset matching of the output rows into the free CM rows, where
+    /// `map_hybrid_with` solves the matching matrix with Munkres. On covers
+    /// with many outputs, its success and stats equal the reference's for
+    /// every option combination.
+    #[test]
+    fn success_only_hybrid_equals_reference_on_many_outputs(
+        inputs in 2usize..6,
+        outputs in 4usize..17,
+        cubes in 1usize..8,
+        spare in 0usize..4,
+        rate in 0.0f64..0.35,
+        seed in 0u64..1_000_000,
+    ) {
+        let cover = random_cover(inputs, outputs, cubes, seed.wrapping_add(0x16));
+        let fm = FunctionMatrix::from_cover(&cover);
+        let cm = random_cm(&fm, spare, rate, seed.wrapping_add(0x16));
+        let mut engine = MatchEngine::new();
+        for options in ALL_OPTIONS {
+            let expected = reference::map_hybrid_with(&fm, &cm, options);
+            prop_assert_eq!(
+                engine.hybrid_success_with(&fm, &cm, options),
+                (expected.is_success(), expected.stats),
+                "options {:?}",
+                options
+            );
+        }
+    }
+
     /// EA ≡ feasibility: the engine's exact mapper succeeds exactly when
     /// the dense feasibility oracle finds a perfect matching, its
     /// assignments are valid, and every feasibility entry point agrees.
@@ -223,13 +258,15 @@ proptest! {
                 "fast vs dense reference, options {:?}",
                 options
             );
+            prop_assert_eq!(
+                fast.hybrid_success_with(&fm, &cm, options),
+                full.hybrid_success_with(&fm, &cm, options),
+                "success-only fast vs full, options {:?}",
+                options
+            );
         }
         prop_assert_eq!(fast.exact_success(&fm, &cm), full.exact_success(&fm, &cm));
         prop_assert_eq!(fast.feasible(&fm, &cm), full.feasible(&fm, &cm));
-        prop_assert_eq!(
-            fast.hybrid_and_exact_success(&fm, &cm),
-            full.hybrid_and_exact_success(&fm, &cm)
-        );
     }
 }
 
@@ -256,10 +293,16 @@ fn engine_equals_reference_on_table2_campaigns() {
             for i in 0..samples {
                 let mut rng = StdRng::seed_from_u64(sample_seed(mc_seed(2018), i));
                 sampler.resample(&mut cm, rate, &mut rng);
+                let expected = reference::map_hybrid(&fm, &cm);
                 assert_eq!(
                     engine.map_hybrid(&fm, &cm),
-                    reference::map_hybrid(&fm, &cm),
+                    expected,
                     "{name} [{stream}] sample {i}: HBA outcome"
+                );
+                assert_eq!(
+                    engine.hybrid_success(&fm, &cm),
+                    (expected.is_success(), expected.stats),
+                    "{name} [{stream}] sample {i}: success-only HBA"
                 );
                 assert_eq!(
                     engine.exact_success(&fm, &cm).0,
@@ -269,4 +312,65 @@ fn engine_equals_reference_on_table2_campaigns() {
             }
         }
     }
+}
+
+/// Table II solves EA only when HBA fails or on its timing subsample, and
+/// otherwise takes EA's success from HBA's. Table II's goldens pin only
+/// the i.i.d. model, so under the clustered and lines models this replays
+/// `run_circuit_range`'s campaigns and solves EA on every sample: the
+/// success counts must agree. The model parameters are chosen so that
+/// every campaign has HBA successes (certified) and failures (solved), and
+/// the clustered ones have maps where only EA succeeds.
+#[test]
+fn table2_ea_counts_equal_solving_every_sample_on_non_iid_models() {
+    const SAMPLES: usize = 96;
+    let mut engine = MatchEngine::new();
+    let mut ea_only = 0;
+    for name in ["rd73", "exp5"] {
+        let info = find(name).expect("registered");
+        for (kind, cluster_size, line_rate) in [
+            (
+                DefectModelKind::Clustered,
+                1.5,
+                DefectModelSpec::DEFAULT_LINE_RATE,
+            ),
+            (
+                DefectModelKind::Lines,
+                DefectModelSpec::DEFAULT_CLUSTER_SIZE,
+                0.005,
+            ),
+        ] {
+            let model =
+                DefectModelSpec::new(kind, cluster_size, line_rate).expect("in-range parameters");
+            let args = ExpArgs {
+                samples: SAMPLES,
+                seed: 2018,
+                defect_rate: 0.12,
+                model,
+                ..ExpArgs::default()
+            };
+            let accum = run_circuit_range(info, &args, 0..SAMPLES);
+
+            let cover = info.mapping_cover(args.seed);
+            let fm = FunctionMatrix::from_cover(&cover);
+            let mut cm = CrossbarMatrix::perfect(fm.num_rows(), fm.num_cols());
+            let sampler = DefectSampler::with_model(args.stream, model);
+            let (mut hba, mut ea) = (0, 0);
+            for i in 0..SAMPLES {
+                let mut rng = StdRng::seed_from_u64(sample_seed(mc_seed(args.seed), i));
+                sampler.resample(&mut cm, args.defect_rate, &mut rng);
+                hba += u64::from(engine.hybrid_success(&fm, &cm).0);
+                ea += u64::from(engine.exact_success(&fm, &cm).0);
+            }
+            let label = format!("{name} [{}]", kind.as_str());
+            assert_eq!(accum.hba.successes, hba, "{label}: HBA successes");
+            assert_eq!(accum.ea.successes, ea, "{label}: EA successes");
+            assert!(
+                0 < hba && hba < SAMPLES as u64,
+                "{label}: the campaign must both certify and solve ({hba} HBA successes)"
+            );
+            ea_only += ea - hba;
+        }
+    }
+    assert!(ea_only > 0, "some map must be one only EA can solve");
 }

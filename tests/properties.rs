@@ -5,7 +5,8 @@
 use memristive_xbar_repro::assign::{brute_force_assignment, munkres, CostMatrix};
 use memristive_xbar_repro::core::{
     map_exact, map_hybrid, mapping_feasible, program_two_level, verify_against_cover,
-    DefectSampler, FunctionMatrix, VerifyMode,
+    DefectModelKind, DefectModelSpec, DefectSampler, FunctionMatrix, MatchEngine, SampleStream,
+    VerifyMode,
 };
 use memristive_xbar_repro::device::Crossbar;
 use memristive_xbar_repro::logic::{
@@ -112,6 +113,8 @@ proptest! {
     /// On random defect maps: EA succeeds iff a perfect matching exists;
     /// HBA success implies EA success; any returned assignment is valid and
     /// the programmed machine computes the function despite the defects.
+    /// The implication also holds for the success-only entry points Table
+    /// II calls, on both sampling streams under every defect model.
     #[test]
     fn mapping_invariants(cover in arb_cover(4, 5), seed in 0u64..500, rate in 0.0f64..0.3) {
         let fm = FunctionMatrix::from_cover(&cover);
@@ -142,6 +145,29 @@ proptest! {
                     verify_against_cover(&mut machine, &cover, VerifyMode::Exhaustive, 0),
                     None
                 );
+            }
+        }
+
+        let mut engine = MatchEngine::new();
+        for stream in SampleStream::ALL {
+            for kind in DefectModelKind::ALL {
+                // The line rate follows the cell rate, so the lines and
+                // composite models break lines as often as cells fail.
+                let model =
+                    DefectModelSpec::new(kind, DefectModelSpec::DEFAULT_CLUSTER_SIZE, rate)
+                        .expect("in-range parameters");
+                let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
+                let cm = DefectSampler::with_model(stream, model)
+                    .sample(fm.num_rows(), fm.num_cols(), rate, &mut rng);
+                let (hba_ok, _) = engine.hybrid_success(&fm, &cm);
+                let (ea_ok, _) = engine.exact_success(&fm, &cm);
+                prop_assert!(
+                    !hba_ok || ea_ok,
+                    "{} {}: HBA succeeded, EA failed",
+                    stream,
+                    kind.as_str()
+                );
+                prop_assert_eq!(ea_ok, mapping_feasible(&fm, &cm));
             }
         }
     }

@@ -7,13 +7,16 @@
 
 use memristive_xbar_repro::core::stats::Moments;
 use memristive_xbar_repro::core::{DefectModelKind, DefectModelSpec, SampleStream};
-use memristive_xbar_repro::exp::experiments::table2::CircuitAccum;
+use memristive_xbar_repro::exp::experiments::table2::{
+    run_circuit_range, CircuitAccum, EA_TIMING_STRIDE,
+};
 use memristive_xbar_repro::exp::shard::coordinator::{
     merge_partials, render_stats_json, MergedResult,
 };
 use memristive_xbar_repro::exp::shard::partial::ShardPartial;
-use memristive_xbar_repro::exp::shard::{McConfig, ShardSpec};
-use memristive_xbar_repro::exp::{monte_carlo, monte_carlo_range, sample_seed};
+use memristive_xbar_repro::exp::shard::{run_shard, McConfig, ShardSpec};
+use memristive_xbar_repro::exp::{monte_carlo, monte_carlo_range, sample_seed, ExpArgs};
+use memristive_xbar_repro::logic::bench_reg::find;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -181,4 +184,93 @@ fn moments_merge_handles_the_empty_shard_edge() {
     assert!(merged.hba_time.mean().is_finite());
     let empty = Moments::new();
     assert_eq!(empty.mean(), 0.0, "empty moments stay NaN-free");
+}
+
+/// Table II times EA on the trials whose global sample index is a multiple
+/// of `EA_TIMING_STRIDE`, and HBA on every trial, whatever the range.
+#[test]
+fn ea_is_timed_on_global_indices_divisible_by_the_stride() {
+    let info = find("rd53").expect("registered");
+    let args = ExpArgs {
+        samples: 70,
+        seed: 5,
+        defect_rate: 0.10,
+        ..ExpArgs::default()
+    };
+    for (a, b) in [
+        (0, 1),
+        (0, 16),
+        (0, 17),
+        (1, 16),
+        (5, 40),
+        (17, 31),
+        (16, 33),
+        (30, 70),
+    ] {
+        let accum = run_circuit_range(info, &args, a..b);
+        let timed = (a..b).filter(|i| i % EA_TIMING_STRIDE == 0).count();
+        assert_eq!(accum.samples(), (b - a) as u64, "{a}..{b}");
+        assert_eq!(accum.hba_time.count, (b - a) as u64, "{a}..{b}");
+        assert_eq!(accum.ea_time.count, timed as u64, "{a}..{b}");
+    }
+}
+
+/// A shard whose range holds no timed trial carries empty EA moments; its
+/// partial still validates, round-trips byte for byte, and merges to the
+/// monolithic counts.
+#[test]
+fn a_shard_without_timed_trials_validates_round_trips_and_merges() {
+    let config = McConfig {
+        samples: 31,
+        seed: 5,
+        defect_rate: 0.10,
+        stream: SampleStream::V1,
+        model: DefectModelSpec::default(),
+        circuits: vec!["rd53".to_owned(), "misex1".to_owned()],
+    };
+    let specs = [
+        ShardSpec {
+            index: 0,
+            num_shards: 2,
+            start: 0,
+            end: 17,
+        },
+        ShardSpec {
+            index: 1,
+            num_shards: 2,
+            start: 17,
+            end: 31,
+        },
+    ];
+    let timed = |a: usize, b: usize| (a..b).filter(|i| i % EA_TIMING_STRIDE == 0).count() as u64;
+    assert_eq!(timed(17, 31), 0, "the second shard holds no timed trial");
+    let partials: Vec<ShardPartial> = specs.iter().map(|spec| run_shard(&config, spec)).collect();
+
+    let untimed = &partials[1];
+    for (name, accum) in &untimed.circuits {
+        assert_eq!(accum.ea_time.count, 0, "{name}");
+        assert_eq!(accum.hba_time.count, 14, "{name}");
+    }
+    untimed
+        .validate_for(&config, &specs[1])
+        .expect("a shard without timed trials validates");
+    let text = untimed.to_json();
+    let back = ShardPartial::from_json(&text).expect("round-trips");
+    assert_eq!(&back, untimed);
+    assert_eq!(back.to_json(), text);
+
+    let merged = merge_partials(&config, &partials).expect("the two shards tile 0..31");
+    let mono = run_shard(&config, &ShardSpec::partition(31, 1)[0]);
+    for ((name, got), (_, want)) in merged.circuits.iter().zip(&mono.circuits) {
+        assert_eq!(got.hba, want.hba, "{name}");
+        assert_eq!(got.ea, want.ea, "{name}");
+        assert_eq!(got.hba_time.count, want.hba_time.count, "{name}");
+        assert_eq!(got.ea_time.count, want.ea_time.count, "{name}");
+        assert_eq!(got.ea_time.count, timed(0, 31), "{name}");
+    }
+    let mono_result = MergedResult {
+        config: config.clone(),
+        circuits: mono.circuits,
+    };
+    assert_eq!(render_stats_json(&merged), render_stats_json(&mono_result));
 }
