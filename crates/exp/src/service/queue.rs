@@ -1,11 +1,14 @@
 //! The daemon's FIFO job queue with coalescing and batch affinity.
 //!
-//! One [`JobQueue`] is shared (behind a mutex + condvar) by the accept
-//! loop's connection threads (producers) and the bounded pool of worker
-//! threads (consumers) — the worker-thread count *is* the slot bound, so
-//! concurrency can never exceed `--max-inflight` by construction; the
-//! queue just records the running count so the bound is observable in
-//! `stats`.
+//! One [`JobQueue`] is shared (behind a mutex) by the accept loop's
+//! connection threads (producers and waiters) and the bounded pool of
+//! worker threads (consumers) — the worker-thread count *is* the slot
+//! bound, so concurrency can never exceed `--max-inflight` by
+//! construction; the queue just records the running count so the bound is
+//! observable in `stats`. Nobody polls it: idle workers block on one
+//! condvar until a job is queued or the queue drains, and connections
+//! following a job block on another until a job settles
+//! ([`JobQueue::wait_settled`]).
 //!
 //! Two scheduling refinements on top of plain FIFO:
 //!
@@ -20,13 +23,24 @@
 //!   function-matrix structures ([`xbar_core::MatchEngine::prepare_fm`]),
 //!   all of which are hot in the page cache and CPU caches right after a
 //!   batch sibling ran.
+//!
+//! The job table is bounded: it holds every queued or running job plus
+//! the [`SETTLED_JOBS_KEPT`] most recently settled ones, and forgets
+//! older settled jobs, so `status`, `result` and `cancel` of such an id
+//! answer "no such job". The artifact cache, not the table, is the
+//! durable record: resubmitting a retired job's request is a cache hit.
+//! The `stats` counters are kept apart and count every request.
 
 use crate::launch::HostCount;
 use crate::shard::coordinator::RunReport;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// Settled jobs the table remembers, in settle order; older settled ids
+/// are retired (see the module doc).
+pub const SETTLED_JOBS_KEPT: usize = 256;
 
 /// Lifecycle of a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -182,9 +196,35 @@ struct JobEntry {
     submitted_at: Instant,
     started_at: Option<Instant>,
     finished_ms: Option<u64>,
+    /// Threads inside [`JobQueue::wait_settled`] for this job.
+    waiters: usize,
 }
 
 impl JobEntry {
+    /// A job just queued by a submit that missed the cache.
+    fn queued(id: u64, experiment: &str) -> Self {
+        Self {
+            id,
+            experiment: experiment.to_owned(),
+            args: Vec::new(),
+            key_name: String::new(),
+            key_document: String::new(),
+            batch: String::new(),
+            state: JobState::Queued,
+            cache: CacheDisposition::Miss,
+            error: None,
+            artifact: None,
+            run_dir: None,
+            shards: 0,
+            report: None,
+            hosts: Vec::new(),
+            submitted_at: Instant::now(),
+            started_at: None,
+            finished_ms: None,
+            waiters: 0,
+        }
+    }
+
     fn elapsed_ms(&self) -> u64 {
         if let Some(frozen) = self.finished_ms {
             return frozen;
@@ -212,21 +252,99 @@ impl JobEntry {
 
 #[derive(Debug, Default)]
 struct Inner {
-    jobs: Vec<JobEntry>,
+    /// Every queued or running job plus the newest settled ones, by id.
+    jobs: HashMap<u64, JobEntry>,
     /// Queued job ids in arrival order.
     fifo: VecDeque<u64>,
+    /// Settled job ids still in `jobs`, oldest first.
+    settle_order: VecDeque<u64>,
     next_id: u64,
     draining: bool,
     stats: QueueStats,
 }
 
 impl Inner {
-    fn entry(&self, id: u64) -> Option<&JobEntry> {
-        self.jobs.iter().find(|j| j.id == id)
+    /// Books job `id` as settled and retires what that pushes out.
+    fn mark_settled(&mut self, id: u64) {
+        self.settle_order.push_back(id);
+        self.retire();
     }
 
-    fn entry_mut(&mut self, id: u64) -> Option<&mut JobEntry> {
-        self.jobs.iter_mut().find(|j| j.id == id)
+    /// Retires settled jobs, oldest first, down to [`SETTLED_JOBS_KEPT`].
+    /// A job whose waiters have not yet woken to see it settle is spared,
+    /// and with it, to keep settle order, every job settled after it; the
+    /// last such waiter retires them once it has its snapshot.
+    fn retire(&mut self) {
+        while self.settle_order.len() > SETTLED_JOBS_KEPT {
+            let oldest = self.settle_order[0];
+            if self.jobs.get(&oldest).is_some_and(|j| j.waiters > 0) {
+                return;
+            }
+            self.settle_order.pop_front();
+            self.jobs.remove(&oldest);
+        }
+    }
+
+    fn record_cache_hit(&mut self, experiment: &str, artifact: Arc<String>) -> u64 {
+        self.stats.submitted += 1;
+        self.stats.cache_hits += 1;
+        let id = self.next_id;
+        self.next_id += 1;
+        self.jobs.insert(
+            id,
+            JobEntry {
+                state: JobState::Done,
+                cache: CacheDisposition::Hit,
+                artifact: Some(artifact),
+                finished_ms: Some(0),
+                ..JobEntry::queued(id, experiment)
+            },
+        );
+        self.mark_settled(id);
+        id
+    }
+
+    fn conclude(
+        &mut self,
+        id: u64,
+        state: JobState,
+        artifact: Option<Arc<String>>,
+        error: Option<String>,
+        report: Option<RunReport>,
+        hosts: Vec<HostCount>,
+    ) {
+        match state {
+            JobState::Done => self.stats.completed += 1,
+            JobState::Failed => self.stats.failed += 1,
+            _ => unreachable!("conclude is for terminal execution states"),
+        }
+        self.stats.running = self.stats.running.saturating_sub(1);
+        if let Some(report) = &report {
+            self.stats.shard_spawned += report.spawned as u64;
+            self.stats.shard_reused += report.reused as u64;
+            self.stats.shard_retries += report.retries as u64;
+            self.stats.shard_timeouts += report.timeouts as u64;
+        }
+        if let Some(entry) = self.jobs.get_mut(&id) {
+            entry.finished_ms = Some(entry.elapsed_ms());
+            entry.state = state;
+            entry.artifact = artifact;
+            entry.error = error;
+            entry.report = report;
+            entry.hosts = hosts;
+            self.mark_settled(id);
+        }
+    }
+
+    /// Settles a job already taken off the FIFO as cancelled.
+    fn cancel_queued(&mut self, id: u64, reason: &str) {
+        self.stats.cancelled += 1;
+        if let Some(entry) = self.jobs.get_mut(&id) {
+            entry.state = JobState::Cancelled;
+            entry.error = Some(reason.to_owned());
+            entry.finished_ms = Some(entry.elapsed_ms());
+            self.mark_settled(id);
+        }
     }
 }
 
@@ -234,8 +352,10 @@ impl Inner {
 #[derive(Debug, Default)]
 pub struct JobQueue {
     inner: Mutex<Inner>,
-    /// Signalled on submit (work available), drain, and job completion.
-    cond: Condvar,
+    /// Signalled when a job is queued or the queue starts draining.
+    work: Condvar,
+    /// Signalled whenever jobs settle (finish, fail or are cancelled).
+    settled: Condvar,
 }
 
 impl JobQueue {
@@ -261,7 +381,7 @@ impl JobQueue {
         // Coalesce: an identical request already queued or running will
         // produce this exact artifact; join it. (Both halves of the key
         // must match — the hash alone could collide.)
-        if let Some(live) = inner.jobs.iter().find(|j| {
+        if let Some(live) = inner.jobs.values().find(|j| {
             j.key_name == key_name
                 && j.key_document == key_document
                 && matches!(j.state, JobState::Queued | JobState::Running)
@@ -272,60 +392,29 @@ impl JobQueue {
         }
         let id = inner.next_id;
         inner.next_id += 1;
-        inner.jobs.push(JobEntry {
+        inner.jobs.insert(
             id,
-            experiment: experiment.to_owned(),
-            args,
-            key_name: key_name.to_owned(),
-            key_document: key_document.to_owned(),
-            batch,
-            state: JobState::Queued,
-            cache: CacheDisposition::Miss,
-            error: None,
-            artifact: None,
-            run_dir: None,
-            shards: 0,
-            report: None,
-            hosts: Vec::new(),
-            submitted_at: Instant::now(),
-            started_at: None,
-            finished_ms: None,
-        });
+            JobEntry {
+                args,
+                key_name: key_name.to_owned(),
+                key_document: key_document.to_owned(),
+                batch,
+                ..JobEntry::queued(id, experiment)
+            },
+        );
         inner.fifo.push_back(id);
         inner.stats.queued = inner.fifo.len();
-        self.cond.notify_all();
+        self.work.notify_all();
         (id, CacheDisposition::Miss)
     }
 
     /// Records a submit answered straight from the artifact cache: the
     /// job is born [`JobState::Done`] with the cached artifact attached,
-    /// so `status`/`result` work uniformly for it.
-    pub fn record_cache_hit(&self, experiment: &str, artifact: Arc<String>) -> u64 {
+    /// so `status`/`result` work uniformly for it. Returns its snapshot.
+    pub fn record_cache_hit(&self, experiment: &str, artifact: Arc<String>) -> JobSnapshot {
         let mut inner = self.inner.lock().expect("queue lock");
-        inner.stats.submitted += 1;
-        inner.stats.cache_hits += 1;
-        let id = inner.next_id;
-        inner.next_id += 1;
-        inner.jobs.push(JobEntry {
-            id,
-            experiment: experiment.to_owned(),
-            args: Vec::new(),
-            key_name: String::new(),
-            key_document: String::new(),
-            batch: String::new(),
-            state: JobState::Done,
-            cache: CacheDisposition::Hit,
-            error: None,
-            artifact: Some(artifact),
-            run_dir: None,
-            shards: 0,
-            report: None,
-            hosts: Vec::new(),
-            submitted_at: Instant::now(),
-            started_at: None,
-            finished_ms: Some(0),
-        });
-        id
+        let id = inner.record_cache_hit(experiment, artifact);
+        inner.jobs[&id].snapshot()
     }
 
     /// Blocks until a job is available (returning its spec, now marked
@@ -342,25 +431,25 @@ impl JobQueue {
                     .fifo
                     .iter()
                     .copied()
-                    .find(|&id| inner.entry(id).is_some_and(|j| j.batch == batch))
+                    .find(|id| inner.jobs.get(id).is_some_and(|j| j.batch == batch))
             });
             if let Some(id) = affine.or_else(|| inner.fifo.front().copied()) {
-                return Some(self.claim(&mut inner, id));
+                return Some(Self::claim(&mut inner, id));
             }
             if inner.draining {
                 return None;
             }
-            inner = self.cond.wait(inner).expect("queue lock");
+            inner = self.work.wait(inner).expect("queue lock");
         }
     }
 
-    fn claim(&self, inner: &mut Inner, id: u64) -> JobSpec {
+    fn claim(inner: &mut Inner, id: u64) -> JobSpec {
         inner.fifo.retain(|&q| q != id);
         inner.stats.queued = inner.fifo.len();
         inner.stats.running += 1;
         inner.stats.max_running_observed =
             inner.stats.max_running_observed.max(inner.stats.running);
-        let entry = inner.entry_mut(id).expect("queued job exists");
+        let entry = inner.jobs.get_mut(&id).expect("queued job exists");
         entry.state = JobState::Running;
         entry.started_at = Some(Instant::now());
         JobSpec {
@@ -375,7 +464,7 @@ impl JobQueue {
     /// job, so progress reporting can count checkpoints on disk.
     pub fn set_run_dir(&self, id: u64, run_dir: PathBuf, shards: usize) {
         let mut inner = self.inner.lock().expect("queue lock");
-        if let Some(entry) = inner.entry_mut(id) {
+        if let Some(entry) = inner.jobs.get_mut(&id) {
             entry.run_dir = Some(run_dir);
             entry.shards = shards;
         }
@@ -408,27 +497,8 @@ impl JobQueue {
         hosts: Vec<HostCount>,
     ) {
         let mut inner = self.inner.lock().expect("queue lock");
-        match state {
-            JobState::Done => inner.stats.completed += 1,
-            JobState::Failed => inner.stats.failed += 1,
-            _ => unreachable!("conclude is for terminal execution states"),
-        }
-        inner.stats.running = inner.stats.running.saturating_sub(1);
-        if let Some(report) = &report {
-            inner.stats.shard_spawned += report.spawned as u64;
-            inner.stats.shard_reused += report.reused as u64;
-            inner.stats.shard_retries += report.retries as u64;
-            inner.stats.shard_timeouts += report.timeouts as u64;
-        }
-        if let Some(entry) = inner.entry_mut(id) {
-            entry.finished_ms = Some(entry.elapsed_ms());
-            entry.state = state;
-            entry.artifact = artifact;
-            entry.error = error;
-            entry.report = report;
-            entry.hosts = hosts;
-        }
-        self.cond.notify_all();
+        inner.conclude(id, state, artifact, error, report, hosts);
+        self.settled.notify_all();
     }
 
     /// Cancels a queued job. Running jobs are not interruptible (their
@@ -436,11 +506,13 @@ impl JobQueue {
     ///
     /// # Errors
     ///
-    /// Reports an unknown id or a job not in the queued state.
+    /// Reports an unknown (or retired) id or a job not in the queued
+    /// state.
     pub fn cancel(&self, id: u64) -> Result<(), String> {
         let mut inner = self.inner.lock().expect("queue lock");
         let state = inner
-            .entry(id)
+            .jobs
+            .get(&id)
             .map(|j| j.state)
             .ok_or_else(|| format!("no such job {id}"))?;
         if state != JobState::Queued {
@@ -448,19 +520,37 @@ impl JobQueue {
         }
         inner.fifo.retain(|&q| q != id);
         inner.stats.queued = inner.fifo.len();
-        inner.stats.cancelled += 1;
-        let entry = inner.entry_mut(id).expect("checked above");
-        entry.state = JobState::Cancelled;
-        entry.error = Some("cancelled".to_owned());
-        entry.finished_ms = Some(entry.elapsed_ms());
+        inner.cancel_queued(id, "cancelled");
+        self.settled.notify_all();
         Ok(())
     }
 
-    /// A copy of a job's current state.
+    /// A copy of a job's current state; `None` for an unknown or retired
+    /// id.
     #[must_use]
     pub fn snapshot(&self, id: u64) -> Option<JobSnapshot> {
         let inner = self.inner.lock().expect("queue lock");
-        inner.entry(id).map(JobEntry::snapshot)
+        inner.jobs.get(&id).map(JobEntry::snapshot)
+    }
+
+    /// Blocks until job `id` settles or `timeout` passes, then returns its
+    /// snapshot: terminal if it settled, still queued or running if the
+    /// timeout came first. Returns `None` at once for an unknown or
+    /// retired id. A job never retires under its waiter, however many
+    /// others settle before the waiter wakes.
+    #[must_use]
+    pub fn wait_settled(&self, id: u64, timeout: Duration) -> Option<JobSnapshot> {
+        let mut inner = self.inner.lock().expect("queue lock");
+        inner.jobs.get_mut(&id)?.waiters += 1;
+        let (mut inner, _) = self
+            .settled
+            .wait_timeout_while(inner, timeout, |inner| !inner.jobs[&id].state.is_terminal())
+            .expect("queue lock");
+        let entry = inner.jobs.get_mut(&id).expect("waited-on jobs stay");
+        entry.waiters -= 1;
+        let snapshot = entry.snapshot();
+        inner.retire();
+        Some(snapshot)
     }
 
     /// Current counters.
@@ -476,31 +566,18 @@ impl JobQueue {
         let mut inner = self.inner.lock().expect("queue lock");
         inner.draining = true;
         while let Some(id) = inner.fifo.pop_front() {
-            inner.stats.cancelled += 1;
-            if let Some(entry) = inner.entry_mut(id) {
-                entry.state = JobState::Cancelled;
-                entry.error = Some(reason.to_owned());
-                entry.finished_ms = Some(entry.elapsed_ms());
-            }
+            inner.cancel_queued(id, reason);
         }
         inner.stats.queued = 0;
-        self.cond.notify_all();
-    }
-
-    /// Blocks until no job is running (used after [`JobQueue::drain`] to
-    /// let inflight work complete before the daemon exits).
-    pub fn wait_idle(&self) {
-        let mut inner = self.inner.lock().expect("queue lock");
-        while inner.stats.running > 0 {
-            inner = self.cond.wait(inner).expect("queue lock");
-        }
+        self.work.notify_all();
+        self.settled.notify_all();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
+    use std::thread::JoinHandle;
 
     fn submit_simple(queue: &JobQueue, tag: &str, batch: &str) -> u64 {
         let (id, cache) = queue.submit("table2", vec![], tag, tag, batch.to_owned());
@@ -579,17 +656,12 @@ mod tests {
         let snap = queue.snapshot(queued).unwrap();
         assert_eq!(snap.state, JobState::Cancelled);
         assert_eq!(snap.error.as_deref(), Some("service shutting down"));
-        // An idle worker sees end-of-work immediately.
+        // An idle worker sees end-of-work immediately; the running job
+        // keeps its slot until it settles.
         assert!(queue.next_job(None).is_none());
-        // wait_idle returns once the running job settles.
-        let waiter = {
-            let queue = Arc::clone(&queue);
-            std::thread::spawn(move || queue.wait_idle())
-        };
-        std::thread::sleep(Duration::from_millis(30));
-        assert!(!waiter.is_finished(), "still one running job");
+        assert_eq!(queue.snapshot(running).unwrap().state, JobState::Running);
         queue.finish(running, Arc::new("a".to_owned()), None, Vec::new());
-        waiter.join().expect("wait_idle returns");
+        assert_eq!(queue.stats().running, 0);
     }
 
     #[test]
@@ -651,7 +723,9 @@ mod tests {
     #[test]
     fn cache_hit_jobs_are_born_done() {
         let queue = JobQueue::new();
-        let id = queue.record_cache_hit("table2", Arc::new("cached\n".to_owned()));
+        let id = queue
+            .record_cache_hit("table2", Arc::new("cached\n".to_owned()))
+            .id;
         let snap = queue.snapshot(id).unwrap();
         assert_eq!(snap.state, JobState::Done);
         assert_eq!(snap.cache, CacheDisposition::Hit);
@@ -660,5 +734,177 @@ mod tests {
             Some("cached\n")
         );
         assert_eq!(queue.stats().cache_hits, 1);
+    }
+
+    /// Waits on job `id` from another thread with a 10 s timeout,
+    /// returning the snapshot and how long the wait took. Returns once
+    /// the waiter is registered, that is, blocked on the condvar.
+    fn spawn_waiter(queue: &Arc<JobQueue>, id: u64) -> JoinHandle<(Option<JobSnapshot>, Duration)> {
+        let waiter = {
+            let queue = Arc::clone(queue);
+            std::thread::spawn(move || {
+                let start = Instant::now();
+                let snap = queue.wait_settled(id, Duration::from_secs(10));
+                (snap, start.elapsed())
+            })
+        };
+        while queue.inner.lock().unwrap().jobs[&id].waiters == 0 {
+            std::thread::yield_now();
+        }
+        waiter
+    }
+
+    #[test]
+    fn every_terminal_transition_wakes_waiters() {
+        type Transition = fn(&JobQueue, u64);
+        let transitions: [(&str, bool, Transition, JobState); 4] = [
+            (
+                "finish",
+                true,
+                |q, id| q.finish(id, Arc::new("a".to_owned()), None, Vec::new()),
+                JobState::Done,
+            ),
+            (
+                "fail",
+                true,
+                |q, id| q.fail(id, "boom".to_owned()),
+                JobState::Failed,
+            ),
+            (
+                "cancel",
+                false,
+                |q, id| q.cancel(id).expect("queued job cancels"),
+                JobState::Cancelled,
+            ),
+            (
+                "drain",
+                false,
+                |q, _| q.drain("service shutting down"),
+                JobState::Cancelled,
+            ),
+        ];
+        for (name, claim, transition, want) in transitions {
+            let queue = Arc::new(JobQueue::new());
+            let id = submit_simple(&queue, name, "b");
+            if claim {
+                assert_eq!(queue.next_job(None).expect("job").id, id);
+            }
+            let waiter = spawn_waiter(&queue, id);
+            transition(&queue, id);
+            let (snap, waited) = waiter.join().expect("waiter returns");
+            assert_eq!(snap.expect("known job").state, want, "{name}");
+            assert!(
+                waited < Duration::from_secs(1),
+                "{name} woke late: {waited:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_wait_without_a_transition_returns_the_live_snapshot_at_its_timeout() {
+        let queue = JobQueue::new();
+        let id = submit_simple(&queue, "slow", "b");
+        let _ = queue.next_job(None).expect("job");
+        let start = Instant::now();
+        let snap = queue
+            .wait_settled(id, Duration::from_millis(50))
+            .expect("known job");
+        assert!(start.elapsed() >= Duration::from_millis(50));
+        assert_eq!(snap.state, JobState::Running);
+        // A settled job answers at once, however long the timeout.
+        queue.finish(id, Arc::new("a".to_owned()), None, Vec::new());
+        let snap = queue
+            .wait_settled(id, Duration::from_secs(3600))
+            .expect("known job");
+        assert_eq!(snap.state, JobState::Done);
+    }
+
+    #[test]
+    fn waits_on_unknown_or_retired_ids_return_none_at_once() {
+        let queue = JobQueue::new();
+        let start = Instant::now();
+        assert!(queue.wait_settled(7, Duration::from_secs(10)).is_none());
+        let first = queue
+            .record_cache_hit("table2", Arc::new("a".to_owned()))
+            .id;
+        for _ in 0..SETTLED_JOBS_KEPT {
+            queue.record_cache_hit("table2", Arc::new("a".to_owned()));
+        }
+        assert!(queue.wait_settled(first, Duration::from_secs(10)).is_none());
+        assert!(start.elapsed() < Duration::from_secs(1));
+    }
+
+    #[test]
+    fn settled_jobs_beyond_the_retention_bound_are_retired() {
+        let queue = JobQueue::new();
+        let running = submit_simple(&queue, "r", "b");
+        let queued = submit_simple(&queue, "q", "b");
+        assert_eq!(queue.next_job(None).expect("job").id, running);
+        let hits: Vec<u64> = (0..SETTLED_JOBS_KEPT + 10)
+            .map(|_| {
+                queue
+                    .record_cache_hit("table2", Arc::new("cached".to_owned()))
+                    .id
+            })
+            .collect();
+        for &id in &hits[..10] {
+            assert!(queue.snapshot(id).is_none(), "hit {id} retired");
+            assert_eq!(queue.cancel(id), Err(format!("no such job {id}")));
+        }
+        for &id in &hits[10..] {
+            assert_eq!(queue.snapshot(id).expect("kept").state, JobState::Done);
+        }
+        // Live jobs are never retired, and identical submits still join
+        // them.
+        assert_eq!(queue.snapshot(running).unwrap().state, JobState::Running);
+        assert_eq!(queue.snapshot(queued).unwrap().state, JobState::Queued);
+        for (tag, live) in [("r", running), ("q", queued)] {
+            let joined = queue.submit("table2", vec![], tag, tag, "b".to_owned());
+            assert_eq!(joined, (live, CacheDisposition::Coalesced));
+        }
+        // The counters count every request, retired or not.
+        let stats = queue.stats();
+        assert_eq!(stats.submitted, 2 + hits.len() as u64 + 2);
+        assert_eq!(stats.cache_hits, hits.len() as u64);
+        assert_eq!(stats.coalesced, 2);
+        // An executed job retires like a hit once enough jobs settle
+        // after it, and the table never holds more than the bound.
+        queue.finish(running, Arc::new("a".to_owned()), None, Vec::new());
+        for _ in 0..2 * SETTLED_JOBS_KEPT {
+            queue.record_cache_hit("table2", Arc::new("cached".to_owned()));
+        }
+        assert!(queue.snapshot(running).is_none());
+        assert_eq!(queue.snapshot(queued).unwrap().state, JobState::Queued);
+        let inner = queue.inner.lock().unwrap();
+        assert_eq!(inner.settle_order.len(), SETTLED_JOBS_KEPT);
+        assert_eq!(inner.jobs.len(), SETTLED_JOBS_KEPT + 1);
+    }
+
+    #[test]
+    fn a_waiter_sees_its_job_settle_even_when_retirement_passes_it() {
+        let queue = Arc::new(JobQueue::new());
+        let id = submit_simple(&queue, "r", "b");
+        let _ = queue.next_job(None).expect("job");
+        let waiter = spawn_waiter(&queue, id);
+        // Settle the job and bury it under a full retention window in one
+        // critical section, before the waiter can wake.
+        {
+            let mut inner = queue.inner.lock().unwrap();
+            let artifact = Some(Arc::new("a".to_owned()));
+            inner.conclude(id, JobState::Done, artifact, None, None, Vec::new());
+            for _ in 0..SETTLED_JOBS_KEPT + 10 {
+                inner.record_cache_hit("table2", Arc::new("cached".to_owned()));
+            }
+            assert!(inner.jobs.contains_key(&id), "spared for its waiter");
+            queue.settled.notify_all();
+        }
+        let (snap, _) = waiter.join().expect("waiter returns");
+        assert_eq!(snap.expect("still known").state, JobState::Done);
+        // The waiter retired what it held back.
+        assert!(queue.snapshot(id).is_none());
+        assert_eq!(
+            queue.inner.lock().unwrap().settle_order.len(),
+            SETTLED_JOBS_KEPT
+        );
     }
 }

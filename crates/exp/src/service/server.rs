@@ -1,10 +1,24 @@
 //! The `xbar serve` daemon: accept loop, worker pool, and job execution.
 //!
-//! Architecture: one nonblocking accept thread spawns a thread per
-//! connection (requests are line-oriented and short-lived; a waiting
-//! `submit` ties its connection up only with sleeps, not CPU), and a
+//! Thread model: one accept thread blocks in `accept` and spawns a thread
+//! per connection (requests are line-oriented and short-lived), and a
 //! fixed pool of `--max-inflight` worker threads pulls jobs from the
-//! shared [`JobQueue`] — the pool size *is* the concurrency bound.
+//! shared [`JobQueue`] — the pool size *is* the concurrency bound. No
+//! path polls. The accept thread wakes when a client connects, an idle
+//! worker when a job is queued, and a connection following a job
+//! (`submit` with `wait`) when the job settles or its next `progress`
+//! event is due (`PROGRESS_INTERVAL`), so a cache hit is answered as soon
+//! as its connection is accepted and a cold job as soon as its worker
+//! concludes.
+//!
+//! Shutdown — a `shutdown` request or [`ServiceHandle::shutdown_and_wait`]
+//! — sets a flag, drains the queue (queued jobs are cancelled, running
+//! ones finish) and wakes the accept thread with one connection to the
+//! daemon's own address (loopback, when bound to an unspecified address);
+//! the accept thread drops whatever it accepts from then on and exits.
+//! [`ServiceHandle::wait`] joins it and the workers, then waits, for at
+//! most `REPLY_DRAIN_LIMIT`, for connections still writing a reply — such
+//! as the final line of a job that finished during the drain.
 //!
 //! Execution reuses the existing machinery end to end. `table2` (the
 //! flagship Monte Carlo workload) runs through the one shard
@@ -47,22 +61,22 @@ use crate::shard::json::JsonValue;
 use crate::shard::McConfig;
 use std::fs;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How often the accept loop polls for the shutdown flag. This is also
-/// the worst-case latency before a new connection is accepted — a cache
-/// hit's whole response time is dominated by it — so it is kept small;
-/// 200 idle wakeups/s cost nothing measurable.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
-/// How often a waiting connection polls its job.
-const WAIT_POLL: Duration = Duration::from_millis(100);
-/// Progress event cadence, in wait-poll ticks (~every 500 ms).
-const PROGRESS_EVERY: u32 = 5;
+/// The `progress` cadence of a connection following a job. The final
+/// line does not wait for it: it goes out as soon as the job settles.
+const PROGRESS_INTERVAL: Duration = Duration::from_millis(500);
+/// Pause after a failed `accept` (say, out of file descriptors) before
+/// the next one; the idle accept path never sleeps.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
+/// How long a drained daemon waits for connections still writing a
+/// reply, so a client that stopped reading cannot hold the exit.
+const REPLY_DRAIN_LIMIT: Duration = Duration::from_secs(5);
 
 /// `xbar serve` configuration.
 #[derive(Debug, Clone)]
@@ -126,6 +140,8 @@ impl Default for ServeOptions {
 #[derive(Debug)]
 struct ServiceState {
     options: ServeOptions,
+    /// The bound listen address; the shutdown path connects to it.
+    addr: SocketAddr,
     /// The fleet every sharded job runs on (see [`job_fleet`]).
     fleet: Vec<HostSpec>,
     queue: JobQueue,
@@ -133,6 +149,42 @@ struct ServiceState {
     jobs_dir: PathBuf,
     started: Instant,
     shutdown: AtomicBool,
+    replies: Replies,
+}
+
+/// Requests being answered right now. Connection threads are detached, so
+/// the drain waits on this count to let every reply — a waiting client's
+/// final line above all — reach its socket before the daemon exits.
+#[derive(Debug, Default)]
+struct Replies {
+    count: Mutex<usize>,
+    idle: Condvar,
+}
+
+impl Replies {
+    /// Counts one reply until the returned guard drops.
+    fn begin(&self) -> ReplyGuard<'_> {
+        *self.count.lock().unwrap_or_else(PoisonError::into_inner) += 1;
+        ReplyGuard(self)
+    }
+
+    /// Blocks until no reply is in flight or `limit` passes.
+    fn wait_idle(&self, limit: Duration) {
+        let count = self.count.lock().unwrap_or_else(PoisonError::into_inner);
+        let _ = self.idle.wait_timeout_while(count, limit, |n| *n > 0);
+    }
+}
+
+struct ReplyGuard<'a>(&'a Replies);
+
+impl Drop for ReplyGuard<'_> {
+    fn drop(&mut self) {
+        let mut count = self.0.count.lock().unwrap_or_else(PoisonError::into_inner);
+        *count -= 1;
+        if *count == 0 {
+            self.0.idle.notify_all();
+        }
+    }
 }
 
 /// A running service: bound address plus the handles needed to wait for
@@ -140,7 +192,6 @@ struct ServiceState {
 /// daemon (threads are detached from the handle's lifetime until joined).
 #[derive(Debug)]
 pub struct ServiceHandle {
-    addr: SocketAddr,
     state: Arc<ServiceState>,
     workers: Vec<JoinHandle<()>>,
     acceptor: JoinHandle<()>,
@@ -150,34 +201,47 @@ impl ServiceHandle {
     /// The bound listen address (resolves `--listen 127.0.0.1:0`).
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.state.addr
     }
 
     /// Blocks until a `shutdown` request arrives, then drains: running
     /// jobs finish (their artifacts land in the cache), queued jobs are
-    /// cancelled, worker threads and the accept loop exit.
+    /// cancelled, worker threads and the accept loop exit, and replies
+    /// still being written get up to `REPLY_DRAIN_LIMIT` to finish.
     pub fn wait(self) {
-        while !self.state.shutdown.load(Ordering::SeqCst) {
-            std::thread::sleep(ACCEPT_POLL);
+        // The acceptor returns only once shutdown has been requested.
+        let _ = self.acceptor.join();
+        for worker in self.workers {
+            let _ = worker.join();
         }
-        self.join_after_shutdown();
+        self.state.replies.wait_idle(REPLY_DRAIN_LIMIT);
     }
 
     /// Requests shutdown (as if a `shutdown` message arrived) and drains.
     pub fn shutdown_and_wait(self) {
-        self.state.shutdown.store(true, Ordering::SeqCst);
-        self.state.queue.drain("service shutting down");
-        self.join_after_shutdown();
+        request_shutdown(&self.state);
+        self.wait();
     }
+}
 
-    fn join_after_shutdown(self) {
-        for worker in self.workers {
-            let _ = worker.join();
-        }
-        let _ = self.acceptor.join();
-        // Connection threads are detached; give clients waiting on a job
-        // that settled during the drain a beat to read its final line.
-        std::thread::sleep(Duration::from_millis(200));
+/// Sets the shutdown flag, cancels queued jobs and wakes the blocking
+/// acceptor with one connection to the daemon's own address (loopback of
+/// the same family when bound to an unspecified one). Only the first call
+/// acts.
+fn request_shutdown(state: &ServiceState) {
+    if state.shutdown.swap(true, Ordering::SeqCst) {
+        return;
+    }
+    state.queue.drain("service shutting down");
+    let mut wake = state.addr;
+    if wake.ip().is_unspecified() {
+        wake.set_ip(match wake {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    if let Err(e) = TcpStream::connect(wake) {
+        eprintln!("xbar serve: cannot wake the accept loop at {wake}: {e}");
     }
 }
 
@@ -205,18 +269,17 @@ pub fn start(options: ServeOptions) -> Result<ServiceHandle, String> {
     let addr = listener
         .local_addr()
         .map_err(|e| format!("cannot read bound address: {e}"))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("cannot set listener nonblocking: {e}"))?;
 
     let state = Arc::new(ServiceState {
         options,
+        addr,
         fleet,
         queue: JobQueue::new(),
         cache,
         jobs_dir,
         started: Instant::now(),
         shutdown: AtomicBool::new(false),
+        replies: Replies::default(),
     });
 
     let workers = (0..state.options.max_inflight)
@@ -230,7 +293,6 @@ pub fn start(options: ServeOptions) -> Result<ServiceHandle, String> {
         std::thread::spawn(move || accept_loop(&state, &listener))
     };
     Ok(ServiceHandle {
-        addr,
         state,
         workers,
         acceptor,
@@ -239,20 +301,21 @@ pub fn start(options: ServeOptions) -> Result<ServiceHandle, String> {
 
 fn accept_loop(state: &Arc<ServiceState>, listener: &TcpListener) {
     loop {
+        let accepted = listener.accept();
+        // Once shutdown is requested, whatever was accepted — the wake-up
+        // connection or a late client — is dropped, and the listener
+        // closes with this thread.
         if state.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _)) => {
                 let state = Arc::clone(state);
                 std::thread::spawn(move || handle_connection(&state, stream));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
             Err(e) => {
                 eprintln!("xbar serve: accept error: {e}");
-                std::thread::sleep(ACCEPT_POLL);
+                std::thread::sleep(ACCEPT_ERROR_BACKOFF);
             }
         }
     }
@@ -302,6 +365,7 @@ fn send(writer: &mut TcpStream, line: &str) -> bool {
 }
 
 fn handle_request(state: &Arc<ServiceState>, writer: &mut TcpStream, request: Request) -> bool {
+    let _reply = state.replies.begin();
     match request {
         Request::Submit {
             experiment,
@@ -331,8 +395,7 @@ fn handle_request(state: &Arc<ServiceState>, writer: &mut TcpStream, request: Re
         }
         Request::Stats => send(writer, &stats_line(state)),
         Request::Shutdown => {
-            state.shutdown.store(true, Ordering::SeqCst);
-            state.queue.drain("service shutting down");
+            request_shutdown(state);
             send(writer, &response("ok", Vec::new()))
         }
     }
@@ -374,14 +437,11 @@ fn handle_submit(
     let key = cache_key(exp, &params);
 
     if let Some(artifact) = state.cache.lookup(&key) {
-        let artifact = Arc::new(artifact);
-        let id = state
-            .queue
-            .record_cache_hit(exp.name(), Arc::clone(&artifact));
+        let snap = state.queue.record_cache_hit(exp.name(), Arc::new(artifact));
         let submitted = response(
             "submitted",
             vec![
-                ("job".to_owned(), JsonValue::u64(id)),
+                ("job".to_owned(), JsonValue::u64(snap.id)),
                 ("cache".to_owned(), JsonValue::str("hit")),
                 ("state".to_owned(), JsonValue::str("done")),
             ],
@@ -390,7 +450,6 @@ fn handle_submit(
             return false;
         }
         if wait {
-            let snap = state.queue.snapshot(id).expect("job just recorded");
             return send(writer, &result_or_error_line(&snap));
         }
         return true;
@@ -431,37 +490,35 @@ fn handle_submit(
     true
 }
 
-/// Polls a job until it settles, streaming periodic `progress` events and
-/// the final `result`/`error` line. Progress counts the shard partials
-/// already checkpointed in the job's coordinator run directory — the same
-/// numbers [`RunReport`] summarizes at the end.
+/// Follows a job until it settles: a `progress` event at once and then
+/// every [`PROGRESS_INTERVAL`] while it is queued or running, and the
+/// final `result`/`error` line as soon as it settles. Progress counts the
+/// shard partials already checkpointed in the job's coordinator run
+/// directory — the same numbers [`RunReport`] summarizes at the end.
 fn stream_until_settled(state: &Arc<ServiceState>, writer: &mut TcpStream, id: u64) -> bool {
-    let mut tick: u32 = 0;
+    let mut snap = state.queue.snapshot(id);
     loop {
-        let Some(snap) = state.queue.snapshot(id) else {
+        let Some(current) = snap else {
             return send(writer, &error_line(&format!("job {id} vanished")));
         };
-        if snap.state.is_terminal() {
-            return send(writer, &result_or_error_line(&snap));
+        if current.state.is_terminal() {
+            return send(writer, &result_or_error_line(&current));
         }
-        if tick % PROGRESS_EVERY == 0 {
-            let (done, total) = shard_progress(&snap);
-            let progress = response(
-                "progress",
-                vec![
-                    ("job".to_owned(), JsonValue::u64(id)),
-                    ("state".to_owned(), JsonValue::str(snap.state.as_str())),
-                    ("shards_done".to_owned(), JsonValue::usize(done)),
-                    ("shards".to_owned(), JsonValue::usize(total)),
-                    ("elapsed_ms".to_owned(), JsonValue::u64(snap.elapsed_ms)),
-                ],
-            );
-            if !send(writer, &progress) {
-                return false; // client gone; the job keeps running
-            }
+        let (done, total) = shard_progress(&current);
+        let progress = response(
+            "progress",
+            vec![
+                ("job".to_owned(), JsonValue::u64(id)),
+                ("state".to_owned(), JsonValue::str(current.state.as_str())),
+                ("shards_done".to_owned(), JsonValue::usize(done)),
+                ("shards".to_owned(), JsonValue::usize(total)),
+                ("elapsed_ms".to_owned(), JsonValue::u64(current.elapsed_ms)),
+            ],
+        );
+        if !send(writer, &progress) {
+            return false; // client gone; the job keeps running
         }
-        tick = tick.wrapping_add(1);
-        std::thread::sleep(WAIT_POLL);
+        snap = state.queue.wait_settled(id, PROGRESS_INTERVAL);
     }
 }
 
@@ -865,6 +922,7 @@ pub fn serve_main(argv: Vec<String>) -> i32 {
 mod tests {
     use super::*;
     use crate::service::protocol::PROTOCOL;
+    use crate::service::queue::SETTLED_JOBS_KEPT;
     use crate::shard::json::Json;
 
     #[test]
@@ -1098,6 +1156,95 @@ mod tests {
             "{}",
             lines[1]
         );
+        handle.shutdown_and_wait();
+        let _ = fs::remove_dir_all(&work_dir);
+    }
+
+    #[test]
+    fn the_drain_waits_for_replies_in_flight_up_to_its_limit() {
+        let replies = Arc::new(Replies::default());
+        let reply = replies.begin();
+        // A reply that never finishes holds the drain only up to the limit.
+        let start = Instant::now();
+        replies.wait_idle(Duration::from_millis(50));
+        assert!(start.elapsed() >= Duration::from_millis(50));
+        // The last reply to finish releases the drain at once.
+        let drain = {
+            let replies = Arc::clone(&replies);
+            std::thread::spawn(move || {
+                let start = Instant::now();
+                replies.wait_idle(Duration::from_secs(10));
+                start.elapsed()
+            })
+        };
+        drop(reply);
+        assert!(drain.join().expect("drain returns") < Duration::from_secs(1));
+    }
+
+    /// The job table keeps only the newest `SETTLED_JOBS_KEPT` settled
+    /// jobs: `status` and `result` of an older id are one `error` line,
+    /// while its request stays a cache hit away.
+    #[test]
+    fn retired_jobs_answer_no_such_job() {
+        let work_dir = scratch("retire");
+        let exp = find_experiment("table2").expect("registered");
+        let args: Vec<String> = ["--quick", "--circuits", "rd53"]
+            .iter()
+            .map(|s| (*s).to_owned())
+            .collect();
+        let params = Params::parse(exp.extra_params(), args.iter().cloned()).expect("parses");
+        ArtifactCache::open(&work_dir.join("cache"))
+            .expect("open")
+            .store(&cache_key(exp, &params), "cached artifact\n")
+            .expect("store");
+        let handle = start(ServeOptions {
+            listen: "127.0.0.1:0".to_owned(),
+            work_dir: work_dir.clone(),
+            max_inflight: 1,
+            in_process_jobs: true,
+            ..ServeOptions::default()
+        })
+        .expect("starts");
+        let addr = handle.addr();
+
+        let submit = Request::Submit {
+            experiment: "table2".to_owned(),
+            args,
+            wait: false,
+        }
+        .render();
+        let hits = SETTLED_JOBS_KEPT + 1;
+        let replies = request_lines(addr, &vec![submit; hits].join("\n"), hits);
+        assert!(replies.iter().all(|l| l.contains("\"cache\": \"hit\"")));
+
+        // Every reply to a request about the retired first job, read to
+        // the end of the connection.
+        let all_replies = |request: Request| {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            writeln!(stream, "{}", request.render()).expect("send");
+            stream
+                .shutdown(std::net::Shutdown::Write)
+                .expect("half-close");
+            BufReader::new(stream)
+                .lines()
+                .map(|line| line.expect("read"))
+                .collect::<Vec<_>>()
+        };
+        for request in [Request::Status { job: 0 }, Request::ResultOf { job: 0 }] {
+            let lines = all_replies(request);
+            assert_eq!(lines.len(), 1, "{lines:?}");
+            let doc = Json::parse(&lines[0]).expect("parses");
+            assert_eq!(doc.get("type").and_then(Json::as_str), Some("error"));
+            assert_eq!(
+                doc.get("message").and_then(Json::as_str),
+                Some("no such job 0")
+            );
+        }
+        let newest = all_replies(Request::Status {
+            job: hits as u64 - 1,
+        });
+        assert!(newest[0].contains("\"state\": \"done\""), "{newest:?}");
+
         handle.shutdown_and_wait();
         let _ = fs::remove_dir_all(&work_dir);
     }

@@ -3,12 +3,13 @@
 //! Covers the core service promises end to end: the served artifact is
 //! byte-identical to `xbar run --json`, a repeated submit is answered
 //! from the artifact cache without any new work, concurrent submissions
-//! never exceed the worker-slot bound, and a daemon killed mid-job
-//! leaves checkpoints a restarted daemon resumes from.
+//! never exceed the worker-slot bound, a daemon killed mid-job leaves
+//! checkpoints a restarted daemon resumes from, and a shutdown drains
+//! running jobs to their waiting clients before the daemon exits.
 
 use std::io::BufRead;
 use std::path::PathBuf;
-use std::process::{Child, Command, Output, Stdio};
+use std::process::{Child, Command, ExitStatus, Output, Stdio};
 use std::time::{Duration, Instant};
 use xbar_core::{DefectModelSpec, SampleStream};
 use xbar_exp::experiment::{find_experiment, Params};
@@ -16,6 +17,10 @@ use xbar_exp::service::cache_key;
 use xbar_exp::shard::coordinator::campaign_run_dir;
 use xbar_exp::shard::partial::ShardPartial;
 use xbar_exp::shard::McConfig;
+
+/// How long a daemon may take to exit after `--shutdown` before a test
+/// kills it and fails.
+const EXIT_LIMIT: Duration = Duration::from_secs(30);
 
 fn xbar() -> Command {
     Command::new(env!("CARGO_BIN_EXE_xbar"))
@@ -88,12 +93,41 @@ impl Daemon {
             .expect("run xbar submit")
     }
 
-    /// Asks the daemon to drain and waits for a clean exit.
+    /// Asks the daemon to drain and waits, for at most [`EXIT_LIMIT`],
+    /// for a clean exit.
     fn shutdown(mut self) {
         let out = self.submit(&["--shutdown"]);
         assert!(out.status.success(), "shutdown: {out:?}");
-        let status = self.child.wait().expect("daemon exit");
+        let status = self.wait_exit();
         assert!(status.success(), "daemon exit: {status:?}");
+    }
+
+    /// The daemon's exit status, once it exits; a daemon still running
+    /// after [`EXIT_LIMIT`] is killed and the test fails.
+    fn wait_exit(&mut self) -> ExitStatus {
+        let deadline = Instant::now() + EXIT_LIMIT;
+        loop {
+            if let Some(status) = self.child.try_wait().expect("poll daemon") {
+                return status;
+            }
+            if Instant::now() >= deadline {
+                let _ = self.child.kill();
+                let _ = self.child.wait();
+                panic!("the daemon did not exit within {EXIT_LIMIT:?} of --shutdown");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
+}
+
+impl Drop for Daemon {
+    /// A test that fails before [`Daemon::shutdown`] leaves no daemon
+    /// behind.
+    fn drop(&mut self) {
+        if matches!(self.child.try_wait(), Ok(None)) {
+            let _ = self.child.kill();
+            let _ = self.child.wait();
+        }
     }
 }
 
@@ -544,6 +578,79 @@ fn waiting_client_survives_a_daemon_bounce_and_still_gets_identical_bytes() {
         "bytes delivered across the bounce must equal a monolithic run"
     );
 
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&work_dir);
+}
+
+#[test]
+fn shutdown_mid_job_still_delivers_the_artifact_to_a_waiting_client() {
+    let work_dir = scratch("drain");
+    let submit_args = ["table2", "--quick", "--circuits", "rd53"];
+    // Slow serialized shards, so the shutdown lands while the job runs.
+    let daemon = Daemon::start(
+        &work_dir,
+        &[
+            "--job-shards",
+            "2",
+            "--job-max-inflight",
+            "1",
+            "--worker-arg",
+            "--inject-slow-ms",
+            "--worker-arg",
+            "400",
+        ],
+    );
+    let client = xbar()
+        .args(["submit", "--connect", &daemon.addr])
+        .args(submit_args)
+        .arg("--wait")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn waiting client");
+
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let stats = stdout_str(&daemon.submit(&["--stats"]));
+        if stats.contains("\"running\": 1") {
+            break;
+        }
+        assert!(Instant::now() < deadline, "the job never started: {stats}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    // Drains the running job, then exits 0 (bounded by EXIT_LIMIT).
+    daemon.shutdown();
+
+    let out = client.wait_with_output().expect("client output");
+    assert!(out.status.success(), "{out:?}");
+    let note = stderr_str(&out);
+    assert!(
+        !note.contains("reconnecting"),
+        "the final line must arrive before the daemon exits: {note}"
+    );
+    let reference = xbar()
+        .args(["run"])
+        .args(submit_args)
+        .arg("--json")
+        .output()
+        .expect("run xbar run");
+    assert_eq!(
+        stdout_str(&out),
+        stdout_str(&reference),
+        "a job drained by shutdown must serve byte-identical bytes"
+    );
+    let _ = std::fs::remove_dir_all(&work_dir);
+}
+
+#[test]
+fn a_daemon_on_an_unspecified_address_exits_after_shutdown() {
+    let work_dir = scratch("wildcard");
+    // The shutdown path wakes the blocking accept loop over loopback.
+    let mut daemon = Daemon::start_at(&work_dir, "0.0.0.0:0", &["--in-process-jobs"]);
+    let port = daemon.addr.rsplit(':').next().expect("port").to_owned();
+    daemon.addr = format!("127.0.0.1:{port}");
+    let stats = daemon.submit(&["--stats"]);
+    assert!(stats.status.success(), "{stats:?}");
     daemon.shutdown();
     let _ = std::fs::remove_dir_all(&work_dir);
 }
