@@ -16,10 +16,10 @@
 //!   single-level backtracking plus exact Munkres output assignment;
 //! * [`map_exact`] — **EA**: the full matching problem, solved as a bitset
 //!   maximum matching;
-//! * [`MatchEngine`] / [`map_hybrid_with_scratch`] — the reusable bitset
-//!   matching engine behind both mappers: packed compatibility adjacency
-//!   built word-parallel from the crossbar's column defect bitplanes,
-//!   with the FM structure cached per campaign
+//! * [`MatchEngine`] — the reusable bitset matching engine behind both
+//!   mappers, meant to be reused across a loop's calls: packed
+//!   compatibility adjacency built word-parallel from the crossbar's
+//!   column defect bitplanes, with the FM structure cached per campaign
 //!   ([`MatchEngine::prepare_fm`]), a Hall fast-fail on empty candidate
 //!   rows, and zero per-sample heap allocation in Monte Carlo loops
 //!   ([`reference`] keeps the dense originals as baselines);
@@ -91,9 +91,8 @@ pub use engine::MatchEngine;
 pub use layout::TwoLevelLayout;
 pub use mapping::reference;
 pub use mapping::{
-    map_exact, map_exact_with_scratch, map_hybrid, map_hybrid_with, map_hybrid_with_scratch,
-    map_naive, mapping_feasible, mapping_feasible_with_scratch, HybridOptions, MappingOutcome,
-    MappingStats, RowAssignment,
+    map_exact, map_hybrid, map_hybrid_with, map_naive, mapping_feasible, HybridOptions,
+    MappingOutcome, MappingStats, RowAssignment,
 };
 pub use matrices::{
     row_compatible, BitRow, ClusteredDefects, CompositeDefects, CrossbarMatrix, DefectModel,

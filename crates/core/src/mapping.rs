@@ -114,8 +114,8 @@ impl Default for HybridOptions {
 /// matching of minterm rows with single-level backtracking, then an exact
 /// Munkres assignment of the output rows onto the remaining crossbar rows.
 ///
-/// Runs on a one-shot [`MatchEngine`]; use [`map_hybrid_with_scratch`] in
-/// loops to reuse the engine's buffers.
+/// Runs on a one-shot [`MatchEngine`]; call [`MatchEngine::map_hybrid`] on
+/// one engine in loops to reuse its buffers.
 #[must_use]
 pub fn map_hybrid(fm: &FunctionMatrix, cm: &CrossbarMatrix) -> MappingOutcome {
     MatchEngine::new().map_hybrid(fm, cm)
@@ -131,17 +131,6 @@ pub fn map_hybrid_with(
     MatchEngine::new().map_hybrid_with(fm, cm, options)
 }
 
-/// [`map_hybrid`] reusing a caller-owned [`MatchEngine`] — the hot-loop
-/// variant whose only per-call allocation is the returned assignment.
-#[must_use]
-pub fn map_hybrid_with_scratch(
-    fm: &FunctionMatrix,
-    cm: &CrossbarMatrix,
-    engine: &mut MatchEngine,
-) -> MappingOutcome {
-    engine.map_hybrid(fm, cm)
-}
-
 /// The paper's **exact algorithm** (EA): succeeds iff any valid mapping
 /// exists. The all-0/1 matching matrix makes this a pure feasibility
 /// problem, solved as a bitset Hopcroft–Karp maximum matching (Munkres
@@ -152,31 +141,11 @@ pub fn map_exact(fm: &FunctionMatrix, cm: &CrossbarMatrix) -> MappingOutcome {
     MatchEngine::new().map_exact(fm, cm)
 }
 
-/// [`map_exact`] reusing a caller-owned [`MatchEngine`].
-#[must_use]
-pub fn map_exact_with_scratch(
-    fm: &FunctionMatrix,
-    cm: &CrossbarMatrix,
-    engine: &mut MatchEngine,
-) -> MappingOutcome {
-    engine.map_exact(fm, cm)
-}
-
 /// Feasibility oracle: does *any* valid mapping exist? (Maximum bipartite
 /// matching; used to cross-check EA and in ablations.)
 #[must_use]
 pub fn mapping_feasible(fm: &FunctionMatrix, cm: &CrossbarMatrix) -> bool {
     MatchEngine::new().feasible(fm, cm)
-}
-
-/// [`mapping_feasible`] reusing a caller-owned [`MatchEngine`].
-#[must_use]
-pub fn mapping_feasible_with_scratch(
-    fm: &FunctionMatrix,
-    cm: &CrossbarMatrix,
-    engine: &mut MatchEngine,
-) -> bool {
-    engine.feasible(fm, cm)
 }
 
 pub mod reference {

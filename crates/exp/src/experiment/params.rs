@@ -494,29 +494,6 @@ impl Params {
         }
     }
 
-    /// An extra string parameter when the experiment declared one under
-    /// `name`, `None` otherwise. For generic callers (the service's batch
-    /// scheduler probes every experiment for an optional circuit
-    /// affinity) that cannot uphold [`Params::str`]'s declared-name
-    /// contract.
-    #[must_use]
-    pub fn opt_str(&self, name: &str) -> Option<&str> {
-        match self.extras.get(name) {
-            Some(ParamValue::Str(v)) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// An extra string-list parameter when declared, `None` otherwise.
-    /// See [`Params::opt_str`].
-    #[must_use]
-    pub fn opt_list(&self, name: &str) -> Option<&[String]> {
-        match self.extras.get(name) {
-            Some(ParamValue::StrList(v)) => Some(&v[..]),
-            _ => None,
-        }
-    }
-
     /// The defect sampling stream selected by `--rng-stream`, or
     /// [`SampleStream::V1`] for experiments that never declared
     /// [`RNG_STREAM_PARAM`] (deterministic experiments sample nothing).
@@ -771,21 +748,6 @@ mod tests {
         assert!(text.contains("--samples N"), "{text}");
         assert!(text.contains("--rng-stream v1|v2"), "{text}");
         assert!(!text.contains("--json"), "{text}");
-    }
-
-    #[test]
-    fn opt_accessors_probe_without_panicking() {
-        let p = parse(&["--circuit", "bw", "--sizes", "10,15"]).expect("parses");
-        assert_eq!(p.opt_str("circuit"), Some("bw"));
-        assert_eq!(
-            p.opt_list("sizes"),
-            Some(&["10".to_owned(), "15".to_owned()][..])
-        );
-        // Undeclared names and kind mismatches are None, not a panic —
-        // generic callers (the service batch scheduler) rely on this.
-        assert_eq!(p.opt_str("circuits"), None);
-        assert_eq!(p.opt_list("circuit"), None);
-        assert_eq!(p.opt_str("sizes"), None);
     }
 
     #[test]

@@ -229,17 +229,6 @@ pub fn run_circuit(info: &BenchmarkInfo, args: &ExpArgs) -> Table2Row {
     row_from_accum(info, &cover, &accum)
 }
 
-/// Runs the full Table II (all 16 circuits, or a named subset).
-#[must_use]
-pub fn run_table2(args: &ExpArgs, subset: Option<&[&str]>) -> Vec<Table2Row> {
-    registry()
-        .iter()
-        .filter(|info| info.hba.is_some())
-        .filter(|info| subset.is_none_or(|names| names.contains(&info.name)))
-        .map(|info| run_circuit(info, args))
-        .collect()
-}
-
 /// The circuits eligible for Table II (those with published HBA numbers),
 /// in registry order — the default circuit set of the sharded runner.
 #[must_use]
@@ -518,19 +507,6 @@ mod tests {
             ea += engine.exact_success(&fm, &cm).1.compatibility_checks;
         }
         assert!(hba * 10 <= ea, "HBA {hba} vs EA {ea} compatibility checks");
-    }
-
-    #[test]
-    fn subset_filter_works() {
-        let rows = run_table2(
-            &ExpArgs {
-                samples: 5,
-                ..quick_args()
-            },
-            Some(&["rd53", "bw"]),
-        );
-        let names: Vec<&str> = rows.iter().map(|r| r.name.as_str()).collect();
-        assert_eq!(names, ["rd53", "bw"]);
     }
 
     #[test]

@@ -52,8 +52,8 @@ fn launch_usage() -> String {
     format!(
         "xbar mc launch: fault-tolerant multi-host Monte Carlo dispatch\n\n\
          Shards the campaign over a fleet, streams partials back over a\n\
-         transport, and merges through a per-host tree. The merged output is\n\
-         byte-identical to a monolithic run under every tolerated fault.\n\n\
+         transport, and merges them. The merged output is byte-identical\n\
+         to a monolithic run under every tolerated fault.\n\n\
          {}\n\
          scheduling flags:\n\
          {SCHEDULING_FLAGS_USAGE}\n  \
@@ -147,9 +147,9 @@ fn write_canonical_artifact(
 }
 
 /// `xbar mc launch`: shards a campaign over a fleet of hosts, merges the
-/// streamed partials through the two-level tree, and writes the merged
-/// stats artifact (plus, with `--artifact`, the canonical experiment
-/// document). Returns the process exit code.
+/// streamed partials, and writes the merged stats artifact (plus, with
+/// `--artifact`, the canonical experiment document). Returns the process
+/// exit code.
 #[must_use]
 pub fn launch_main(argv: Vec<String>) -> i32 {
     let parsed = parse_launch_args(argv);

@@ -15,9 +15,9 @@
 //!   → quarantined → timed probation) and in-flight slot bounds;
 //! * [`scheduler`] — the event loop: dispatch, watchdog deadlines,
 //!   backoff retries, hedged re-dispatch of stragglers, torn-transfer
-//!   detection on every returned stream;
-//! * [`merge`] — the two-level merge tree (per-host pre-merge, root
-//!   merge), byte-identical to the flat merge by construction;
+//!   detection on every returned stream, and one flat merge of the
+//!   winning partials
+//!   ([`merge_partials`](crate::shard::coordinator::merge_partials));
 //! * [`cli`] — `xbar mc launch`.
 //!
 //! The hard invariant, pinned by tests and the CI loopback smoke: the
@@ -26,12 +26,10 @@
 //! host death mid-campaign, hung flights, duplicated hedge partials.
 
 pub mod cli;
-pub mod merge;
 pub mod pool;
 pub mod scheduler;
 pub mod transport;
 
-pub use merge::merge_host_groups;
 pub use pool::{parse_hosts, HostCount, HostHealth, HostPool, HostSpec};
 pub use scheduler::{run_launch_with_report, LaunchConfig, LaunchReport};
 pub use transport::{Exec, FaultKind, FaultPlan, Faulty, Flight, LocalProc, Transport, WorkerJob};

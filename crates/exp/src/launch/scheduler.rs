@@ -20,13 +20,12 @@
 //!   cancelled and discarded (the exact-tiling merge validation would
 //!   reject its duplicate anyway).
 
-use super::merge::merge_host_groups;
 use super::pool::{HostCount, HostPool, HostSpec};
 use super::transport::{Transport, WorkerJob};
 use crate::experiments::table2::CircuitAccum;
 use crate::shard::coordinator::{
-    backoff_delay, campaign_run_dir, partial_path, preflight_run_dir, MergedResult, RunReport,
-    Worker,
+    backoff_delay, campaign_run_dir, merge_partials, partial_path, preflight_run_dir, MergedResult,
+    RunReport, Worker,
 };
 use crate::shard::partial::ShardPartial;
 use crate::shard::{McConfig, ShardSpec};
@@ -35,16 +34,12 @@ use std::fs;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-/// Host shards reused from checkpoints (or synthesized empty) are
-/// attributed to in the merge tree, and the one host of [`local_fleet`].
-const LOCAL_HOST: &str = "local";
-
 /// The implicit one-host fleet `local*<slots>` that `mc coordinate` and
 /// the service's default job executor run on; `slots` defaults to the
 /// machine's available parallelism.
 pub(crate) fn local_fleet(slots: Option<usize>) -> Vec<HostSpec> {
     vec![HostSpec {
-        name: LOCAL_HOST.to_owned(),
+        name: "local".to_owned(),
         slots: slots.unwrap_or_else(|| {
             std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get)
         }),
@@ -135,8 +130,8 @@ struct Launcher<'a> {
     pool: HostPool,
     queue: VecDeque<QueueItem>,
     flights: Vec<FlightSlot>,
-    /// Winner per shard: `(host name, validated partial)`.
-    partials: Vec<Option<(String, ShardPartial)>>,
+    /// The validated winning partial per shard.
+    partials: Vec<Option<ShardPartial>>,
     report: LaunchReport,
     permanent: Vec<usize>,
     last_error: String,
@@ -300,7 +295,7 @@ impl Launcher<'_> {
                     );
                 }
                 self.pool.note_success(slot.host);
-                self.partials[slot.spec.index] = Some((host_name, partial));
+                self.partials[slot.spec.index] = Some(partial);
                 self.cancel_siblings(slot.spec.index);
             }
             Err(e) => {
@@ -517,7 +512,7 @@ pub(crate) fn run_scheduler(
                 spec,
                 circuits: circuits.map(|c| (c.clone(), CircuitAccum::new())).collect(),
             };
-            launcher.partials[spec.index] = Some((LOCAL_HOST.to_owned(), empty));
+            launcher.partials[spec.index] = Some(empty);
             continue;
         }
         // With `resume`, a valid checkpoint is reused, not recomputed.
@@ -530,7 +525,7 @@ pub(crate) fn run_scheduler(
                 .map(|()| partial)
         });
         if let Some(partial) = checkpoint.flatten() {
-            launcher.partials[spec.index] = Some((LOCAL_HOST.to_owned(), partial));
+            launcher.partials[spec.index] = Some(partial);
             launcher.report.base.reused += 1;
         } else {
             launcher.queue.push_back(QueueItem {
@@ -571,7 +566,7 @@ pub(crate) fn run_scheduler(
 
     launcher.report.hosts = launcher.pool.counts();
     let report = launcher.report;
-    let assigned: Vec<(String, ShardPartial)> = launcher
+    let partials: Vec<ShardPartial> = launcher
         .partials
         .into_iter()
         .enumerate()
@@ -584,7 +579,7 @@ pub(crate) fn run_scheduler(
             })
         })
         .collect::<Result<Vec<_>, String>>()?;
-    let merged = merge_host_groups(&cfg.config, &assigned)?;
+    let merged = merge_partials(&cfg.config, &partials)?;
     if !cfg.keep_partials {
         for index in 0..cfg.shards {
             let _ = fs::remove_file(partial_path(&run_dir, index));

@@ -15,11 +15,10 @@
 //! * `xbar mc launch` — multi-host dispatch through the same scheduler
 //!   (`mc coordinate` is a launch over the fleet `local*N`): a
 //!   pluggable transport (local subprocesses or an `ssh`-style command
-//!   template), per-host health tracking with quarantine, hedged
-//!   re-dispatch of stragglers, and a two-level merge tree — see
-//!   [`launch`];
+//!   template), per-host health tracking with quarantine, and hedged
+//!   re-dispatch of stragglers — see [`launch`];
 //! * `xbar serve` / `xbar submit` — the yield-oracle service: a queued,
-//!   batching, cache-fronted daemon over the sharded engine, speaking
+//!   cache-fronted daemon over the sharded engine, speaking
 //!   newline-delimited JSON (`xbar-svc/1`) on a TCP socket — see
 //!   [`service`].
 //!
@@ -61,7 +60,7 @@ pub use experiment::{
     Reporter,
 };
 pub use mc::{
-    mean, monte_carlo, monte_carlo_range, monte_carlo_range_with, monte_carlo_with, sample_seed,
+    monte_carlo, monte_carlo_range, monte_carlo_range_with, monte_carlo_with, sample_seed,
 };
 pub use shard::{McConfig, ShardSpec};
 pub use table::{pct, secs, Table};

@@ -6,13 +6,13 @@
 //! or scheduling.
 //!
 //! Workers own **disjoint contiguous chunks** of the sample range and
-//! collect results locally; chunks are concatenated in worker order at the
-//! end. There is no lock (and no shared mutable state at all) on the hot
-//! path — the previous implementation funnelled every result through a
-//! `Mutex<Vec<Option<T>>>`, serializing workers exactly when samples are
-//! cheap. [`monte_carlo_with`] additionally gives each worker a private
-//! state value (a mapping engine, a reusable crossbar matrix, …) so
-//! per-sample heap allocation can be eliminated entirely.
+//! fold them locally; the chunk results are combined in worker order at
+//! the end, so there is no shared mutable state on the hot path.
+//! [`monte_carlo_range_fold`] is the one function that chunks the range
+//! and scopes the threads; the collecting variants are folds over it.
+//! [`monte_carlo_with`] additionally gives each worker a private state
+//! value (a mapping engine, a reusable crossbar matrix, …) so per-sample
+//! heap allocation can be eliminated entirely.
 
 use std::ops::Range;
 use std::thread;
@@ -87,7 +87,8 @@ where
 }
 
 /// [`monte_carlo_range`] with per-worker state — the range analogue of
-/// [`monte_carlo_with`], sharing its chunking and determinism contract.
+/// [`monte_carlo_with`]: a [`monte_carlo_range_fold`] in which each worker
+/// pushes its results and the chunks are concatenated in worker order.
 ///
 /// # Panics
 ///
@@ -103,41 +104,14 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize, u64) -> T + Sync,
 {
-    let samples = range.len();
-    let workers = thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(samples.max(1));
-    // Disjoint contiguous chunks: worker w owns [start, end) within the
-    // range. The first `samples % workers` chunks carry one extra sample.
-    let base = samples / workers;
-    let extra = samples % workers;
-    let bounds = |w: usize| {
-        let start = range.start + w * base + w.min(extra);
-        let end = start + base + usize::from(w < extra);
-        (start, end)
-    };
-
-    thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let (start, end) = bounds(w);
-                let init = &init;
-                let f = &f;
-                scope.spawn(move || {
-                    let mut state = init();
-                    (start..end)
-                        .map(|i| f(&mut state, i, sample_seed(experiment_seed, i)))
-                        .collect::<Vec<T>>()
-                })
-            })
-            .collect();
-        let mut results = Vec::with_capacity(samples);
-        for handle in handles {
-            results.extend(handle.join().expect("no poisoned worker"));
-        }
-        results
-    })
+    monte_carlo_range_fold(
+        range,
+        experiment_seed,
+        init,
+        Vec::new,
+        |results: &mut Vec<T>, state, i, seed| results.push(f(state, i, seed)),
+        |results, chunk| results.extend(chunk),
+    )
 }
 
 /// Streaming fold over a sample range: each worker folds its contiguous
@@ -145,9 +119,9 @@ where
 /// are combined with `merge` in worker order — nothing per-sample is ever
 /// materialized, so memory stays O(workers) at any sample count.
 ///
-/// Per-sample seeding and chunking are identical to
-/// [`monte_carlo_range_with`]; with a merge-exact accumulator (integer
-/// counters) the result is independent of the worker count.
+/// Sample `i` is seeded with `sample_seed(experiment_seed, i)` whatever
+/// the chunking; with a merge-exact accumulator (integer counters) the
+/// result is independent of the worker count.
 ///
 /// # Panics
 ///
@@ -172,6 +146,8 @@ where
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
         .min(samples.max(1));
+    // Disjoint contiguous chunks: worker w owns [start, end) within the
+    // range. The first `samples % workers` chunks carry one extra sample.
     let base = samples / workers;
     let extra = samples % workers;
     let bounds = |w: usize| {
@@ -203,15 +179,6 @@ where
         }
         total
     })
-}
-
-/// Mean of an f64 slice (0.0 when empty).
-#[must_use]
-pub fn mean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    values.iter().sum::<f64>() / values.len() as f64
 }
 
 #[cfg(test)]
@@ -285,12 +252,6 @@ mod tests {
         let stateless = monte_carlo(33, 11, |i, seed| (i, seed));
         let stateful = monte_carlo_with(33, 11, || (), |(), i, seed| (i, seed));
         assert_eq!(stateless, stateful);
-    }
-
-    #[test]
-    fn mean_of_values() {
-        assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
-        assert_eq!(mean(&[]), 0.0);
     }
 
     #[test]

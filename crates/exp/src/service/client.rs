@@ -472,7 +472,7 @@ fn resume_wait(
                     _ => {
                         // Throttle to roughly the daemon's own progress
                         // cadence instead of one line per 250 ms poll.
-                        if polls % 4 == 0 {
+                        if polls.is_multiple_of(4) {
                             print_progress(job, &status);
                         }
                         polls = polls.wrapping_add(1);

@@ -1,5 +1,5 @@
-//! The yield-oracle service: a queued, batching, cache-fronted daemon
-//! over the sharded Monte Carlo engine.
+//! The yield-oracle service: a queued, cache-fronted daemon over the
+//! sharded Monte Carlo engine.
 //!
 //! `xbar serve` runs a long-lived daemon speaking newline-delimited JSON
 //! ([`protocol`], schema `xbar-svc/1`) on a `std::net::TcpListener`;
@@ -12,20 +12,19 @@
 //!    forever, so a repeated submit is answered byte-identical from disk
 //!    without spawning any work.
 //! 2. **Queue** ([`queue`]): a FIFO job queue with bounded worker slots.
-//!    Identical in-flight requests coalesce onto one job, and workers
-//!    prefer queued jobs sharing a circuit/seed *batch key* with the job
-//!    they just ran, so [`xbar_core::MatchEngine::prepare_fm`] covers —
-//!    minimized per (circuit, seed) — amortize across requests.
+//!    Identical in-flight requests coalesce onto one job; otherwise an
+//!    idle worker claims the oldest queued job.
 //! 3. **Execution** ([`server`]): each job runs through the existing
 //!    registry + sharded-coordinator machinery with a per-job run
 //!    directory under the service work dir — the same `coordinator.lock`,
 //!    retry/timeout/resume semantics as `xbar mc coordinate`. Progress is
 //!    streamed to waiting clients as periodic `progress` events, and the
-//!    final response carries the coordinator's [`RunReport`] counters.
-//!    A daemon killed mid-job leaves resumable shard checkpoints: restart
-//!    it on the same work dir and resubmit.
+//!    final response carries the scheduler's [`LaunchReport`] counters.
+//!    A daemon killed mid-job leaves resumable shard checkpoints, and the
+//!    kernel releases its claim on the run directory: restart it on the
+//!    same work dir and resubmit.
 //!
-//! [`RunReport`]: crate::shard::coordinator::RunReport
+//! [`LaunchReport`]: crate::launch::LaunchReport
 
 pub mod cache;
 pub mod client;

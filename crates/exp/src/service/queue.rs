@@ -1,4 +1,4 @@
-//! The daemon's FIFO job queue with coalescing and batch affinity.
+//! The daemon's FIFO job queue with coalescing.
 //!
 //! One [`JobQueue`] is shared (behind a mutex) by the accept loop's
 //! connection threads (producers and waiters) and the bounded pool of
@@ -10,19 +10,11 @@
 //! following a job block on another until a job settles
 //! ([`JobQueue::wait_settled`]).
 //!
-//! Two scheduling refinements on top of plain FIFO:
-//!
-//! * **Coalescing** — a submit whose cache key matches a job already
-//!   queued or running joins that job instead of enqueueing a duplicate:
-//!   the deterministic-artifact contract makes the two requests
-//!   indistinguishable, so running both would be pure waste.
-//! * **Batch affinity** — a worker that just finished a job asks for the
-//!   oldest queued job sharing its *batch key* (experiment + seed +
-//!   circuit selection) before falling back to the global FIFO head.
-//!   Jobs in one batch re-minimize the same covers and prepare the same
-//!   function-matrix structures ([`xbar_core::MatchEngine::prepare_fm`]),
-//!   all of which are hot in the page cache and CPU caches right after a
-//!   batch sibling ran.
+//! Workers claim the FIFO head. The one refinement is **coalescing**: a
+//! submit whose cache key matches a job already queued or running joins
+//! that job instead of enqueueing a duplicate. The deterministic-artifact
+//! contract makes the two requests indistinguishable, so running both
+//! would be pure waste.
 //!
 //! The job table is bounded: it holds every queued or running job plus
 //! the [`SETTLED_JOBS_KEPT`] most recently settled ones, and forgets
@@ -31,8 +23,7 @@
 //! durable record: resubmitting a retired job's request is a cache hit.
 //! The `stats` counters are kept apart and count every request.
 
-use crate::launch::HostCount;
-use crate::shard::coordinator::RunReport;
+use crate::launch::LaunchReport;
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
@@ -112,8 +103,6 @@ pub struct JobSpec {
     pub experiment: String,
     /// Experiment argument words.
     pub args: Vec<String>,
-    /// Batch-affinity key.
-    pub batch: String,
 }
 
 /// An observable copy of a job's current state.
@@ -136,11 +125,9 @@ pub struct JobSnapshot {
     pub run_dir: Option<PathBuf>,
     /// Shard count of the coordinator run (0 for in-process execution).
     pub shards: usize,
-    /// Coordinator scheduling counters, once finished.
-    pub report: Option<RunReport>,
-    /// Per-host dispatch attribution, when the job ran through the
-    /// multi-host launcher (empty for in-process and single-host runs).
-    pub hosts: Vec<HostCount>,
+    /// The scheduler's report, once a sharded job finished (`None` for
+    /// in-process execution).
+    pub report: Option<LaunchReport>,
     /// Milliseconds since the job started running (or was submitted, if
     /// still queued); frozen at completion.
     pub elapsed_ms: u64,
@@ -184,15 +171,13 @@ struct JobEntry {
     args: Vec<String>,
     key_name: String,
     key_document: String,
-    batch: String,
     state: JobState,
     cache: CacheDisposition,
     error: Option<String>,
     artifact: Option<Arc<String>>,
     run_dir: Option<PathBuf>,
     shards: usize,
-    report: Option<RunReport>,
-    hosts: Vec<HostCount>,
+    report: Option<LaunchReport>,
     submitted_at: Instant,
     started_at: Option<Instant>,
     finished_ms: Option<u64>,
@@ -209,7 +194,6 @@ impl JobEntry {
             args: Vec::new(),
             key_name: String::new(),
             key_document: String::new(),
-            batch: String::new(),
             state: JobState::Queued,
             cache: CacheDisposition::Miss,
             error: None,
@@ -217,7 +201,6 @@ impl JobEntry {
             run_dir: None,
             shards: 0,
             report: None,
-            hosts: Vec::new(),
             submitted_at: Instant::now(),
             started_at: None,
             finished_ms: None,
@@ -243,8 +226,7 @@ impl JobEntry {
             artifact: self.artifact.clone(),
             run_dir: self.run_dir.clone(),
             shards: self.shards,
-            report: self.report,
-            hosts: self.hosts.clone(),
+            report: self.report.clone(),
             elapsed_ms: self.elapsed_ms(),
         }
     }
@@ -310,8 +292,7 @@ impl Inner {
         state: JobState,
         artifact: Option<Arc<String>>,
         error: Option<String>,
-        report: Option<RunReport>,
-        hosts: Vec<HostCount>,
+        report: Option<LaunchReport>,
     ) {
         match state {
             JobState::Done => self.stats.completed += 1,
@@ -319,11 +300,11 @@ impl Inner {
             _ => unreachable!("conclude is for terminal execution states"),
         }
         self.stats.running = self.stats.running.saturating_sub(1);
-        if let Some(report) = &report {
-            self.stats.shard_spawned += report.spawned as u64;
-            self.stats.shard_reused += report.reused as u64;
-            self.stats.shard_retries += report.retries as u64;
-            self.stats.shard_timeouts += report.timeouts as u64;
+        if let Some(LaunchReport { base, .. }) = &report {
+            self.stats.shard_spawned += base.spawned as u64;
+            self.stats.shard_reused += base.reused as u64;
+            self.stats.shard_retries += base.retries as u64;
+            self.stats.shard_timeouts += base.timeouts as u64;
         }
         if let Some(entry) = self.jobs.get_mut(&id) {
             entry.finished_ms = Some(entry.elapsed_ms());
@@ -331,7 +312,6 @@ impl Inner {
             entry.artifact = artifact;
             entry.error = error;
             entry.report = report;
-            entry.hosts = hosts;
             self.mark_settled(id);
         }
     }
@@ -366,15 +346,13 @@ impl JobQueue {
     }
 
     /// Enqueues a job (or coalesces onto an identical live one). The key
-    /// pair identifies the artifact the job will produce; `batch` is the
-    /// affinity key for scheduling.
+    /// pair identifies the artifact the job will produce.
     pub fn submit(
         &self,
         experiment: &str,
         args: Vec<String>,
         key_name: &str,
         key_document: &str,
-        batch: String,
     ) -> (u64, CacheDisposition) {
         let mut inner = self.inner.lock().expect("queue lock");
         inner.stats.submitted += 1;
@@ -398,7 +376,6 @@ impl JobQueue {
                 args,
                 key_name: key_name.to_owned(),
                 key_document: key_document.to_owned(),
-                batch,
                 ..JobEntry::queued(id, experiment)
             },
         );
@@ -417,23 +394,15 @@ impl JobQueue {
         inner.jobs[&id].snapshot()
     }
 
-    /// Blocks until a job is available (returning its spec, now marked
-    /// running) or the queue is draining with nothing left to run
-    /// (returning `None` — the worker thread should exit). A worker
-    /// passes the batch key of the job it just ran; the oldest queued
-    /// job of the same batch is preferred over the global FIFO head.
+    /// Blocks until a job is queued, then claims the FIFO head (returning
+    /// its spec, now marked running), or until the queue is draining with
+    /// nothing left to run (returning `None` — the worker thread should
+    /// exit).
     #[must_use]
-    pub fn next_job(&self, last_batch: Option<&str>) -> Option<JobSpec> {
+    pub fn next_job(&self) -> Option<JobSpec> {
         let mut inner = self.inner.lock().expect("queue lock");
         loop {
-            let affine = last_batch.and_then(|batch| {
-                inner
-                    .fifo
-                    .iter()
-                    .copied()
-                    .find(|id| inner.jobs.get(id).is_some_and(|j| j.batch == batch))
-            });
-            if let Some(id) = affine.or_else(|| inner.fifo.front().copied()) {
+            if let Some(id) = inner.fifo.pop_front() {
                 return Some(Self::claim(&mut inner, id));
             }
             if inner.draining {
@@ -444,7 +413,6 @@ impl JobQueue {
     }
 
     fn claim(inner: &mut Inner, id: u64) -> JobSpec {
-        inner.fifo.retain(|&q| q != id);
         inner.stats.queued = inner.fifo.len();
         inner.stats.running += 1;
         inner.stats.max_running_observed =
@@ -456,7 +424,6 @@ impl JobQueue {
             id,
             experiment: entry.experiment.clone(),
             args: entry.args.clone(),
-            batch: entry.batch.clone(),
         }
     }
 
@@ -470,21 +437,15 @@ impl JobQueue {
         }
     }
 
-    /// Completes a running job with its artifact (and the coordinator's
-    /// report plus per-host attribution, when it ran sharded).
-    pub fn finish(
-        &self,
-        id: u64,
-        artifact: Arc<String>,
-        report: Option<RunReport>,
-        hosts: Vec<HostCount>,
-    ) {
-        self.conclude(id, JobState::Done, Some(artifact), None, report, hosts);
+    /// Completes a running job with its artifact (and the scheduler's
+    /// report, when it ran sharded).
+    pub fn finish(&self, id: u64, artifact: Arc<String>, report: Option<LaunchReport>) {
+        self.conclude(id, JobState::Done, Some(artifact), None, report);
     }
 
     /// Fails a running job.
     pub fn fail(&self, id: u64, error: String) {
-        self.conclude(id, JobState::Failed, None, Some(error), None, Vec::new());
+        self.conclude(id, JobState::Failed, None, Some(error), None);
     }
 
     fn conclude(
@@ -493,11 +454,10 @@ impl JobQueue {
         state: JobState,
         artifact: Option<Arc<String>>,
         error: Option<String>,
-        report: Option<RunReport>,
-        hosts: Vec<HostCount>,
+        report: Option<LaunchReport>,
     ) {
         let mut inner = self.inner.lock().expect("queue lock");
-        inner.conclude(id, state, artifact, error, report, hosts);
+        inner.conclude(id, state, artifact, error, report);
         self.settled.notify_all();
     }
 
@@ -577,38 +537,40 @@ impl JobQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::launch::HostCount;
+    use crate::shard::coordinator::RunReport;
     use std::thread::JoinHandle;
 
-    fn submit_simple(queue: &JobQueue, tag: &str, batch: &str) -> u64 {
-        let (id, cache) = queue.submit("table2", vec![], tag, tag, batch.to_owned());
+    fn submit_simple(queue: &JobQueue, tag: &str) -> u64 {
+        let (id, cache) = queue.submit("table2", vec![], tag, tag);
         assert_eq!(cache, CacheDisposition::Miss);
         id
     }
 
     #[test]
-    fn fifo_order_without_affinity() {
+    fn workers_claim_jobs_in_fifo_order() {
         let queue = JobQueue::new();
-        let a = submit_simple(&queue, "a", "b1");
-        let b = submit_simple(&queue, "b", "b2");
-        assert_eq!(queue.next_job(None).unwrap().id, a);
-        assert_eq!(queue.next_job(None).unwrap().id, b);
+        let a = submit_simple(&queue, "a");
+        let b = submit_simple(&queue, "b");
+        assert_eq!(queue.next_job().unwrap().id, a);
+        assert_eq!(queue.next_job().unwrap().id, b);
     }
 
     #[test]
     fn identical_live_requests_coalesce_and_settle_together() {
         let queue = JobQueue::new();
-        let id = submit_simple(&queue, "k", "b");
-        let (joined, cache) = queue.submit("table2", vec![], "k", "k", "b".to_owned());
+        let id = submit_simple(&queue, "k");
+        let (joined, cache) = queue.submit("table2", vec![], "k", "k");
         assert_eq!(joined, id);
         assert_eq!(cache, CacheDisposition::Coalesced);
         // Still coalesces while running.
-        let spec = queue.next_job(None).expect("job");
-        let (joined, _) = queue.submit("table2", vec![], "k", "k", "b".to_owned());
+        let spec = queue.next_job().expect("job");
+        let (joined, _) = queue.submit("table2", vec![], "k", "k");
         assert_eq!(joined, id);
         // After completion a new identical submit is a fresh job (the
         // cache layer will answer it before it reaches the queue).
-        queue.finish(spec.id, Arc::new("artifact".to_owned()), None, Vec::new());
-        let (fresh, cache) = queue.submit("table2", vec![], "k", "k", "b".to_owned());
+        queue.finish(spec.id, Arc::new("artifact".to_owned()), None);
+        let (fresh, cache) = queue.submit("table2", vec![], "k", "k");
         assert_ne!(fresh, id);
         assert_eq!(cache, CacheDisposition::Miss);
         let stats = queue.stats();
@@ -618,28 +580,14 @@ mod tests {
     }
 
     #[test]
-    fn batch_affinity_outranks_fifo_but_not_starvation() {
-        let queue = JobQueue::new();
-        let first = submit_simple(&queue, "1", "alpha");
-        let second = submit_simple(&queue, "2", "beta");
-        let third = submit_simple(&queue, "3", "alpha");
-        // A worker fresh off an `alpha` job skips ahead to the queued
-        // alpha sibling...
-        assert_eq!(queue.next_job(Some("alpha")).unwrap().id, first);
-        assert_eq!(queue.next_job(Some("alpha")).unwrap().id, third);
-        // ...and falls back to FIFO when its batch has nothing queued.
-        assert_eq!(queue.next_job(Some("alpha")).unwrap().id, second);
-    }
-
-    #[test]
     fn cancel_only_affects_queued_jobs() {
         let queue = JobQueue::new();
-        let id = submit_simple(&queue, "x", "b");
+        let id = submit_simple(&queue, "x");
         queue.cancel(id).expect("queued job cancels");
         assert_eq!(queue.snapshot(id).unwrap().state, JobState::Cancelled);
         assert!(queue.cancel(id).is_err(), "already cancelled");
-        let running = submit_simple(&queue, "y", "b");
-        let _ = queue.next_job(None).expect("job");
+        let running = submit_simple(&queue, "y");
+        let _ = queue.next_job().expect("job");
         let err = queue.cancel(running).expect_err("running job refuses");
         assert!(err.contains("running"), "{err}");
         assert!(queue.cancel(999).is_err(), "unknown id");
@@ -648,9 +596,9 @@ mod tests {
     #[test]
     fn drain_cancels_queued_work_and_releases_idle_workers() {
         let queue = Arc::new(JobQueue::new());
-        let running = submit_simple(&queue, "r", "b");
-        let queued = submit_simple(&queue, "q", "b");
-        let spec = queue.next_job(None).expect("job");
+        let running = submit_simple(&queue, "r");
+        let queued = submit_simple(&queue, "q");
+        let spec = queue.next_job().expect("job");
         assert_eq!(spec.id, running);
         queue.drain("service shutting down");
         let snap = queue.snapshot(queued).unwrap();
@@ -658,9 +606,9 @@ mod tests {
         assert_eq!(snap.error.as_deref(), Some("service shutting down"));
         // An idle worker sees end-of-work immediately; the running job
         // keeps its slot until it settles.
-        assert!(queue.next_job(None).is_none());
+        assert!(queue.next_job().is_none());
         assert_eq!(queue.snapshot(running).unwrap().state, JobState::Running);
-        queue.finish(running, Arc::new("a".to_owned()), None, Vec::new());
+        queue.finish(running, Arc::new("a".to_owned()), None);
         assert_eq!(queue.stats().running, 0);
     }
 
@@ -669,11 +617,11 @@ mod tests {
         let queue = Arc::new(JobQueue::new());
         let worker = {
             let queue = Arc::clone(&queue);
-            std::thread::spawn(move || queue.next_job(None).map(|spec| spec.id))
+            std::thread::spawn(move || queue.next_job().map(|spec| spec.id))
         };
         std::thread::sleep(Duration::from_millis(30));
         assert!(!worker.is_finished(), "no work yet");
-        let id = submit_simple(&queue, "late", "b");
+        let id = submit_simple(&queue, "late");
         assert_eq!(worker.join().expect("joins"), Some(id));
     }
 
@@ -681,26 +629,29 @@ mod tests {
     fn running_counters_track_claims_and_completions() {
         let queue = JobQueue::new();
         for tag in ["a", "b", "c"] {
-            submit_simple(&queue, tag, "b");
+            submit_simple(&queue, tag);
         }
-        let s1 = queue.next_job(None).unwrap();
-        let s2 = queue.next_job(None).unwrap();
+        let s1 = queue.next_job().unwrap();
+        let s2 = queue.next_job().unwrap();
         assert_eq!(queue.stats().running, 2);
         assert_eq!(queue.stats().queued, 1);
-        let report = RunReport {
-            spawned: 3,
-            reused: 1,
-            retries: 2,
-            timeouts: 1,
-            max_inflight_observed: 2,
+        let report = LaunchReport {
+            base: RunReport {
+                spawned: 3,
+                reused: 1,
+                retries: 2,
+                timeouts: 1,
+                max_inflight_observed: 2,
+            },
+            hosts: vec![HostCount {
+                name: "alpha".to_owned(),
+                dispatched: 3,
+                completed: 3,
+                ..HostCount::default()
+            }],
+            ..LaunchReport::default()
         };
-        let hosts = vec![HostCount {
-            name: "alpha".to_owned(),
-            dispatched: 3,
-            completed: 3,
-            ..HostCount::default()
-        }];
-        queue.finish(s1.id, Arc::new("x".to_owned()), Some(report), hosts);
+        queue.finish(s1.id, Arc::new("x".to_owned()), Some(report.clone()));
         queue.fail(s2.id, "boom".to_owned());
         let stats = queue.stats();
         assert_eq!(stats.running, 0);
@@ -711,9 +662,7 @@ mod tests {
         assert_eq!(stats.shard_reused, 1);
         assert_eq!(stats.shard_retries, 2);
         assert_eq!(stats.shard_timeouts, 1);
-        let snap = queue.snapshot(s1.id).unwrap();
-        assert_eq!(snap.hosts.len(), 1);
-        assert_eq!(snap.hosts[0].name, "alpha");
+        assert_eq!(queue.snapshot(s1.id).unwrap().report, Some(report));
         assert_eq!(
             queue.snapshot(s2.id).unwrap().error.as_deref(),
             Some("boom")
@@ -761,7 +710,7 @@ mod tests {
             (
                 "finish",
                 true,
-                |q, id| q.finish(id, Arc::new("a".to_owned()), None, Vec::new()),
+                |q, id| q.finish(id, Arc::new("a".to_owned()), None),
                 JobState::Done,
             ),
             (
@@ -785,9 +734,9 @@ mod tests {
         ];
         for (name, claim, transition, want) in transitions {
             let queue = Arc::new(JobQueue::new());
-            let id = submit_simple(&queue, name, "b");
+            let id = submit_simple(&queue, name);
             if claim {
-                assert_eq!(queue.next_job(None).expect("job").id, id);
+                assert_eq!(queue.next_job().expect("job").id, id);
             }
             let waiter = spawn_waiter(&queue, id);
             transition(&queue, id);
@@ -803,8 +752,8 @@ mod tests {
     #[test]
     fn a_wait_without_a_transition_returns_the_live_snapshot_at_its_timeout() {
         let queue = JobQueue::new();
-        let id = submit_simple(&queue, "slow", "b");
-        let _ = queue.next_job(None).expect("job");
+        let id = submit_simple(&queue, "slow");
+        let _ = queue.next_job().expect("job");
         let start = Instant::now();
         let snap = queue
             .wait_settled(id, Duration::from_millis(50))
@@ -812,7 +761,7 @@ mod tests {
         assert!(start.elapsed() >= Duration::from_millis(50));
         assert_eq!(snap.state, JobState::Running);
         // A settled job answers at once, however long the timeout.
-        queue.finish(id, Arc::new("a".to_owned()), None, Vec::new());
+        queue.finish(id, Arc::new("a".to_owned()), None);
         let snap = queue
             .wait_settled(id, Duration::from_secs(3600))
             .expect("known job");
@@ -837,9 +786,9 @@ mod tests {
     #[test]
     fn settled_jobs_beyond_the_retention_bound_are_retired() {
         let queue = JobQueue::new();
-        let running = submit_simple(&queue, "r", "b");
-        let queued = submit_simple(&queue, "q", "b");
-        assert_eq!(queue.next_job(None).expect("job").id, running);
+        let running = submit_simple(&queue, "r");
+        let queued = submit_simple(&queue, "q");
+        assert_eq!(queue.next_job().expect("job").id, running);
         let hits: Vec<u64> = (0..SETTLED_JOBS_KEPT + 10)
             .map(|_| {
                 queue
@@ -859,7 +808,7 @@ mod tests {
         assert_eq!(queue.snapshot(running).unwrap().state, JobState::Running);
         assert_eq!(queue.snapshot(queued).unwrap().state, JobState::Queued);
         for (tag, live) in [("r", running), ("q", queued)] {
-            let joined = queue.submit("table2", vec![], tag, tag, "b".to_owned());
+            let joined = queue.submit("table2", vec![], tag, tag);
             assert_eq!(joined, (live, CacheDisposition::Coalesced));
         }
         // The counters count every request, retired or not.
@@ -869,7 +818,7 @@ mod tests {
         assert_eq!(stats.coalesced, 2);
         // An executed job retires like a hit once enough jobs settle
         // after it, and the table never holds more than the bound.
-        queue.finish(running, Arc::new("a".to_owned()), None, Vec::new());
+        queue.finish(running, Arc::new("a".to_owned()), None);
         for _ in 0..2 * SETTLED_JOBS_KEPT {
             queue.record_cache_hit("table2", Arc::new("cached".to_owned()));
         }
@@ -883,15 +832,15 @@ mod tests {
     #[test]
     fn a_waiter_sees_its_job_settle_even_when_retirement_passes_it() {
         let queue = Arc::new(JobQueue::new());
-        let id = submit_simple(&queue, "r", "b");
-        let _ = queue.next_job(None).expect("job");
+        let id = submit_simple(&queue, "r");
+        let _ = queue.next_job().expect("job");
         let waiter = spawn_waiter(&queue, id);
         // Settle the job and bury it under a full retention window in one
         // critical section, before the waiter can wake.
         {
             let mut inner = queue.inner.lock().unwrap();
             let artifact = Some(Arc::new("a".to_owned()));
-            inner.conclude(id, JobState::Done, artifact, None, None, Vec::new());
+            inner.conclude(id, JobState::Done, artifact, None, None);
             for _ in 0..SETTLED_JOBS_KEPT + 10 {
                 inner.record_cache_hit("table2", Arc::new("cached".to_owned()));
             }

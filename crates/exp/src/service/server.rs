@@ -36,9 +36,10 @@
 //! [`ArtifactCache`] before the job is reported done.
 //!
 //! Failure semantics: a daemon killed mid-job (SIGKILL, SIGTERM, power)
-//! leaves shard checkpoints and a reclaimable `coordinator.lock` in the
-//! job's run directory; restarting the daemon on the same `--work-dir`
-//! and resubmitting resumes from those checkpoints. A client that
+//! leaves shard checkpoints in the job's run directory, and the kernel
+//! drops its lock on the directory's `coordinator.lock` as it dies;
+//! restarting the daemon on the same `--work-dir` and resubmitting
+//! resumes from those checkpoints. A client that
 //! disconnects mid-wait detaches from the job, which keeps running and
 //! caches its artifact — resubmitting later is a cache hit.
 
@@ -47,16 +48,14 @@ use crate::experiments::table2::table2_artifact_from_accums;
 use crate::launch::pool::{DEFAULT_PROBATION, DEFAULT_QUARANTINE_AFTER};
 use crate::launch::scheduler::local_fleet;
 use crate::launch::{
-    parse_hosts, run_launch_with_report, FaultPlan, Faulty, HostCount, HostSpec, LaunchConfig,
+    parse_hosts, run_launch_with_report, FaultPlan, Faulty, HostSpec, LaunchConfig, LaunchReport,
     LocalProc, Transport,
 };
 use crate::service::cache::{cache_key, ArtifactCache, CacheKey};
 use crate::service::protocol::{error_line, response, Request};
 use crate::service::queue::{JobQueue, JobSnapshot, JobSpec, JobState};
 use crate::shard::cli::{positive_num, positive_secs};
-use crate::shard::coordinator::{
-    campaign_run_dir, default_worker, RunReport, Worker, DEFAULT_RETRY_BASE,
-};
+use crate::shard::coordinator::{campaign_run_dir, default_worker, Worker, DEFAULT_RETRY_BASE};
 use crate::shard::json::JsonValue;
 use crate::shard::McConfig;
 use std::fs;
@@ -322,9 +321,7 @@ fn accept_loop(state: &Arc<ServiceState>, listener: &TcpListener) {
 }
 
 fn worker_loop(state: &Arc<ServiceState>) {
-    let mut last_batch: Option<String> = None;
-    while let Some(spec) = state.queue.next_job(last_batch.as_deref()) {
-        last_batch = Some(spec.batch.clone());
+    while let Some(spec) = state.queue.next_job() {
         execute_job(state, &spec);
     }
 }
@@ -458,13 +455,9 @@ fn handle_submit(
     if state.shutdown.load(Ordering::SeqCst) {
         return send(writer, &error_line("service is shutting down"));
     }
-    let (id, disposition) = state.queue.submit(
-        exp.name(),
-        args,
-        &key.name,
-        &key.document,
-        batch_key(exp, &params),
-    );
+    let (id, disposition) = state
+        .queue
+        .submit(exp.name(), args, &key.name, &key.document);
     let submitted = response(
         "submitted",
         vec![
@@ -494,7 +487,7 @@ fn handle_submit(
 /// every [`PROGRESS_INTERVAL`] while it is queued or running, and the
 /// final `result`/`error` line as soon as it settles. Progress counts the
 /// shard partials already checkpointed in the job's coordinator run
-/// directory — the same numbers [`RunReport`] summarizes at the end.
+/// directory — the same numbers [`LaunchReport`] summarizes at the end.
 fn stream_until_settled(state: &Arc<ServiceState>, writer: &mut TcpStream, id: u64) -> bool {
     let mut snap = state.queue.snapshot(id);
     loop {
@@ -554,9 +547,6 @@ fn result_or_error_line(snap: &JobSnapshot) -> String {
             if let Some(report) = &snap.report {
                 fields.extend(report_fields(report));
             }
-            if !snap.hosts.is_empty() {
-                fields.push(("hosts".to_owned(), hosts_field(&snap.hosts)));
-            }
             fields.push(("artifact".to_owned(), JsonValue::str(artifact)));
             response("result", fields)
         }
@@ -591,36 +581,36 @@ fn status_fields(snap: &JobSnapshot) -> Vec<(String, JsonValue)> {
     if let Some(report) = &snap.report {
         fields.extend(report_fields(report));
     }
-    if !snap.hosts.is_empty() {
-        fields.push(("hosts".to_owned(), hosts_field(&snap.hosts)));
-    }
     if let Some(error) = &snap.error {
         fields.push(("error".to_owned(), JsonValue::str(error.clone())));
     }
     fields
 }
 
-fn report_fields(report: &RunReport) -> Vec<(String, JsonValue)> {
-    vec![
-        ("spawned".to_owned(), JsonValue::usize(report.spawned)),
-        ("reused".to_owned(), JsonValue::usize(report.reused)),
-        ("retries".to_owned(), JsonValue::usize(report.retries)),
-        ("timeouts".to_owned(), JsonValue::usize(report.timeouts)),
-    ]
-}
-
-/// Per-host dispatch attribution (from the launcher's [`HostCount`]s) as
-/// a JSON array field on `result` and `status` responses.
-fn hosts_field(hosts: &[HostCount]) -> JsonValue {
-    JsonValue::arr(hosts.iter().map(|h| {
-        JsonValue::obj([
-            ("host", JsonValue::str(h.name.clone())),
-            ("dispatched", JsonValue::usize(h.dispatched)),
-            ("completed", JsonValue::usize(h.completed)),
-            ("failed", JsonValue::usize(h.failed)),
-            ("quarantines", JsonValue::usize(h.quarantines)),
-        ])
-    }))
+/// A sharded job's report fields on `result` and `status` responses: the
+/// scheduler counters, then the per-host dispatch attribution (`hosts`,
+/// omitted when the fleet reported none).
+fn report_fields(report: &LaunchReport) -> Vec<(String, JsonValue)> {
+    let base = &report.base;
+    let mut fields = vec![
+        ("spawned".to_owned(), JsonValue::usize(base.spawned)),
+        ("reused".to_owned(), JsonValue::usize(base.reused)),
+        ("retries".to_owned(), JsonValue::usize(base.retries)),
+        ("timeouts".to_owned(), JsonValue::usize(base.timeouts)),
+    ];
+    if !report.hosts.is_empty() {
+        let hosts = report.hosts.iter().map(|h| {
+            JsonValue::obj([
+                ("host", JsonValue::str(h.name.clone())),
+                ("dispatched", JsonValue::usize(h.dispatched)),
+                ("completed", JsonValue::usize(h.completed)),
+                ("failed", JsonValue::usize(h.failed)),
+                ("quarantines", JsonValue::usize(h.quarantines)),
+            ])
+        });
+        fields.push(("hosts".to_owned(), JsonValue::arr(hosts)));
+    }
+    fields
 }
 
 fn stats_line(state: &Arc<ServiceState>) -> String {
@@ -670,26 +660,9 @@ fn stats_line(state: &Arc<ServiceState>) -> String {
     )
 }
 
-/// The batch-affinity key: jobs agreeing on experiment, seed, and circuit
-/// selection re-minimize the same covers and prepare the same FM
-/// structures, so running them back-to-back on one worker amortizes that
-/// setup across requests.
-fn batch_key(exp: &dyn Experiment, params: &Params) -> String {
-    let circuits = params
-        .opt_list("circuits")
-        .map(|list| list.join(","))
-        .or_else(|| params.opt_str("circuit").map(str::to_owned))
-        .unwrap_or_else(|| "-".to_owned());
-    format!("{}|{}|{}", exp.name(), params.seed, circuits)
-}
-
 fn execute_job(state: &Arc<ServiceState>, spec: &JobSpec) {
     match run_job(state, spec) {
-        Ok((artifact, report, hosts)) => {
-            state
-                .queue
-                .finish(spec.id, Arc::new(artifact), report, hosts);
-        }
+        Ok((artifact, report)) => state.queue.finish(spec.id, Arc::new(artifact), report),
         Err(e) => state.queue.fail(spec.id, e),
     }
 }
@@ -697,7 +670,7 @@ fn execute_job(state: &Arc<ServiceState>, spec: &JobSpec) {
 fn run_job(
     state: &Arc<ServiceState>,
     spec: &JobSpec,
-) -> Result<(String, Option<RunReport>, Vec<HostCount>), String> {
+) -> Result<(String, Option<LaunchReport>), String> {
     let exp = find_experiment(&spec.experiment).ok_or_else(|| {
         format!(
             "experiment {:?} vanished from the registry",
@@ -715,29 +688,29 @@ fn run_job(
     // A missing worker binary degrades to in-process too, so a daemon
     // started from an unusual location still serves.
     let sharded = !state.options.in_process_jobs && spec.experiment == "table2";
-    let (artifact, report, hosts) = if sharded {
+    let (artifact, report) = if sharded {
         match default_worker() {
             Ok(worker) => {
-                let (artifact, report, hosts) =
+                let (artifact, report) =
                     run_sharded_table2(state, spec.id, exp, &params, &key, worker)?;
-                (artifact, Some(report), hosts)
+                (artifact, Some(report))
             }
             Err(e) => {
                 eprintln!(
                     "xbar serve: no shard worker ({e}); running job {} in-process",
                     spec.id
                 );
-                (run_in_process(exp, &params)?, None, Vec::new())
+                (run_in_process(exp, &params)?, None)
             }
         }
     } else {
-        (run_in_process(exp, &params)?, None, Vec::new())
+        (run_in_process(exp, &params)?, None)
     };
 
     // Cache before reporting done: once a client can observe "done", a
     // repeated submit must hit.
     state.cache.store(&key, &artifact)?;
-    Ok((artifact, report, hosts))
+    Ok((artifact, report))
 }
 
 fn run_in_process(exp: &dyn Experiment, params: &Params) -> Result<String, String> {
@@ -780,7 +753,7 @@ fn run_sharded_table2(
     params: &Params,
     key: &CacheKey,
     worker: Worker,
-) -> Result<(String, RunReport, Vec<HostCount>), String> {
+) -> Result<(String, LaunchReport), String> {
     let job_dir = state.jobs_dir.join(&key.name);
     let cfg = LaunchConfig {
         config: McConfig::from_params(params)?,
@@ -818,7 +791,7 @@ fn run_sharded_table2(
     // the caller caches it before reporting done, and the cache — not the
     // run dir — is the durable record.
     let _ = fs::remove_dir_all(&job_dir);
-    Ok((artifact, report.base, report.hosts))
+    Ok((artifact, report))
 }
 
 fn serve_usage() -> String {

@@ -15,7 +15,7 @@ use super::{partial::ShardPartial, run_shard, McConfig, ShardSpec};
 use crate::cli::run_verb;
 use crate::experiment::{flag_num, flag_value, ExpError, Params};
 use crate::experiments::table2::TABLE2_PARAMS;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 /// The campaign block of every `mc` verb's usage, rendered from the same
@@ -247,13 +247,17 @@ fn parse_shard_args(args: Vec<String>) -> Result<Option<ShardArgs>, String> {
     Ok(Some(out))
 }
 
-/// Returns true exactly once per marker path (creates the marker).
-fn first_time(marker: &PathBuf) -> bool {
-    if marker.exists() {
-        false
-    } else {
-        std::fs::write(marker, b"injected\n").expect("write marker");
-        true
+/// Returns true exactly once per marker path: the caller whose exclusive
+/// create makes the marker, however many workers race for it.
+fn first_time(marker: &Path) -> bool {
+    match std::fs::OpenOptions::new()
+        .write(true)
+        .create_new(true)
+        .open(marker)
+    {
+        Ok(_) => true,
+        Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => false,
+        Err(e) => panic!("cannot create marker {}: {e}", marker.display()),
     }
 }
 
@@ -529,6 +533,43 @@ pub fn coordinate_main(argv: Vec<String>) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_once_marker_fires_for_exactly_one_of_many_racing_workers() {
+        const WORKERS: usize = 8;
+        // A racy check-then-create leaves a window microseconds wide, so
+        // one round rarely exposes it; thousands do.
+        const ROUNDS: usize = 2000;
+        let dir = std::env::temp_dir().join(format!("xbar-marker-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create");
+        let marker = dir.join("once");
+        let barrier = std::sync::Barrier::new(WORKERS);
+        for round in 0..ROUNDS {
+            let _ = std::fs::remove_file(&marker);
+            let fired = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..WORKERS)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            barrier.wait();
+                            first_time(&marker)
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|handle| handle.join().expect("worker"))
+                    .filter(|&fired| fired)
+                    .count()
+            });
+            assert_eq!(
+                fired, 1,
+                "round {round}: {fired} workers took the once branch"
+            );
+            assert!(!first_time(&marker), "the marker stays spent");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn shard_args_reject_malformed_flags_without_panicking() {

@@ -30,6 +30,10 @@
 //!   and only missing or corrupt shards are scheduled. `mc coordinate`
 //!   and `mc launch` share one run-directory contract, so either verb
 //!   resumes the other's checkpoints.
+//! * **One owner per run directory** — a coordinator claims its run
+//!   directory with a kernel lock on `coordinator.lock`, so a second
+//!   coordinator on a live campaign fails fast; the kernel releases the
+//!   claim when its holder exits, `kill -9` included.
 //!
 //! The merged **stats artifact** ([`render_stats_json`]) contains only
 //! integer-derived statistics, so it is byte-identical across shard
@@ -209,7 +213,11 @@ pub fn run_monolithic(config: &McConfig) -> MergedResult {
 }
 
 /// Merges shard partials after validating that they belong to `config`
-/// and tile its sample range exactly.
+/// and tile its sample range exactly: each partial passes
+/// [`ShardPartial::validate_for`] against its own slice, and together
+/// they cover `0..samples` with no gap and no overlap. A duplicated shard,
+/// such as a hedge loser's partial leaking into the merge input, cannot
+/// tile and fails here.
 ///
 /// Partials are merged in ascending `start` order, so the merge is
 /// deterministic for a given shard layout.
@@ -222,40 +230,7 @@ pub fn merge_partials(
     config: &McConfig,
     partials: &[ShardPartial],
 ) -> Result<MergedResult, String> {
-    let ordered = validated_in_order(config, partials)?;
-    let mut circuits: Vec<(String, CircuitAccum)> = config
-        .circuits
-        .iter()
-        .map(|name| (name.clone(), CircuitAccum::new()))
-        .collect();
-    for partial in &ordered {
-        for ((_, merged), (_, piece)) in circuits.iter_mut().zip(&partial.circuits) {
-            merged.merge(piece);
-        }
-    }
-    Ok(MergedResult {
-        config: config.clone(),
-        circuits,
-    })
-}
-
-/// The merge input in ascending `start` order, after the checks every
-/// merge shares — the flat [`merge_partials`] and the launcher's
-/// two-level per-host tree alike, so both reject torn or foreign partials
-/// with identical messages: each partial passes
-/// [`ShardPartial::validate_for`] against its own slice, and together
-/// they tile `0..samples` exactly (no gap, no overlap, full coverage; a
-/// duplicated shard — a hedge loser whose partial leaked into the merge
-/// input — fails here).
-///
-/// # Errors
-///
-/// Names the first foreign partial or tiling fault.
-pub(crate) fn validated_in_order<'a>(
-    config: &McConfig,
-    partials: impl IntoIterator<Item = &'a ShardPartial>,
-) -> Result<Vec<&'a ShardPartial>, String> {
-    let mut ordered: Vec<&ShardPartial> = partials.into_iter().collect();
+    let mut ordered: Vec<&ShardPartial> = partials.iter().collect();
     ordered.sort_by_key(|p| p.spec.start);
     let mut cursor = 0usize;
     for partial in &ordered {
@@ -277,7 +252,20 @@ pub(crate) fn validated_in_order<'a>(
             config.samples
         ));
     }
-    Ok(ordered)
+    let mut circuits: Vec<(String, CircuitAccum)> = config
+        .circuits
+        .iter()
+        .map(|name| (name.clone(), CircuitAccum::new()))
+        .collect();
+    for partial in &ordered {
+        for ((_, merged), (_, piece)) in circuits.iter_mut().zip(&partial.circuits) {
+            merged.merge(piece);
+        }
+    }
+    Ok(MergedResult {
+        config: config.clone(),
+        circuits,
+    })
 }
 
 pub(crate) fn partial_path(run_dir: &Path, index: usize) -> PathBuf {
@@ -429,128 +417,42 @@ fn campaign_mismatch(
 }
 
 /// An exclusive claim on a campaign run directory, held for the
-/// coordinator's lifetime. Backed by a `coordinator.lock` file created
-/// with `O_EXCL` semantics ([`fs::OpenOptions::create_new`]) and holding
-/// the owner's `pid starttime` incarnation; dropped (removed) when the
-/// coordinator finishes, and reclaimed by incarnation-liveness check when
-/// a previous coordinator was killed without cleanup (the CI resume smoke
-/// and the service restart test do exactly that).
+/// coordinator's lifetime: a kernel lock ([`fs::File::try_lock`]) on the
+/// run directory's `coordinator.lock` file. The kernel alone decides who
+/// owns the directory. Closing the file releases the claim, and so does
+/// the holder's death, `kill -9` included, so a killed coordinator never
+/// leaves a claim behind and nothing checks owner liveness. The file's
+/// bytes mean nothing: no coordinator writes them, and an unlocked file,
+/// whatever it holds, is claimed like a new one.
 #[derive(Debug)]
 pub(crate) struct RunDirLock {
-    path: PathBuf,
+    _file: fs::File,
 }
 
-impl Drop for RunDirLock {
-    fn drop(&mut self) {
-        let _ = fs::remove_file(&self.path);
-    }
-}
-
-/// The kernel `starttime` (clock ticks since boot at process start) of a
-/// live process: field 22 of `/proc/<pid>/stat`. The pair (pid,
-/// starttime) identifies a process *incarnation* — after pid reuse the
-/// recycled pid carries a different starttime. `None` when the process is
-/// gone or `/proc` is unavailable (non-Linux).
-fn proc_starttime(pid: u32) -> Option<u64> {
-    let stat = fs::read_to_string(format!("/proc/{pid}/stat")).ok()?;
-    // Field 2 (comm) may itself contain spaces and parentheses, so fields
-    // can only be counted from the *last* `)`; the remainder starts at
-    // field 3 and starttime is field 22, i.e. index 19 of the remainder.
-    let rest = stat.rsplit_once(')')?.1;
-    rest.split_whitespace().nth(19)?.parse().ok()
-}
-
-/// True when the owner recorded in a lock file still names a live process
-/// incarnation. The lock holds `pid starttime`; both must match the
-/// current `/proc` state, because a bare pid can be recycled by the
-/// kernel and misidentify an unrelated process as a live owner (the lock
-/// would then block the campaign forever). Locks written before the
-/// starttime field existed carry only a pid and degrade to the pid-only
-/// check. An unreadable or malformed lock counts as stale: the owner can
-/// no longer be identified, and the atomic re-create below still
-/// guarantees a single winner. Our own pid counts as alive — in-process
-/// coordinators (library callers) racing for one campaign must exclude
-/// each other just like separate processes do.
-fn lock_owner_alive(path: &Path) -> bool {
-    let Ok(text) = fs::read_to_string(path) else {
-        return false;
-    };
-    let mut fields = text.split_whitespace();
-    let Some(Ok(pid)) = fields.next().map(str::parse::<u32>) else {
-        return false;
-    };
-    if pid == std::process::id() {
-        return true;
-    }
-    // Without a /proc to consult (non-Linux), liveness cannot be checked;
-    // treating the lock as stale keeps crashed coordinators from blocking
-    // a campaign forever, which is the failure mode that actually occurs.
-    if !Path::new("/proc").is_dir() {
-        return false;
-    }
-    match fields.next() {
-        // pid + starttime: alive only if that exact incarnation persists.
-        Some(recorded) => match recorded.parse::<u64>() {
-            Ok(starttime) => proc_starttime(pid) == Some(starttime),
-            Err(_) => false,
-        },
-        // Legacy pid-only lock: best effort, pid liveness alone.
-        None => Path::new(&format!("/proc/{pid}")).is_dir(),
-    }
-}
-
-/// Atomically claims `run_dir` for this coordinator process.
+/// Claims `run_dir` for this coordinator. Separate claims exclude each
+/// other whether they come from two processes or from two callers in
+/// one process.
 ///
 /// # Errors
 ///
-/// Reports a live concurrent coordinator ("campaign already running") or
-/// an I/O failure creating the lock.
+/// Reports a claim already held ("campaign already running") or an I/O
+/// failure opening or locking the lock file.
 fn acquire_run_dir_lock(run_dir: &Path) -> Result<RunDirLock, String> {
-    use std::io::Write as _;
     let path = run_dir.join("coordinator.lock");
-    // Two passes: the second handles the stale-lock case where the first
-    // observed a leftover file from a killed coordinator and removed it.
-    for _ in 0..2 {
-        match fs::OpenOptions::new()
-            .write(true)
-            .create_new(true)
-            .open(&path)
-        {
-            Ok(mut file) => {
-                // Record the incarnation, not just the pid, so a future
-                // coordinator can distinguish "owner still running" from
-                // "pid recycled by an unrelated process".
-                let pid = std::process::id();
-                match proc_starttime(pid) {
-                    Some(starttime) => {
-                        let _ = writeln!(file, "{pid} {starttime}");
-                    }
-                    None => {
-                        let _ = writeln!(file, "{pid}");
-                    }
-                }
-                return Ok(RunDirLock { path });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                if lock_owner_alive(&path) {
-                    return Err(format!(
-                        "campaign already running: another coordinator holds {} \
-                         (pid {}); wait for it to finish or remove the lock if it is stale",
-                        path.display(),
-                        fs::read_to_string(&path).unwrap_or_default().trim()
-                    ));
-                }
-                // Stale lock from a killed coordinator: remove and retry
-                // the atomic create (a racing coordinator may win it).
-                let _ = fs::remove_file(&path);
-            }
-            Err(e) => return Err(format!("cannot create lock {}: {e}", path.display())),
-        }
+    let file = fs::OpenOptions::new()
+        .create(true)
+        .truncate(false)
+        .write(true)
+        .open(&path)
+        .map_err(|e| format!("cannot lock {}: {e}", path.display()))?;
+    match file.try_lock() {
+        Ok(()) => Ok(RunDirLock { _file: file }),
+        Err(fs::TryLockError::WouldBlock) => Err(format!(
+            "campaign already running: another coordinator holds {}",
+            path.display()
+        )),
+        Err(fs::TryLockError::Error(e)) => Err(format!("cannot lock {}: {e}", path.display())),
     }
-    Err(format!(
-        "campaign already running: could not win {} (another coordinator claimed it)",
-        path.display()
-    ))
 }
 
 /// Prepares the run directory: creates it, claims it with an exclusive
@@ -614,18 +516,6 @@ pub(crate) fn preflight_run_dir(
 // The local runner
 // ---------------------------------------------------------------------------
 
-/// Runs the sharded campaign and returns the merged result (see
-/// [`run_coordinator_with_report`] for the full contract).
-///
-/// # Errors
-///
-/// Reports configuration problems, unwritable work directories, run
-/// directories owned by a different campaign, and permanently failing
-/// shards (with the last per-shard error).
-pub fn run_coordinator(cfg: &CoordinatorConfig) -> Result<MergedResult, String> {
-    run_coordinator_with_report(cfg).map(|(merged, _)| merged)
-}
-
 /// Runs the sharded campaign on this machine: a launch over the implicit
 /// fleet `local*<max_inflight>` (available parallelism when unset)
 /// through [`LocalProc`], hedging off. At most `max_inflight` workers
@@ -638,7 +528,10 @@ pub fn run_coordinator(cfg: &CoordinatorConfig) -> Result<MergedResult, String> 
 ///
 /// # Errors
 ///
-/// See [`run_coordinator`].
+/// Reports configuration problems, unwritable work directories, run
+/// directories owned by a different campaign or claimed by a live
+/// coordinator, and permanently failing shards (with the last per-shard
+/// error).
 pub fn run_coordinator_with_report(
     cfg: &CoordinatorConfig,
 ) -> Result<(MergedResult, RunReport), String> {
@@ -1039,77 +932,66 @@ mod tests {
         );
     }
 
-    #[test]
-    fn run_dir_lock_is_exclusive_reclaims_stale_owners_and_releases_on_drop() {
-        let dir = std::env::temp_dir().join(format!("xbar-lock-test-{}", std::process::id()));
-        fs::create_dir_all(&dir).expect("create");
-        let lock = acquire_run_dir_lock(&dir).expect("first claim wins");
-        let path = dir.join("coordinator.lock");
-        assert!(path.is_file());
-
-        // A second claim while the owner (this process) is alive fails
-        // fast with the contractual message.
-        let err = acquire_run_dir_lock(&dir).expect_err("second claim must fail");
-        assert!(err.contains("campaign already running"), "{err}");
-
-        // A lock left by a dead process is reclaimed, not fatal. Pid 1 is
-        // init (alive), so fake staleness with an impossible pid instead.
-        drop(lock);
-        fs::write(&path, "4294967294\n").expect("plant stale lock");
-        let lock = acquire_run_dir_lock(&dir).expect("stale lock is reclaimed");
-        drop(lock);
-        assert!(!path.exists(), "drop releases the lock");
+    fn lock_scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("xbar-lock-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).expect("create");
+        dir
     }
 
     #[test]
-    fn lock_records_and_checks_the_owner_incarnation_not_just_the_pid() {
-        let dir = std::env::temp_dir().join(format!("xbar-lock-inc-test-{}", std::process::id()));
-        fs::create_dir_all(&dir).expect("create");
+    fn run_dir_lock_is_exclusive_whatever_the_file_holds_and_releases_on_drop() {
+        let dir = lock_scratch("exclusive");
         let path = dir.join("coordinator.lock");
-
-        // A fresh lock records `pid starttime` for this process, and that
-        // starttime agrees with /proc.
-        let own = std::process::id();
-        let lock = acquire_run_dir_lock(&dir).expect("claim");
-        let text = fs::read_to_string(&path).expect("read lock");
-        let mut fields = text.split_whitespace();
-        assert_eq!(fields.next().unwrap().parse::<u32>().ok(), Some(own));
-        let recorded: u64 = fields.next().expect("starttime field").parse().unwrap();
-        assert_eq!(proc_starttime(own), Some(recorded));
-        drop(lock);
-
-        // Pid 1 is init — alive forever — but a lock naming pid 1 with a
-        // *wrong* starttime describes a dead incarnation whose pid was
-        // recycled: it must be reclaimed, not treated as a live owner.
-        fs::write(&path, format!("1 {}\n", u64::MAX)).expect("plant recycled-pid lock");
-        let lock = acquire_run_dir_lock(&dir).expect("recycled pid reclaimed");
-        drop(lock);
-
-        // The same pid with its *true* starttime is a live owner.
-        if let Some(start) = proc_starttime(1) {
-            fs::write(&path, format!("1 {start}\n")).expect("plant live lock");
-            let err = acquire_run_dir_lock(&dir).expect_err("live incarnation must block");
+        // The file's bytes claim nothing: an empty file, a pid written by
+        // an older release and garbage are all claimed while nobody holds
+        // the lock, and all block a second claim while somebody does.
+        for planted in ["", "4294967294\n", "1 18446744073709551615\n", "garbage"] {
+            fs::write(&path, planted).expect("plant lock file");
+            let lock = acquire_run_dir_lock(&dir).expect("an unheld lock file is claimed");
+            let err = acquire_run_dir_lock(&dir).expect_err("a held claim blocks");
             assert!(err.contains("campaign already running"), "{err}");
-            fs::remove_file(&path).expect("clear planted lock");
+            assert!(err.contains("coordinator.lock"), "{err}");
+            drop(lock);
+            drop(acquire_run_dir_lock(&dir).expect("dropping the claim releases it"));
         }
-
-        // Legacy pid-only locks still work: a live pid blocks, garbage is
-        // stale.
-        fs::write(&path, "1\n").expect("plant legacy lock");
-        assert!(lock_owner_alive(&path), "legacy pid-only lock, pid alive");
-        fs::write(&path, "1 not-a-number\n").expect("plant malformed lock");
-        assert!(!lock_owner_alive(&path), "malformed starttime is stale");
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn proc_starttime_reads_this_process_and_tolerates_absence() {
-        // On Linux (the CI and dev environment) our own stat line parses.
-        if Path::new("/proc/self/stat").is_file() {
-            assert!(proc_starttime(std::process::id()).is_some());
+    fn concurrent_claims_on_one_run_dir_have_exactly_one_winner() {
+        const CONTENDERS: usize = 4;
+        const ROUNDS: usize = 100;
+        let dir = lock_scratch("race");
+        let barrier = std::sync::Barrier::new(CONTENDERS);
+        for round in 0..ROUNDS {
+            // Even rounds race to create the lock file, odd rounds to lock
+            // the one an earlier round left unheld.
+            if round % 2 == 0 {
+                let _ = fs::remove_file(dir.join("coordinator.lock"));
+            }
+            let winners = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..CONTENDERS)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            barrier.wait();
+                            let claim = acquire_run_dir_lock(&dir);
+                            // Winners hold on until every contender has
+                            // tried, so a late claim cannot slip in after
+                            // an early release.
+                            barrier.wait();
+                            claim.is_ok()
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|handle| handle.join().expect("contender"))
+                    .filter(|&won| won)
+                    .count()
+            });
+            assert_eq!(winners, 1, "round {round}: {winners} claims won");
         }
-        // A pid that cannot exist yields None, not a panic.
-        assert_eq!(proc_starttime(u32::MAX - 1), None);
+        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -1,7 +1,7 @@
 //! Process-level and property tests of the multi-host launcher: remote
 //! dispatch over `Transport` implementations with injected faults
 //! (torn streams, host death, stalls), host-health quarantine, hedged
-//! straggler re-dispatch, and the two-level merge tree — all pinned to
+//! straggler re-dispatch, and torn-transfer detection — all pinned to
 //! one invariant: the merged stats artifact is byte-identical to the
 //! monolithic in-process run, whatever the fleet did.
 
@@ -13,13 +13,11 @@ use proptest::prelude::*;
 use xbar_core::{DefectModelSpec, SampleStream};
 use xbar_exp::experiments::table2::CircuitAccum;
 use xbar_exp::launch::{
-    merge_host_groups, parse_hosts, run_launch_with_report, Exec, FaultPlan, Faulty, LaunchConfig,
-    LaunchReport, LocalProc,
+    parse_hosts, run_launch_with_report, Exec, FaultPlan, Faulty, LaunchConfig, LaunchReport,
+    LocalProc,
 };
 use xbar_exp::sample_seed;
-use xbar_exp::shard::coordinator::{
-    merge_partials, render_stats_json, run_monolithic, MergedResult, Worker,
-};
+use xbar_exp::shard::coordinator::{render_stats_json, run_monolithic, Worker};
 use xbar_exp::shard::partial::ShardPartial;
 use xbar_exp::shard::{McConfig, ShardSpec};
 
@@ -245,16 +243,16 @@ fn host_spec_grammar_parses_slots_and_rejects_degenerate_fleets() {
 }
 
 // ---------------------------------------------------------------------
-// Properties: the two-level merge tree and torn-transfer detection.
+// Properties: torn-transfer detection.
 // ---------------------------------------------------------------------
 
 /// Deterministic synthetic observation for global sample `i` (a pure
-/// function of the per-sample seed) so the merge properties can afford
-/// many cases without running the mapper.
+/// function of the per-sample seed) so the properties can afford many
+/// cases without running the mapper.
 fn observe(experiment_seed: u64, i: usize) -> (bool, f64, bool, f64) {
     let s = sample_seed(experiment_seed, i);
-    let hba_ok = s % 3 != 0;
-    let ea_ok = s % 5 != 0;
+    let hba_ok = !s.is_multiple_of(3);
+    let ea_ok = !s.is_multiple_of(5);
     let hba_secs = ((s >> 11) as f64 + 1.0) / 9.007_199_254_740_992e15;
     let ea_secs = ((s >> 23) as f64 + 1.0) / 9.007_199_254_740_992e15;
     (hba_ok, hba_secs, ea_ok, ea_secs)
@@ -269,46 +267,24 @@ fn fold(experiment_seed: u64, range: std::ops::Range<usize>) -> CircuitAccum {
     accum
 }
 
-fn synthetic_partials(samples: usize, shards: usize, seed: u64) -> (McConfig, Vec<ShardPartial>) {
+fn synthetic_partials(samples: usize, shards: usize, seed: u64) -> Vec<ShardPartial> {
     let config = McConfig {
         samples,
         seed,
         ..campaign()
     };
-    let partials = ShardSpec::partition(samples, shards)
+    ShardSpec::partition(samples, shards)
         .into_iter()
         .map(|spec| ShardPartial {
             config: config.clone(),
             spec,
             circuits: vec![("rd53".to_owned(), fold(seed, spec.range()))],
         })
-        .collect();
-    (config, partials)
+        .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The per-host pre-merge tree is byte-identical to the flat merge
-    /// for any sample count, shard count, and host assignment — the
-    /// property that makes host attribution free of artifact risk.
-    #[test]
-    fn two_level_merge_is_byte_identical_to_flat_for_any_assignment(
-        samples in 12usize..120,
-        shards in 1usize..12,
-        seed in 0u64..u64::MAX,
-        assignment in prop::collection::vec(0usize..4, 12),
-    ) {
-        let (config, partials) = synthetic_partials(samples, shards, seed);
-        let flat: MergedResult = merge_partials(&config, &partials).expect("flat merge");
-        let assigned: Vec<(String, ShardPartial)> = partials
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (format!("host{}", assignment[i % assignment.len()]), p.clone()))
-            .collect();
-        let tree = merge_host_groups(&config, &assigned).expect("tree merge");
-        prop_assert_eq!(render_stats_json(&tree), render_stats_json(&flat));
-    }
 
     /// Every strict prefix of a partial document (the torn-transfer
     /// shape the `truncate` fault injects) fails to parse — no prefix
@@ -318,7 +294,7 @@ proptest! {
         cut_choice in 0usize..1_000_000,
         seed in 0u64..u64::MAX,
     ) {
-        let (_, partials) = synthetic_partials(17, 3, seed);
+        let partials = synthetic_partials(17, 3, seed);
         let text = partials[1].to_json();
         let body = text.trim_end();
         let cut = cut_choice % body.len();

@@ -339,9 +339,9 @@ fn daemon_killed_mid_job_resumes_from_checkpoints_after_restart() {
     );
 
     // Restart on the same work dir (full speed this time) and resubmit:
-    // the stale coordinator.lock of the dead daemon must be reclaimed,
-    // the surviving partials reused, and the artifact still byte-equal to
-    // a monolithic run.
+    // the dead daemon's run-directory lock died with it, so the surviving
+    // partials must be reused and the artifact still byte-equal to a
+    // monolithic run.
     let daemon = Daemon::start(&work_dir, &["--job-shards", "4", "--job-max-inflight", "1"]);
     let resumed = daemon.submit(&[&submit_args[..], &["--wait"]].concat());
     assert!(resumed.status.success(), "{resumed:?}");

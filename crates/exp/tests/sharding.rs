@@ -10,8 +10,8 @@ use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 use xbar_core::{DefectModelKind, DefectModelSpec, SampleStream};
 use xbar_exp::shard::coordinator::{
-    campaign_run_dir, render_stats_json, run_coordinator, run_coordinator_with_report,
-    run_monolithic, CoordinatorConfig, Worker,
+    campaign_run_dir, render_stats_json, run_coordinator_with_report, run_monolithic,
+    CoordinatorConfig, Worker,
 };
 use xbar_exp::shard::partial::ShardPartial;
 use xbar_exp::shard::McConfig;
@@ -60,7 +60,7 @@ fn sharded_runs_are_byte_identical_to_monolithic_across_shard_counts() {
     let mono = render_stats_json(&run_monolithic(&campaign()));
     for shards in [1usize, 2, 3, 7] {
         let cfg = coordinator(&format!("counts-{shards}"), shards);
-        let merged = run_coordinator(&cfg).expect("coordinator run");
+        let (merged, _) = run_coordinator_with_report(&cfg).expect("coordinator run");
         assert_eq!(
             render_stats_json(&merged),
             mono,
@@ -88,7 +88,7 @@ fn v2_campaigns_shard_byte_identically_too() {
     assert_ne!(mono, v1_mono, "V2 draws different defect maps than V1");
     let mut cfg = coordinator("v2-stream", 3);
     cfg.config = config;
-    let merged = run_coordinator(&cfg).expect("coordinator run");
+    let (merged, _) = run_coordinator_with_report(&cfg).expect("coordinator run");
     assert_eq!(render_stats_json(&merged), mono);
 }
 
@@ -120,7 +120,7 @@ fn clustered_campaigns_shard_byte_identically_through_real_workers() {
     );
     let mut cfg = coordinator("clustered-model", 3);
     cfg.config = config;
-    let merged = run_coordinator(&cfg).expect("coordinator run");
+    let (merged, _) = run_coordinator_with_report(&cfg).expect("coordinator run");
     assert_eq!(
         render_stats_json(&merged),
         mono,
@@ -171,7 +171,7 @@ fn coordinator_retries_a_torn_partial_and_still_matches() {
         "--inject-truncate-once".to_owned(),
         marker.to_string_lossy().into_owned(),
     ];
-    let merged = run_coordinator(&cfg).expect("retry must recover");
+    let (merged, _) = run_coordinator_with_report(&cfg).expect("retry must recover");
     assert_eq!(render_stats_json(&merged), mono);
     let _ = std::fs::remove_file(&marker);
     let _ = std::fs::remove_dir(&cfg.work_dir);
@@ -460,7 +460,7 @@ fn launch_checkpoints_resume_under_coordinate_with_or_without_recorded_hosts() {
 
 #[test]
 fn a_second_coordinator_on_a_live_campaign_fails_fast() {
-    // Two coordinators race for the same campaign: the first to create
+    // Two coordinators race for the same campaign: the first to lock
     // `coordinator.lock` wins and runs to completion; the second must
     // fail fast with a clear "campaign already running" error instead of
     // double-spawning workers or corrupting the run directory.
@@ -494,14 +494,16 @@ fn a_second_coordinator_on_a_live_campaign_fails_fast() {
         .spawn()
         .expect("spawn first coordinator");
 
-    // Wait until the winner actually holds the run-dir lock.
+    // Wait until the winner actually holds the run-dir lock: it writes
+    // `campaign.json` only once the lock is held, whereas the lock file
+    // exists before anyone holds it.
     let run_dir = campaign_run_dir(&work, &campaign(), 4);
-    let lock = run_dir.join("coordinator.lock");
+    let manifest = run_dir.join("campaign.json");
     let deadline = Instant::now() + Duration::from_secs(60);
-    while !lock.exists() {
+    while !manifest.exists() {
         assert!(
             Instant::now() < deadline,
-            "no coordinator.lock appeared before the deadline"
+            "no campaign.json appeared before the deadline"
         );
         if winner.try_wait().expect("try_wait").is_some() {
             panic!(
@@ -554,11 +556,11 @@ fn a_run_dir_claimed_by_a_different_campaign_is_rejected() {
     // refuse to clobber the first campaign's partials.
     let mut cfg = coordinator("campaign-clash", 2);
     cfg.keep_partials = true;
-    let _ = run_coordinator(&cfg).expect("first campaign");
+    let _ = run_coordinator_with_report(&cfg).expect("first campaign");
 
     let mut other = coordinator("campaign-clash", 2);
     other.config.defect_rate = 0.25;
-    let err = run_coordinator(&other).expect_err("must refuse");
+    let err = run_coordinator_with_report(&other).expect_err("must refuse");
     assert!(err.contains("different campaign"), "{err}");
     assert!(err.contains("defect_rate"), "{err}");
     let _ = std::fs::remove_dir_all(&cfg.work_dir);
@@ -573,7 +575,7 @@ fn permanently_failing_shard_surfaces_an_error_not_a_hang() {
     let mut cfg = coordinator("fail-always", 2);
     cfg.extra_worker_args = vec!["--inject-fail-always".to_owned()];
     let start = Instant::now();
-    let err = run_coordinator(&cfg).expect_err("must give up");
+    let err = run_coordinator_with_report(&cfg).expect_err("must give up");
     assert!(err.contains("failed permanently"), "{err}");
     assert!(err.contains("attempt"), "{err}");
     assert!(
@@ -588,7 +590,7 @@ fn permanently_failing_shard_surfaces_an_error_not_a_hang() {
 fn missing_worker_binary_is_a_clear_error() {
     let mut cfg = coordinator("no-worker", 2);
     cfg.worker = Worker::xbar(PathBuf::from("/nonexistent/xbar"));
-    let err = run_coordinator(&cfg).expect_err("must fail");
+    let err = run_coordinator_with_report(&cfg).expect_err("must fail");
     assert!(err.contains("failed permanently"), "{err}");
     let _ = std::fs::remove_dir_all(&cfg.work_dir);
 }
@@ -597,6 +599,6 @@ fn missing_worker_binary_is_a_clear_error() {
 fn unknown_circuit_fails_before_spawning_anything() {
     let mut cfg = coordinator("bad-circuit", 2);
     cfg.config.circuits = vec!["not-a-circuit".to_owned()];
-    let err = run_coordinator(&cfg).expect_err("must fail");
+    let err = run_coordinator_with_report(&cfg).expect_err("must fail");
     assert!(err.contains("not-a-circuit"), "{err}");
 }

@@ -25,8 +25,7 @@
 
 use memristive_xbar_repro::core::bits;
 use memristive_xbar_repro::core::{
-    map_exact_with_scratch, map_hybrid, map_hybrid_with_scratch, mapping_feasible,
-    mapping_feasible_with_scratch, reference, row_compatible, CrossbarMatrix, DefectModelKind,
+    map_hybrid, mapping_feasible, reference, row_compatible, CrossbarMatrix, DefectModelKind,
     DefectModelSpec, DefectSampler, FunctionMatrix, HybridOptions, MatchEngine, SampleStream,
 };
 use memristive_xbar_repro::exp::experiments::table2::{mc_seed, run_circuit_range};
@@ -132,11 +131,11 @@ proptest! {
             let via_engine = engine.map_hybrid_with(&fm, &cm, options);
             prop_assert_eq!(&via_engine, &expected, "options {:?}", options);
         }
-        // The facade and the scratch variant agree with the default-options
+        // The facade and a reused engine agree with the default-options
         // reference as well.
         let expected = reference::map_hybrid(&fm, &cm);
         prop_assert_eq!(&map_hybrid(&fm, &cm), &expected);
-        prop_assert_eq!(&map_hybrid_with_scratch(&fm, &cm, &mut engine), &expected);
+        prop_assert_eq!(&engine.map_hybrid(&fm, &cm), &expected);
     }
 
     /// The success-only HBA path decides the exact output stage by a
@@ -185,11 +184,11 @@ proptest! {
         let cm = random_cm(&fm, spare, rate, seed.wrapping_add(0xEA));
         let mut engine = MatchEngine::new();
         let feasible = reference::mapping_feasible(&fm, &cm);
-        let ea = map_exact_with_scratch(&fm, &cm, &mut engine);
+        let ea = engine.map_exact(&fm, &cm);
         prop_assert_eq!(ea.is_success(), feasible, "EA must equal feasibility");
         prop_assert_eq!(reference::map_exact(&fm, &cm).is_success(), feasible);
         prop_assert_eq!(mapping_feasible(&fm, &cm), feasible);
-        prop_assert_eq!(mapping_feasible_with_scratch(&fm, &cm, &mut engine), feasible);
+        prop_assert_eq!(engine.feasible(&fm, &cm), feasible);
         if let Some(assignment) = ea.assignment {
             prop_assert!(assignment.is_valid(&fm, &cm));
         }

@@ -25,8 +25,8 @@ use proptest::test_runner::TestCaseError;
 /// the property can afford hundreds of cases.
 fn observe(experiment_seed: u64, i: usize) -> (bool, f64, bool, f64) {
     let s = sample_seed(experiment_seed, i);
-    let hba_ok = s % 3 != 0;
-    let ea_ok = s % 5 != 0;
+    let hba_ok = !s.is_multiple_of(3);
+    let ea_ok = !s.is_multiple_of(5);
     // Strictly positive, wide dynamic range, always finite.
     let hba_secs = ((s >> 11) as f64 + 1.0) / 9.007_199_254_740_992e15;
     let ea_secs = ((s >> 23) as f64 + 1.0) / 9.007_199_254_740_992e15;
