@@ -95,9 +95,8 @@ pub use mapping::{
     MappingOutcome, MappingStats, RowAssignment,
 };
 pub use matrices::{
-    row_compatible, BitRow, ClusteredDefects, CompositeDefects, CrossbarMatrix, DefectModel,
-    DefectModelKind, DefectModelSpec, DefectSampler, FunctionMatrix, IidDefects, LineDefects,
-    SampleStream,
+    row_compatible, BitRow, CrossbarMatrix, DefectModelKind, DefectModelSpec, DefectSampler,
+    FunctionMatrix, SampleStream,
 };
 pub use multilevel::{map_multilevel, MultiLevelDesign, MultiLevelMapping};
 pub use redundancy::{estimate_yield, redundancy_sweep, MapperKind, YieldConfig, YieldResult};

@@ -499,109 +499,13 @@ impl fmt::Display for DefectModelSpec {
     }
 }
 
-/// A defect model: redraws a [`CrossbarMatrix`] in place as one Monte
-/// Carlo trial. Every implementation fully overwrites the matrix (rows
-/// *and* column bitplanes) and consumes the RNG as a pure function of its
-/// parameters, so a (model, seed) pair reproduces bit-identical maps on
-/// any host.
-pub trait DefectModel {
-    /// Redraws `cm` under this model. `rate` is the target *cell* defect
-    /// rate; models without a cell layer ([`LineDefects`]) ignore it.
-    fn resample(&self, cm: &mut CrossbarMatrix, rate: f64, rng: &mut StdRng);
-}
-
-/// The default model: independent per-cell stuck-open defects drawn from
-/// a versioned [`SampleStream`] — exactly the pre-model sampler, so the
-/// V1/V2 golden pins are pins on this implementation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct IidDefects {
-    /// The stream the cells are drawn from.
-    pub stream: SampleStream,
-}
-
-impl DefectModel for IidDefects {
-    fn resample(&self, cm: &mut CrossbarMatrix, rate: f64, rng: &mut StdRng) {
-        match self.stream {
-            SampleStream::V1 => cm.resample_dense(rate, rng),
-            SampleStream::V2 => cm.resample_geometric(rate, rng),
-        }
-    }
-}
-
-/// Clustered cell defects: a two-state renewal (Markov) process over the
-/// row-major cell order. Defect runs have geometric length with mean
-/// `mean_cluster`; gaps between runs are geometric with the entry
-/// probability chosen so the long-run defect fraction equals the target
-/// `rate` (`q_enter = rate / (rate + mean_cluster · (1 − rate))`). Runs
-/// are scattered straight into the row words and column bitplanes.
-///
-/// `mean_cluster = 1` degenerates to an i.i.d. Bernoulli process (with
-/// its own RNG consumption, distinct from the V1/V2 streams). Rates above
-/// `mean_cluster / (mean_cluster + 1)` saturate toward back-to-back runs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ClusteredDefects {
-    /// Mean defect-run length (>= 1).
-    pub mean_cluster: f64,
-}
-
-impl DefectModel for ClusteredDefects {
-    fn resample(&self, cm: &mut CrossbarMatrix, rate: f64, rng: &mut StdRng) {
-        cm.resample_clustered(rate, self.mean_cluster, rng);
-    }
-}
-
-/// Line-correlated failures: every wordline (row) and bitline (column)
-/// breaks independently with probability `line_rate`. A broken line kills
-/// all its crosspoints — one word fill over the [`BitRow`] / the column
-/// plane. Rows are drawn first (index order), then columns; the cell
-/// `rate` argument is unused.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LineDefects {
-    /// Per-line break probability.
-    pub line_rate: f64,
-}
-
-impl LineDefects {
-    /// Layers line faults onto `cm` *without* clearing it first — the
-    /// composite building block ([`CompositeDefects`] is exactly a cell
-    /// model followed by this).
-    pub fn apply(&self, cm: &mut CrossbarMatrix, rng: &mut StdRng) {
-        cm.apply_line_faults(self.line_rate, rng);
-    }
-}
-
-impl DefectModel for LineDefects {
-    fn resample(&self, cm: &mut CrossbarMatrix, _rate: f64, rng: &mut StdRng) {
-        cm.clear_defects();
-        self.apply(cm, rng);
-    }
-}
-
-/// The composite model: line faults layered over clustered cell defects.
-/// Draw order (and therefore RNG consumption) is cells first, lines
-/// second — identical to running [`ClusteredDefects`] then
-/// [`LineDefects::apply`] on one generator.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CompositeDefects {
-    /// The clustered cell layer.
-    pub cells: ClusteredDefects,
-    /// The line-fault layer.
-    pub lines: LineDefects,
-}
-
-impl DefectModel for CompositeDefects {
-    fn resample(&self, cm: &mut CrossbarMatrix, rate: f64, rng: &mut StdRng) {
-        self.cells.resample(cm, rate, rng);
-        self.lines.apply(cm, rng);
-    }
-}
-
 /// The model-aware defect-sampling handle: the one seam every defect draw
-/// goes through (engine loops, experiments, benches, examples). The
-/// [`DefectModel`] implementations live behind it; a sampler is a `Copy`
-/// value wrapping the chosen [`SampleStream`] and [`DefectModelSpec`],
-/// which together fully determine RNG consumption, so two samplers with
-/// the same pair are interchangeable mid-campaign.
+/// goes through (engine loops, experiments, benches, examples). A sampler
+/// is a `Copy` value wrapping the chosen [`SampleStream`] and
+/// [`DefectModelSpec`], which together fully determine RNG consumption,
+/// so two samplers with the same pair are interchangeable mid-campaign.
+/// Every draw fully overwrites the matrix (rows *and* column bitplanes),
+/// so a (sampler, seed) pair reproduces bit-identical maps on any host.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DefectSampler {
     stream: SampleStream,
@@ -663,32 +567,25 @@ impl DefectSampler {
     /// like [`DefectSampler::sample`] on the same stream and model, so
     /// with the same generator state both produce bit-identical matrices.
     ///
-    /// The default-model path dispatches on two `Copy` enums and lands in
-    /// the same V1/V2 code as before the model layer existed (measured at
-    /// parity with a direct call).
+    /// `rate` is the target *cell* defect rate; the `lines` model, which
+    /// has no cell layer, ignores it. The `composite` model draws its
+    /// clustered cells first and its line faults second, on one generator.
     pub fn resample(self, cm: &mut CrossbarMatrix, rate: f64, rng: &mut StdRng) {
-        match self.model.kind() {
-            DefectModelKind::Iid => IidDefects {
-                stream: self.stream,
+        let model = self.model;
+        match (model.kind(), self.stream) {
+            (DefectModelKind::Iid, SampleStream::V1) => cm.resample_dense(rate, rng),
+            (DefectModelKind::Iid, SampleStream::V2) => cm.resample_geometric(rate, rng),
+            (DefectModelKind::Clustered, _) => {
+                cm.resample_clustered(rate, model.cluster_size(), rng);
             }
-            .resample(cm, rate, rng),
-            DefectModelKind::Clustered => ClusteredDefects {
-                mean_cluster: self.model.cluster_size(),
+            (DefectModelKind::Lines, _) => {
+                cm.clear_defects();
+                cm.apply_line_faults(model.line_rate(), rng);
             }
-            .resample(cm, rate, rng),
-            DefectModelKind::Lines => LineDefects {
-                line_rate: self.model.line_rate(),
+            (DefectModelKind::Composite, _) => {
+                cm.resample_clustered(rate, model.cluster_size(), rng);
+                cm.apply_line_faults(model.line_rate(), rng);
             }
-            .resample(cm, rate, rng),
-            DefectModelKind::Composite => CompositeDefects {
-                cells: ClusteredDefects {
-                    mean_cluster: self.model.cluster_size(),
-                },
-                lines: LineDefects {
-                    line_rate: self.model.line_rate(),
-                },
-            }
-            .resample(cm, rate, rng),
         }
     }
 }
@@ -993,7 +890,9 @@ impl CrossbarMatrix {
     /// Geometric(`q_enter`), defect runs are `1 + Geometric(1/cluster)`
     /// (mean length `cluster`), with `q_enter` chosen so the long-run
     /// defect fraction is exactly `rate`. One `u64` draw per gap and one
-    /// per run, O(defects + clusters) like the V2 skip stream.
+    /// per run, O(defects + clusters) like the V2 skip stream. `cluster = 1`
+    /// degenerates to an i.i.d. Bernoulli process, with RNG consumption of
+    /// its own, distinct from the V1/V2 streams.
     fn resample_clustered(&mut self, rate: f64, cluster: f64, rng: &mut StdRng) {
         self.clear_defects();
         let n = self.rows.len() * self.cols;
@@ -1662,9 +1561,20 @@ mod tests {
         let mut rng_a = StdRng::seed_from_u64(99);
         let mut rng_b = StdRng::seed_from_u64(99);
         let got = composite.sample(40, 22, 0.12, &mut rng_a);
-        let mut want = CrossbarMatrix::perfect(40, 22);
-        ClusteredDefects { mean_cluster: 3.0 }.resample(&mut want, 0.12, &mut rng_b);
-        LineDefects { line_rate: 0.15 }.apply(&mut want, &mut rng_b);
+        let clustered = DefectModelSpec::new(DefectModelKind::Clustered, 3.0, 0.0).expect("valid");
+        let mut want =
+            DefectSampler::with_model(SampleStream::V1, clustered).sample(40, 22, 0.12, &mut rng_b);
+        // The line layer by hand: one draw per row, then one per column.
+        for r in 0..40 {
+            if rng_b.random_bool(0.15) {
+                (0..22).for_each(|c| want.set_defective(r, c));
+            }
+        }
+        for c in 0..22 {
+            if rng_b.random_bool(0.15) {
+                (0..40).for_each(|r| want.set_defective(r, c));
+            }
+        }
         assert_eq!(got, want);
         assert_eq!(rng_a, rng_b);
         assert_planes_consistent(&got);

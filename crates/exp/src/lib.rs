@@ -53,6 +53,8 @@ mod mc;
 pub mod service;
 pub mod shard;
 mod table;
+#[cfg(test)]
+mod totality;
 
 pub use cli::{run_cli, ExpArgs};
 pub use experiment::{

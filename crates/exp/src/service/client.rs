@@ -5,6 +5,15 @@
 //! exactly the bytes `xbar run <exp> --json` would print — goes to
 //! stdout (or, with `--out`, is written atomically to a file), so the
 //! client composes with pipes and `cmp` the same way `xbar run` does.
+//!
+//! A waited submit whose connection breaks re-sends its own request on a
+//! new connection and follows that one to the end. The daemon answers a
+//! `submit` by its content: from the artifact cache, by joining the
+//! identical job still running, or by queueing it again, which resumes
+//! from the job's shard checkpoints when a restarted daemon shares the
+//! `--work-dir`. The client never follows a job id across connections:
+//! every daemon numbers its jobs from 0, so an id from before a restart
+//! may name another request's job after it.
 
 use crate::atomic::write_atomic;
 use crate::service::protocol::{Request, PROTOCOL};
@@ -14,16 +23,17 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Duration;
 
-/// How many consecutive failed reconnect attempts a waited submit
-/// tolerates before giving up. The counter resets every time the daemon
-/// answers, so a long job behind a brief daemon bounce still completes;
+/// How many consecutive re-sends of a waited submit may go unanswered
+/// before the client gives up. The count restarts with every `submitted`
+/// answer, so a long job behind a brief daemon bounce still completes;
 /// 40 × 250 ms bounds a *continuous* outage at ~10 s.
 const RECONNECT_ATTEMPTS: u32 = 40;
-/// Pause between reconnect attempts.
+/// Pause before each re-send.
 const RECONNECT_DELAY: Duration = Duration::from_millis(250);
-/// How many times a vanished job (daemon restarted with fresh queue
-/// state) is resubmitted before the client gives up. Checkpoints in a
-/// shared `--work-dir` make each resubmit a resume, not a restart.
+/// How many re-sends may be answered `cache: miss` (the daemon no longer
+/// had the job, so it queued the request again) before the client gives
+/// up. Checkpoints in a shared `--work-dir` make each one a resume, not a
+/// restart.
 const MAX_RESUBMITS: u32 = 3;
 
 /// What one `xbar submit` invocation asks the daemon to do.
@@ -146,11 +156,11 @@ struct Reply {
     line: String,
 }
 
-/// Why a reply could not be produced. The split matters for `--wait`
-/// hardening: an [`ReadError::Io`] failure means the *connection* died
-/// (the daemon may be bouncing — reconnect and keep following the job),
-/// while a [`ReadError::Daemon`] error is the daemon answering clearly —
-/// retrying the same request would loop forever on the same answer.
+/// Why a reply could not be produced. The split matters for `--wait`: an
+/// [`ReadError::Io`] failure means the *connection* died (the daemon may
+/// be bouncing — re-send the request on a new one), while a
+/// [`ReadError::Daemon`] error is the daemon answering clearly — retrying
+/// the same request would loop forever on the same answer.
 enum ReadError {
     /// The connection broke (closed, reset, unparseable stream).
     Io(String),
@@ -217,11 +227,7 @@ fn deliver_artifact(reply: &Reply, out: Option<&PathBuf>) -> Result<(), String> 
 /// scripts (and the resume smoke test) can see *how* the job ran — e.g.
 /// that a resubmit after a daemon crash actually reused checkpoints.
 fn describe_result(reply: &Reply) -> String {
-    let cache = reply
-        .doc
-        .get("cache")
-        .and_then(Json::as_str)
-        .unwrap_or("unknown");
+    let cache = field_str(reply, "cache");
     let counter = |name: &str| reply.doc.get(name).and_then(Json::as_u64);
     let mut text = match (counter("spawned"), counter("reused")) {
         (Some(spawned), Some(reused)) => format!(
@@ -250,27 +256,45 @@ fn describe_result(reply: &Reply) -> String {
     text
 }
 
-/// Opens a connection to the daemon, returning the write half and a line
-/// iterator over the read half.
-fn connect(addr: &str) -> Result<(TcpStream, Lines<BufReader<TcpStream>>), String> {
-    let stream = TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-    let writer = stream
-        .try_clone()
-        .map_err(|e| format!("cannot split the connection: {e}"))?;
-    Ok((writer, BufReader::new(stream).lines()))
+/// A string field of a reply, `unknown` when absent.
+fn field_str<'a>(reply: &'a Reply, name: &str) -> &'a str {
+    reply
+        .doc
+        .get(name)
+        .and_then(Json::as_str)
+        .unwrap_or("unknown")
 }
 
-fn send_request(writer: &mut TcpStream, request: &Request) -> Result<(), String> {
-    writeln!(writer, "{}", request.render())
-        .and_then(|()| writer.flush())
-        .map_err(|e| format!("cannot send to the daemon: {e}"))
+/// The job id a reply names, `?` when absent.
+fn job_of(reply: &Reply) -> String {
+    reply
+        .doc
+        .get("job")
+        .and_then(Json::as_u64)
+        .map_or_else(|| "?".to_owned(), |j| j.to_string())
 }
 
-/// Prints one progress/status line for a waited job to stderr.
-fn print_progress(job: u64, reply: &Reply) {
+/// Connects to the daemon and sends one request; returns the reply lines.
+fn send(addr: &str, request: &Request) -> Result<Lines<BufReader<TcpStream>>, String> {
+    let mut stream =
+        TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
+    writeln!(stream, "{}", request.render())
+        .and_then(|()| stream.flush())
+        .map_err(|e| format!("cannot send to the daemon: {e}"))?;
+    Ok(BufReader::new(stream).lines())
+}
+
+/// Sends one request on a new connection and reads its one reply.
+fn ask(addr: &str, request: &Request) -> Result<Reply, String> {
+    read_reply(&mut send(addr, request)?)
+}
+
+/// Prints one progress line for a waited job to stderr.
+fn print_progress(reply: &Reply) {
     let field = |name: &str| reply.doc.get(name).and_then(Json::as_u64).unwrap_or(0);
     eprintln!(
-        "xbar submit: job {job} {} ({}/{} shards, {:.1}s)",
+        "xbar submit: job {} {} ({}/{} shards, {:.1}s)",
+        job_of(reply),
         reply.doc.get("state").and_then(Json::as_str).unwrap_or("?"),
         field("shards_done"),
         field("shards"),
@@ -279,208 +303,127 @@ fn print_progress(job: u64, reply: &Reply) {
 }
 
 fn run_submit(args: &SubmitArgs) -> Result<(), String> {
-    let (mut writer, mut lines) = connect(&args.connect)?;
-    let send = send_request;
-
+    let addr = args.connect.as_str();
     match &args.mode {
         Mode::Submit {
             experiment,
             args: exp_args,
-        } => {
-            send(
-                &mut writer,
-                &Request::Submit {
-                    experiment: experiment.clone(),
-                    args: exp_args.clone(),
-                    wait: args.wait,
-                },
-            )?;
-            let submitted = read_reply(&mut lines)?;
-            let job = submitted.doc.get("job").and_then(Json::as_u64);
-            let cache = submitted
-                .doc
-                .get("cache")
-                .and_then(Json::as_str)
-                .unwrap_or("unknown");
-            eprintln!(
-                "xbar submit: job {} (cache {cache})",
-                job.map_or_else(|| "?".to_owned(), |j| j.to_string())
-            );
-            if !args.wait {
-                return Ok(());
-            }
-            loop {
-                match read_reply_raw(&mut lines) {
-                    Ok(reply) => match reply.kind.as_str() {
-                        "progress" => {
-                            print_progress(
-                                reply.doc.get("job").and_then(Json::as_u64).unwrap_or(0),
-                                &reply,
-                            );
-                        }
-                        "result" => {
-                            deliver_artifact(&reply, args.out.as_ref())?;
-                            eprintln!("xbar submit: result ({})", describe_result(&reply));
-                            return Ok(());
-                        }
-                        other => {
-                            return Err(format!("unexpected {other:?} response while waiting"))
-                        }
-                    },
-                    // A daemon error is an answer; retrying would get the
-                    // same one.
-                    Err(ReadError::Daemon(e)) => return Err(e),
-                    // A broken connection is not: the job keeps running
-                    // (or resumes from checkpoints after a daemon bounce),
-                    // so reconnect and keep following it.
-                    Err(ReadError::Io(io)) => {
-                        let Some(id) = job else { return Err(io) };
-                        eprintln!(
-                            "xbar submit: lost the daemon ({io}); reconnecting to follow job {id}"
-                        );
-                        return resume_wait(args, experiment, exp_args, id);
-                    }
-                }
-            }
-        }
+        } => submit(
+            args,
+            &Request::Submit {
+                experiment: experiment.clone(),
+                args: exp_args.clone(),
+                wait: args.wait,
+            },
+        ),
         Mode::ResultOf(id) => {
-            send(&mut writer, &Request::ResultOf { job: *id })?;
-            let reply = read_reply(&mut lines)?;
+            let reply = ask(addr, &Request::ResultOf { job: *id })?;
             deliver_artifact(&reply, args.out.as_ref())?;
             eprintln!("xbar submit: result ({})", describe_result(&reply));
             Ok(())
         }
-        Mode::Status(id) => {
-            send(&mut writer, &Request::Status { job: *id })?;
-            print_reply_line(&read_reply(&mut lines)?)
-        }
+        Mode::Status(id) => print_reply_line(&ask(addr, &Request::Status { job: *id })?),
         Mode::Cancel(id) => {
-            send(&mut writer, &Request::Cancel { job: *id })?;
-            let _ = read_reply(&mut lines)?;
+            let _ = ask(addr, &Request::Cancel { job: *id })?;
             eprintln!("xbar submit: cancelled job {id}");
             Ok(())
         }
-        Mode::Stats => {
-            send(&mut writer, &Request::Stats)?;
-            print_reply_line(&read_reply(&mut lines)?)
-        }
+        Mode::Stats => print_reply_line(&ask(addr, &Request::Stats)?),
         Mode::Shutdown => {
-            send(&mut writer, &Request::Shutdown)?;
-            let _ = read_reply(&mut lines)?;
+            let _ = ask(addr, &Request::Shutdown)?;
             eprintln!("xbar submit: daemon is draining");
             Ok(())
         }
     }
 }
 
-/// Follows a job across daemon outages: reconnect (bounded consecutive
-/// attempts), poll `status`, fetch the artifact with `result` once done.
-/// If the daemon comes back with fresh queue state ("no such job" — it
-/// was restarted, not just unreachable), the original submit is resent
-/// up to [`MAX_RESUBMITS`] times; shard checkpoints in a shared work dir
-/// turn each resubmit into a resume. The delivered bytes are the same
-/// cached artifact an uninterrupted `--wait` would have printed.
-fn resume_wait(
-    args: &SubmitArgs,
-    experiment: &str,
-    exp_args: &[String],
-    mut job: u64,
-) -> Result<(), String> {
-    let mut failures: u32 = 0;
+/// Sends a submit and, when it waits, follows it to its artifact. A
+/// connection that breaks after `submitted` is not an answer: the same
+/// request is re-sent on a new connection ([`resend`]) and followed like
+/// the first. A re-send answered `cache: miss` means the daemon had lost
+/// the job and queued it again; at most [`MAX_RESUBMITS`] are tolerated.
+fn submit(args: &SubmitArgs, request: &Request) -> Result<(), String> {
+    let mut lines = send(&args.connect, request)?;
+    let submitted = read_reply(&mut lines)?;
+    let mut job = job_of(&submitted);
+    eprintln!(
+        "xbar submit: job {job} (cache {})",
+        field_str(&submitted, "cache")
+    );
+    if !args.wait {
+        return Ok(());
+    }
     let mut resubmits: u32 = 0;
-    let mut polls: u32 = 0;
     loop {
-        failures += 1;
-        if failures > RECONNECT_ATTEMPTS {
-            return Err(format!(
-                "gave up on job {job} after {RECONNECT_ATTEMPTS} consecutive failed \
-                 reconnect attempts"
-            ));
-        }
-        std::thread::sleep(RECONNECT_DELAY);
-        let Ok((mut writer, mut lines)) = connect(&args.connect) else {
-            continue;
-        };
-        if send_request(&mut writer, &Request::Status { job }).is_err() {
-            continue;
-        }
-        match read_reply_raw(&mut lines) {
-            Err(ReadError::Io(_)) => continue,
-            Err(ReadError::Daemon(e)) if e.contains("no such job") => {
-                // The daemon restarted with a fresh queue. Resubmit the
-                // original request; a shared work dir resumes from the
-                // dead job's checkpoints, and a cached artifact is an
-                // instant hit either way.
-                resubmits += 1;
-                if resubmits > MAX_RESUBMITS {
-                    return Err(format!(
-                        "job {job} vanished and {MAX_RESUBMITS} resubmit(s) did not settle"
-                    ));
-                }
-                let request = Request::Submit {
-                    experiment: experiment.to_owned(),
-                    args: exp_args.to_vec(),
-                    wait: false,
-                };
-                if send_request(&mut writer, &request).is_err() {
-                    continue;
-                }
-                match read_reply_raw(&mut lines) {
-                    Ok(reply) => {
-                        if let Some(new_id) = reply.doc.get("job").and_then(Json::as_u64) {
-                            eprintln!(
-                                "xbar submit: daemon lost job {job}; resubmitted as job {new_id}"
-                            );
-                            job = new_id;
-                            failures = 0;
-                        }
-                    }
-                    Err(ReadError::Daemon(e)) => return Err(e),
-                    Err(ReadError::Io(_)) => {}
-                }
+        match follow(&mut lines) {
+            Ok(result) => {
+                deliver_artifact(&result, args.out.as_ref())?;
+                eprintln!("xbar submit: result ({})", describe_result(&result));
+                return Ok(());
             }
+            // A daemon error is an answer; re-sending would get the same
+            // one.
             Err(ReadError::Daemon(e)) => return Err(e),
-            Ok(status) => {
-                // The daemon answered: whatever happens next, this was
-                // not a failed attempt.
-                failures = 0;
-                match status.doc.get("state").and_then(Json::as_str) {
-                    Some("done") => {
-                        if send_request(&mut writer, &Request::ResultOf { job }).is_err() {
-                            continue;
-                        }
-                        match read_reply_raw(&mut lines) {
-                            Ok(result) => {
-                                deliver_artifact(&result, args.out.as_ref())?;
-                                eprintln!("xbar submit: result ({})", describe_result(&result));
-                                return Ok(());
-                            }
-                            Err(ReadError::Daemon(e)) => return Err(e),
-                            Err(ReadError::Io(_)) => continue,
-                        }
-                    }
-                    Some(state @ ("failed" | "cancelled")) => {
-                        return Err(format!(
-                            "job {job} {state}: {}",
-                            status
-                                .doc
-                                .get("error")
-                                .and_then(Json::as_str)
-                                .unwrap_or("no details")
-                        ));
-                    }
-                    _ => {
-                        // Throttle to roughly the daemon's own progress
-                        // cadence instead of one line per 250 ms poll.
-                        if polls.is_multiple_of(4) {
-                            print_progress(job, &status);
-                        }
-                        polls = polls.wrapping_add(1);
-                    }
-                }
+            Err(ReadError::Io(lost)) => {
+                eprintln!("xbar submit: lost the daemon ({lost}); reconnecting to follow job {job}")
+            }
+        }
+        let (submitted, reconnected) = resend(&args.connect, request, &job)?;
+        lines = reconnected;
+        let next = job_of(&submitted);
+        if field_str(&submitted, "cache") == "miss" {
+            resubmits += 1;
+            if resubmits > MAX_RESUBMITS {
+                return Err(format!(
+                    "job {job} vanished and {MAX_RESUBMITS} resubmit(s) did not settle"
+                ));
+            }
+            eprintln!("xbar submit: daemon lost job {job}; resubmitted as job {next}");
+        }
+        job = next;
+    }
+}
+
+/// Reads a waited submit's connection to its final line, printing each
+/// `progress` event, and returns the `result` reply.
+fn follow(lines: &mut impl Iterator<Item = std::io::Result<String>>) -> Result<Reply, ReadError> {
+    loop {
+        let reply = read_reply_raw(lines)?;
+        match reply.kind.as_str() {
+            "progress" => print_progress(&reply),
+            "result" => return Ok(reply),
+            other => {
+                return Err(ReadError::Daemon(format!(
+                    "unexpected {other:?} response while waiting"
+                )))
             }
         }
     }
+}
+
+/// Re-sends `request` on new connections, [`RECONNECT_DELAY`] apart, until
+/// the daemon answers it; returns that answer and the connection to
+/// follow. Gives up after [`RECONNECT_ATTEMPTS`] consecutive attempts
+/// without an answer.
+fn resend(
+    addr: &str,
+    request: &Request,
+    job: &str,
+) -> Result<(Reply, Lines<BufReader<TcpStream>>), String> {
+    for _ in 0..RECONNECT_ATTEMPTS {
+        std::thread::sleep(RECONNECT_DELAY);
+        let Ok(mut lines) = send(addr, request) else {
+            continue;
+        };
+        match read_reply_raw(&mut lines) {
+            Ok(reply) => return Ok((reply, lines)),
+            Err(ReadError::Daemon(e)) => return Err(e),
+            Err(ReadError::Io(_)) => {}
+        }
+    }
+    Err(format!(
+        "gave up on job {job} after {RECONNECT_ATTEMPTS} consecutive failed reconnect attempts"
+    ))
 }
 
 /// Reprints a reply verbatim (one compact JSON line) on stdout, so

@@ -358,7 +358,7 @@ const CAMPAIGN_MANIFEST_KEYS: [&str; 11] = [
     "hosts",
 ];
 
-fn parse_campaign_manifest(text: &str) -> Result<(McConfig, usize), String> {
+pub(crate) fn parse_campaign_manifest(text: &str) -> Result<(McConfig, usize), String> {
     let doc = super::json::Json::parse(text).map_err(|e| format!("malformed manifest: {e}"))?;
     let schema = doc
         .get("schema")
@@ -439,20 +439,63 @@ pub(crate) struct RunDirLock {
 /// failure opening or locking the lock file.
 fn acquire_run_dir_lock(run_dir: &Path) -> Result<RunDirLock, String> {
     let path = run_dir.join("coordinator.lock");
-    let file = fs::OpenOptions::new()
+    claim_lock_file(&path, open_lock_file(&path)?)
+}
+
+fn open_lock_file(path: &Path) -> Result<fs::File, String> {
+    fs::OpenOptions::new()
         .create(true)
         .truncate(false)
         .write(true)
-        .open(&path)
-        .map_err(|e| format!("cannot lock {}: {e}", path.display()))?;
-    match file.try_lock() {
-        Ok(()) => Ok(RunDirLock { _file: file }),
-        Err(fs::TryLockError::WouldBlock) => Err(format!(
-            "campaign already running: another coordinator holds {}",
-            path.display()
-        )),
-        Err(fs::TryLockError::Error(e)) => Err(format!("cannot lock {}: {e}", path.display())),
+        .open(path)
+        .map_err(|e| format!("cannot lock {}: {e}", path.display()))
+}
+
+/// Locks `file`, opened on `path` at some earlier point, as the claim on
+/// `path`. A finished campaign unlinks its lock file while still holding
+/// it, so the file may have left the path since it was opened: a lock on
+/// that orphan would exclude nobody. Once locked, the path must still
+/// name the locked file; otherwise the path is reopened and claimed anew.
+fn claim_lock_file(path: &Path, mut file: fs::File) -> Result<RunDirLock, String> {
+    loop {
+        match file.try_lock() {
+            Ok(()) => {}
+            Err(fs::TryLockError::WouldBlock) => {
+                return Err(format!(
+                    "campaign already running: another coordinator holds {}",
+                    path.display()
+                ))
+            }
+            Err(fs::TryLockError::Error(e)) => {
+                return Err(format!("cannot lock {}: {e}", path.display()))
+            }
+        }
+        if path_names_file(path, &file)? {
+            return Ok(RunDirLock { _file: file });
+        }
+        file = open_lock_file(path)?;
     }
+}
+
+/// Whether `path` names `file` (the same device and inode); false once
+/// the path is gone or names another file.
+#[cfg(unix)]
+fn path_names_file(path: &Path, file: &fs::File) -> Result<bool, String> {
+    use std::os::unix::fs::MetadataExt;
+    let held = file
+        .metadata()
+        .map_err(|e| format!("cannot stat {}: {e}", path.display()))?;
+    match fs::metadata(path) {
+        Ok(named) => Ok((named.dev(), named.ino()) == (held.dev(), held.ino())),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
+        Err(e) => Err(format!("cannot stat {}: {e}", path.display())),
+    }
+}
+
+/// Without inode identity in `std`, other platforms trust the handle.
+#[cfg(not(unix))]
+fn path_names_file(_path: &Path, _file: &fs::File) -> Result<bool, String> {
+    Ok(true)
 }
 
 /// Prepares the run directory: creates it, claims it with an exclusive
@@ -955,6 +998,27 @@ mod tests {
             drop(lock);
             drop(acquire_run_dir_lock(&dir).expect("dropping the claim releases it"));
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_claim_through_a_handle_to_an_unlinked_lock_file_fails() {
+        let dir = lock_scratch("unlinked");
+        let path = dir.join("coordinator.lock");
+        let holder = acquire_run_dir_lock(&dir).expect("first claim");
+        // A contender opens the lock file while the holder still has it.
+        let stale = open_lock_file(&path).expect("contender opens");
+        // The holder finishes: it unlinks the file, then releases it.
+        fs::remove_file(&path).expect("unlink");
+        drop(holder);
+        // A new coordinator creates and claims a fresh file on the path.
+        let fresh = acquire_run_dir_lock(&dir).expect("fresh claim");
+        // The contender's lock on the orphaned inode would succeed; the
+        // claim must not.
+        let err = claim_lock_file(&path, stale).expect_err("a stale handle claims nothing");
+        assert!(err.contains("campaign already running"), "{err}");
+        drop(fresh);
         let _ = fs::remove_dir_all(&dir);
     }
 

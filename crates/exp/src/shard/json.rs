@@ -10,6 +10,12 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+/// How deep arrays and objects may nest. Every document this crate writes
+/// nests far less (an `xbar run --json` artifact at most 6 levels, an
+/// `xbar-svc/1` line at most 3), so the bound only turns away input that
+/// would otherwise recurse the parser off the end of its thread's stack.
+pub(crate) const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -51,11 +57,12 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a [`JsonError`] with the byte offset of the first problem.
+    /// Returns a [`JsonError`] with the byte offset of the first problem,
+    /// including arrays or objects nested deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Self, JsonError> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(err("trailing garbage after document", pos));
@@ -357,12 +364,17 @@ fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Parses one value whose enclosing arrays and objects number `depth`.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(err("unexpected end of input", *pos)),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(err(
+            &format!("arrays and objects nest deeper than {MAX_DEPTH} levels"),
+            *pos,
+        )),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
@@ -464,18 +476,20 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 character (input is a &str, so the
-                // byte stream is valid UTF-8 by construction).
-                let rest = std::str::from_utf8(&bytes[*pos..]).expect("valid utf8");
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or backslash. Both are
+                // ASCII, so the run ends on a character boundary of the
+                // (valid UTF-8) input.
+                let start = *pos;
+                while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\') {
+                    *pos += 1;
+                }
+                out.push_str(std::str::from_utf8(&bytes[start..*pos]).expect("valid utf8"));
             }
         }
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -484,7 +498,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => {
@@ -499,7 +513,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     expect(bytes, pos, b'{')?;
     let mut map = BTreeMap::new();
     skip_ws(bytes, pos);
@@ -512,7 +526,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         if map.insert(key, value).is_some() {
             return Err(err("duplicate object key", *pos));
         }
@@ -575,6 +589,36 @@ mod tests {
         for doc in ["{\"a\": [1, 2", "{\"a\"", "[1,", "\"abc", "{\"a\": 1} x"] {
             assert!(Json::parse(doc).is_err(), "{doc:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_and_never_overflows_the_stack() {
+        let nested = |depth: usize, open: &str, close: &str| {
+            format!("{}0{}", open.repeat(depth), close.repeat(depth))
+        };
+        for (open, close) in [("[", "]"), ("{\"a\": ", "}")] {
+            assert!(
+                Json::parse(&nested(MAX_DEPTH, open, close)).is_ok(),
+                "{open}"
+            );
+            let err = Json::parse(&nested(MAX_DEPTH + 1, open, close)).expect_err("too deep");
+            assert!(err.message.contains("nest deeper"), "{err}");
+        }
+        // One 200,000-byte line of `[` used to overflow the stack.
+        let err = Json::parse(&"[".repeat(200_000)).expect_err("too deep");
+        assert_eq!(err.offset, MAX_DEPTH, "{err}");
+    }
+
+    #[test]
+    fn strings_keep_multibyte_text_around_escapes() {
+        let v = Json::parse(r#"["héllo \"wörld\" ✓", "\u00e9x", "日本"]"#).expect("parses");
+        let items: Vec<_> = v
+            .as_arr()
+            .unwrap()
+            .iter()
+            .map(|s| s.as_str().unwrap())
+            .collect();
+        assert_eq!(items, ["héllo \"wörld\" ✓", "éx", "日本"]);
     }
 
     #[test]

@@ -4,11 +4,14 @@
 //! byte-identical to `xbar run --json`, a repeated submit is answered
 //! from the artifact cache without any new work, concurrent submissions
 //! never exceed the worker-slot bound, a daemon killed mid-job leaves
-//! checkpoints a restarted daemon resumes from, and a shutdown drains
-//! running jobs to their waiting clients before the daemon exits.
+//! checkpoints a restarted daemon resumes from, a waiting client cut off
+//! by a restart still gets its own request's bytes, a request line nested
+//! past the JSON parser's bound gets an `error` line, and a shutdown
+//! drains running jobs to their waiting clients before the daemon exits.
 
-use std::io::BufRead;
-use std::path::PathBuf;
+use std::io::{BufRead, Write};
+use std::net::{Shutdown, TcpStream};
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitStatus, Output, Stdio};
 use std::time::{Duration, Instant};
 use xbar_core::{DefectModelSpec, SampleStream};
@@ -137,6 +140,112 @@ fn stdout_str(out: &Output) -> String {
 
 fn stderr_str(out: &Output) -> String {
     String::from_utf8(out.stderr.clone()).expect("utf8 stderr")
+}
+
+/// The campaign the restart tests interrupt: on [`SLOWED_SHARDS`] it runs
+/// long enough for a kill to land mid-job.
+const SLOW_JOB: [&str; 5] = ["table2", "--samples", "30", "--circuits", "rd53"];
+
+/// Daemon flags running each job as four serialized shards of at least
+/// 400 ms each.
+const SLOWED_SHARDS: [&str; 8] = [
+    "--job-shards",
+    "4",
+    "--job-max-inflight",
+    "1",
+    "--worker-arg",
+    "--inject-slow-ms",
+    "--worker-arg",
+    "400",
+];
+
+/// Where [`SLOW_JOB`]'s first checkpoint lands under `work_dir`: the job
+/// dir is named by the cache key, the run dir inside it by the campaign
+/// identity — both computed with the same library code the daemon uses.
+fn slow_job_first_checkpoint(work_dir: &Path) -> PathBuf {
+    let exp = find_experiment("table2").expect("registered");
+    let params = Params::parse(
+        exp.extra_params(),
+        SLOW_JOB[1..].iter().map(|s| (*s).to_owned()),
+    )
+    .expect("parses");
+    let key = cache_key(exp, &params);
+    let config = McConfig {
+        samples: 30,
+        seed: params.seed,
+        defect_rate: params.defect_rate,
+        stream: SampleStream::V1,
+        model: DefectModelSpec::default(),
+        circuits: vec!["rd53".to_owned()],
+    };
+    let job_dir = work_dir.join("jobs").join(&key.name);
+    campaign_run_dir(&job_dir, &config, 4).join("partial-0.json")
+}
+
+/// Blocks until `partial` holds a complete shard checkpoint (at most 60 s).
+fn wait_for_checkpoint(partial: &Path) {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        assert!(
+            Instant::now() < deadline,
+            "no checkpoint appeared at {}",
+            partial.display()
+        );
+        if let Ok(text) = std::fs::read_to_string(partial) {
+            if ShardPartial::from_json(&text).is_ok() {
+                break;
+            }
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// Sends `kill -<name>` to `pid`.
+fn signal(pid: u32, name: &str) {
+    let sent = Command::new("kill")
+        .args([&format!("-{name}"), &pid.to_string()])
+        .status()
+        .expect("run kill");
+    assert!(sent.success(), "kill -{name} {pid}");
+}
+
+/// Starts a full-speed daemon on `addr`, the address a killed daemon just
+/// vacated, retrying while its socket drains.
+fn restart_at(work_dir: &PathBuf, addr: &str) -> Daemon {
+    let rebind_deadline = Instant::now() + Duration::from_secs(8);
+    loop {
+        if let Some(daemon) = Daemon::try_start_at(
+            work_dir,
+            addr,
+            &["--job-shards", "4", "--job-max-inflight", "1"],
+        ) {
+            return daemon;
+        }
+        assert!(
+            Instant::now() < rebind_deadline,
+            "could not rebind {addr} after the bounce"
+        );
+        std::thread::sleep(Duration::from_millis(100));
+    }
+}
+
+/// A stopped process, continued however the test leaves its scope, so a
+/// failed assertion cannot strand it.
+struct Stopped(u32);
+
+impl Stopped {
+    fn new(pid: u32) -> Self {
+        signal(pid, "STOP");
+        Stopped(pid)
+    }
+}
+
+impl Drop for Stopped {
+    fn drop(&mut self) {
+        let _ = Command::new("kill")
+            .args(["-CONT", &self.0.to_string()])
+            .status();
+    }
 }
 
 #[test]
@@ -271,67 +380,18 @@ fn concurrent_submissions_never_exceed_the_worker_slot_bound() {
 #[test]
 fn daemon_killed_mid_job_resumes_from_checkpoints_after_restart() {
     let work_dir = scratch("resume");
-    let submit_args = ["table2", "--samples", "30", "--circuits", "rd53"];
-
-    // Where the job's first checkpoint will land: the job dir is named by
-    // the cache key, the run dir inside it by the campaign identity —
-    // both computed with the same library code the daemon uses.
-    let exp = find_experiment("table2").expect("registered");
-    let params = Params::parse(
-        exp.extra_params(),
-        submit_args[1..].iter().map(|s| (*s).to_owned()),
-    )
-    .expect("parses");
-    let key = cache_key(exp, &params);
-    let config = McConfig {
-        samples: 30,
-        seed: params.seed,
-        defect_rate: params.defect_rate,
-        stream: SampleStream::V1,
-        model: DefectModelSpec::default(),
-        circuits: vec!["rd53".to_owned()],
-    };
-    let job_dir = work_dir.join("jobs").join(&key.name);
-    let first_partial = campaign_run_dir(&job_dir, &config, 4).join("partial-0.json");
+    let submit_args = SLOW_JOB;
+    let first_partial = slow_job_first_checkpoint(&work_dir);
 
     // Slow serialized shards so the kill lands mid-campaign.
-    let mut daemon = Daemon::start(
-        &work_dir,
-        &[
-            "--job-shards",
-            "4",
-            "--job-max-inflight",
-            "1",
-            "--worker-arg",
-            "--inject-slow-ms",
-            "--worker-arg",
-            "400",
-        ],
-    );
+    let mut daemon = Daemon::start(&work_dir, &SLOWED_SHARDS);
     let accepted = daemon.submit(&submit_args);
     assert!(accepted.status.success(), "{accepted:?}");
 
     // Wait for the first complete checkpoint, then SIGTERM the daemon —
     // no graceful drain, exactly like a supervisor timeout or reboot.
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        assert!(
-            Instant::now() < deadline,
-            "no checkpoint appeared at {}",
-            first_partial.display()
-        );
-        if let Ok(text) = std::fs::read_to_string(&first_partial) {
-            if ShardPartial::from_json(&text).is_ok() {
-                break;
-            }
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    let term = Command::new("kill")
-        .args(["-TERM", &daemon.child.id().to_string()])
-        .status()
-        .expect("send SIGTERM");
-    assert!(term.success());
+    wait_for_checkpoint(&first_partial);
+    signal(daemon.child.id(), "TERM");
     let _ = daemon.child.wait();
     assert!(
         first_partial.exists(),
@@ -460,41 +520,11 @@ fn launcher_mode_serves_byte_identical_artifacts_with_host_attribution() {
 #[test]
 fn waiting_client_survives_a_daemon_bounce_and_still_gets_identical_bytes() {
     let work_dir = scratch("bounce");
-    let submit_args = ["table2", "--samples", "30", "--circuits", "rd53"];
+    let submit_args = SLOW_JOB;
+    let first_partial = slow_job_first_checkpoint(&work_dir);
 
-    // Slow serialized shards so the kill lands mid-campaign (same
-    // checkpoint bookkeeping as the resume test above).
-    let exp = find_experiment("table2").expect("registered");
-    let params = Params::parse(
-        exp.extra_params(),
-        submit_args[1..].iter().map(|s| (*s).to_owned()),
-    )
-    .expect("parses");
-    let key = cache_key(exp, &params);
-    let config = McConfig {
-        samples: 30,
-        seed: params.seed,
-        defect_rate: params.defect_rate,
-        stream: SampleStream::V1,
-        model: DefectModelSpec::default(),
-        circuits: vec!["rd53".to_owned()],
-    };
-    let job_dir = work_dir.join("jobs").join(&key.name);
-    let first_partial = campaign_run_dir(&job_dir, &config, 4).join("partial-0.json");
-
-    let mut daemon = Daemon::start(
-        &work_dir,
-        &[
-            "--job-shards",
-            "4",
-            "--job-max-inflight",
-            "1",
-            "--worker-arg",
-            "--inject-slow-ms",
-            "--worker-arg",
-            "400",
-        ],
-    );
+    // Slow serialized shards so the kill lands mid-campaign.
+    let mut daemon = Daemon::start(&work_dir, &SLOWED_SHARDS);
     let addr = daemon.addr.clone();
 
     // A client waiting on the job while the daemon dies under it.
@@ -509,47 +539,14 @@ fn waiting_client_survives_a_daemon_bounce_and_still_gets_identical_bytes() {
 
     // Wait for the first complete checkpoint, then SIGKILL — a hard
     // bounce, no drain, no goodbye on the client's connection.
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        assert!(
-            Instant::now() < deadline,
-            "no checkpoint appeared at {}",
-            first_partial.display()
-        );
-        if let Ok(text) = std::fs::read_to_string(&first_partial) {
-            if ShardPartial::from_json(&text).is_ok() {
-                break;
-            }
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    let kill = Command::new("kill")
-        .args(["-KILL", &daemon.child.id().to_string()])
-        .status()
-        .expect("send SIGKILL");
-    assert!(kill.success());
+    wait_for_checkpoint(&first_partial);
+    signal(daemon.child.id(), "KILL");
     let _ = daemon.child.wait();
 
-    // Rebind the same address (retrying while the socket drains) at full
-    // speed; the new daemon has fresh queue state, so the client must
-    // resubmit and the resubmit must resume from the checkpoints.
-    let daemon = {
-        let rebind_deadline = Instant::now() + Duration::from_secs(8);
-        loop {
-            if let Some(daemon) = Daemon::try_start_at(
-                &work_dir,
-                &addr,
-                &["--job-shards", "4", "--job-max-inflight", "1"],
-            ) {
-                break daemon;
-            }
-            assert!(
-                Instant::now() < rebind_deadline,
-                "could not rebind {addr} after the bounce"
-            );
-            std::thread::sleep(Duration::from_millis(100));
-        }
-    };
+    // Rebind the same address at full speed; the new daemon has fresh
+    // queue state, so the client's re-sent request is queued again and
+    // resumes from the checkpoints.
+    let daemon = restart_at(&work_dir, &addr);
 
     let out = client.wait_with_output().expect("client output");
     assert!(
@@ -578,6 +575,85 @@ fn waiting_client_survives_a_daemon_bounce_and_still_gets_identical_bytes() {
         "bytes delivered across the bounce must equal a monolithic run"
     );
 
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&work_dir);
+}
+
+#[test]
+fn a_reconnecting_client_never_adopts_another_requests_job() {
+    let work_dir = scratch("adopt");
+    let first_partial = slow_job_first_checkpoint(&work_dir);
+    let mut daemon = Daemon::start(&work_dir, &SLOWED_SHARDS);
+    let addr = daemon.addr.clone();
+    let client = xbar()
+        .args(["submit", "--connect", &addr])
+        .args(SLOW_JOB)
+        .arg("--wait")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn waiting client");
+    wait_for_checkpoint(&first_partial);
+
+    // Freeze the client, then kill its daemon. Before the client can
+    // notice, a restarted daemon serves another request, which takes the
+    // job id the client was following: every daemon numbers from 0.
+    let frozen = Stopped::new(client.id());
+    signal(daemon.child.id(), "KILL");
+    let _ = daemon.child.wait();
+    let daemon = restart_at(&work_dir, &addr);
+    let other = daemon.submit(&["table2", "--quick", "--circuits", "misex1", "--wait"]);
+    assert!(other.status.success(), "{other:?}");
+    drop(frozen);
+
+    let out = client.wait_with_output().expect("client output");
+    assert!(out.status.success(), "{out:?}");
+    let reference = xbar()
+        .args(["run"])
+        .args(SLOW_JOB)
+        .arg("--json")
+        .output()
+        .expect("run xbar run");
+    assert_eq!(
+        stdout_str(&out),
+        stdout_str(&reference),
+        "the client must print its own request's artifact"
+    );
+    assert_ne!(
+        stdout_str(&out),
+        stdout_str(&other),
+        "the other request's artifact is not the client's"
+    );
+    let note = stderr_str(&out);
+    assert!(
+        note.contains("resubmitted as job"),
+        "the client re-sends its own request: {note}"
+    );
+
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&work_dir);
+}
+
+#[test]
+fn a_line_nested_past_the_parsers_bound_gets_one_error_line() {
+    let work_dir = scratch("nesting");
+    let daemon = Daemon::start(&work_dir, &["--in-process-jobs"]);
+    let mut stream = TcpStream::connect(&daemon.addr).expect("connect");
+    let mut line = "[".repeat(200_000);
+    line.push('\n');
+    stream.write_all(line.as_bytes()).expect("send");
+    // Closing the write half ends the connection once the line is answered.
+    stream.shutdown(Shutdown::Write).expect("half-close");
+    let replies: Vec<String> = std::io::BufReader::new(&stream)
+        .lines()
+        .collect::<Result<_, _>>()
+        .expect("read replies");
+    assert_eq!(replies.len(), 1, "{replies:?}");
+    assert!(replies[0].contains("\"type\": \"error\""), "{replies:?}");
+    assert!(replies[0].contains("nest deeper"), "{replies:?}");
+
+    let stats = daemon.submit(&["--stats"]);
+    assert!(stats.status.success(), "the daemon must survive: {stats:?}");
     daemon.shutdown();
     let _ = std::fs::remove_dir_all(&work_dir);
 }

@@ -7,12 +7,12 @@
 //! over arbitrary shapes too.
 
 use memristive_xbar_repro::core::{
-    CrossbarMatrix, DefectModelKind, DefectModelSpec, DefectSampler, LineDefects, SampleStream,
+    CrossbarMatrix, DefectModelKind, DefectModelSpec, DefectSampler, SampleStream,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Rebuilds `cm` defect-by-defect through the public mutation API and
 /// returns the copy — the reference the word-parallel construction paths
@@ -149,11 +149,20 @@ proptest! {
 
         let clustered = DefectModelSpec::new(DefectModelKind::Clustered, cluster, 0.0)
             .expect("in-range parameters");
-        let mut manual = CrossbarMatrix::perfect(rows, cols);
         let mut rng = StdRng::seed_from_u64(seed);
-        DefectSampler::with_model(SampleStream::V1, clustered)
-            .resample(&mut manual, rate, &mut rng);
-        LineDefects { line_rate }.apply(&mut manual, &mut rng);
+        let mut manual = DefectSampler::with_model(SampleStream::V1, clustered)
+            .sample(rows, cols, rate, &mut rng);
+        // The line layer by hand: one draw per row, then one per column.
+        for r in 0..rows {
+            if rng.random_bool(line_rate) {
+                (0..cols).for_each(|c| manual.set_defective(r, c));
+            }
+        }
+        for c in 0..cols {
+            if rng.random_bool(line_rate) {
+                (0..rows).for_each(|r| manual.set_defective(r, c));
+            }
+        }
         assert_words_identical(&cm, &manual)?;
     }
 
