@@ -595,10 +595,10 @@ impl DefectSampler {
 /// Alongside the row bitsets it maintains **column defect bitplanes**: one
 /// packed `u64` bitset per column, bit `r` of plane `c` set exactly when
 /// row `r` is *defective* (0) at column `c`. The planes are the transposed
-/// complement of the rows, kept incrementally in sync by every mutator, so
-/// the matching engine can build a whole compatibility-adjacency row as
-/// `AND` of `!plane[c]` over an FM row's one-columns — word-parallel over
-/// CM *rows* instead of one probe per row.
+/// complement of the rows, kept in sync by every mutator, so the matching
+/// engine can build a whole compatibility-adjacency row as `AND` of
+/// `!plane[c]` over an FM row's one-columns — word-parallel over CM *rows*
+/// instead of one probe per row.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CrossbarMatrix {
     rows: Vec<BitRow>,
@@ -633,6 +633,21 @@ fn transpose64(a: &mut [u64; 64]) {
     }
 }
 
+/// The threshold that makes [`Rng::random_bool`]`(rate)` an integer
+/// compare in the V1 sweep. `random_bool` returns true exactly when the
+/// draw's top 53 bits, `k = next_u64() >> 11`, satisfy `k · 2⁻⁵³ < rate`.
+/// Both sides are exact in `f64` (`k < 2⁵³`, and scaling by a power of two
+/// rounds nothing), so for an integer `k` that is `k < ⌈rate · 2⁵³⌉`, the
+/// value returned. A rate above 1 accepts every draw, and one below 0 or
+/// NaN none, as `random_bool` does.
+fn v1_threshold(rate: f64) -> u64 {
+    const TWO53: f64 = 9_007_199_254_740_992.0; // 2^53
+    if rate.is_nan() {
+        return 0;
+    }
+    (rate.clamp(0.0, 1.0) * TWO53).ceil() as u64
+}
+
 impl CrossbarMatrix {
     /// A defect-free CM.
     #[must_use]
@@ -647,10 +662,12 @@ impl CrossbarMatrix {
     }
 
     /// Resets every crosspoint to functional (rows all-ones, planes zero)
-    /// without reallocating — the common prologue of both resample streams.
-    /// Row clearing is inlined (whole words, then the masked top word)
-    /// instead of calling [`BitRow::fill_ones`] per row: the prologue runs
-    /// once per Monte Carlo trial, so per-row call overhead is measurable.
+    /// without reallocating — the prologue of every resample that marks
+    /// only the defects (the V1 sweep and V2's small-matrix path overwrite
+    /// every word instead). Row clearing is inlined (whole words, then the
+    /// masked top word) instead of calling [`BitRow::fill_ones`] per row:
+    /// the prologue runs once per Monte Carlo trial, so per-row call
+    /// overhead is measurable.
     fn clear_defects(&mut self) {
         let full = self.cols / 64;
         let tail = self.cols % 64;
@@ -665,23 +682,28 @@ impl CrossbarMatrix {
     }
 
     /// The [`SampleStream::V1`] sweep: one uniform draw per crosspoint in
-    /// row-major order. **Frozen** — every pre-V2 golden value and shard
-    /// byte-compare is defined against this exact RNG consumption. The
-    /// column bitplanes are rebuilt during the same sweep that draws the
-    /// defects, so they stay in sync at no extra pass over the matrix.
+    /// row-major order, the crosspoint defective when
+    /// `rng.random_bool(rate)` would return true. **Frozen** — every pre-V2
+    /// golden value and shard byte-compare is defined against this exact
+    /// RNG consumption. Each draw is compared as an integer against
+    /// [`v1_threshold`] and packed into its row word without a branch;
+    /// the column bitplanes are then rebuilt from the rows in one
+    /// word-parallel transpose ([`Self::rebuild_planes`]).
     fn resample_dense(&mut self, rate: f64, rng: &mut StdRng) {
+        let threshold = v1_threshold(rate);
         let cols = self.cols;
-        let rate = rate.clamp(0.0, 1.0);
-        self.clear_defects();
-        let pw = self.plane_words;
-        for (r, row) in self.rows.iter_mut().enumerate() {
-            for c in 0..cols {
-                if rng.random_bool(rate) {
-                    row.set(c, false);
-                    bits::set_bit(&mut self.planes[c * pw..(c + 1) * pw], r);
+        for row in &mut self.rows {
+            for (w, word) in row.words.iter_mut().enumerate() {
+                let bits = (cols - w * 64).min(64);
+                let mut defects = 0u64;
+                for b in 0..bits {
+                    defects |= u64::from(rng.next_u64() >> 11 < threshold) << b;
                 }
+                let mask = if bits == 64 { !0 } else { (1 << bits) - 1 };
+                *word = !defects & mask;
             }
         }
+        self.rebuild_planes();
     }
 
     /// The [`SampleStream::V2`] sweep: geometric skip over the row-major
@@ -1021,8 +1043,8 @@ impl CrossbarMatrix {
     /// transpose of the complemented rows, processed as 64×64 tiles
     /// ([`transpose64`]) so the cost is a few word ops per tile rather
     /// than one scattered read-modify-write per defect. Used by the cold
-    /// constructors and as the epilogue of the V2 resample (the V1 sweep
-    /// maintains planes incrementally to keep its stream frozen).
+    /// constructors and as the epilogue of the V1 sweep and of V2's
+    /// multi-word-row path.
     fn rebuild_planes(&mut self) {
         let (rows, cols, pw) = (self.rows.len(), self.cols, self.plane_words);
         let row_words = bits::words_for(cols);
@@ -1259,6 +1281,63 @@ mod tests {
         assert_eq!(via_handle, via_default);
         // And the generators advanced identically.
         assert_eq!(rng_a, rng_b);
+    }
+
+    /// A generator whose every draw has top 53 bits `k`.
+    struct Draws(u64);
+
+    impl Rng for Draws {
+        fn next_u64(&mut self) -> u64 {
+            self.0 << 11
+        }
+    }
+
+    /// The V1 threshold `t` sits exactly on `random_bool`'s edge: draw
+    /// `t - 1` is accepted and draw `t` rejected. Random draws land on the
+    /// edge with probability 2⁻⁵³ per rate, so only a direct test tells
+    /// `⌈rate · 2⁵³⌉` from `⌊rate · 2⁵³⌋` at the rates where they differ.
+    #[test]
+    fn v1_threshold_sits_on_random_bools_edge() {
+        const TWO53: u64 = 1 << 53;
+        let ulp = 1.0 / TWO53 as f64;
+        let mut rates = vec![
+            0.0,
+            -0.0,
+            5e-324,
+            f64::MIN_POSITIVE,
+            ulp,
+            1.5 * ulp,
+            2.0 * ulp,
+            0.1,
+            1.0 / 3.0,
+            0.5,
+            1.0 - ulp,
+            1.0,
+            1.5,
+            -0.25,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let mut rng = StdRng::seed_from_u64(21);
+        for _ in 0..1000 {
+            rates.push(rng.unit_f64());
+            // A rate of exactly k · 2⁻⁵³, where draw k must be rejected.
+            rates.push((rng.next_u64() >> 11) as f64 * ulp);
+        }
+        for rate in rates {
+            let t = v1_threshold(rate);
+            assert!(t <= TWO53, "rate {rate:e}: threshold {t}");
+            if t > 0 {
+                assert!(Draws(t - 1).random_bool(rate), "rate {rate:e}: {t} - 1");
+            }
+            if t < TWO53 {
+                assert!(!Draws(t).random_bool(rate), "rate {rate:e}: {t}");
+            }
+        }
+        assert_eq!(v1_threshold(f64::NAN), 0);
+        assert_eq!(v1_threshold(-0.25), 0);
+        assert_eq!(v1_threshold(1.5), TWO53);
     }
 
     #[test]

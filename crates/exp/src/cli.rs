@@ -16,7 +16,10 @@
 
 use crate::experiment::{find_experiment, registry, ExpError, Experiment, Params, Reporter};
 use crate::shard;
+use std::fmt;
+use std::io::{self, Write as _};
 use std::path::PathBuf;
+use std::sync::OnceLock;
 
 /// Common experiment parameters (the pre-registry surface, kept as the
 /// bridge type experiment library code receives via
@@ -61,10 +64,60 @@ common run flags (see `xbar describe <experiment>` for per-experiment ones):
 
 exit codes: 0 success, 1 runtime failure, 2 usage error";
 
+/// Set by the first write to stdout that fails: `true` when its reader
+/// went away, `false` for any other error. Later writes are dropped.
+static STDOUT_LOST: OnceLock<bool> = OnceLock::new();
+
+/// Writes `text` to stdout. Everything the CLI prints for its reader goes
+/// through here (through [`out!`] and [`outln!`]) with two exceptions:
+/// the partial that `xbar mc shard --out -` streams, whose launcher must
+/// see a failed stream, and `xbar serve`'s status lines, which must not
+/// stop the daemon. Once a write fails, this and every later write are
+/// dropped, so the command still does its work, writes its files and
+/// exits with its own code. A reader that has gone away, as in
+/// `xbar list | head -1`, leaves stderr quiet and that code alone; any
+/// other write error is reported once and makes [`run_cli`] exit 1.
+pub(crate) fn write_stdout(text: fmt::Arguments<'_>) {
+    if STDOUT_LOST.get().is_some() {
+        return;
+    }
+    let mut stdout = io::stdout().lock();
+    if let Err(e) = stdout.write_fmt(text).and_then(|()| stdout.flush()) {
+        let reader_gone = e.kind() == io::ErrorKind::BrokenPipe;
+        if STDOUT_LOST.set(reader_gone).is_ok() && !reader_gone {
+            eprintln!("xbar: cannot write to stdout: {e}");
+        }
+    }
+}
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::cli::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::cli::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+pub(crate) use {out, outln};
+
 /// Runs the `xbar` CLI on an argument stream (program name already
 /// stripped); returns the process exit code.
 pub fn run_cli(args: impl IntoIterator<Item = String>) -> i32 {
-    let mut args = args.into_iter();
+    let code = dispatch(args.into_iter());
+    if code == 0 && STDOUT_LOST.get() == Some(&false) {
+        1
+    } else {
+        code
+    }
+}
+
+fn dispatch(mut args: impl Iterator<Item = String>) -> i32 {
     let Some(command) = args.next() else {
         eprintln!("{TOP_USAGE}");
         return 2;
@@ -104,7 +157,7 @@ pub fn run_cli(args: impl IntoIterator<Item = String>) -> i32 {
         "serve" => crate::service::serve_main(args.collect()),
         "submit" => crate::service::submit_main(args.collect()),
         "--help" | "-h" | "help" => {
-            println!("{TOP_USAGE}");
+            outln!("{TOP_USAGE}");
             0
         }
         other => {
@@ -127,7 +180,7 @@ pub(crate) fn run_verb<A>(
     let args = match parsed {
         Ok(Some(args)) => args,
         Ok(None) => {
-            println!("{}", usage());
+            outln!("{}", usage());
             return 0;
         }
         Err(e) => {
@@ -151,14 +204,14 @@ pub(crate) fn run_verb<A>(
 fn list_experiments() {
     let width = registry().iter().map(|e| e.name().len()).max().unwrap_or(0);
     for exp in registry() {
-        println!("{:<width$}  {}", exp.name(), exp.description());
+        outln!("{:<width$}  {}", exp.name(), exp.description());
     }
 }
 
 fn describe_experiment(name: &str) -> i32 {
     match find_experiment(name) {
         Some(exp) => {
-            println!("{}", experiment_usage(exp));
+            outln!("{}", experiment_usage(exp));
             0
         }
         None => {
@@ -199,7 +252,7 @@ fn run_experiment(name: &str, rest: Vec<String>) -> i32 {
         })?;
         let document = artifact.render(exp, &params);
         if params.json {
-            print!("{document}");
+            out!("{document}");
         }
         if let Some(dir) = &params.out {
             let failed = |what: &str, path: &std::path::Path, e: std::io::Error| {
@@ -212,7 +265,7 @@ fn run_experiment(name: &str, rest: Vec<String>) -> i32 {
             crate::atomic::write_atomic(&path, document.as_bytes())
                 .map_err(|e| failed("write", &path, e))?;
             if !params.json {
-                println!("wrote artifact to {}", path.display());
+                outln!("wrote artifact to {}", path.display());
             }
         }
         Ok(())

@@ -143,7 +143,9 @@ impl fmt::Debug for Reporter {
 }
 
 impl Reporter {
-    /// A reporter printing to stdout.
+    /// A reporter printing to stdout. Once a write fails, as when a reader
+    /// has gone away, later lines are dropped, as for every line the
+    /// `xbar` CLI prints.
     #[must_use]
     pub fn stdout() -> Self {
         Self { sink: Sink::Stdout }
@@ -166,7 +168,7 @@ impl Reporter {
     /// Emits one line of narration.
     pub fn line(&mut self, text: impl fmt::Display) {
         match &mut self.sink {
-            Sink::Stdout => println!("{text}"),
+            Sink::Stdout => crate::cli::outln!("{text}"),
             Sink::Quiet => {}
             Sink::Buffer(buf) => {
                 use fmt::Write as _;

@@ -9,7 +9,7 @@
 use super::pool::{parse_hosts, DEFAULT_PROBATION, DEFAULT_QUARANTINE_AFTER};
 use super::scheduler::{run_launch_with_report, LaunchConfig, LaunchReport};
 use super::transport::{Exec, FaultPlan, Faulty, LocalProc, Transport};
-use crate::cli::run_verb;
+use crate::cli::{outln, run_verb};
 use crate::experiment::{find_experiment, flag_value, ExpError, Params};
 use crate::experiments::table2::{table2_artifact_from_accums, TABLE2_PARAMS};
 use crate::shard::cli::{
@@ -113,7 +113,7 @@ fn parse_launch_args(args: Vec<String>) -> Result<Option<LaunchArgs>, String> {
 /// the byte-compared artifacts, in the coordinator report's spirit so
 /// scripts can assert how the campaign actually executed.
 fn print_report(report: &LaunchReport) {
-    println!(
+    outln!(
         "launcher: dispatched {} flight(s), reused {} partial(s), {} retrie(s), \
          {} timeout(s), {} hedge(s), {} discard(s)",
         report.base.spawned,
@@ -124,9 +124,13 @@ fn print_report(report: &LaunchReport) {
         report.discards
     );
     for host in &report.hosts {
-        println!(
+        outln!(
             "launcher: host {}: {} dispatched, {} ok, {} failed, {} quarantine(s)",
-            host.name, host.dispatched, host.completed, host.failed, host.quarantines
+            host.name,
+            host.dispatched,
+            host.completed,
+            host.failed,
+            host.quarantines
         );
     }
 }
@@ -187,7 +191,7 @@ pub fn launch_main(argv: Vec<String>) -> i32 {
             Box::new(Faulty::new(transport, args.faults.clone()))
         };
 
-        println!(
+        outln!(
             "launching {} samples as {} shard(s) over {} host(s) (seed {}, {:.0}% defects)",
             config.samples,
             cfg.shards,
@@ -201,7 +205,7 @@ pub fn launch_main(argv: Vec<String>) -> i32 {
         scheduling.write_merged(&merged)?;
         if let Some(path) = &args.artifact {
             write_canonical_artifact(path, &args.campaign, &merged).map_err(ExpError::Failed)?;
-            println!("wrote {}", path.display());
+            outln!("wrote {}", path.display());
         }
         Ok(())
     })

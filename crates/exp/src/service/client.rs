@@ -16,6 +16,7 @@
 //! may name another request's job after it.
 
 use crate::atomic::write_atomic;
+use crate::cli::{out, outln};
 use crate::service::protocol::{Request, PROTOCOL};
 use crate::shard::json::Json;
 use std::io::{BufRead, BufReader, Lines, Write};
@@ -215,10 +216,7 @@ fn deliver_artifact(reply: &Reply, out: Option<&PathBuf>) -> Result<(), String> 
                 .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
             eprintln!("xbar submit: wrote {}", path.display());
         }
-        None => {
-            print!("{artifact}");
-            let _ = std::io::stdout().flush();
-        }
+        None => out!("{artifact}"),
     }
     Ok(())
 }
@@ -429,7 +427,7 @@ fn resend(
 /// Reprints a reply verbatim (one compact JSON line) on stdout, so
 /// `--stats` / `--status` compose with grep and jq-alikes.
 fn print_reply_line(reply: &Reply) -> Result<(), String> {
-    println!("{}", reply.line);
+    outln!("{}", reply.line);
     Ok(())
 }
 

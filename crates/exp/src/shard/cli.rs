@@ -12,7 +12,7 @@ use super::coordinator::{
     Worker, DEFAULT_RETRY_BASE,
 };
 use super::{partial::ShardPartial, run_shard, McConfig, ShardSpec};
-use crate::cli::run_verb;
+use crate::cli::{out, outln, run_verb};
 use crate::experiment::{flag_num, flag_value, ExpError, Params};
 use crate::experiments::table2::TABLE2_PARAMS;
 use std::path::{Path, PathBuf};
@@ -162,10 +162,10 @@ impl SchedulingFlags {
     ///
     /// Reports an unwritable `--out` path.
     pub(crate) fn write_merged(&self, merged: &MergedResult) -> Result<(), ExpError> {
-        print!("{}", render_timing_table(merged));
+        out!("{}", render_timing_table(merged));
         crate::atomic::write_atomic(&self.out, render_stats_json(merged).as_bytes())
             .map_err(|e| ExpError::Failed(format!("cannot write {}: {e}", self.out.display())))?;
-        println!("wrote {}", self.out.display());
+        outln!("wrote {}", self.out.display());
         Ok(())
     }
 }
@@ -268,7 +268,7 @@ pub fn shard_main(argv: Vec<String>) -> i32 {
     let args = match parse_shard_args(argv) {
         Ok(Some(args)) => args,
         Ok(None) => {
-            println!("{}", shard_usage());
+            outln!("{}", shard_usage());
             return 0;
         }
         Err(e) => {
@@ -402,7 +402,7 @@ fn run_shard_to_file(args: &ShardArgs, config: &McConfig, spec: ShardSpec) -> i3
         eprintln!("mc shard: cannot write {}: {e}", args.out.display());
         return 1;
     }
-    println!(
+    outln!(
         "mc shard: shard {}/{} samples [{}, {}) -> {}",
         spec.index,
         spec.num_shards,
@@ -473,7 +473,7 @@ fn parse_coordinate_args(args: Vec<String>) -> Result<Option<CoordinateArgs>, St
 /// and CI can check how the campaign executed (e.g. that `--resume`
 /// actually reused checkpoints).
 fn print_report(report: &RunReport) {
-    println!(
+    outln!(
         "coordinator: spawned {} worker(s), reused {} partial(s), {} retrie(s), \
          {} timeout(s), peak {} in flight",
         report.spawned,
@@ -494,7 +494,7 @@ pub fn coordinate_main(argv: Vec<String>) -> i32 {
     run_verb("mc coordinate", coordinate_usage, parsed, |args| {
         let config = McConfig::from_params(&args.campaign).map_err(ExpError::Usage)?;
         let merged = if args.in_process {
-            println!(
+            outln!(
                 "running {} samples monolithically (same accumulators as sharded mode)",
                 config.samples
             );
@@ -514,7 +514,7 @@ pub fn coordinate_main(argv: Vec<String>) -> i32 {
                 resume: scheduling.resume,
                 retry_base: DEFAULT_RETRY_BASE,
             };
-            println!(
+            outln!(
                 "running {} samples across {} worker process(es) (seed {}, {:.0}% defects)",
                 config.samples,
                 coordinator.shards,

@@ -127,9 +127,11 @@ impl Table {
         out
     }
 
-    /// Prints the ASCII rendering to stdout.
+    /// Prints the ASCII rendering to stdout. Once a write fails, as when a
+    /// reader has gone away, it prints nothing, as for every line the
+    /// `xbar` CLI prints.
     pub fn print(&self) {
-        print!("{}", self.to_ascii());
+        crate::cli::out!("{}", self.to_ascii());
     }
 
     /// Writes the CSV rendering to a file.

@@ -502,6 +502,126 @@ fn usage_problems_exit_2_with_help_not_a_backtrace() {
     }
 }
 
+/// Runs xbar on a stdout pipe whose reader is gone before xbar starts, as
+/// in `xbar list | head -1` once `head` has its line: every write fails.
+fn xbar_to_closed_stdout(args: &[&str]) -> Output {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    Command::new(env!("CARGO_BIN_EXE_xbar"))
+        .args(args)
+        .stdout(writer)
+        .output()
+        .expect("run xbar")
+}
+
+#[test]
+fn a_closed_stdout_is_a_clean_exit() {
+    for args in [
+        &["list"][..],
+        &["describe", "table2"][..],
+        &["run", "table2", "--quick"][..],
+    ] {
+        let out = xbar_to_closed_stdout(args);
+        let err = stderr(&out);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "xbar {args:?}: expected exit 0, got {:?}\nstderr: {err}",
+            out.status.code()
+        );
+        assert!(!err.contains("panicked"), "xbar {args:?} panicked:\n{err}");
+    }
+    // A streamed partial is the exception: its launcher must see the
+    // failed stream.
+    let out = xbar_to_closed_stdout(&[
+        "mc",
+        "shard",
+        "--samples",
+        "4",
+        "--circuits",
+        "rd53",
+        "--out",
+        "-",
+    ]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "stderr: {err}");
+    assert!(err.contains("cannot stream partial"), "stderr: {err}");
+}
+
+/// A reader that goes away must not cost the work: every verb that writes
+/// files still writes them, byte for byte as with an open stdout, and
+/// exits 0 after its campaign has run and cleaned up.
+#[test]
+fn a_closed_stdout_still_gets_every_file_written() {
+    let dir = std::env::temp_dir().join(format!("xbar-closed-stdout-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let path = |name: &str| dir.join(name).to_str().expect("utf8 path").to_owned();
+    let read = |name: &str| std::fs::read_to_string(dir.join(name)).expect("written");
+    let closed = |args: &[&str]| {
+        let out = xbar_to_closed_stdout(args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(0), "xbar {args:?}\nstderr: {err}");
+        assert!(!err.contains("panicked"), "xbar {args:?} panicked:\n{err}");
+    };
+
+    // `run --out DIR`, with and without `--json` on the closed stdout.
+    let quick = xbar(&["run", "table2", "--quick", "--json"]);
+    assert!(quick.status.success(), "{}", stderr(&quick));
+    for (out, json) in [("run", &[][..]), ("run-json", &["--json"][..])] {
+        closed(&[&["run", "table2", "--quick", "--out", &path(out)][..], json].concat());
+        assert_eq!(read(&format!("{out}/table2.json")), stdout(&quick), "{out}");
+    }
+
+    // The `mc` verbs: merged stats and launch's canonical artifact.
+    let campaign = ["--samples", "4", "--circuits", "rd53"];
+    let mono = xbar(&[&["run", "table2", "--json"][..], &campaign].concat());
+    assert!(mono.status.success(), "{}", stderr(&mono));
+    let open = xbar(
+        &[
+            &[
+                "mc",
+                "coordinate",
+                "--in-process",
+                "--out",
+                &path("open.json"),
+            ][..],
+            &campaign,
+        ]
+        .concat(),
+    );
+    assert!(open.status.success(), "{}", stderr(&open));
+    let (work, artifact) = (path("work"), path("artifact.json"));
+    for (out, flags) in [
+        ("in-process.json", &["coordinate", "--in-process"][..]),
+        ("coordinate.json", &["coordinate", "--shards", "2"][..]),
+        (
+            "launch.json",
+            &[
+                "launch",
+                "--hosts",
+                "alpha*2",
+                "--shards",
+                "3",
+                "--artifact",
+                &artifact,
+            ][..],
+        ),
+    ] {
+        closed(
+            &[
+                &["mc"][..],
+                flags,
+                &["--work-dir", &work, "--out", &path(out)],
+                &campaign,
+            ]
+            .concat(),
+        );
+        assert_eq!(read(out), read("open.json"), "{out}");
+    }
+    assert_eq!(read("artifact.json"), stdout(&mono));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn describe_and_help_exit_0() {
     for args in [

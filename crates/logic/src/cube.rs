@@ -290,6 +290,15 @@ impl Cube {
         })
     }
 
+    /// The literals of inputs `0..32`, one bit per input: bit `v` of the
+    /// first (second) mask is set when input `v` appears as `x_v` (`x̄_v`).
+    /// A few word operations, where [`Self::literals`] visits every input.
+    pub(crate) fn low_literals(&self) -> (u32, u32) {
+        let word = self.inputs[0];
+        let (hi, lo) = (word >> 1 & LO_MASK, word & LO_MASK);
+        (compress_even_bits(hi & !lo), compress_even_bits(lo & !hi))
+    }
+
     /// Iterator over the indices of outputs driven by the cube.
     pub fn outputs(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.num_outputs()).filter(|&o| self.output(o))
@@ -480,6 +489,16 @@ impl Cube {
 
 const LO_MASK: u64 = 0x5555_5555_5555_5555;
 
+/// Packs the even bits of `x`, whose odd bits are clear, into 32 bits.
+fn compress_even_bits(mut x: u64) -> u32 {
+    x = (x | x >> 1) & 0x3333_3333_3333_3333;
+    x = (x | x >> 2) & 0x0F0F_0F0F_0F0F_0F0F;
+    x = (x | x >> 4) & 0x00FF_00FF_00FF_00FF;
+    x = (x | x >> 8) & 0x0000_FFFF_0000_FFFF;
+    x = (x | x >> 16) & 0x0000_0000_FFFF_FFFF;
+    x as u32
+}
+
 /// Clears all bits at positions `>= used_bits` across the word vector.
 fn mask_tail(words: &mut [u64], used_bits: usize) {
     let full_words = used_bits / 64;
@@ -619,6 +638,30 @@ mod tests {
         let cof = c.cofactor_literal(0, Phase::Positive).expect("compatible");
         assert_eq!(cof.literal_count(), 1);
         assert!(c.cofactor_literal(0, Phase::Negative).is_none());
+    }
+
+    /// `low_literals` packs exactly what `literals` walks, for inputs below
+    /// 32: every mix of literals, don't-cares and empty (`00`) inputs, on
+    /// cubes up to 40 inputs wide.
+    #[test]
+    fn low_literals_pack_the_literal_walk() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(3);
+        for _ in 0..2000 {
+            let inputs = rng.random_range(0..=40);
+            let mut c = Cube::universe(inputs, 1);
+            for var in 0..inputs {
+                c.set_var_bits(var, rng.random_range(0..4));
+            }
+            let (mut pos, mut neg) = (0u32, 0u32);
+            for (var, phase) in c.literals().filter(|&(var, _)| var < 32) {
+                match phase {
+                    Phase::Positive => pos |= 1 << var,
+                    Phase::Negative => neg |= 1 << var,
+                }
+            }
+            assert_eq!(c.low_literals(), (pos, neg), "{c}");
+        }
     }
 
     #[test]

@@ -17,8 +17,16 @@
 //! IRREDUNDANT and REDUCE of `DC(o)` plus the other live cubes driving `o`.
 //! A function of at most `BITSET_MAX_INPUTS` (15) inputs answers it on
 //! `2ⁿ`-bit minterm sets, where it is `cube & !X == 0` over the few words
-//! the cube touches. Wider functions keep `X(o)` as a cover and answer
-//! through the unate-recursive
+//! the cube touches. There IRREDUNDANT and REDUCE never build `X(o)`: they
+//! count, per output and minterm, the live cubes covering it, and a cube
+//! lies inside `DC(o)` plus the *other* cubes driving `o` exactly when
+//! every minterm it covers outside `DC(o)` is counted at least twice. The
+//! counts fall as IRREDUNDANT drops memberships and REDUCE shrinks cubes.
+//! Packing the cube a question asks about takes a few word operations
+//! (`Cube::low_literals`), not a walk over its inputs. Wider functions
+//! keep `X(o)` as a cover,
+//! rebuilt from the other cubes per question, and answer through the
+//! unate-recursive
 //! [`cover_contains_input_cube`](crate::calculus::cover_contains_input_cube).
 //! Both forms decide the same exact predicate, so the minimized cover is the
 //! same, cube for cube and in the same order, whichever form answers.
@@ -139,17 +147,17 @@ fn minimize_with(on: &Cover, dc: &Cover, options: MinimizeOptions, bitsets: bool
 }
 
 /// The minimizer's containment oracle, in the form picked once per call.
-/// Besides the fixed per-output sets it caches the input part of every
-/// cube of the cover a pass works on, from which IRREDUNDANT and REDUCE
-/// build their `X(o)`.
+/// Besides the fixed per-output sets it tracks the cover a pass of
+/// IRREDUNDANT or REDUCE works on, from which it answers their `X(o)`.
 enum Oracle {
-    /// `2ⁿ`-bit minterm sets.
+    /// `2ⁿ`-bit minterm sets: `ON(o) ∪ DC(o)` per output, and the pass's
+    /// counts.
     Bits {
         on_dc: Vec<Vec<u64>>,
-        dc: Vec<Vec<u64>>,
-        parts: Vec<InputPart>,
+        counts: Counts,
     },
-    /// Single-output covers, queried through the tautology check.
+    /// Single-output covers, queried through the tautology check; `X(o)`
+    /// is rebuilt from the cached input parts of the pass's cubes.
     Covers {
         on_dc: Vec<Cover>,
         dc: Vec<Cover>,
@@ -158,8 +166,8 @@ enum Oracle {
 }
 
 /// One `X(o)`, in the oracle's form.
-enum Region {
-    Bits(Vec<u64>),
+enum Region<'a> {
+    Bits(&'a [u64]),
     Cover(Cover),
 }
 
@@ -169,8 +177,9 @@ impl Oracle {
         let outputs = 0..on.num_outputs();
         if bitsets {
             assert!(inputs <= BITSET_MAX_INPUTS, "too many inputs for bitsets");
+            let words = (1usize << inputs).div_ceil(64);
             let set_of = |covers: &[&Cover], o: usize| {
-                let mut set = vec![0; (1usize << inputs).div_ceil(64)];
+                let mut set = vec![0; words];
                 for cube in covers.iter().flat_map(|c| c.iter()) {
                     if cube.output(o) {
                         InputPart::of(cube).insert_into(&mut set);
@@ -178,10 +187,10 @@ impl Oracle {
                 }
                 set
             };
+            let dc_sets = outputs.clone().flat_map(|o| set_of(&[dc], o)).collect();
             Self::Bits {
-                on_dc: outputs.clone().map(|o| set_of(&[on, dc], o)).collect(),
-                dc: outputs.map(|o| set_of(&[dc], o)).collect(),
-                parts: Vec::new(),
+                on_dc: outputs.map(|o| set_of(&[on, dc], o)).collect(),
+                counts: Counts::new(words, dc_sets),
             }
         } else {
             let on_dc = outputs.clone().map(|o| {
@@ -208,33 +217,44 @@ impl Oracle {
         }
     }
 
-    /// Caches the input parts of `cubes`, indexed in order, for [`Self::rest`].
+    /// Starts a pass of IRREDUNDANT or REDUCE over `cubes`, indexed in
+    /// order, all live.
     fn load<'a>(&mut self, cubes: impl Iterator<Item = &'a Cube>) {
         match self {
-            Self::Bits { parts, .. } => *parts = cubes.map(InputPart::of).collect(),
+            Self::Bits { counts, .. } => counts.load(cubes),
             Self::Covers { parts, .. } => *parts = cubes.map(Cube::input_part).collect(),
         }
     }
 
-    /// Re-caches the input part of cube `idx` after REDUCE shrank it.
+    /// Cube `idx` no longer drives output `o` (IRREDUNDANT dropped it).
+    fn drop_output(&mut self, idx: usize, o: usize) {
+        if let Self::Bits { counts, .. } = self {
+            let part = counts.parts[idx];
+            counts.uncount(o, part, None);
+        }
+    }
+
+    /// Cube `idx` shrank to `cube` (REDUCE).
     fn refresh(&mut self, idx: usize, cube: &Cube) {
         match self {
-            Self::Bits { parts, .. } => parts[idx] = InputPart::of(cube),
+            Self::Bits { counts, .. } => {
+                let (old, new) = (counts.parts[idx], InputPart::of(cube));
+                for o in cube.outputs() {
+                    counts.uncount(o, old, Some(new));
+                }
+                counts.parts[idx] = new;
+            }
             Self::Covers { parts, .. } => parts[idx] = cube.input_part(),
         }
     }
 
-    /// IRREDUNDANT's and REDUCE's `X(o)`: `DC(o)` plus the cached input
-    /// parts of the cubes `others`.
-    fn rest(&self, o: usize, others: impl Iterator<Item = usize>) -> Region {
+    /// IRREDUNDANT's and REDUCE's `X(o)` for the cube they check: `DC(o)`
+    /// plus the input parts of `others`, every other live cube driving
+    /// `o`. The bitset form reads it off its counts, which hold exactly
+    /// those cubes, and never walks `others`.
+    fn rest(&self, o: usize, others: impl Iterator<Item = usize>) -> Region<'_> {
         match self {
-            Self::Bits { dc, parts, .. } => {
-                let mut set = dc[o].clone();
-                for j in others {
-                    parts[j].insert_into(&mut set);
-                }
-                Region::Bits(set)
-            }
+            Self::Bits { counts, .. } => Region::Bits(counts.shared(o)),
             Self::Covers { dc, parts, .. } => {
                 let mut cover = Cover::new(dc[o].num_inputs(), 1);
                 for j in others {
@@ -249,13 +269,100 @@ impl Oracle {
     }
 }
 
-impl Region {
+impl Region<'_> {
     /// Whether the input part of `cube` lies inside this set.
     fn contains(&self, cube: &Cube) -> bool {
         match self {
             Self::Bits(set) => InputPart::of(cube).inside(set),
             Self::Cover(cover) => cover_contains_input_cube(cover, cube),
         }
+    }
+}
+
+/// The bitset form's view of the cover a pass of IRREDUNDANT or REDUCE
+/// works on. Per output `o` and minterm it counts the live cubes that
+/// drive `o` and cover the minterm. A cube driving `o` then lies inside
+/// `DC(o)` plus the *other* live cubes driving `o` exactly when every
+/// minterm it covers outside `DC(o)` is counted at least twice, so the
+/// question stays one word test against `shared(o)`: `DC(o)` plus the
+/// minterms counted twice. Dropping a membership or shrinking a cube
+/// takes one count off each minterm it gives up.
+struct Counts {
+    /// Words per minterm set.
+    words: usize,
+    /// `DC(o)` for every output, one set after another.
+    dc: Vec<u64>,
+    /// `DC(o)` plus the minterms counted at least twice, laid out as `dc`.
+    shared: Vec<u64>,
+    /// One count per bit of `shared`.
+    count: Vec<u32>,
+    /// The input part of every cube of the pass, in cover order.
+    parts: Vec<InputPart>,
+}
+
+impl Counts {
+    fn new(words: usize, dc: Vec<u64>) -> Self {
+        Self {
+            words,
+            shared: dc.clone(),
+            count: vec![0; dc.len() * 64],
+            dc,
+            parts: Vec::new(),
+        }
+    }
+
+    fn load<'a>(&mut self, cubes: impl Iterator<Item = &'a Cube>) {
+        self.count.fill(0);
+        self.parts.clear();
+        for cube in cubes {
+            let part = InputPart::of(cube);
+            let word = part.word();
+            for o in cube.outputs() {
+                for w in part.words(self.words) {
+                    let at = (o * self.words + w) * 64;
+                    for_each_bit(word, |b| self.count[at + b] += 1);
+                }
+            }
+            self.parts.push(part);
+        }
+        for (at, shared) in self.shared.iter_mut().enumerate() {
+            let counts = &self.count[at * 64..][..64];
+            let twice = (0..64)
+                .filter(|&b| counts[b] >= 2)
+                .fold(0, |set, b| set | 1 << b);
+            *shared = self.dc[at] | twice;
+        }
+    }
+
+    fn shared(&self, o: usize) -> &[u64] {
+        &self.shared[o * self.words..][..self.words]
+    }
+
+    /// Takes one count of output `o` off every minterm of `part` that
+    /// `kept`, a part inside it, does not cover: off all of `part` when
+    /// `kept` is `None`.
+    fn uncount(&mut self, o: usize, part: InputPart, kept: Option<InputPart>) {
+        let word = part.word();
+        for w in part.words(self.words) {
+            let at = o * self.words + w;
+            let counts = &mut self.count[at * 64..][..64];
+            let (shared, dc) = (&mut self.shared[at], self.dc[at]);
+            let gone = word & !kept.map_or(0, |k| k.word_at(w));
+            for_each_bit(gone, |b| {
+                counts[b] -= 1;
+                if counts[b] == 1 {
+                    *shared &= !(1 << b) | dc;
+                }
+            });
+        }
+    }
+}
+
+/// Calls `f` with the index of every set bit of `bits`, lowest first.
+fn for_each_bit(mut bits: u64, mut f: impl FnMut(usize)) {
+    while bits != 0 {
+        f(bits.trailing_zeros() as usize);
+        bits &= bits - 1;
     }
 }
 
@@ -281,15 +388,10 @@ const WORD_PATTERN: [u64; 6] = [
 ];
 
 impl InputPart {
+    /// Packs `cube`, which has at most 32 inputs.
     fn of(cube: &Cube) -> Self {
-        let mut part = Self { pos: 0, neg: 0 };
-        for (var, phase) in cube.literals() {
-            match phase {
-                Phase::Positive => part.pos |= 1 << var,
-                Phase::Negative => part.neg |= 1 << var,
-            }
-        }
-        part
+        let (pos, neg) = cube.low_literals();
+        Self { pos, neg }
     }
 
     /// The part's minterms within each word it touches. Below 6 inputs the
@@ -320,6 +422,18 @@ impl InputPart {
             next = (subset != free).then(|| subset.wrapping_sub(free) & free);
             Some(ones | subset)
         })
+    }
+
+    /// The part's minterms within word `w`: [`Self::word`] if the part
+    /// touches it, none otherwise.
+    fn word_at(self, w: usize) -> u64 {
+        let fixed = ((self.pos | self.neg) >> 6) as usize;
+        let ones = (self.pos >> 6) as usize;
+        if (w ^ ones) & fixed == 0 {
+            self.word()
+        } else {
+            0
+        }
     }
 
     fn insert_into(self, set: &mut [u64]) {
@@ -415,6 +529,7 @@ fn irredundant(cover: &mut Cover, oracle: &mut Oracle) {
                 .filter(|&j| j != idx && cubes[j].as_ref().is_some_and(|c| c.output(o)));
             if oracle.rest(o, others).contains(cube) {
                 kept.set_output(o, false);
+                oracle.drop_output(idx, o);
             }
         }
         if kept != *cube {
@@ -653,6 +768,78 @@ mod tests {
                 "case {case}: minimized cover changed the function"
             );
         }
+    }
+
+    /// A dense random ON cover whose cubes overlap heavily: 40–120 cubes
+    /// over 4–10 inputs and 1–8 outputs, with a DC cover half of the time.
+    /// Below 6 inputs a minterm set is one word whose spare bits mirror
+    /// the real minterms, and the counts cover those bits too.
+    fn dense_on_dc(rng: &mut StdRng) -> (Cover, Cover) {
+        let inputs = rng.random_range(4..=10);
+        let outputs = rng.random_range(1..=8);
+        let literal_p = rng.random_range(0.2..0.6);
+        let cubes = rng.random_range(40..=120);
+        let on = random_cover(rng, inputs, outputs, cubes, literal_p);
+        let dc = if rng.random_bool(0.5) {
+            let cubes = rng.random_range(1..=8);
+            random_cover(rng, inputs, outputs, cubes, literal_p)
+        } else {
+            Cover::new(inputs, outputs)
+        };
+        (on, dc)
+    }
+
+    /// The bitset form keeps IRREDUNDANT's and REDUCE's `X(o)` as counts
+    /// that every dropped membership and every shrunk cube updates. On
+    /// dense covers, where both passes drop and shrink many overlapping
+    /// cubes, each pass alone and the whole minimization must equal the
+    /// tautology form, cube for cube, and keep the function.
+    #[test]
+    fn bitset_counts_follow_dense_covers() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let (mut dropped, mut shrunk) = (0, 0);
+        for case in 0..40 {
+            let (on, dc) = dense_on_dc(&mut rng);
+            // Each pass on the raw cover, where the overlap gives it the
+            // most work, then REDUCE after IRREDUNDANT on one oracle.
+            let [bits, covers] = [true, false].map(|bitsets| {
+                let mut oracle = Oracle::new(&on, &dc, bitsets);
+                let [mut irredundant_cover, mut reduced] = [on.clone(), on.clone()];
+                irredundant(&mut irredundant_cover, &mut oracle);
+                reduce(&mut reduced, &mut oracle);
+                let mut both = irredundant_cover.clone();
+                reduce(&mut both, &mut oracle);
+                [irredundant_cover, reduced, both]
+            });
+            assert_eq!(bits, covers, "case {case}, ON:\n{on}DC:\n{dc}");
+            for cover in &bits {
+                assert!(
+                    agrees_outside_dc(&on, &dc, cover),
+                    "case {case}: a pass changed the function"
+                );
+            }
+            let [irredundant_cover, reduced, _] = bits;
+            dropped += on.total_output_memberships() - irredundant_cover.total_output_memberships();
+            shrunk += reduced.total_literals() - on.total_literals();
+
+            let options = MinimizeOptions {
+                max_iterations: rng.random_range(1..=4),
+                reduce: true,
+                expand_outputs: rng.random_bool(0.5),
+            };
+            let min = minimize_with(&on, &dc, options, true);
+            assert_eq!(
+                min,
+                minimize_with(&on, &dc, options, false),
+                "case {case}, {options:?}, ON:\n{on}DC:\n{dc}"
+            );
+            assert!(agrees_outside_dc(&on, &dc, &min), "case {case}");
+        }
+        // The counts were exercised, not merely loaded.
+        assert!(
+            dropped > 1000 && shrunk > 1000,
+            "dropped {dropped}, shrunk {shrunk}"
+        );
     }
 
     /// Just above the cutoff `minimize` answers through the tautology

@@ -3,8 +3,9 @@
 //! the RNG, the matrix it produces must be indistinguishable from placing
 //! the same defects one [`CrossbarMatrix::set_defective`] call at a time —
 //! row words AND column bitplanes, word for word, across the 64-row plane
-//! boundary. V1/V2 divergence and in-place resample identity are covered
-//! over arbitrary shapes too.
+//! boundary. V1 is pinned the same way to its definition, one
+//! `random_bool` per crosspoint. V1/V2 divergence and in-place resample
+//! identity are covered over arbitrary shapes too.
 
 use memristive_xbar_repro::core::{
     CrossbarMatrix, DefectModelKind, DefectModelSpec, DefectSampler, SampleStream,
@@ -27,6 +28,21 @@ fn dense_reconstruction(cm: &CrossbarMatrix) -> CrossbarMatrix {
         }
     }
     rebuilt
+}
+
+/// The [`SampleStream::V1`] stream by its definition: one
+/// `rng.random_bool(rate)` per crosspoint in row-major order, each hit
+/// placed with [`CrossbarMatrix::set_defective`].
+fn v1_by_definition(rows: usize, cols: usize, rate: f64, rng: &mut StdRng) -> CrossbarMatrix {
+    let mut cm = CrossbarMatrix::perfect(rows, cols);
+    for r in 0..rows {
+        for c in 0..cols {
+            if rng.random_bool(rate) {
+                cm.set_defective(r, c);
+            }
+        }
+    }
+    cm
 }
 
 fn assert_words_identical(a: &CrossbarMatrix, b: &CrossbarMatrix) -> Result<(), TestCaseError> {
@@ -64,6 +80,35 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let cm = DefectSampler::v2().sample(rows, cols, rate, &mut rng);
         assert_words_identical(&cm, &dense_reconstruction(&cm))?;
+    }
+
+    /// The V1 sampler equals its definition: every row word and every
+    /// plane word match the per-cell reference, and the generator ends in
+    /// the same state, for shapes on both sides of the 64-row and
+    /// 64-column word boundaries and for rates at and beyond the ends of
+    /// `[0, 1]`, NaN included.
+    #[test]
+    fn v1_sample_equals_its_definition(
+        rows in 0usize..=140,
+        cols in 0usize..=140,
+        rate_millis in 0u64..=1000,
+        special in 0usize..12,
+        seed in 0u64..u64::MAX,
+    ) {
+        let rate = match special {
+            0 => 0.0,
+            1 => 1.0,
+            2 => 1.5,
+            3 => -0.25,
+            4 => f64::NAN,
+            _ => rate_millis as f64 / 1000.0,
+        };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut reference_rng = rng.clone();
+        let cm = DefectSampler::v1().sample(rows, cols, rate, &mut rng);
+        let reference = v1_by_definition(rows, cols, rate, &mut reference_rng);
+        assert_words_identical(&cm, &reference)?;
+        prop_assert_eq!(rng, reference_rng, "the generator ends in another state");
     }
 
     /// In-place V2 resample over an arbitrary dirty buffer (a prior draw
