@@ -22,7 +22,8 @@
 //!   column defect bitplanes, with the FM structure cached per campaign
 //!   ([`MatchEngine::prepare_fm`]), a Hall fast-fail on empty candidate
 //!   rows, and zero per-sample heap allocation in Monte Carlo loops
-//!   ([`reference`] keeps the dense originals as baselines);
+//!   ([`reference`](mod@reference) keeps the dense originals as its test
+//!   oracle);
 //! * [`map_naive`] — the defect-unaware baseline of Fig. 7(a);
 //! * [`program_two_level`] / [`verify_against_cover`] — execute a mapping
 //!   on the simulated fabric and check functional correctness;

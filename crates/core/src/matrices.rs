@@ -500,7 +500,7 @@ impl fmt::Display for DefectModelSpec {
 }
 
 /// The model-aware defect-sampling handle: the one seam every defect draw
-/// goes through (engine loops, experiments, benches, examples). A sampler
+/// goes through (engine loops, experiments, examples). A sampler
 /// is a `Copy` value wrapping the chosen [`SampleStream`] and
 /// [`DefectModelSpec`], which together fully determine RNG consumption,
 /// so two samplers with the same pair are interchangeable mid-campaign.

@@ -203,13 +203,6 @@ impl Crossbar {
         self.crosspoint_mut(row, col).defect = defect;
     }
 
-    /// Clears all programming (every crosspoint disabled), keeping defects.
-    pub fn clear_program(&mut self) {
-        for cell in &mut self.cells {
-            cell.program = ProgramState::Disabled;
-        }
-    }
-
     /// Number of active (programmed) crosspoints; the numerator of the
     /// paper's inclusion ratio.
     #[must_use]
@@ -224,13 +217,6 @@ impl Crossbar {
     #[must_use]
     pub fn inclusion_ratio(&self) -> f64 {
         self.active_count() as f64 / self.area() as f64
-    }
-
-    /// True when the crosspoint can be used *as an active switch*: it must
-    /// be functional (the mapper's compatibility rule: FM 1s need CM 1s).
-    #[must_use]
-    pub fn usable_as_active(&self, row: usize, col: usize) -> bool {
-        self.crosspoint(row, col).defect == Defect::None
     }
 
     /// Whether a row contains any stuck-closed crosspoint (the row's NAND

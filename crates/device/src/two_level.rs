@@ -6,7 +6,7 @@
 //! output (inversion/latch) rows in any order — the defect-tolerant mapper
 //! permutes them freely.
 
-use crate::crossbar::{Crossbar, Defect, ProgramState};
+use crate::crossbar::{Crossbar, ProgramState};
 use crate::error::DeviceError;
 use crate::phases::TwoLevelPhase;
 
@@ -61,12 +61,6 @@ impl ColumnLayout {
     pub fn output_bar_col(&self, k: usize) -> usize {
         assert!(k < self.num_outputs, "output index out of range");
         2 * self.num_inputs + self.num_outputs + k
-    }
-
-    /// True when `col` lies in the input (NAND-plane) region.
-    #[must_use]
-    pub fn is_input_col(&self, col: usize) -> bool {
-        col < 2 * self.num_inputs
     }
 }
 
@@ -447,26 +441,12 @@ impl TwoLevelMachine {
     fn output_row(&self, k: usize) -> Option<usize> {
         self.row_roles.iter().position(|&r| r == RowRole::Output(k))
     }
-
-    /// Convenience: number of defective-but-used crosspoints (diagnostics).
-    #[must_use]
-    pub fn active_on_defect_count(&self) -> usize {
-        let mut count = 0;
-        for r in 0..self.xbar.rows() {
-            for c in 0..self.xbar.cols() {
-                let cell = self.xbar.crosspoint(r, c);
-                if cell.program == ProgramState::Active && cell.defect != Defect::None {
-                    count += 1;
-                }
-            }
-        }
-        count
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crossbar::Defect;
 
     /// Builds the paper's Fig. 3 function
     /// f = x0 + x1 + x2 + x3 + x4·x5·x6·x7 on an 8-input crossbar.

@@ -259,6 +259,8 @@ mod tests {
         for words in [
             &[][..],
             &["--shards", "3"][..],
+            &["--hosts", "a", "--shards", "0"][..],
+            &["--hosts", "a", "--max-attempts", "0"][..],
             &["--hosts", "a", "--quarantine-after", "0"][..],
             &["--hosts", "a", "--hedge-after", "0"][..],
             &["--hosts", "a", "--shard-timeout", "soon"][..],

@@ -87,7 +87,7 @@ where
 }
 
 /// [`monte_carlo_range`] with per-worker state — the range analogue of
-/// [`monte_carlo_with`]: a [`monte_carlo_range_fold`] in which each worker
+/// [`monte_carlo_with`]: a `monte_carlo_range_fold` in which each worker
 /// pushes its results and the chunks are concatenated in worker order.
 ///
 /// # Panics

@@ -115,15 +115,15 @@ impl SchedulingFlags {
     ///
     /// # Errors
     ///
-    /// Reports a missing or malformed value.
+    /// Reports a missing or malformed value, or a zero count.
     pub(crate) fn consume(
         &mut self,
         flag: &str,
         it: &mut dyn Iterator<Item = String>,
     ) -> Result<bool, String> {
         match flag {
-            "--shards" => self.shards = flag_num(flag, &flag_value(flag, it)?)?,
-            "--max-attempts" => self.max_attempts = flag_num(flag, &flag_value(flag, it)?)?,
+            "--shards" => self.shards = positive_num(flag, &flag_value(flag, it)?)?,
+            "--max-attempts" => self.max_attempts = positive_num(flag, &flag_value(flag, it)?)?,
             "--shard-timeout" => {
                 self.shard_timeout = Some(positive_secs(flag, &flag_value(flag, it)?)?);
             }
@@ -229,7 +229,7 @@ fn parse_shard_args(args: Vec<String>) -> Result<Option<ShardArgs>, String> {
         let path = |it: &mut dyn Iterator<Item = String>| flag_value(&flag, it).map(PathBuf::from);
         match flag.as_str() {
             "--shard-index" => out.shard_index = flag_num(&flag, &flag_value(&flag, &mut it)?)?,
-            "--num-shards" => out.num_shards = flag_num(&flag, &flag_value(&flag, &mut it)?)?,
+            "--num-shards" => out.num_shards = positive_num(&flag, &flag_value(&flag, &mut it)?)?,
             "--out" => out.out = path(&mut it)?,
             "--inject-fail-once" => out.inject_fail_once = Some(path(&mut it)?),
             "--inject-fail-always" => out.inject_fail_always = true,
@@ -577,6 +577,7 @@ mod tests {
             &["--shard-index"][..],
             &["--shard-index", "x"][..],
             &["--samples", "nope"][..],
+            &["--num-shards", "0"][..],
             &["--what"][..],
         ] {
             let argv = words.iter().map(|s| (*s).to_owned()).collect();
@@ -644,6 +645,8 @@ mod tests {
             &["--shard-timeout", "soon"][..],
             &["--max-inflight", "0"][..],
             &["--max-inflight", "lots"][..],
+            &["--shards", "0"][..],
+            &["--max-attempts", "0"][..],
             &["--worker-arg"][..],
         ] {
             let argv = words.iter().map(|s| (*s).to_owned()).collect();

@@ -58,7 +58,7 @@ impl Json {
     /// # Errors
     ///
     /// Returns a [`JsonError`] with the byte offset of the first problem,
-    /// including arrays or objects nested deeper than [`MAX_DEPTH`].
+    /// including arrays or objects nested deeper than `MAX_DEPTH` (128).
     pub fn parse(text: &str) -> Result<Self, JsonError> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;

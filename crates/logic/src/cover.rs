@@ -200,30 +200,6 @@ impl Cover {
         cover
     }
 
-    /// Re-targets a single-output cover onto output `output` of a
-    /// `num_outputs`-output function.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self` is not single-output or `output >= num_outputs`.
-    #[must_use]
-    pub fn into_output_of(self, output: usize, num_outputs: usize) -> Cover {
-        assert_eq!(self.num_outputs, 1, "expected a single-output cover");
-        assert!(output < num_outputs, "output index out of range");
-        let mut cover = Cover::new(self.num_inputs, num_outputs);
-        for cube in self.cubes {
-            let mut c = Cube::universe(self.num_inputs, num_outputs);
-            for (var, phase) in cube.literals() {
-                c.set_literal(var, phase);
-            }
-            for o in 0..num_outputs {
-                c.set_output(o, o == output);
-            }
-            cover.cubes.push(c);
-        }
-        cover
-    }
-
     /// Merges several single-output covers into one multi-output cover
     /// (no cube sharing; cubes are concatenated).
     ///

@@ -240,17 +240,6 @@ impl Cube {
         self
     }
 
-    /// Restricts the output set to exactly output `out`.
-    #[must_use]
-    pub fn restricted_to_output(&self, out: usize) -> Self {
-        let mut cube = self.clone();
-        for word in &mut cube.outputs {
-            *word = 0;
-        }
-        cube.set_output(out, true);
-        cube
-    }
-
     /// The input part alone, as a cube of a single-output function: the
     /// form in which the cover calculus compares input parts.
     #[must_use]
@@ -446,26 +435,6 @@ impl Cube {
                 Some(cube)
             }
         }
-    }
-
-    /// Cofactor with respect to another cube (the generalized cofactor used
-    /// by the unate-recursive paradigm). `None` when the parts are disjoint.
-    #[must_use]
-    pub fn cofactor_cube(&self, other: &Self) -> Option<Self> {
-        if !self.input_intersects(other) || !self.outputs_intersect(other) {
-            return None;
-        }
-        let mut result = self.clone();
-        for var in 0..self.num_inputs() {
-            if matches!(other.var_state(var), VarState::Literal(_)) {
-                result.clear_literal(var);
-            }
-        }
-        for (a, b) in result.outputs.iter_mut().zip(&other.outputs) {
-            // Outputs outside `other`'s scope are dropped.
-            *a &= b;
-        }
-        Some(result)
     }
 
     /// Evaluates the input part on a complete assignment (bit `i` of
