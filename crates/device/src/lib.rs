@@ -21,9 +21,7 @@
 //! * [`analog`] — nodal analysis of the resistive read path validating the
 //!   digital NAND abstraction against sneak paths;
 //! * [`scan_march`] / [`scan_cell_by_cell`] — defect-map extraction (march
-//!   tests), producing the crossbar matrix the mappers consume;
-//! * [`write_margins`] — half-select (V/2) write-disturb analysis of the
-//!   programming phases.
+//!   tests), producing the crossbar matrix the mappers consume.
 //!
 //! ## Example
 //!
@@ -49,7 +47,6 @@ mod multi_level;
 mod phases;
 mod scan;
 mod two_level;
-mod write_scheme;
 
 pub use crossbar::{Crossbar, Crosspoint, Defect, DefectProfile, ProgramState};
 pub use error::DeviceError;
@@ -60,9 +57,6 @@ pub use multi_level::{
 pub use phases::{MultiLevelPhase, TwoLevelPhase};
 pub use scan::{scan_cell_by_cell, scan_march, CellDiagnosis, ScanReport};
 pub use two_level::{ColumnLayout, RowRole, TwoLevelMachine, TwoLevelTrace};
-pub use write_scheme::{
-    count_disturbs, half_select_window, write_margins, BiasScheme, WriteMargins,
-};
 
 #[cfg(test)]
 mod tests {

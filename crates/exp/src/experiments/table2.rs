@@ -82,7 +82,9 @@ impl CircuitAccum {
         Self::default()
     }
 
-    /// Folds one Monte Carlo trial in.
+    /// Folds one Monte Carlo trial in, timing both HBA and EA. A shard
+    /// partial times EA only on the multiples of [`EA_TIMING_STRIDE`], so
+    /// [`run_circuit_range_on`] folds the fields one by one instead.
     pub fn push(&mut self, hba_ok: bool, hba_secs: f64, ea_ok: bool, ea_secs: f64) {
         self.hba.push(hba_ok);
         self.ea.push(ea_ok);

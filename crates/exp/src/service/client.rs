@@ -62,17 +62,19 @@ struct SubmitArgs {
 fn submit_usage() -> String {
     "xbar submit: client for a running `xbar serve` daemon\n\n\
      usage:\n  \
-     xbar submit <experiment> [experiment flags...] [--wait] [--out FILE]\n  \
-     xbar submit --status JOB | --result JOB | --cancel JOB | --stats | --shutdown\n\n\
+     xbar submit <experiment> [experiment flags...] [--wait [--out FILE]]\n  \
+     xbar submit --status JOB | --result JOB [--out FILE] | --cancel JOB | --stats\n  \
+     xbar submit --shutdown\n\n\
      The experiment name comes first; every flag the client does not\n\
      recognize is forwarded verbatim to the daemon, exactly as `xbar run`\n\
      would take it. Output-routing flags (--json/--out/--csv) stay on the\n\
      client side.\n\nclient flags:\n  \
      --connect ADDR   daemon address (default 127.0.0.1:7878)\n  \
-     --wait           stream progress (stderr) and print the finished\n                   \
-     artifact to stdout, byte-identical to `xbar run --json`\n  \
-     --out FILE       with --wait: write the artifact atomically to FILE\n                   \
-     instead of stdout\n  \
+     --wait           with a submit: stream progress (stderr) and print the\n                   \
+     finished artifact to stdout, byte-identical to\n                   \
+     `xbar run --json`\n  \
+     --out FILE       with --wait or --result: write the artifact atomically\n                   \
+     to FILE instead of stdout (anywhere else it is a usage error)\n  \
      --status JOB     report a job's state\n  \
      --result JOB     print a finished job's artifact to stdout\n  \
      --cancel JOB     cancel a queued job\n  \
@@ -142,6 +144,15 @@ fn parse_submit_args(argv: Vec<String>) -> Result<Option<SubmitArgs>, String> {
         },
         (None, None) => return Err("need an experiment name (or a query flag); try --help".into()),
     };
+    // A flag that would do nothing is a usage error, not a silent no-op.
+    if wait && !matches!(mode, Mode::Submit { .. }) {
+        return Err(format!(
+            "--wait follows a submit; {mode:?} does not take it"
+        ));
+    }
+    if out.is_some() && !wait && !matches!(mode, Mode::ResultOf(_)) {
+        return Err("--out needs a waited submit (--wait) or --result".to_owned());
+    }
     Ok(Some(SubmitArgs {
         connect,
         wait,
@@ -506,6 +517,8 @@ mod tests {
             Mode::Cancel(0)
         );
         assert!(parse(&["--help"]).expect("ok").is_none());
+        let result_to_file = parse(&["--result", "7", "--out", "F"]).expect("ok");
+        assert_eq!(result_to_file.expect("args").out, Some(PathBuf::from("F")));
         for words in [
             &[][..],
             &["--stats", "--shutdown"][..],
@@ -513,6 +526,14 @@ mod tests {
             &["--status", "soon"][..],
             &["--quick", "table2"][..],
             &["--connect"][..],
+            // Flags that would do nothing: --out without --wait or
+            // --result, --wait without a submit.
+            &["table2", "--quick", "--circuits", "rd53", "--out", "F"][..],
+            &["--stats", "--wait", "--out", "F"][..],
+            &["--stats", "--wait"][..],
+            &["--status", "7", "--out", "F"][..],
+            &["--result", "7", "--wait"][..],
+            &["--shutdown", "--wait"][..],
         ] {
             assert!(parse(words).is_err(), "{words:?} must fail");
         }

@@ -708,8 +708,13 @@ fn run_job(
     };
 
     // Cache before reporting done: once a client can observe "done", a
-    // repeated submit must hit.
+    // repeated submit must hit. Only then do a sharded job's checkpoints
+    // go: until the store succeeds they are the only record of the work,
+    // and a resubmit resumes from them.
     state.cache.store(&key, &artifact)?;
+    if sharded {
+        let _ = fs::remove_dir_all(state.jobs_dir.join(&key.name));
+    }
     Ok((artifact, report))
 }
 
@@ -742,10 +747,10 @@ fn job_fleet(options: &ServeOptions) -> Result<Vec<HostSpec>, String> {
 
 /// Runs a `table2` job through the scheduler over the job fleet and
 /// rebuilds the canonical artifact from the merged accumulators. The
-/// job's run directory persists (`keep_partials`) until the artifact is
-/// safely cached, so a daemon killed mid-job resumes instead of
-/// restarting from sample zero. The artifact is byte-identical whatever
-/// the fleet did.
+/// job's run directory persists (`keep_partials`) until [`run_job`] has
+/// safely cached the artifact, so a daemon killed mid-job, or a job whose
+/// store failed, resumes instead of restarting from sample zero. The
+/// artifact is byte-identical whatever the fleet did.
 fn run_sharded_table2(
     state: &Arc<ServiceState>,
     id: u64,
@@ -754,13 +759,12 @@ fn run_sharded_table2(
     key: &CacheKey,
     worker: Worker,
 ) -> Result<(String, LaunchReport), String> {
-    let job_dir = state.jobs_dir.join(&key.name);
     let cfg = LaunchConfig {
         config: McConfig::from_params(params)?,
         shards: state.options.job_shards,
         max_attempts: 3,
         worker,
-        work_dir: job_dir.clone(),
+        work_dir: state.jobs_dir.join(&key.name),
         extra_worker_args: state.options.worker_args.clone(),
         keep_partials: true,
         shard_timeout: state.options.shard_timeout,
@@ -786,11 +790,6 @@ fn run_sharded_table2(
     };
     let (merged, report) = run_launch_with_report(&cfg, &transport)?;
     let artifact = table2_artifact_from_accums(&merged.circuits, cfg.config.seed, exp, params)?;
-
-    // The checkpoints have served their purpose once the artifact exists;
-    // the caller caches it before reporting done, and the cache — not the
-    // run dir — is the durable record.
-    let _ = fs::remove_dir_all(&job_dir);
     Ok((artifact, report))
 }
 

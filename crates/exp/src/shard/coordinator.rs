@@ -673,6 +673,7 @@ pub fn render_timing_table(merged: &MergedResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xbar_core::stats::Moments;
     use xbar_core::{DefectModelKind, DefectModelSpec, SampleStream};
 
     fn config() -> McConfig {
@@ -818,11 +819,31 @@ mod tests {
     #[test]
     fn merge_rejects_sample_count_lies() {
         let config = config();
-        let mut partials = partials_for(&config, 2);
-        partials[0].circuits[0].1.hba.samples += 1;
-        partials[0].circuits[0].1.ea.samples += 1;
-        let err = merge_partials(&config, &partials).expect_err("must fail");
-        assert!(err.contains("folded"), "{err}");
+        let honest = partials_for(&config, 2);
+        // Each lie edits shard 0's rd53 accumulator (10 samples, one of
+        // them EA-timed); the error must name the field it got wrong.
+        type Lie = fn(&mut CircuitAccum);
+        let lies: [(&str, Lie); 7] = [
+            ("folded", |a| {
+                a.hba.samples += 1;
+                a.ea.samples += 1;
+            }),
+            ("hba_successes", |a| {
+                a.hba.successes = 15;
+                a.ea.successes = 0;
+            }),
+            ("hba_successes", |a| a.hba.successes = a.ea.successes + 1),
+            ("ea_successes", |a| a.ea.successes = a.samples() + 1),
+            ("hba_time", |a| a.hba_time.count -= 1),
+            ("ea_time", |a| a.ea_time.count += 1),
+            ("ea_time", |a| a.ea_time = Moments::new()),
+        ];
+        for (field, lie) in lies {
+            let mut partials = honest.clone();
+            lie(&mut partials[0].circuits[0].1);
+            let err = merge_partials(&config, &partials).expect_err(field);
+            assert!(err.contains(field) && err.contains("rd53"), "{err}");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use super::json::{escape, Json};
 use super::{McConfig, ShardSpec};
-use crate::experiments::table2::CircuitAccum;
+use crate::experiments::table2::{CircuitAccum, EA_TIMING_STRIDE};
 use std::fmt::Write as _;
 use xbar_core::stats::{Moments, SuccessCount};
 
@@ -68,10 +68,13 @@ fn parse_moments(value: &Json, context: &str) -> Result<Moments, String> {
 
 impl ShardPartial {
     /// Full per-file validation: the configuration echo, the exact slice
-    /// the scheduler expected this file to hold, and per-circuit folded
-    /// sample counts. Applied to every worker's output, to checkpoint
-    /// files found by `--resume` and again at merge time — a stale,
-    /// foreign, or torn partial can never be merged.
+    /// the scheduler expected this file to hold, and per circuit the
+    /// counts that slice makes possible — `samples` folded trials,
+    /// `hba_successes ≤ ea_successes ≤ samples` (an HBA success certifies
+    /// EA), HBA timed on every trial and EA on the slice's multiples of
+    /// [`EA_TIMING_STRIDE`]. Applied to every worker's output, to
+    /// checkpoint files found by `--resume` and again at merge time — a
+    /// stale, foreign, torn or impossible partial can never be merged.
     ///
     /// # Errors
     ///
@@ -97,6 +100,8 @@ impl ShardPartial {
             ));
         }
         let expected: u64 = spec.len() as u64;
+        let timed =
+            (spec.end.div_ceil(EA_TIMING_STRIDE) - spec.start.div_ceil(EA_TIMING_STRIDE)) as u64;
         for ((name, accum), campaign_name) in self.circuits.iter().zip(&config.circuits) {
             if name != campaign_name {
                 return Err(format!(
@@ -107,6 +112,31 @@ impl ShardPartial {
                 return Err(format!(
                     "circuit {name:?} folded {} samples, range holds {expected}",
                     accum.samples()
+                ));
+            }
+            let (hba, ea) = (accum.hba.successes, accum.ea.successes);
+            if ea > expected {
+                return Err(format!(
+                    "circuit {name:?} claims ea_successes {ea} of {expected} samples"
+                ));
+            }
+            if hba > ea {
+                return Err(format!(
+                    "circuit {name:?} claims hba_successes {hba} above ea_successes {ea}, \
+                     but every HBA success is an EA success"
+                ));
+            }
+            if accum.hba_time.count != expected {
+                return Err(format!(
+                    "circuit {name:?} has hba_time count {}, range holds {expected} samples",
+                    accum.hba_time.count
+                ));
+            }
+            if accum.ea_time.count != timed {
+                return Err(format!(
+                    "circuit {name:?} has ea_time count {}, range holds {timed} \
+                     EA-timed samples",
+                    accum.ea_time.count
                 ));
             }
         }
@@ -374,15 +404,7 @@ mod tests {
             start: 34,
             end: 67,
         };
-        let mut accum = CircuitAccum::new();
-        for _ in 0..33 {
-            accum.push(true, 1e-6, false, 2e-6);
-        }
-        let partial = ShardPartial {
-            config: config.clone(),
-            spec,
-            circuits: vec![("rd53".to_owned(), accum)],
-        };
+        let partial = crate::shard::run_shard(&config, &spec);
         partial.validate_for(&config, &spec).expect("valid");
 
         let other_spec = ShardSpec { index: 0, ..spec };

@@ -3,11 +3,12 @@
 //! Covers the core service promises end to end: the served artifact is
 //! byte-identical to `xbar run --json`, a repeated submit is answered
 //! from the artifact cache without any new work, concurrent submissions
-//! never exceed the worker-slot bound, a daemon killed mid-job leaves
-//! checkpoints a restarted daemon resumes from, a waiting client cut off
-//! by a restart still gets its own request's bytes, a request line nested
-//! past the JSON parser's bound gets an `error` line, and a shutdown
-//! drains running jobs to their waiting clients before the daemon exits.
+//! never exceed the worker-slot bound, a daemon killed mid-job or a job
+//! whose artifact cannot be cached leaves checkpoints a resubmit resumes
+//! from, a waiting client cut off by a restart still gets its own
+//! request's bytes, a request line nested past the JSON parser's bound
+//! gets an `error` line, and a shutdown drains running jobs to their
+//! waiting clients before the daemon exits.
 
 use std::io::{BufRead, Write};
 use std::net::{Shutdown, TcpStream};
@@ -159,19 +160,17 @@ const SLOWED_SHARDS: [&str; 8] = [
     "400",
 ];
 
-/// Where [`SLOW_JOB`]'s first checkpoint lands under `work_dir`: the job
-/// dir is named by the cache key, the run dir inside it by the campaign
-/// identity — both computed with the same library code the daemon uses.
-fn slow_job_first_checkpoint(work_dir: &Path) -> PathBuf {
+/// The run dir of a four-shard `table2` job on rd53 under `work_dir`: the
+/// job dir is named by the cache key, the run dir inside it by the
+/// campaign identity — both computed with the same library code the
+/// daemon uses.
+fn rd53_run_dir(work_dir: &Path, job: &[&str]) -> PathBuf {
     let exp = find_experiment("table2").expect("registered");
-    let params = Params::parse(
-        exp.extra_params(),
-        SLOW_JOB[1..].iter().map(|s| (*s).to_owned()),
-    )
-    .expect("parses");
+    let params = Params::parse(exp.extra_params(), job[1..].iter().map(|s| (*s).to_owned()))
+        .expect("parses");
     let key = cache_key(exp, &params);
     let config = McConfig {
-        samples: 30,
+        samples: params.samples,
         seed: params.seed,
         defect_rate: params.defect_rate,
         stream: SampleStream::V1,
@@ -179,7 +178,12 @@ fn slow_job_first_checkpoint(work_dir: &Path) -> PathBuf {
         circuits: vec!["rd53".to_owned()],
     };
     let job_dir = work_dir.join("jobs").join(&key.name);
-    campaign_run_dir(&job_dir, &config, 4).join("partial-0.json")
+    campaign_run_dir(&job_dir, &config, 4)
+}
+
+/// Where [`SLOW_JOB`]'s first checkpoint lands under `work_dir`.
+fn slow_job_first_checkpoint(work_dir: &Path) -> PathBuf {
+    rd53_run_dir(work_dir, &SLOW_JOB).join("partial-0.json")
 }
 
 /// Blocks until `partial` holds a complete shard checkpoint (at most 60 s).
@@ -425,6 +429,54 @@ fn daemon_killed_mid_job_resumes_from_checkpoints_after_restart() {
         stdout_str(&reference),
         "resumed artifact must be byte-identical to a monolithic run"
     );
+
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&work_dir);
+}
+
+#[test]
+fn a_job_whose_artifact_cannot_be_cached_keeps_its_checkpoints() {
+    let work_dir = scratch("store");
+    let daemon = Daemon::start(&work_dir, &["--job-shards", "4"]);
+    let job = ["table2", "--samples", "40", "--circuits", "rd53"];
+    let submit_args = [&job[..], &["--wait"]].concat();
+
+    // A regular file where the cache dir was: the store fails after the
+    // campaign has run.
+    let cache = work_dir.join("cache");
+    std::fs::remove_dir_all(&cache).expect("the daemon made its cache dir");
+    std::fs::write(&cache, "").expect("a file in the cache dir's place");
+    let failed = daemon.submit(&submit_args);
+    assert_eq!(failed.status.code(), Some(1), "{failed:?}");
+    let note = stderr_str(&failed);
+    assert!(note.contains("cannot write cache artifact"), "{note}");
+    let run_dir = rd53_run_dir(&work_dir, &job);
+    for index in 0..4 {
+        let partial = run_dir.join(format!("partial-{index}.json"));
+        let text = std::fs::read_to_string(&partial).expect("the checkpoint survives");
+        assert!(
+            ShardPartial::from_json(&text).is_ok(),
+            "{}",
+            partial.display()
+        );
+    }
+
+    // With the cache dir back, the resubmit merges the four checkpoints
+    // without spawning a worker, and the cached job's run dir goes.
+    std::fs::remove_file(&cache).expect("remove the file");
+    std::fs::create_dir(&cache).expect("restore the cache dir");
+    let resumed = daemon.submit(&submit_args);
+    assert!(resumed.status.success(), "{resumed:?}");
+    let note = stderr_str(&resumed);
+    assert!(note.contains("spawned 0, reused 4"), "{note}");
+    let reference = xbar()
+        .arg("run")
+        .args(job)
+        .arg("--json")
+        .output()
+        .expect("run xbar run");
+    assert_eq!(stdout_str(&resumed), stdout_str(&reference));
+    assert!(!run_dir.exists(), "{}", run_dir.display());
 
     daemon.shutdown();
     let _ = std::fs::remove_dir_all(&work_dir);

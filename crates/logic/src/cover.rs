@@ -72,38 +72,6 @@ impl Cover {
         Ok(cover)
     }
 
-    /// Parses a cover from espresso-style cube lines, e.g. `"1-0 1"`.
-    ///
-    /// Each line is `num_inputs` characters of `{0,1,-}`, optional
-    /// whitespace, then `num_outputs` characters of `{0,1,~,4}` (espresso
-    /// treats `1` as ON-set membership; everything else is ignored here).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogicError::ParsePla`] on malformed lines.
-    pub fn parse_cubes(
-        num_inputs: usize,
-        num_outputs: usize,
-        lines: &str,
-    ) -> Result<Self, LogicError> {
-        let mut cover = Self::new(num_inputs, num_outputs);
-        for (lineno, line) in lines.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let cube =
-                crate::pla::parse_cube_line(line, num_inputs, num_outputs).map_err(|message| {
-                    LogicError::ParsePla {
-                        line: lineno + 1,
-                        message,
-                    }
-                })?;
-            cover.cubes.push(cube);
-        }
-        Ok(cover)
-    }
-
     /// Number of input variables.
     #[must_use]
     pub fn num_inputs(&self) -> usize {
@@ -296,18 +264,6 @@ impl Cover {
         self.cubes.iter().map(Cube::output_count).sum()
     }
 
-    /// Returns the set of variables that actually appear as literals.
-    #[must_use]
-    pub fn support(&self) -> Vec<usize> {
-        let mut used = vec![false; self.num_inputs];
-        for cube in &self.cubes {
-            for (var, _) in cube.literals() {
-                used[var] = true;
-            }
-        }
-        (0..self.num_inputs).filter(|&v| used[v]).collect()
-    }
-
     /// Truth-table equivalence against another cover (exhaustive over all
     /// `2^n` assignments).
     ///
@@ -391,8 +347,7 @@ impl IntoIterator for Cover {
 ///
 /// # Panics
 ///
-/// Panics on malformed input (tests only; library code uses
-/// [`Cover::parse_cubes`]).
+/// Panics on malformed input.
 #[must_use]
 pub fn cube(spec: &str) -> Cube {
     let (inp, out) = match spec.split_once(' ') {
@@ -487,11 +442,5 @@ mod tests {
         let cover = Cover::from_cubes(3, 2, [cube("11- 10"), cube("--0 11")]).expect("dims");
         assert_eq!(cover.total_literals(), 3);
         assert_eq!(cover.total_output_memberships(), 3);
-    }
-
-    #[test]
-    fn support_lists_used_variables() {
-        let cover = Cover::from_cubes(4, 1, [cube("1--- 1"), cube("--0- 1")]).expect("dims");
-        assert_eq!(cover.support(), vec![0, 2]);
     }
 }

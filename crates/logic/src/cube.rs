@@ -317,28 +317,6 @@ impl Cube {
         self.literal_count() == 0 && !self.has_empty_input_part()
     }
 
-    /// Cube intersection: literals of both cubes, outputs in common.
-    ///
-    /// Returns `None` when the intersection is empty (contradicting literals
-    /// or disjoint output sets).
-    #[must_use]
-    pub fn intersection(&self, other: &Self) -> Option<Self> {
-        debug_assert_eq!(self.num_inputs, other.num_inputs);
-        debug_assert_eq!(self.num_outputs, other.num_outputs);
-        let mut result = self.clone();
-        for (a, b) in result.inputs.iter_mut().zip(&other.inputs) {
-            *a &= b;
-        }
-        for (a, b) in result.outputs.iter_mut().zip(&other.outputs) {
-            *a &= b;
-        }
-        if result.is_empty() {
-            None
-        } else {
-            Some(result)
-        }
-    }
-
     /// Whether `self` contains `other` as a cube (every minterm/output pair
     /// of `other` is also in `self`).
     #[must_use]
@@ -354,71 +332,6 @@ impl Cube {
                 .iter()
                 .zip(&other.outputs)
                 .all(|(a, b)| a & b == *b)
-    }
-
-    /// Whether the *input parts* intersect (ignoring outputs).
-    ///
-    /// Two input parts intersect when no variable ends up with both phases
-    /// forbidden after ANDing the positional bit pairs.
-    #[must_use]
-    pub fn input_intersects(&self, other: &Self) -> bool {
-        debug_assert_eq!(self.num_inputs, other.num_inputs);
-        let mut remaining = self.num_inputs();
-        for (a, b) in self.inputs.iter().zip(&other.inputs) {
-            let merged = a & b;
-            // A variable is dead when both of its bits are clear.
-            let live = (merged >> 1 | merged) & LO_MASK;
-            let vars_here = remaining.min(VARS_PER_WORD);
-            let want = if vars_here == VARS_PER_WORD {
-                LO_MASK
-            } else {
-                LO_MASK & ((1u64 << (vars_here * BITS_PER_VAR)) - 1)
-            };
-            if live & want != want {
-                return false;
-            }
-            remaining -= vars_here;
-        }
-        true
-    }
-
-    pub(crate) fn var_bits(&self, var: usize) -> u64 {
-        let word = var / VARS_PER_WORD;
-        let shift = (var % VARS_PER_WORD) * BITS_PER_VAR;
-        self.inputs[word] >> shift & 0b11
-    }
-
-    /// Whether both output sets share at least one output.
-    #[must_use]
-    pub fn outputs_intersect(&self, other: &Self) -> bool {
-        self.outputs
-            .iter()
-            .zip(&other.outputs)
-            .any(|(a, b)| a & b != 0)
-    }
-
-    /// The input-part distance: number of variables on which the two cubes
-    /// have disjoint literal requirements.
-    #[must_use]
-    pub fn input_distance(&self, other: &Self) -> usize {
-        (0..self.num_inputs())
-            .filter(|&v| self.var_bits(v) & other.var_bits(v) == 0)
-            .count()
-    }
-
-    /// The smallest cube containing both cubes (supercube): union of the
-    /// per-variable allowed sets and of the output sets.
-    #[must_use]
-    pub fn supercube(&self, other: &Self) -> Self {
-        debug_assert_eq!(self.num_inputs, other.num_inputs);
-        let mut result = self.clone();
-        for (a, b) in result.inputs.iter_mut().zip(&other.inputs) {
-            *a |= b;
-        }
-        for (a, b) in result.outputs.iter_mut().zip(&other.outputs) {
-            *a |= b;
-        }
-        result
     }
 
     /// Cofactor of the cube with respect to a literal `var = phase`
@@ -556,25 +469,6 @@ mod tests {
     }
 
     #[test]
-    fn intersection_of_conflicting_literals_is_empty() {
-        let a = Cube::universe(3, 1).with_literal(1, Phase::Positive);
-        let b = Cube::universe(3, 1).with_literal(1, Phase::Negative);
-        assert!(a.intersection(&b).is_none());
-        assert_eq!(a.input_distance(&b), 1);
-        assert!(!a.input_intersects(&b));
-    }
-
-    #[test]
-    fn intersection_merges_literals() {
-        let a = Cube::universe(3, 2).with_literal(0, Phase::Positive);
-        let b = Cube::universe(3, 2).with_literal(2, Phase::Negative);
-        let c = a.intersection(&b).expect("non-empty");
-        assert_eq!(c.literal_count(), 2);
-        assert!(c.evaluate(0b001));
-        assert!(!c.evaluate(0b000));
-    }
-
-    #[test]
     fn containment_is_reflexive_and_respects_literals() {
         let big = Cube::universe(4, 1).with_literal(0, Phase::Positive);
         let small = big.clone().with_literal(2, Phase::Negative);
@@ -589,14 +483,6 @@ mod tests {
         let one = Cube::universe(2, 2).with_output(1, false);
         assert!(both.contains(&one));
         assert!(!one.contains(&both));
-    }
-
-    #[test]
-    fn supercube_removes_conflicting_literal() {
-        let a = Cube::universe(3, 1).with_literal(1, Phase::Positive);
-        let b = Cube::universe(3, 1).with_literal(1, Phase::Negative);
-        let s = a.supercube(&b);
-        assert_eq!(s.literal_count(), 0);
     }
 
     #[test]

@@ -13,8 +13,7 @@
 //!   calculus behind minimization and the paper's dual (negated-circuit)
 //!   optimization;
 //! * [`minimize`] — an espresso-style EXPAND/IRREDUNDANT/REDUCE minimizer
-//!   (the stand-in for espresso itself), plus an exact Quine–McCluskey path
-//!   in [`qm`] for small functions;
+//!   (the stand-in for espresso itself);
 //! * [`Pla`] — reader/writer for the espresso PLA benchmark format;
 //! * [`TruthTable`] — dense reference model for exhaustive checks;
 //! * [`RandomSopSpec`] / [`CalibratedTwinSpec`] — the Monte Carlo workload
@@ -38,7 +37,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod analysis;
 pub mod bench_reg;
 mod calculus;
 mod cover;
@@ -46,7 +44,6 @@ mod cube;
 mod error;
 mod minimize;
 pub mod pla;
-pub mod qm;
 mod random;
 mod truth;
 

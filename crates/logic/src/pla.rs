@@ -214,16 +214,6 @@ fn parse_cube_line_dc(
     Ok((cube, any_dc))
 }
 
-/// Parses one cube line, treating output don't-cares as ON (used by
-/// [`Cover::parse_cubes`], which has no DC notion).
-pub(crate) fn parse_cube_line(
-    line: &str,
-    num_inputs: usize,
-    num_outputs: usize,
-) -> Result<Cube, String> {
-    parse_cube_line_dc(line, num_inputs, num_outputs).map(|(cube, _)| cube)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

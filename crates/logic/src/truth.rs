@@ -155,12 +155,6 @@ impl TruthTable {
         }
     }
 
-    /// Number of ON minterms of output `out`.
-    #[must_use]
-    pub fn on_count(&self, out: usize) -> usize {
-        self.bits[out].iter().map(|w| w.count_ones() as usize).sum()
-    }
-
     /// The canonical (minterm) cover: one cube per ON minterm, sharing cubes
     /// across outputs that agree on the minterm.
     #[must_use]
@@ -214,7 +208,6 @@ mod tests {
         let maj = TruthTable::from_fn(3, 1, |a| vec![a.count_ones() >= 2]).expect("small");
         assert!(maj.value(0b011, 0));
         assert!(!maj.value(0b001, 0));
-        assert_eq!(maj.on_count(0), 4);
     }
 
     #[test]

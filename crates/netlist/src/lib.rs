@@ -38,14 +38,12 @@
 #![warn(missing_debug_implementations)]
 
 mod analogs;
-mod blif;
 mod factor;
 pub mod kernels;
 mod nand_map;
 mod network;
 
 pub use analogs::{cordic_analog, cordic_analog_reference, t481_analog, t481_analog_reference};
-pub use blif::network_to_blif;
 pub use factor::{factor_cover, factor_sop, Expr};
 pub use kernels::{algebraic_divide, kernels, AlgCube, AlgSop, LiteralId};
 pub use nand_map::{flat_expr, map_cover, map_exprs, MapOptions};
