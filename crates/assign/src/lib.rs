@@ -12,7 +12,8 @@
 //!   instances (rows ≤ cols), exact minimum cost; [`munkres_with_scratch`]
 //!   is the allocation-free variant for hot loops;
 //! * [`hopcroft_karp`] — `O(E√V)` maximum bipartite matching on
-//!   [`BipartiteGraph`], used as a feasibility oracle and ablation baseline;
+//!   [`BipartiteGraph`], the test oracle behind
+//!   `xbar_core::reference::mapping_feasible`;
 //! * [`hopcroft_karp_bitset`] / [`BitsetMatching`] — the same algorithm
 //!   over *packed* `u64` adjacency rows, the engine behind the zero-cost
 //!   (pure feasibility) mapping queries of `xbar-core`;

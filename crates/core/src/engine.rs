@@ -24,22 +24,25 @@
 //!   construction, collision-free by construction) and rebuilds only when
 //!   handed a genuinely different matrix. Campaign loops should call
 //!   `prepare_fm` once up front; correctness never depends on it.
-//! * **Hall/degree fast-fail** — construction stops at the first FM row
-//!   whose candidate set is empty (a degree-0 Hall violation: no mapping
-//!   can exist). EA then reports failure without running Hopcroft–Karp,
-//!   and HBA runs only over the rows already built — it provably fails at
-//!   or before the empty row, so outcome *and* stats stay byte-identical
-//!   to the un-truncated engine (see `MatchEngine::set_fast_fail` for the
-//!   equivalence-testing knob).
+//! * **Hall/degree fast-fail** — EA and [`MatchEngine::feasible`] build
+//!   the whole adjacency, and construction stops at the first FM row whose
+//!   candidate set is empty (a degree-0 Hall violation: no mapping can
+//!   exist). They then report failure without running Hopcroft–Karp (see
+//!   `MatchEngine::set_fast_fail` for the equivalence-testing knob).
 //!
 //! The solver layers:
 //!
 //! * **HBA** — greedy and backtracking scans as `trailing_zeros` walks
-//!   over `free & candidates` words. The exact output stage asks whether
-//!   the 0/1 matching matrix (output rows × free CM rows) has a
-//!   zero-cost assignment, which by Hall/König holds exactly when the
-//!   output rows have a perfect matching into the free rows. The
-//!   success-only entry points ([`MatchEngine::hybrid_success`],
+//!   over `free & candidates` words, built on demand: the greedy scan
+//!   computes a minterm's candidate words only where free rows remain and
+//!   stops at its first fit, backtracking builds the rows it reads whole,
+//!   once per call, and the output stage builds the output rows whole.
+//!   HBA never reads the rest of the adjacency, so it never builds it.
+//!   The exact output stage asks whether the 0/1 matching matrix (output
+//!   rows × free CM rows) has a zero-cost assignment, which by Hall/König
+//!   holds exactly when the output rows have a perfect matching into the
+//!   free rows. The success-only entry points
+//!   ([`MatchEngine::hybrid_success`],
 //!   [`MatchEngine::hybrid_success_with`]) decide it with the bitset
 //!   Hopcroft–Karp over `candidates & free`; [`MatchEngine::map_hybrid_with`],
 //!   which returns the assignment, solves the matrix with Munkres through
@@ -60,8 +63,8 @@
 //! The word-level helpers come from the shared [`crate::bits`] module.
 
 use crate::bits::{
-    clear_bit, count_all, count_through, first_and, get_bit, is_empty, matched_in, set_range,
-    words_for,
+    clear_bit, count_all, count_through, first_and, get_bit, is_empty, matched_in, set_bit,
+    set_range, words_for,
 };
 use crate::mapping::{HybridOptions, MappingOutcome, MappingStats, RowAssignment};
 use crate::matrices::{CrossbarMatrix, FunctionMatrix};
@@ -131,17 +134,22 @@ pub struct MatchEngine {
     /// Words per packed CM-row bitset.
     words: usize,
     /// Packed adjacency: `n` rows of `words` words; bit `c` of row `f` is
-    /// set when FM row `f` fits CM row `c`. Rows past
-    /// [`MatchEngine::empty_row`] are unbuilt (zero) when the Hall
-    /// fast-fail truncated construction.
+    /// set when FM row `f` fits CM row `c`. Only the rows the current
+    /// query built are current: for EA and feasibility every row up to
+    /// [`MatchEngine::empty_row`] (all of them when it is `None`), for
+    /// HBA the rows marked in [`MatchEngine::built`]. The others hold
+    /// stale words from an earlier query.
     cand: Vec<u64>,
-    /// First FM row whose candidate set came out empty, when the Hall
-    /// fast-fail stopped construction there; `None` means `cand` is fully
-    /// built.
+    /// Set by each EA or feasibility build: the first FM row whose
+    /// candidate set came out empty, when the Hall fast-fail stopped
+    /// construction there; `None` means that build covered every row.
     empty_row: Option<usize>,
     /// Disables the Hall fast-fail (equivalence testing / ablation); the
     /// default (`false`) keeps it on.
     fast_fail_disabled: bool,
+    /// FM rows whose whole `cand` row the current HBA call has built
+    /// (bit `f` for FM row `f`), so each is built at most once per call.
+    built: Vec<u64>,
     /// Unmatched CM rows during HBA (bits `0..r`).
     free: Vec<u64>,
     /// `occupant[cm_row]` = minterm hosted there, or [`NONE`].
@@ -173,10 +181,12 @@ impl MatchEngine {
         Self::default()
     }
 
-    /// Enables or disables the Hall fast-fail (on by default). Disabling
-    /// it forces full adjacency construction on every query — outcomes and
-    /// stats are identical either way (pinned by the equivalence
-    /// proptests); the knob exists for exactly that comparison.
+    /// Enables or disables the Hall fast-fail of EA and
+    /// [`MatchEngine::feasible`] (on by default). Disabling it forces their
+    /// full adjacency construction on every query — outcomes and stats are
+    /// identical either way (pinned by the equivalence proptests); the knob
+    /// exists for exactly that comparison. HBA builds its candidate words
+    /// on demand and never runs the fast-fail.
     pub fn set_fast_fail(&mut self, enabled: bool) {
         self.fast_fail_disabled = !enabled;
     }
@@ -311,9 +321,10 @@ impl MatchEngine {
     /// no Hall fast-fail truncation — and returns `(words_per_row, rows)`:
     /// bit `c` of row `f` (at word `f * words_per_row + c / 64`) is set
     /// when FM row `f` fits CM row `c`. A test hook: the equivalence
-    /// tests compare it against the dense `row_compatible` sweep, and the
-    /// query methods build the same adjacency internally (modulo
-    /// fast-fail truncation).
+    /// tests compare it against the dense `row_compatible` sweep. EA and
+    /// feasibility build the same adjacency internally (modulo fast-fail
+    /// truncation); HBA builds only the rows and words of it that it
+    /// reads.
     ///
     /// # Panics
     ///
@@ -326,19 +337,13 @@ impl MatchEngine {
         (self.words, &self.cand)
     }
 
-    /// Builds the packed compatibility adjacency for `(fm, cm)` from the
-    /// CM's column defect bitplanes: row `f` of the adjacency starts as
-    /// all CM rows and is `AND`ed with `!plane[j]` for every one-column
-    /// `j` of FM row `f` — word-parallel over CM rows, using the FM
-    /// structure cached by [`MatchEngine::prepare_fm`]. With the Hall
-    /// fast-fail enabled, construction stops at the first FM row whose
-    /// candidate set is empty (recorded in `empty_row`; later rows stay
-    /// unbuilt).
+    /// Checks that `fm` and `cm` fit together, warms the FM cache, records
+    /// the adjacency's dimensions and sizes `cand`; builds no row.
     ///
     /// # Panics
     ///
     /// Panics when the column counts of `fm` and `cm` differ.
-    fn prepare(&mut self, fm: &FunctionMatrix, cm: &CrossbarMatrix) {
+    fn bind(&mut self, fm: &FunctionMatrix, cm: &CrossbarMatrix) {
         assert_eq!(
             fm.num_cols(),
             cm.num_cols(),
@@ -351,61 +356,91 @@ impl MatchEngine {
         self.r = cm.num_rows();
         self.words = words_for(self.r);
         debug_assert_eq!(self.words, cm.plane_words());
-        self.cand.clear();
         self.cand.resize(self.n * self.words, 0);
+    }
+
+    /// Builds the packed compatibility adjacency for `(fm, cm)` row by
+    /// row (see [`MatchEngine::build_row`]). With the Hall fast-fail
+    /// enabled, construction stops at the first FM row whose candidate set
+    /// is empty (recorded in `empty_row`; later rows stay unbuilt).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the column counts of `fm` and `cm` differ.
+    fn prepare(&mut self, fm: &FunctionMatrix, cm: &CrossbarMatrix) {
+        self.bind(fm, cm);
         self.empty_row = None;
         let words = self.words;
-        let r = self.r;
         let planes = cm.defect_planes();
-        let fast_fail = !self.fast_fail_disabled;
-        let one_cols = &self.one_cols;
-        let one_starts = &self.one_starts;
         for f in 0..self.n {
-            let row = &mut self.cand[f * words..(f + 1) * words];
-            set_range(row, r);
-            let ones = &one_cols[one_starts[f] as usize..one_starts[f + 1] as usize];
-            for &j in ones {
-                let j = j as usize;
-                let plane = &planes[j * words..(j + 1) * words];
-                for (d, &p) in row.iter_mut().zip(plane) {
-                    *d &= !p;
-                }
-            }
-            if fast_fail && is_empty(row) {
+            self.build_row(f, planes);
+            if !self.fast_fail_disabled && is_empty(&self.cand[f * words..(f + 1) * words]) {
                 self.empty_row = Some(f);
                 return;
             }
         }
     }
 
-    /// Algorithm 1 over the packed adjacency, reproducing the reference
-    /// implementation's decisions and [`MappingStats`] exactly. With
-    /// `assign`, a success leaves the assignment in `self.fm_to_cm`.
-    fn run_hybrid(
-        &mut self,
-        fm: &FunctionMatrix,
-        cm: &CrossbarMatrix,
-        options: HybridOptions,
-        assign: bool,
-    ) -> (bool, MappingStats) {
-        if fm.num_rows() > cm.num_rows() {
-            return (false, MappingStats::default());
+    /// Writes FM row `f`'s whole candidate set into its `cand` row: all
+    /// CM rows, `AND`ed with `!plane[j]` for every one-column `j` of `f` —
+    /// word-parallel over CM rows, using the FM structure cached by
+    /// [`MatchEngine::prepare_fm`].
+    fn build_row(&mut self, f: usize, planes: &[u64]) {
+        let words = self.words;
+        let row = &mut self.cand[f * words..(f + 1) * words];
+        set_range(row, self.r);
+        let ones = &self.one_cols[self.one_starts[f] as usize..self.one_starts[f + 1] as usize];
+        for &j in ones {
+            let j = j as usize;
+            let plane = &planes[j * words..(j + 1) * words];
+            for (d, &p) in row.iter_mut().zip(plane) {
+                *d &= !p;
+            }
         }
-        self.prepare(fm, cm);
-        self.run_hybrid_prepared(options, assign)
     }
 
-    /// [`MatchEngine::run_hybrid`] minus the adjacency build — the caller
-    /// guarantees [`MatchEngine::prepare`] ran for this exact pair.
+    /// [`MatchEngine::build_row`] unless the current HBA call already
+    /// built row `f`.
+    fn ensure_row(&mut self, f: usize, planes: &[u64]) {
+        if !get_bit(&self.built, f) {
+            self.build_row(f, planes);
+            set_bit(&mut self.built, f);
+        }
+    }
+
+    /// First free CM row that FM row `f` fits, without building `f`'s
+    /// candidate row: a candidate word, `AND(!plane[j][w])` over `f`'s
+    /// one-columns, is computed only where `free[w] != 0`, starting from
+    /// the free word itself (which also masks the top word to `r` bits),
+    /// and the scan stops at the first hit.
+    fn first_free_fit(&self, f: usize, planes: &[u64]) -> Option<usize> {
+        let words = self.words;
+        let ones = &self.one_cols[self.one_starts[f] as usize..self.one_starts[f + 1] as usize];
+        for (w, &free) in self.free.iter().enumerate() {
+            if free == 0 {
+                continue;
+            }
+            let mut word = free;
+            for &j in ones {
+                word &= !planes[j as usize * words + w];
+            }
+            if word != 0 {
+                return Some(w * 64 + word.trailing_zeros() as usize);
+            }
+        }
+        None
+    }
+
+    /// Algorithm 1 over bitplane candidate words, reproducing the
+    /// reference implementation's decisions and [`MappingStats`] exactly.
+    /// With `assign`, a success leaves the assignment in `self.fm_to_cm`.
     ///
-    /// Under Hall fast-fail truncation (`empty_row = Some(e)`) this stays
-    /// byte-identical to the full-adjacency run: the minterm scan proceeds
-    /// strictly in row order and row `e`'s (genuinely) empty candidate set
-    /// forces a failure at or before `e`, so rows past `e` — the unbuilt
-    /// ones — are never read; when `e` is an output row, the exact output
-    /// stage is decided without solving (an all-1 cost row caps the best
-    /// assignment cost above 0) using the very stats updates the full run
-    /// performs before solving.
+    /// HBA reads only part of the adjacency, so it builds only that part.
+    /// The greedy scan asks for the first free CM row each minterm fits,
+    /// which [`MatchEngine::first_free_fit`] answers from the words that
+    /// still hold free rows. Backtracking reads whole rows (the failing
+    /// row and each occupant it probes), built at most once per call; the
+    /// output stage builds the output rows whole.
     ///
     /// `assign` selects how the exact output stage is decided. With it,
     /// Munkres solves the matching matrix and its assignment completes
@@ -414,16 +449,25 @@ impl MatchEngine {
     /// perfect matching into the unmatched CM rows (Hall/König), which the
     /// bitset Hopcroft–Karp decides over `candidates & free`. Both record
     /// the same stats, so the two paths differ only in `self.fm_to_cm`.
-    fn run_hybrid_prepared(
+    fn run_hybrid(
         &mut self,
+        fm: &FunctionMatrix,
+        cm: &CrossbarMatrix,
         options: HybridOptions,
         assign: bool,
     ) -> (bool, MappingStats) {
         let mut stats = MappingStats::default();
+        if fm.num_rows() > cm.num_rows() {
+            return (false, stats);
+        }
+        self.bind(fm, cm);
+        let planes = cm.defect_planes();
         let p = self.fm_minterms;
         let k = self.fm_outputs;
         let r = self.r;
         let words = self.words;
+        self.built.clear();
+        self.built.resize(words_for(self.n), 0);
         self.free.clear();
         self.free.resize(words, 0);
         set_range(&mut self.free, r);
@@ -433,10 +477,9 @@ impl MatchEngine {
         self.fm_to_cm.resize(p + k, NONE);
 
         for i in 0..p {
-            let cand_i = &self.cand[i * words..(i + 1) * words];
             // First pass: unmatched CM rows, top to bottom. The dense scan
             // checks every free row up to and including the first fit.
-            if let Some(t) = first_and(&self.free, cand_i) {
+            if let Some(t) = self.first_free_fit(i, planes) {
                 stats.compatibility_checks += count_through(&self.free, t);
                 clear_bit(&mut self.free, t);
                 self.occupant[t] = i;
@@ -452,16 +495,18 @@ impl MatchEngine {
             // dense scan checks every *matched* row in order; candidates
             // additionally trigger an inner scan over the free rows.
             stats.backtracks += 1;
+            self.ensure_row(i, planes);
             let mut placed = false;
             let mut scanned_to = 0usize; // matched rows below this were counted
-            'steal: for (w, &cand_word) in cand_i.iter().enumerate() {
-                let mut x = !self.free[w] & cand_word;
+            'steal: for w in 0..words {
+                let mut x = !self.free[w] & self.cand[i * words + w];
                 while x != 0 {
                     let t = w * 64 + x.trailing_zeros() as usize;
                     x &= x - 1;
                     stats.compatibility_checks += matched_in(&self.free, scanned_to, t + 1);
                     scanned_to = t + 1;
                     let j = self.occupant[t];
+                    self.ensure_row(j, planes);
                     let cand_j = &self.cand[j * words..(j + 1) * words];
                     if let Some(u) = first_and(&self.free, cand_j) {
                         stats.compatibility_checks += count_through(&self.free, u);
@@ -495,20 +540,14 @@ impl MatchEngine {
             if self.unmatched.len() < k {
                 return (false, stats);
             }
+            for o in p..p + k {
+                self.build_row(o, planes);
+            }
             if options.exact_outputs {
                 // The paper's choice: matching matrix FMo × CMu solved with
                 // Munkres; zero cost certifies a valid mapping.
                 stats.assignment_rows = k;
                 stats.compatibility_checks += k * self.unmatched.len();
-                if self.empty_row.is_some() {
-                    // Hall fast-fail: some output row has no compatible CM
-                    // row at all, so its matching-matrix row is all 1s and
-                    // every assignment costs >= 1 — the Munkres solve (and
-                    // the unbuilt rows it would read) is unnecessary. The
-                    // stats above are exactly what the full run records
-                    // before solving, and a failing solve writes nothing.
-                    return (false, stats);
-                }
                 if !assign {
                     self.output_cand.clear();
                     for o in 0..k {
@@ -540,10 +579,7 @@ impl MatchEngine {
                     return (false, stats);
                 }
             } else {
-                // Ablation: greedy first-fit output placement. Under
-                // fast-fail truncation this loop is still safe: it walks
-                // outputs in row order and cannot get past the (built,
-                // genuinely empty) truncation row.
+                // Ablation: greedy first-fit output placement.
                 self.taken.clear();
                 self.taken.resize(self.unmatched.len(), false);
                 for o in 0..k {
@@ -770,15 +806,19 @@ mod tests {
 
     /// At defect rates high enough to produce empty candidate sets, the
     /// fast-fail engine and the full-construction engine agree on every
-    /// outcome, stat, and assignment.
+    /// EA outcome, stat, and assignment. HBA, which never fast-fails,
+    /// equals the reference on the same maps, including those where an
+    /// output row without a single candidate reaches the output stage.
     #[test]
     fn fast_fail_is_outcome_and_stats_invisible() {
         let fm = fig8_fm();
+        let p = fm.num_minterms();
         let mut fast = MatchEngine::new();
         let mut full = MatchEngine::new();
         full.set_fast_fail(false);
         let mut rng = StdRng::seed_from_u64(99);
         let mut failures = 0;
+        let mut empty_outputs = 0;
         for trial in 0..300 {
             let cm = DefectSampler::v1().sample(8, 10, 0.55, &mut rng);
             for options in [
@@ -792,21 +832,28 @@ mod tests {
                     exact_outputs: false,
                 },
             ] {
+                let expected = reference::map_hybrid_with(&fm, &cm, options);
                 assert_eq!(
                     fast.map_hybrid_with(&fm, &cm, options),
-                    full.map_hybrid_with(&fm, &cm, options),
+                    expected,
                     "trial {trial}, {options:?}"
                 );
                 assert_eq!(
                     fast.hybrid_success_with(&fm, &cm, options),
-                    full.hybrid_success_with(&fm, &cm, options),
+                    (expected.is_success(), expected.stats),
                     "trial {trial}, {options:?}"
                 );
             }
             assert_eq!(fast.map_exact(&fm, &cm), full.map_exact(&fm, &cm));
             assert_eq!(fast.feasible(&fm, &cm), full.feasible(&fm, &cm));
             failures += usize::from(!full.feasible(&fm, &cm));
+            let reached_outputs = reference::map_hybrid(&fm, &cm).stats.assignment_rows > 0;
+            let (words, cand) = full.build_adjacency(&fm, &cm);
+            let empty_output =
+                (p..fm.num_rows()).any(|f| is_empty(&cand[f * words..(f + 1) * words]));
+            empty_outputs += usize::from(reached_outputs && empty_output);
         }
+        assert!(empty_outputs > 0, "sweep must reach an empty output row");
         assert!(failures > 50, "sweep must exercise the fast-fail path");
     }
 

@@ -19,9 +19,10 @@
 //! * [`MatchEngine`] — the reusable bitset matching engine behind both
 //!   mappers, meant to be reused across a loop's calls: packed
 //!   compatibility adjacency built word-parallel from the crossbar's
-//!   column defect bitplanes, with the FM structure cached per campaign
-//!   ([`MatchEngine::prepare_fm`]), a Hall fast-fail on empty candidate
-//!   rows, and zero per-sample heap allocation in Monte Carlo loops
+//!   column defect bitplanes (whole for EA, with a Hall fast-fail on
+//!   empty candidate rows; on demand for HBA), with the FM structure
+//!   cached per campaign ([`MatchEngine::prepare_fm`]), and zero
+//!   per-sample heap allocation in Monte Carlo loops
 //!   ([`reference`](mod@reference) keeps the dense originals as its test
 //!   oracle);
 //! * [`map_naive`] — the defect-unaware baseline of Fig. 7(a);

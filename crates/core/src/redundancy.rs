@@ -25,7 +25,7 @@ use xbar_device::{Crossbar, DefectProfile};
 pub enum MapperKind {
     /// The paper's hybrid algorithm.
     Hybrid,
-    /// The exact (Munkres over all rows) algorithm.
+    /// The exact algorithm: a bitset Hopcroft–Karp matching over all rows.
     Exact,
 }
 

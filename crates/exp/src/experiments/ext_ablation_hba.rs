@@ -4,7 +4,8 @@
 //! * full HBA (greedy + backtracking + exact Munkres outputs);
 //! * no backtracking (pure greedy minterms);
 //! * greedy outputs (no Munkres);
-//! * EA (all-rows Munkres) and the Hopcroft–Karp feasibility bound.
+//! * EA (bitset Hopcroft–Karp over all rows) and the Hopcroft–Karp
+//!   feasibility bound.
 
 use crate::experiment::{
     spec, write_csv_if_requested, Artifact, ExpError, Experiment, ParamKind, ParamSpec, Params,
