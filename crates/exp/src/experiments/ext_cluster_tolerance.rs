@@ -9,12 +9,11 @@
 //! plus the HBA-to-EA gap — does the heuristic's tolerance track the
 //! exact mapper's as correlation grows?
 
-use crate::cli::ExpArgs;
 use crate::experiment::{
     spec, write_csv_if_requested, Artifact, ExpError, Experiment, ParamKind, ParamSpec, Params,
     Reporter, RNG_STREAM_PARAM,
 };
-use crate::experiments::table2::run_circuit_range_on;
+use crate::experiments::table2::{fold_circuits, CircuitJob};
 use crate::shard::json::JsonValue;
 use crate::table::{pct, Table};
 use xbar_core::{DefectModelKind, DefectModelSpec};
@@ -62,18 +61,20 @@ impl Experiment for ExtClusterToleranceExperiment {
             params.defect_rate * 100.0
         ));
 
-        // (cluster_size, accumulated HBA/EA statistics).
-        let sweep: Vec<_> = CLUSTER_SIZES
+        // (cluster_size, accumulated HBA/EA statistics): one pooled fold,
+        // a job per cluster size.
+        let jobs: Vec<CircuitJob<'_>> = CLUSTER_SIZES
             .iter()
             .map(|&size| {
                 let model = DefectModelSpec::new(DefectModelKind::Clustered, size, 0.0)
                     .expect("swept sizes are all >= 1");
-                let args = ExpArgs {
-                    model,
-                    ..params.exp_args()
-                };
-                (size, run_circuit_range_on(&cover, &args, 0..params.samples))
+                CircuitJob::cover(&cover, model)
             })
+            .collect();
+        let sweep: Vec<_> = CLUSTER_SIZES
+            .iter()
+            .zip(fold_circuits(&jobs, &params.exp_args(), 0..params.samples))
+            .map(|(&size, (_, accum))| (size, accum))
             .collect();
 
         let mut table = Table::new(

@@ -2,24 +2,28 @@
 //! crossbars with stuck-open defects.
 //!
 //! Aggregation runs through the mergeable accumulators in
-//! [`xbar_core::stats`]: the single-process path folds the whole sample
-//! range into one [`CircuitAccum`]; the process-sharded path (see
-//! [`crate::shard`]) folds disjoint sub-ranges in worker processes and
-//! merges the partials — by construction the integer statistics agree
-//! bit-for-bit.
+//! [`xbar_core::stats`]: the single-process path folds every circuit's
+//! whole sample range into one [`CircuitAccum`] per circuit, all circuits
+//! through one worker pool; the process-sharded path (see
+//! [`crate::shard`]) folds disjoint sub-ranges the same way in worker
+//! processes and merges the partials — by construction the integer
+//! statistics agree bit-for-bit.
 
 use crate::cli::ExpArgs;
 use crate::experiment::{
     spec, write_csv_if_requested, Artifact, ExpError, Experiment, ParamKind, ParamSpec, Params,
     Reporter, CLUSTER_SIZE_PARAM, DEFECT_MODEL_PARAM, LINE_RATE_PARAM, RNG_STREAM_PARAM,
 };
-use crate::mc::monte_carlo_range_fold;
+use crate::mc::{available_workers, fold_jobs};
 use crate::shard::json::JsonValue;
 use crate::table::{pct, secs, Table};
 use std::ops::Range;
+use std::sync::OnceLock;
 use std::time::Instant;
 use xbar_core::stats::{Moments, SuccessCount};
-use xbar_core::{CrossbarMatrix, DefectSampler, FunctionMatrix, MatchEngine, TwoLevelLayout};
+use xbar_core::{
+    CrossbarMatrix, DefectModelSpec, DefectSampler, FunctionMatrix, MatchEngine, TwoLevelLayout,
+};
 use xbar_logic::bench_reg::{find, registry, BenchmarkInfo};
 use xbar_logic::Cover;
 
@@ -82,9 +86,10 @@ impl CircuitAccum {
         Self::default()
     }
 
-    /// Folds one Monte Carlo trial in, timing both HBA and EA. A shard
-    /// partial times EA only on the multiples of [`EA_TIMING_STRIDE`], so
-    /// [`run_circuit_range_on`] folds the fields one by one instead.
+    /// Folds one Monte Carlo trial in, timing both HBA and EA, for a
+    /// caller that solves EA on every trial. Table II's own pooled fold
+    /// solves and times EA only on the multiples of [`EA_TIMING_STRIDE`],
+    /// so it folds the fields one by one instead.
     pub fn push(&mut self, hba_ok: bool, hba_secs: f64, ea_ok: bool, ea_secs: f64) {
         self.hba.push(hba_ok);
         self.ea.push(ea_ok);
@@ -122,82 +127,192 @@ pub fn mc_seed(experiment_seed: u64) -> u64 {
     experiment_seed ^ 0xBEEF
 }
 
-/// Folds the Table II Monte Carlo trials with **global** sample indices
-/// `range` for one circuit — the shard-capable core of [`run_circuit`].
-/// The full sample count never appears here: per-sample seeds depend only
-/// on `(mc_seed(args.seed), index)`, so any contiguous partition of
-/// `0..samples` merges back to the monolithic accumulator.
-#[must_use]
-pub fn run_circuit_range(
-    info: &BenchmarkInfo,
-    args: &ExpArgs,
-    range: Range<usize>,
-) -> CircuitAccum {
-    run_circuit_range_on(&info.mapping_cover(args.seed), args, range)
+/// The layout facts a circuit's Table II row reads from its cover, kept
+/// once the cover itself is gone.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct LayoutFacts {
+    outputs: usize,
+    products: usize,
+    area: usize,
+    inclusion_ratio: f64,
 }
 
-/// [`run_circuit_range`] with the cover already prepared — lets callers
-/// that need both the accumulator and the layout pay for
-/// [`BenchmarkInfo::mapping_cover`] once. For an exact circuit that is two
-/// minimizations (the function and its complement), milliseconds even for
-/// rd84; twins are generated, not minimized.
-#[must_use]
-pub fn run_circuit_range_on(cover: &Cover, args: &ExpArgs, range: Range<usize>) -> CircuitAccum {
-    let fm = FunctionMatrix::from_cover(cover);
-    let rows = fm.num_rows();
-    let cols = fm.num_cols();
+impl LayoutFacts {
+    fn of(cover: &Cover) -> Self {
+        let layout = TwoLevelLayout::of_cover(cover);
+        Self {
+            outputs: cover.num_outputs(),
+            products: cover.len(),
+            area: layout.area(),
+            inclusion_ratio: layout.inclusion_ratio(cover),
+        }
+    }
+}
 
-    // Each worker owns one engine (FM structure cached up front via
-    // `prepare_fm` — the per-campaign half of the bitplane adjacency
-    // build) plus one crossbar matrix it resamples per trial: the hot
-    // loop performs zero heap allocations. Sampling goes through the
-    // campaign's stream-selected [`DefectSampler`]: under V1 it consumes
-    // the per-sample RNG exactly like the original dense sampler, keeping
-    // the statistics bit-identical to the pre-engine implementation; V2 pins
-    // its own golden values. Non-default spatial models dispatch through
-    // the same handle, so the i.i.d. hot path stays untouched. Trials
-    // fold straight into per-worker accumulators (nothing per-sample is
-    // materialized, so memory stays flat at any sample count); success
-    // counters are merge-exact, so the worker count never shows in the
-    // statistics.
-    //
-    // HBA runs and is timed on every trial. An HBA success is a valid full
-    // assignment, hence a perfect matching, so it certifies EA success;
-    // EA is solved only when HBA fails, or on the timing subsample (see
-    // [`EA_TIMING_STRIDE`]), where it is solved and timed whatever HBA
-    // decided. Each call builds the candidate words it reads (HBA on
-    // demand, EA the whole adjacency), so both times are per-attempt
-    // costs.
-    let sampler = DefectSampler::with_model(args.stream, args.model);
-    monte_carlo_range_fold(
-        range,
+/// One circuit of a pooled Table II fold ([`fold_circuits`]): its cover
+/// and the defect model its samples are drawn under.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CircuitJob<'a> {
+    cover: CoverSource<'a>,
+    model: DefectModelSpec,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum CoverSource<'a> {
+    /// A registry circuit: a pool worker prepares its mapping cover and
+    /// keeps only what the fold and the row read.
+    Registry(&'a BenchmarkInfo),
+    /// A cover the caller already holds.
+    Given(&'a Cover),
+}
+
+impl<'a> CircuitJob<'a> {
+    /// A registry circuit, sampled under `model`.
+    pub(crate) fn registry(info: &'a BenchmarkInfo, model: DefectModelSpec) -> Self {
+        Self {
+            cover: CoverSource::Registry(info),
+            model,
+        }
+    }
+
+    /// A prepared cover, sampled under `model`.
+    pub(crate) fn cover(cover: &'a Cover, model: DefectModelSpec) -> Self {
+        Self {
+            cover: CoverSource::Given(cover),
+            model,
+        }
+    }
+}
+
+/// What a circuit's samples read while they fold. The pool drops it after
+/// the circuit's last chunk.
+struct PreparedCircuit {
+    fm: FunctionMatrix,
+    sampler: DefectSampler,
+}
+
+/// Folds the Table II trials with **global** sample indices `range` for
+/// every job through one worker pool, and returns each job's layout facts
+/// and accumulator in job order. The full sample count never appears
+/// here: per-sample seeds depend only on `(mc_seed(args.seed), index)`, so
+/// any contiguous partition of `0..samples` merges back to the monolithic
+/// accumulators, and the worker count never shows in them.
+///
+/// Workers share the jobs as [`crate::mc`]'s pooled fold lays them out:
+/// chunks in job order, each circuit's cover prepared once, on a worker,
+/// overlapping the previous circuit's sampling, and dropped after its last
+/// chunk. For a registry circuit that is [`BenchmarkInfo::mapping_cover`]:
+/// two minimizations (the function and its complement) for an exact
+/// circuit, milliseconds even for rd84; twins are generated, not
+/// minimized. Every worker keeps one engine and one crossbar matrix across
+/// circuits (the crossbar is resized when the circuit changes), so the hot
+/// loop performs zero heap allocations. Sampling goes through the job's
+/// stream-selected [`DefectSampler`]: under V1 it consumes the per-sample
+/// RNG exactly like the original dense sampler, keeping the statistics
+/// bit-identical to the pre-engine implementation; V2 pins its own golden
+/// values. Non-default spatial models dispatch through the same handle, so
+/// the i.i.d. hot path stays untouched.
+///
+/// HBA runs and is timed on every trial. An HBA success is a valid full
+/// assignment, hence a perfect matching, so it certifies EA success; EA is
+/// solved only when HBA fails, or on the timing subsample (see
+/// [`EA_TIMING_STRIDE`]), where it is solved and timed whatever HBA
+/// decided. Each call builds the candidate words it reads (HBA on demand,
+/// EA the whole adjacency), so both times are per-attempt costs.
+pub(crate) fn fold_circuits(
+    jobs: &[CircuitJob<'_>],
+    args: &ExpArgs,
+    range: Range<usize>,
+) -> Vec<(LayoutFacts, CircuitAccum)> {
+    let facts: Vec<OnceLock<LayoutFacts>> = jobs.iter().map(|_| OnceLock::new()).collect();
+    let accums = fold_jobs(
+        available_workers(),
+        &vec![range; jobs.len()],
         mc_seed(args.seed),
-        || {
-            let mut engine = MatchEngine::new();
-            engine.prepare_fm(&fm);
-            (engine, CrossbarMatrix::perfect(rows, cols))
+        |j| {
+            let registry_cover;
+            let cover = match jobs[j].cover {
+                CoverSource::Registry(info) => {
+                    registry_cover = info.mapping_cover(args.seed);
+                    &registry_cover
+                }
+                CoverSource::Given(cover) => cover,
+            };
+            facts[j]
+                .set(LayoutFacts::of(cover))
+                .expect("the pool prepares each job once");
+            PreparedCircuit {
+                fm: FunctionMatrix::from_cover(cover),
+                sampler: DefectSampler::with_model(args.stream, jobs[j].model),
+            }
         },
-        CircuitAccum::new,
-        |accum, (engine, cm), index, seed| {
+        || (MatchEngine::new(), CrossbarMatrix::perfect(0, 0)),
+        |accum: &mut CircuitAccum, (engine, cm), circuit: &PreparedCircuit, index, seed| {
+            let fm = &circuit.fm;
+            if (cm.num_rows(), cm.num_cols()) != (fm.num_rows(), fm.num_cols()) {
+                // A new circuit: resize the crossbar and warm the
+                // engine's FM cache outside the timers (every query
+                // revalidates that cache, so a same-shape switch is
+                // still safe).
+                *cm = CrossbarMatrix::perfect(fm.num_rows(), fm.num_cols());
+                engine.prepare_fm(fm);
+            }
             let mut rng: rand::rngs::StdRng = rand::SeedableRng::seed_from_u64(seed);
-            sampler.resample(cm, args.defect_rate, &mut rng);
+            circuit.sampler.resample(cm, args.defect_rate, &mut rng);
             let t0 = Instant::now();
-            let (hba_ok, _) = engine.hybrid_success(&fm, cm);
+            let (hba_ok, _) = engine.hybrid_success(fm, cm);
             accum.hba_time.push(t0.elapsed().as_secs_f64());
             let ea_ok = if index % EA_TIMING_STRIDE == 0 {
                 let t1 = Instant::now();
-                let (ea_ok, _) = engine.exact_success(&fm, cm);
+                let (ea_ok, _) = engine.exact_success(fm, cm);
                 accum.ea_time.push(t1.elapsed().as_secs_f64());
                 ea_ok
             } else {
-                hba_ok || engine.exact_success(&fm, cm).0
+                hba_ok || engine.exact_success(fm, cm).0
             };
             debug_assert!(!hba_ok || ea_ok, "HBA success must imply EA success");
             accum.hba.push(hba_ok);
             accum.ea.push(ea_ok);
         },
         |accum, piece| accum.merge(&piece),
-    )
+    );
+    facts
+        .into_iter()
+        .map(|facts| facts.into_inner().expect("the pool prepares every job"))
+        .zip(accums)
+        .collect()
+}
+
+/// The one job of a one-circuit [`fold_circuits`] call.
+fn fold_one(
+    job: CircuitJob<'_>,
+    args: &ExpArgs,
+    range: Range<usize>,
+) -> (LayoutFacts, CircuitAccum) {
+    fold_circuits(&[job], args, range)
+        .pop()
+        .expect("one job, one result")
+}
+
+/// Folds the Table II Monte Carlo trials with **global** sample indices
+/// `range` for one circuit — a one-job call of the pooled fold behind
+/// `xbar run table2`, and the shard-capable core of [`run_circuit`]. Any
+/// contiguous partition of `0..samples` merges back to the monolithic
+/// accumulator.
+#[must_use]
+pub fn run_circuit_range(
+    info: &BenchmarkInfo,
+    args: &ExpArgs,
+    range: Range<usize>,
+) -> CircuitAccum {
+    fold_one(CircuitJob::registry(info, args.model), args, range).1
+}
+
+/// [`run_circuit_range`] with the cover already prepared: a one-job
+/// pooled fold over a cover the caller holds.
+#[must_use]
+pub fn run_circuit_range_on(cover: &Cover, args: &ExpArgs, range: Range<usize>) -> CircuitAccum {
+    fold_one(CircuitJob::cover(cover, args.model), args, range).1
 }
 
 /// Builds the report row for one circuit from its (possibly merged)
@@ -205,15 +320,19 @@ pub fn run_circuit_range_on(cover: &Cover, args: &ExpArgs, range: Range<usize>) 
 /// sharded runs.
 #[must_use]
 pub fn row_from_accum(info: &BenchmarkInfo, cover: &Cover, accum: &CircuitAccum) -> Table2Row {
-    let layout = TwoLevelLayout::of_cover(cover);
+    row_from_facts(info, LayoutFacts::of(cover), accum)
+}
+
+/// [`row_from_accum`] from the layout facts a pooled fold kept.
+fn row_from_facts(info: &BenchmarkInfo, facts: LayoutFacts, accum: &CircuitAccum) -> Table2Row {
     Table2Row {
         name: info.name.to_owned(),
         inputs: info.inputs,
-        outputs: cover.num_outputs(),
-        products: cover.len(),
-        area: layout.area(),
+        outputs: facts.outputs,
+        products: facts.products,
+        area: facts.area,
         area_published: info.area,
-        inclusion_ratio: layout.inclusion_ratio(cover),
+        inclusion_ratio: facts.inclusion_ratio,
         ir_published: info.ir_percent.map(|p| p / 100.0),
         hba_success: accum.hba.rate(),
         hba_time: accum.hba_time.mean(),
@@ -227,9 +346,12 @@ pub fn row_from_accum(info: &BenchmarkInfo, cover: &Cover, accum: &CircuitAccum)
 /// Runs the Table II experiment for one circuit.
 #[must_use]
 pub fn run_circuit(info: &BenchmarkInfo, args: &ExpArgs) -> Table2Row {
-    let cover = info.mapping_cover(args.seed);
-    let accum = run_circuit_range_on(&cover, args, 0..args.samples);
-    row_from_accum(info, &cover, &accum)
+    let (facts, accum) = fold_one(
+        CircuitJob::registry(info, args.model),
+        args,
+        0..args.samples,
+    );
+    row_from_facts(info, facts, &accum)
 }
 
 /// The circuits eligible for Table II (those with published HBA numbers),
@@ -314,17 +436,22 @@ impl Experiment for Table2Experiment {
             args.defect_rate * 100.0,
             args.seed
         ));
-        // Fold per circuit keeping the integer accumulators: the artifact
-        // carries exact success counts, not rates reconstructed from f64s.
-        let mut rows = Vec::with_capacity(circuits.len());
-        let mut accums = Vec::with_capacity(circuits.len());
-        for name in &circuits {
-            let info = find(name).expect("subset resolved against the registry");
-            let cover = info.mapping_cover(args.seed);
-            let accum = run_circuit_range_on(&cover, &args, 0..args.samples);
-            rows.push(row_from_accum(info, &cover, &accum));
-            accums.push(accum);
-        }
+        // Fold every circuit in one pool, keeping the integer accumulators:
+        // the artifact carries exact success counts, not rates
+        // reconstructed from f64s.
+        let infos: Vec<&BenchmarkInfo> = circuits
+            .iter()
+            .map(|name| find(name).expect("subset resolved against the registry"))
+            .collect();
+        let jobs: Vec<CircuitJob<'_>> = infos
+            .iter()
+            .map(|info| CircuitJob::registry(info, args.model))
+            .collect();
+        let (rows, accums): (Vec<Table2Row>, Vec<CircuitAccum>) = infos
+            .iter()
+            .zip(fold_circuits(&jobs, &args, 0..args.samples))
+            .map(|(info, (facts, accum))| (row_from_facts(info, facts, &accum), accum))
+            .unzip();
 
         let mut table = Table::new(
             &format!(

@@ -41,7 +41,7 @@ pub mod partial;
 use crate::cli::ExpArgs;
 use crate::experiment::Params;
 use crate::experiments::table2::{
-    resolve_circuit_subset, run_circuit_range, table2_circuit_names, CircuitAccum,
+    fold_circuits, resolve_circuit_subset, table2_circuit_names, CircuitAccum, CircuitJob,
 };
 use json::Json;
 use std::fmt::Write as _;
@@ -64,8 +64,7 @@ pub struct ShardSpec {
 
 impl ShardSpec {
     /// Splits `0..samples` into `num_shards` contiguous shards; the first
-    /// `samples % num_shards` shards carry one extra sample (the same
-    /// chunking rule [`crate::monte_carlo`] uses for threads).
+    /// `samples % num_shards` shards carry one extra sample.
     ///
     /// # Panics
     ///
@@ -348,7 +347,8 @@ impl McConfig {
 }
 
 /// Runs one shard of the Table II workload in-process: folds the shard's
-/// sample slice for every configured circuit.
+/// sample slice for every configured circuit, all circuits through one
+/// worker pool.
 ///
 /// # Panics
 ///
@@ -357,13 +357,17 @@ impl McConfig {
 #[must_use]
 pub fn run_shard(config: &McConfig, spec: &ShardSpec) -> partial::ShardPartial {
     let args = config.exp_args();
+    let jobs: Vec<CircuitJob<'_>> = config
+        .circuits
+        .iter()
+        .map(|name| CircuitJob::registry(find(name).expect("validated circuit name"), args.model))
+        .collect();
     let circuits = config
         .circuits
         .iter()
-        .map(|name| {
-            let info = find(name).expect("validated circuit name");
-            (name.clone(), run_circuit_range(info, &args, spec.range()))
-        })
+        .cloned()
+        .zip(fold_circuits(&jobs, &args, spec.range()))
+        .map(|(name, (_, accum))| (name, accum))
         .collect::<Vec<(String, CircuitAccum)>>();
     partial::ShardPartial {
         config: config.clone(),
