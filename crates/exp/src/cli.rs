@@ -70,9 +70,9 @@ static STDOUT_LOST: OnceLock<bool> = OnceLock::new();
 
 /// Writes `text` to stdout. Everything the CLI prints for its reader goes
 /// through here (through [`out!`] and [`outln!`]) with two exceptions:
-/// the partial that `xbar mc shard --out -` streams, whose launcher must
-/// see a failed stream, and `xbar serve`'s status lines, which must not
-/// stop the daemon. Once a write fails, this and every later write are
+/// the partial that `xbar mc shard` streams, whose launcher must see a
+/// failed stream, and `xbar serve`'s status lines, which must not stop the
+/// daemon. Once a write fails, this and every later write are
 /// dropped, so the command still does its work, writes its files and
 /// exits with its own code. A reader that has gone away, as in
 /// `xbar list | head -1`, leaves stderr quiet and that code alone; any

@@ -308,13 +308,6 @@ pub fn run_circuit_range(
     fold_one(CircuitJob::registry(info, args.model), args, range).1
 }
 
-/// [`run_circuit_range`] with the cover already prepared: a one-job
-/// pooled fold over a cover the caller holds.
-#[must_use]
-pub fn run_circuit_range_on(cover: &Cover, args: &ExpArgs, range: Range<usize>) -> CircuitAccum {
-    fold_one(CircuitJob::cover(cover, args.model), args, range).1
-}
-
 /// Builds the report row for one circuit from its (possibly merged)
 /// accumulator — the single aggregation path shared by the monolithic and
 /// sharded runs.

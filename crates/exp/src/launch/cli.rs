@@ -7,7 +7,7 @@
 //! coordinator's vocabulary plus the fleet flags.
 
 use super::pool::{parse_hosts, DEFAULT_PROBATION, DEFAULT_QUARANTINE_AFTER};
-use super::scheduler::{run_launch_with_report, LaunchConfig, LaunchReport};
+use super::scheduler::{run_scheduler, LaunchConfig, LaunchReport};
 use super::transport::{Exec, FaultPlan, Faulty, LocalProc, Transport};
 use crate::cli::{outln, run_verb};
 use crate::experiment::{find_experiment, flag_value, ExpError, Params};
@@ -15,7 +15,6 @@ use crate::experiments::table2::{table2_artifact_from_accums, TABLE2_PARAMS};
 use crate::shard::cli::{
     campaign_usage, flag_secs, positive_num, positive_secs, SchedulingFlags, SCHEDULING_FLAGS_USAGE,
 };
-use crate::shard::coordinator::DEFAULT_RETRY_BASE;
 use crate::shard::McConfig;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -152,8 +151,8 @@ fn write_canonical_artifact(
 
 /// `xbar mc launch`: shards a campaign over a fleet of hosts, merges the
 /// streamed partials, and writes the merged stats artifact (plus, with
-/// `--artifact`, the canonical experiment document). Returns the process
-/// exit code.
+/// `--artifact`, the canonical experiment document); the run directory
+/// goes only once they are written. Returns the process exit code.
 #[must_use]
 pub fn launch_main(argv: Vec<String>) -> i32 {
     let parsed = parse_launch_args(argv);
@@ -163,20 +162,10 @@ pub fn launch_main(argv: Vec<String>) -> i32 {
         let config = McConfig::from_params(&args.campaign).map_err(ExpError::Usage)?;
         let scheduling = &args.scheduling;
         let cfg = LaunchConfig {
-            config: config.clone(),
-            shards: scheduling.shards,
-            max_attempts: scheduling.max_attempts,
-            worker: scheduling.resolve_worker().map_err(ExpError::Usage)?,
-            work_dir: scheduling.resolve_work_dir(),
-            extra_worker_args: scheduling.worker_args.clone(),
-            keep_partials: scheduling.keep_partials,
-            shard_timeout: scheduling.shard_timeout,
             hedge_after: args.hedge_after,
-            resume: scheduling.resume,
-            retry_base: DEFAULT_RETRY_BASE,
-            hosts,
             quarantine_after: args.quarantine_after,
             probation: args.probation,
+            ..scheduling.launch_config(config.clone(), hosts)?
         };
         let transport: Box<dyn Transport> = if args.exec_args.is_empty() {
             Box::new(LocalProc)
@@ -199,14 +188,17 @@ pub fn launch_main(argv: Vec<String>) -> i32 {
             config.seed,
             config.defect_rate * 100.0
         );
-        let (merged, report) =
-            run_launch_with_report(&cfg, transport.as_ref()).map_err(ExpError::Failed)?;
-        print_report(&report);
-        scheduling.write_merged(&merged)?;
-        if let Some(path) = &args.artifact {
-            write_canonical_artifact(path, &args.campaign, &merged).map_err(ExpError::Failed)?;
-            outln!("wrote {}", path.display());
-        }
+        run_scheduler(&cfg, transport.as_ref(), "mc launch", |merged, report| {
+            print_report(report);
+            scheduling.write_merged(merged)?;
+            if let Some(path) = &args.artifact {
+                write_canonical_artifact(path, &args.campaign, merged)?;
+                outln!("wrote {}", path.display());
+            }
+            Ok(())
+        })
+        .map_err(ExpError::Failed)?;
+        scheduling.release_work_dir();
         Ok(())
     })
 }

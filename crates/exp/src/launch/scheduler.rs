@@ -5,8 +5,9 @@
 //!
 //! It dispatches over transports onto a health-tracked host pool with the
 //! deterministic [`backoff_delay`] retry schedule, per-flight watchdog
-//! deadlines, and the checkpoint/resume run directory (and its lock), and
-//! handles the remote failure modes on top:
+//! deadlines, and the checkpoint/resume run directory, claimed for the run
+//! and removed only once the result is published; it handles the remote
+//! failure modes on top:
 //!
 //! * a flight's result is *untrusted bytes*: every returned stream is
 //!   parsed and re-validated with [`ShardPartial::validate_for`], so a
@@ -23,14 +24,11 @@
 use super::pool::{HostCount, HostPool, HostSpec};
 use super::transport::{Transport, WorkerJob};
 use crate::experiments::table2::CircuitAccum;
-use crate::shard::coordinator::{
-    backoff_delay, campaign_run_dir, merge_partials, partial_path, preflight_run_dir, MergedResult,
-    RunReport, Worker,
-};
+use crate::shard::coordinator::{backoff_delay, merge_partials, MergedResult, RunReport, Worker};
 use crate::shard::partial::ShardPartial;
+use crate::shard::run_dir::RunDir;
 use crate::shard::{McConfig, ShardSpec};
 use std::collections::VecDeque;
-use std::fs;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -62,11 +60,14 @@ pub struct LaunchConfig {
     /// The worker every dispatch runs.
     pub worker: Worker,
     /// Parent directory for run directories (checkpoints and resume live
-    /// in [`campaign_run_dir`] beneath it, shared with `mc coordinate`).
+    /// in [`campaign_run_dir`](crate::shard::coordinator::campaign_run_dir)
+    /// beneath it, shared with `mc coordinate`); created if missing, never
+    /// removed.
     pub work_dir: PathBuf,
     /// Extra arguments appended to every worker invocation.
     pub extra_worker_args: Vec<String>,
-    /// Keep partial files (and the run directory) after the merge.
+    /// Keep the run directory and its checkpoints after a successful
+    /// campaign; otherwise they go once the merged result is returned.
     pub keep_partials: bool,
     /// Per-attempt wall-clock deadline; `None` disables the watchdog.
     pub shard_timeout: Option<Duration>,
@@ -126,7 +127,7 @@ struct Launcher<'a> {
     transport: &'a dyn Transport,
     /// The CLI verb prefixed to progress notes on stderr.
     label: &'static str,
-    run_dir: PathBuf,
+    run_dir: &'a RunDir,
     pool: HostPool,
     queue: VecDeque<QueueItem>,
     flights: Vec<FlightSlot>,
@@ -139,8 +140,8 @@ struct Launcher<'a> {
 
 impl Launcher<'_> {
     /// The worker invocation for one shard: `mc shard`, the campaign's
-    /// own flags ([`McConfig::campaign_args`]), the slice, and `--out -`
-    /// (every partial streams back over stdout).
+    /// own flags ([`McConfig::campaign_args`]) and the slice; every
+    /// partial streams back over the worker's stdout.
     fn job_for(&self, spec: &ShardSpec) -> WorkerJob {
         let mut args = vec!["mc".to_owned(), "shard".to_owned()];
         args.extend(self.cfg.config.campaign_args());
@@ -149,8 +150,6 @@ impl Launcher<'_> {
             spec.index.to_string(),
             "--num-shards".to_owned(),
             spec.num_shards.to_string(),
-            "--out".to_owned(),
-            "-".to_owned(),
         ]);
         args.extend(self.cfg.extra_worker_args.iter().cloned());
         WorkerJob {
@@ -286,13 +285,8 @@ impl Launcher<'_> {
                 // Checkpoint the winning partial in the run directory, so
                 // `--resume` (by either verb) and the service restart flow
                 // pick it up.
-                let path = partial_path(&self.run_dir, slot.spec.index);
-                if let Err(e) = crate::atomic::write_atomic(&path, text.as_bytes()) {
-                    eprintln!(
-                        "{}: cannot checkpoint {}: {e} (continuing)",
-                        self.label,
-                        path.display()
-                    );
+                if let Err(e) = self.run_dir.save(slot.spec.index, &text) {
+                    eprintln!("{}: {e} (continuing)", self.label);
                 }
                 self.pool.note_success(slot.host);
                 self.partials[slot.spec.index] = Some(partial);
@@ -456,15 +450,19 @@ pub fn run_launch_with_report(
     cfg: &LaunchConfig,
     transport: &dyn Transport,
 ) -> Result<(MergedResult, LaunchReport), String> {
-    run_scheduler(cfg, transport, "mc launch")
+    run_scheduler(cfg, transport, "mc launch", |_, _| Ok(()))
 }
 
 /// [`run_launch_with_report`] with the CLI verb (`label`) that prefixes
-/// the scheduler's progress notes on stderr.
+/// the scheduler's progress notes on stderr, and `publish`, which writes
+/// the result while the run directory is claimed. The directory goes
+/// (unless `keep_partials`) only once `publish` succeeded; its error keeps
+/// every checkpoint for `--resume`.
 pub(crate) fn run_scheduler(
     cfg: &LaunchConfig,
     transport: &dyn Transport,
     label: &'static str,
+    publish: impl FnOnce(&MergedResult, &LaunchReport) -> Result<(), String>,
 ) -> Result<(MergedResult, LaunchReport), String> {
     if cfg.shards == 0 {
         return Err("need at least one shard".to_owned());
@@ -479,20 +477,17 @@ pub(crate) fn run_scheduler(
         return Err("need a quarantine threshold of at least one failure".to_owned());
     }
     cfg.config.validate()?;
-    fs::create_dir_all(&cfg.work_dir)
-        .map_err(|e| format!("cannot create work dir {}: {e}", cfg.work_dir.display()))?;
-    let run_dir = campaign_run_dir(&cfg.work_dir, &cfg.config, cfg.shards);
     let host_strings: Vec<String> = cfg.hosts.iter().map(HostSpec::render).collect();
-    // Held until this function returns: a concurrent scheduler on the
-    // same campaign fails fast instead of racing on the run directory.
-    let _lock = preflight_run_dir(&cfg.config, cfg.shards, &host_strings, &run_dir)?;
+    // Claimed until it is removed or this function returns: a concurrent
+    // scheduler on the same campaign fails fast instead of racing on it.
+    let run_dir = RunDir::claim(&cfg.work_dir, &cfg.config, cfg.shards, &host_strings)?;
 
     let specs = ShardSpec::partition(cfg.config.samples, cfg.shards);
     let mut launcher = Launcher {
         cfg,
         transport,
         label,
-        run_dir: run_dir.clone(),
+        run_dir: &run_dir,
         pool: HostPool::new(&cfg.hosts, cfg.quarantine_after, cfg.probation),
         queue: VecDeque::with_capacity(specs.len()),
         flights: Vec::new(),
@@ -516,15 +511,7 @@ pub(crate) fn run_scheduler(
             continue;
         }
         // With `resume`, a valid checkpoint is reused, not recomputed.
-        let checkpoint = cfg.resume.then(|| {
-            let text = fs::read_to_string(partial_path(&run_dir, spec.index)).ok()?;
-            let partial = ShardPartial::from_json(&text).ok()?;
-            partial
-                .validate_for(&cfg.config, &spec)
-                .ok()
-                .map(|()| partial)
-        });
-        if let Some(partial) = checkpoint.flatten() {
+        if let Some(partial) = cfg.resume.then(|| run_dir.checkpoint(&spec)).flatten() {
             launcher.partials[spec.index] = Some(partial);
             launcher.report.base.reused += 1;
         } else {
@@ -580,14 +567,9 @@ pub(crate) fn run_scheduler(
         })
         .collect::<Result<Vec<_>, String>>()?;
     let merged = merge_partials(&cfg.config, &partials)?;
+    publish(&merged, &report)?;
     if !cfg.keep_partials {
-        for index in 0..cfg.shards {
-            let _ = fs::remove_file(partial_path(&run_dir, index));
-        }
-        let _ = fs::remove_file(run_dir.join("campaign.json"));
-        let _ = fs::remove_file(run_dir.join("coordinator.lock"));
-        let _ = fs::remove_dir(&run_dir);
-        let _ = fs::remove_dir(&cfg.work_dir);
+        run_dir.remove();
     }
     Ok((merged, report))
 }

@@ -23,7 +23,7 @@ use std::sync::Mutex;
 use std::thread::JoinHandle;
 
 /// The full worker invocation a transport must execute: binary plus every
-/// argument (shard flags, `--out -`, injection passthrough). Transports
+/// argument (shard flags, injection passthrough). Transports
 /// are worker-agnostic — they never interpret the argv, only run it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkerJob {
@@ -483,9 +483,9 @@ mod tests {
                 .collect(),
         )
         .expect("valid");
-        let argv = exec.render("db-3", &job(&["--out", "-", "it's"]));
+        let argv = exec.render("db-3", &job(&["--num-shards", "3", "it's"]));
         assert_eq!(argv[..4], ["ssh", "-p", "22", "db-3"]);
-        assert_eq!(argv[4], "exec '/bin/echo' '--out' '-' 'it'\\''s'");
+        assert_eq!(argv[4], "exec '/bin/echo' '--num-shards' '3' 'it'\\''s'");
 
         let spliced = Exec::new(vec!["{worker}".to_owned()]).expect("valid");
         assert_eq!(

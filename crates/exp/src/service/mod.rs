@@ -16,8 +16,9 @@
 //!    idle worker claims the oldest queued job.
 //! 3. **Execution** ([`server`]): each job runs through the existing
 //!    registry + sharded-coordinator machinery with a per-job run
-//!    directory under the service work dir — the same `coordinator.lock`,
-//!    retry/timeout/resume semantics as `xbar mc coordinate`. Progress is
+//!    directory under the service work dir — the same run-directory
+//!    claim, retry/timeout/resume semantics as `xbar mc coordinate`; the
+//!    directory goes once the artifact is cached. Progress is
 //!    streamed to waiting clients as periodic `progress` events, and the
 //!    final response carries the scheduler's [`LaunchReport`] counters.
 //!    A daemon killed mid-job leaves resumable shard checkpoints, and the

@@ -26,7 +26,7 @@
 //! once at start-up (`--launcher SPEC`, else the implicit local fleet
 //! `local*<job-max-inflight>` that `xbar mc coordinate` runs on), with a
 //! per-job run directory under `<work-dir>/jobs/<cache-key>/` — the same
-//! `coordinator.lock`, watchdog, retry, and resume semantics as
+//! run-directory claim, watchdog, retry, and resume semantics as
 //! `xbar mc coordinate` — and the artifact is rebuilt from the merged
 //! accumulators via [`table2_artifact_from_accums`], byte-identical to a
 //! monolithic `xbar run` because the merge is integer-exact. Every other
@@ -35,13 +35,13 @@
 //! path itself. Either way the rendered artifact lands in the
 //! [`ArtifactCache`] before the job is reported done.
 //!
-//! Failure semantics: a daemon killed mid-job (SIGKILL, SIGTERM, power)
-//! leaves shard checkpoints in the job's run directory, and the kernel
-//! drops its lock on the directory's `coordinator.lock` as it dies;
-//! restarting the daemon on the same `--work-dir` and resubmitting
-//! resumes from those checkpoints. A client that
-//! disconnects mid-wait detaches from the job, which keeps running and
-//! caches its artifact — resubmitting later is a cache hit.
+//! Failure semantics: a job's run directory goes only once its artifact
+//! is cached. A daemon killed mid-job (SIGKILL, SIGTERM, power) leaves
+//! shard checkpoints in the job's run directory, and the kernel drops
+//! its claim on the directory as it dies; restarting the daemon on the
+//! same `--work-dir` and resubmitting resumes from those checkpoints. A
+//! client that disconnects mid-wait detaches from the job, which keeps
+//! running and caches its artifact — resubmitting later is a cache hit.
 
 use crate::experiment::{find_experiment, flag_value, ExpError, Experiment, Params, Reporter};
 use crate::experiments::table2::table2_artifact_from_accums;
@@ -57,6 +57,7 @@ use crate::service::queue::{JobQueue, JobSnapshot, JobSpec, JobState};
 use crate::shard::cli::{positive_num, positive_secs};
 use crate::shard::coordinator::{campaign_run_dir, default_worker, Worker, DEFAULT_RETRY_BASE};
 use crate::shard::json::JsonValue;
+use crate::shard::run_dir::RunDir;
 use crate::shard::McConfig;
 use std::fs;
 use std::io::{BufRead, BufReader, Write};
@@ -515,22 +516,12 @@ fn stream_until_settled(state: &Arc<ServiceState>, writer: &mut TcpStream, id: u
     }
 }
 
-/// Counts checkpointed shard partials for a running sharded job.
+/// Counts checkpointed shards for a running sharded job.
 fn shard_progress(snap: &JobSnapshot) -> (usize, usize) {
     let Some(run_dir) = &snap.run_dir else {
         return (0, snap.shards);
     };
-    let done = fs::read_dir(run_dir).map_or(0, |entries| {
-        entries
-            .filter_map(Result::ok)
-            .filter(|e| {
-                let name = e.file_name();
-                let name = name.to_string_lossy();
-                name.starts_with("partial-") && name.ends_with(".json")
-            })
-            .count()
-    });
-    (done, snap.shards)
+    (RunDir::count_checkpoints(run_dir, snap.shards), snap.shards)
 }
 
 /// The final line for a settled job: `result` with the artifact (plus the

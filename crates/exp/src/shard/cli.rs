@@ -7,14 +7,16 @@
 //! code 2.
 
 use super::coordinator::{
-    default_work_dir, default_worker, render_stats_json, render_timing_table,
-    run_coordinator_with_report, run_monolithic, CoordinatorConfig, MergedResult, RunReport,
-    Worker, DEFAULT_RETRY_BASE,
+    default_work_dir, default_worker, render_stats_json, render_timing_table, run_monolithic,
+    MergedResult, RunReport, Worker, DEFAULT_RETRY_BASE,
 };
 use super::{partial::ShardPartial, run_shard, McConfig, ShardSpec};
 use crate::cli::{out, outln, run_verb};
 use crate::experiment::{flag_num, flag_value, ExpError, Params};
 use crate::experiments::table2::TABLE2_PARAMS;
+use crate::launch::pool::{HostSpec, DEFAULT_PROBATION, DEFAULT_QUARANTINE_AFTER};
+use crate::launch::scheduler::{local_fleet, run_scheduler, LaunchConfig};
+use crate::launch::transport::LocalProc;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -102,12 +104,14 @@ schedule only missing or corrupt shards\n  \
 --work-dir PATH    parent of the per-campaign run directory, shared by\n                     \
 `mc coordinate` and `mc launch` (default: <temp>/xbar-mc;\n                     \
 partials live in\n                     \
-<work-dir>/run-seed<seed>-n<samples>-k<shards>-<stream>[-<model>])\n  \
+<work-dir>/run-seed<seed>-n<samples>-k<shards>-<stream>[-<model>],\n                     \
+removed once the result is written; a named work dir\n                     \
+is never removed)\n  \
 --worker PATH      the xbar binary every shard runs, as `PATH mc shard ...`\n                     \
 (default: the xbar binary next to this one)\n  \
 --worker-arg ARG   extra argument appended to every worker invocation\n                     \
 (repeatable; used by fault-injection tests and CI)\n  \
---keep-partials    keep partial files after the merge";
+--keep-partials    keep the run directory and its partials";
 
 impl SchedulingFlags {
     /// Tries to consume one scheduling flag (plus its value from `it`);
@@ -138,21 +142,45 @@ impl SchedulingFlags {
         Ok(true)
     }
 
-    /// The worker every shard runs: `--worker PATH` names an `xbar`
-    /// binary (spawned as `PATH mc shard ...`), else [`default_worker`].
+    /// The launch of `config` over `hosts` these flags describe, hedging
+    /// off and with the default host-health policy; the worker is
+    /// `--worker PATH`, else [`default_worker`].
     ///
     /// # Errors
     ///
     /// Fails when no `--worker` was given and no default can be located.
-    pub(crate) fn resolve_worker(&self) -> Result<Worker, String> {
-        self.worker
-            .clone()
-            .map_or_else(default_worker, |path| Ok(Worker::xbar(path)))
+    pub(crate) fn launch_config(
+        &self,
+        config: McConfig,
+        hosts: Vec<HostSpec>,
+    ) -> Result<LaunchConfig, ExpError> {
+        let worker = self.worker.clone();
+        Ok(LaunchConfig {
+            config,
+            shards: self.shards,
+            max_attempts: self.max_attempts,
+            worker: worker
+                .map_or_else(default_worker, |path| Ok(Worker::xbar(path)))
+                .map_err(ExpError::Usage)?,
+            work_dir: self.work_dir.clone().unwrap_or_else(default_work_dir),
+            extra_worker_args: self.worker_args.clone(),
+            keep_partials: self.keep_partials,
+            shard_timeout: self.shard_timeout,
+            hedge_after: None,
+            resume: self.resume,
+            retry_base: DEFAULT_RETRY_BASE,
+            hosts,
+            quarantine_after: DEFAULT_QUARANTINE_AFTER,
+            probation: DEFAULT_PROBATION,
+        })
     }
 
-    /// The run directories' parent: `--work-dir`, else the default.
-    pub(crate) fn resolve_work_dir(&self) -> PathBuf {
-        self.work_dir.clone().unwrap_or_else(default_work_dir)
+    /// After a successful campaign, removes the default work dir if its
+    /// run directory left it empty; a named `--work-dir` never goes.
+    pub(crate) fn release_work_dir(&self) {
+        if self.work_dir.is_none() {
+            let _ = std::fs::remove_dir(default_work_dir());
+        }
     }
 
     /// Prints the informational timing table and writes the merged stats
@@ -161,10 +189,10 @@ impl SchedulingFlags {
     /// # Errors
     ///
     /// Reports an unwritable `--out` path.
-    pub(crate) fn write_merged(&self, merged: &MergedResult) -> Result<(), ExpError> {
+    pub(crate) fn write_merged(&self, merged: &MergedResult) -> Result<(), String> {
         out!("{}", render_timing_table(merged));
         crate::atomic::write_atomic(&self.out, render_stats_json(merged).as_bytes())
-            .map_err(|e| ExpError::Failed(format!("cannot write {}: {e}", self.out.display())))?;
+            .map_err(|e| format!("cannot write {}: {e}", self.out.display()))?;
         outln!("wrote {}", self.out.display());
         Ok(())
     }
@@ -174,7 +202,6 @@ struct ShardArgs {
     campaign: Params,
     shard_index: usize,
     num_shards: usize,
-    out: PathBuf,
     inject_fail_once: Option<PathBuf>,
     inject_fail_always: bool,
     inject_truncate_once: Option<PathBuf>,
@@ -189,7 +216,6 @@ impl Default for ShardArgs {
             campaign: Params::defaults(TABLE2_PARAMS),
             shard_index: 0,
             num_shards: 1,
-            out: PathBuf::from("partial-0.json"),
             inject_fail_once: None,
             inject_fail_always: false,
             inject_truncate_once: None,
@@ -202,16 +228,16 @@ impl Default for ShardArgs {
 
 fn shard_usage() -> String {
     format!(
-        "xbar mc shard: run one shard of a sharded Monte Carlo campaign\n\n{}\n\
+        "xbar mc shard: run one shard of a sharded Monte Carlo campaign\n\n\
+         Streams the shard's partial (JSON) to stdout, notes to stderr. Saved into\n\
+         a kept run directory as its shard's checkpoint, it is reused by `--resume`.\n\n{}\n\
          shard flags:\n  \
          --shard-index I    this shard's index (default 0)\n  \
-         --num-shards N     shards in the campaign (default 1)\n  \
-         --out PATH         partial-result output path (default partial-0.json);\n                     \
-         `-` streams the partial to stdout (remote launch)\n\n\
+         --num-shards N     shards in the campaign (default 1)\n\n\
          test-only failure injection:\n  \
          --inject-fail-once MARKER      exit 3 unless MARKER exists (created on the way out)\n  \
          --inject-fail-always           always exit 4\n  \
-         --inject-truncate-once MARKER  write a torn partial once, then behave\n  \
+         --inject-truncate-once MARKER  stream a torn partial once, then behave\n  \
          --inject-hang-once MARKER      hang forever unless MARKER exists (watchdog bait)\n  \
          --inject-slow-ms N             sleep N ms before running the shard\n  \
          --inject-concurrency-dir DIR   record live-worker counts into DIR/observed.txt",
@@ -230,7 +256,6 @@ fn parse_shard_args(args: Vec<String>) -> Result<Option<ShardArgs>, String> {
         match flag.as_str() {
             "--shard-index" => out.shard_index = flag_num(&flag, &flag_value(&flag, &mut it)?)?,
             "--num-shards" => out.num_shards = positive_num(&flag, &flag_value(&flag, &mut it)?)?,
-            "--out" => out.out = path(&mut it)?,
             "--inject-fail-once" => out.inject_fail_once = Some(path(&mut it)?),
             "--inject-fail-always" => out.inject_fail_always = true,
             "--inject-truncate-once" => out.inject_truncate_once = Some(path(&mut it)?),
@@ -261,8 +286,8 @@ fn first_time(marker: &Path) -> bool {
     }
 }
 
-/// `xbar mc shard`: runs one contiguous slice of a campaign and writes a
-/// self-describing partial file. Returns the process exit code.
+/// `xbar mc shard`: runs one contiguous slice of a campaign and streams
+/// its self-describing partial to stdout. Returns the process exit code.
 #[must_use]
 pub fn shard_main(argv: Vec<String>) -> i32 {
     let args = match parse_shard_args(argv) {
@@ -348,67 +373,38 @@ pub fn shard_main(argv: Vec<String>) -> i32 {
         }
     }
 
-    let code = run_shard_to_file(&args, &config, spec);
+    let code = stream_shard(&args, &config, spec);
     if let Some(marker) = live_marker {
         let _ = std::fs::remove_file(marker);
     }
     code
 }
 
-/// The worker's payload after all injection preambles: optionally write a
-/// torn partial, otherwise fold the slice and write the real one. With
-/// `--out -` the partial streams to stdout instead — the remote-launch
-/// transport contract — so stdout carries *only* partial bytes (the
-/// progress note is suppressed; the torn injection prints its truncated
-/// prefix to stdout, exercising the receiver's torn-transfer detection).
-fn run_shard_to_file(args: &ShardArgs, config: &McConfig, spec: ShardSpec) -> i32 {
-    let stream_stdout = args.out.as_os_str() == "-";
+/// The worker's payload after all injection preambles: fold the slice and
+/// stream its partial (or, once, a torn prefix of one) to stdout, which
+/// carries nothing else; a failed stream exits 1 for the launcher to see.
+fn stream_shard(args: &ShardArgs, config: &McConfig, spec: ShardSpec) -> i32 {
+    use std::io::Write as _;
     if let Some(marker) = &args.inject_truncate_once {
         if first_time(marker) {
-            // A torn write: valid JSON prefix, no `complete` marker.
-            let torn = "{\n  \"schema\": \"xbar-mc-partial/1\", \"trunc";
-            if stream_stdout {
-                print!("{torn}");
-            } else if let Err(e) = std::fs::write(&args.out, torn) {
-                eprintln!("mc shard: cannot write torn partial: {e}");
-                return 1;
-            }
+            // A torn transfer: valid JSON prefix, no `complete` marker.
+            print!("{{\n  \"schema\": \"xbar-mc-partial/1\", \"trunc");
             eprintln!("mc shard: injected torn partial");
             return 0;
         }
     }
-
     let partial: ShardPartial = run_shard(config, &spec);
-    if stream_stdout {
-        use std::io::Write as _;
-        let mut stdout = std::io::stdout().lock();
-        if let Err(e) = stdout
-            .write_all(partial.to_json().as_bytes())
-            .and_then(|()| stdout.flush())
-        {
-            eprintln!("mc shard: cannot stream partial to stdout: {e}");
-            return 1;
-        }
-        eprintln!(
-            "mc shard: shard {}/{} samples [{}, {}) -> stdout",
-            spec.index, spec.num_shards, spec.start, spec.end
-        );
-        return 0;
-    }
-    // Atomic: a scheduler treats any file at this path as a checkpoint
-    // candidate, so it must never observe a half-written partial (the
-    // injected torn write above stays a plain write on purpose).
-    if let Err(e) = crate::atomic::write_atomic(&args.out, partial.to_json().as_bytes()) {
-        eprintln!("mc shard: cannot write {}: {e}", args.out.display());
+    let mut stdout = std::io::stdout().lock();
+    if let Err(e) = stdout
+        .write_all(partial.to_json().as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        eprintln!("mc shard: cannot stream partial to stdout: {e}");
         return 1;
     }
-    outln!(
-        "mc shard: shard {}/{} samples [{}, {}) -> {}",
-        spec.index,
-        spec.num_shards,
-        spec.start,
-        spec.end,
-        args.out.display()
+    eprintln!(
+        "mc shard: shard {}/{} samples [{}, {}) -> stdout",
+        spec.index, spec.num_shards, spec.start, spec.end
     );
     0
 }
@@ -493,40 +489,31 @@ pub fn coordinate_main(argv: Vec<String>) -> i32 {
     let parsed = parse_coordinate_args(argv);
     run_verb("mc coordinate", coordinate_usage, parsed, |args| {
         let config = McConfig::from_params(&args.campaign).map_err(ExpError::Usage)?;
-        let merged = if args.in_process {
+        let scheduling = &args.scheduling;
+        if args.in_process {
             outln!(
                 "running {} samples monolithically (same accumulators as sharded mode)",
                 config.samples
             );
-            run_monolithic(&config)
-        } else {
-            let scheduling = &args.scheduling;
-            let coordinator = CoordinatorConfig {
-                config: config.clone(),
-                shards: scheduling.shards,
-                max_attempts: scheduling.max_attempts,
-                worker: scheduling.resolve_worker().map_err(ExpError::Usage)?,
-                work_dir: scheduling.resolve_work_dir(),
-                extra_worker_args: scheduling.worker_args.clone(),
-                keep_partials: scheduling.keep_partials,
-                shard_timeout: scheduling.shard_timeout,
-                max_inflight: args.max_inflight,
-                resume: scheduling.resume,
-                retry_base: DEFAULT_RETRY_BASE,
-            };
-            outln!(
-                "running {} samples across {} worker process(es) (seed {}, {:.0}% defects)",
-                config.samples,
-                coordinator.shards,
-                config.seed,
-                config.defect_rate * 100.0
-            );
-            let (merged, report) =
-                run_coordinator_with_report(&coordinator).map_err(ExpError::Failed)?;
-            print_report(&report);
-            merged
-        };
-        args.scheduling.write_merged(&merged)
+            return scheduling
+                .write_merged(&run_monolithic(&config))
+                .map_err(ExpError::Failed);
+        }
+        let cfg = scheduling.launch_config(config.clone(), local_fleet(args.max_inflight))?;
+        outln!(
+            "running {} samples across {} worker process(es) (seed {}, {:.0}% defects)",
+            config.samples,
+            cfg.shards,
+            config.seed,
+            config.defect_rate * 100.0
+        );
+        run_scheduler(&cfg, &LocalProc, "mc coordinate", |merged, report| {
+            print_report(&report.base);
+            scheduling.write_merged(merged)
+        })
+        .map_err(ExpError::Failed)?;
+        scheduling.release_work_dir();
+        Ok(())
     })
 }
 
@@ -579,6 +566,7 @@ mod tests {
             &["--samples", "nope"][..],
             &["--num-shards", "0"][..],
             &["--what"][..],
+            &["--out", "x"][..],
         ] {
             let argv = words.iter().map(|s| (*s).to_owned()).collect();
             assert!(parse_shard_args(argv).is_err(), "{words:?} must fail");

@@ -1,6 +1,6 @@
 //! The local campaign runner and the campaign plumbing every scheduler
-//! shares: run directories, manifests, locks, the merge, and the
-//! rendered artifacts.
+//! shares: the worker, the merge, and the rendered artifacts (run
+//! directories are `shard::run_dir`'s).
 //!
 //! [`run_coordinator_with_report`] is a launch over the implicit one-host
 //! fleet `local*<max_inflight>` through [`LocalProc`], with hedging off:
@@ -23,17 +23,20 @@
 //!   reproducible — no wall-clock RNG. A one-host fleet is never
 //!   quarantined, so this budget is the only limit.
 //! * **Checkpoint/resume** — every campaign owns a run directory derived
-//!   from its identity ([`campaign_run_dir`]) with a `campaign.json`
-//!   manifest; a directory holding a *different* campaign is rejected
+//!   from its identity ([`campaign_run_dir`]) with a manifest of that
+//!   identity; a directory holding a *different* campaign is rejected
 //!   with a clear error instead of clobbered. With
-//!   [`CoordinatorConfig::resume`], valid partials found there are reused
-//!   and only missing or corrupt shards are scheduled. `mc coordinate`
-//!   and `mc launch` share one run-directory contract, so either verb
-//!   resumes the other's checkpoints.
+//!   [`CoordinatorConfig::resume`], valid checkpoints found there are
+//!   reused and only missing or corrupt shards are scheduled. `mc
+//!   coordinate` and `mc launch` share one run-directory contract, so
+//!   either verb resumes the other's checkpoints.
 //! * **One owner per run directory** — a coordinator claims its run
-//!   directory with a kernel lock on `coordinator.lock`, so a second
+//!   directory with a kernel lock held for the run, so a second
 //!   coordinator on a live campaign fails fast; the kernel releases the
 //!   claim when its holder exits, `kill -9` included.
+//! * **Work is never lost** — the run directory goes only once the
+//!   result is written (after the merge here, after `--out` for the CLI
+//!   verbs), never with `keep_partials`, and the work dir never.
 //!
 //! The merged **stats artifact** ([`render_stats_json`]) contains only
 //! integer-derived statistics, so it is byte-identical across shard
@@ -50,15 +53,13 @@ use crate::launch::scheduler::{local_fleet, run_scheduler, LaunchConfig};
 use crate::launch::transport::LocalProc;
 use crate::table::{pct, secs, Table};
 use std::fmt::Write as _;
-use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Duration;
+
+pub use super::run_dir::campaign_run_dir;
 
 /// Schema tag of the merged stats artifact.
 pub const MERGED_SCHEMA: &str = "xbar-mc-merged/1";
-
-/// Schema tag of the `campaign.json` manifest a run directory carries.
-pub const CAMPAIGN_SCHEMA: &str = "xbar-mc-campaign/1";
 
 /// Default base delay of the exponential retry backoff.
 pub const DEFAULT_RETRY_BASE: Duration = Duration::from_millis(100);
@@ -90,14 +91,15 @@ pub struct CoordinatorConfig {
     pub max_attempts: usize,
     /// The worker process spawned per shard.
     pub worker: Worker,
-    /// Parent directory for run directories (created if missing); the
-    /// campaign's partials live in [`campaign_run_dir`] beneath it.
+    /// Parent directory for run directories (created if missing, never
+    /// removed); the campaign's checkpoints live in [`campaign_run_dir`]
+    /// beneath it.
     pub work_dir: PathBuf,
     /// Extra arguments appended to every worker invocation (used by the
     /// failure-injection tests and CI smoke; empty in production).
     pub extra_worker_args: Vec<String>,
-    /// Keep partial files (and the run directory) after a successful
-    /// merge.
+    /// Keep the run directory and its checkpoints after a successful
+    /// campaign; otherwise they go once the merged result is returned.
     pub keep_partials: bool,
     /// Per-attempt wall-clock deadline: a worker still running after this
     /// long is killed, reaped, and retried. `None` (the default) disables
@@ -114,34 +116,12 @@ pub struct CoordinatorConfig {
     pub retry_base: Duration,
 }
 
-/// The default parent directory for run directories. Deliberately stable
-/// across processes (unlike the old pid-derived path) so `--resume` after
-/// a coordinator crash finds the previous run's partials; per-campaign
-/// isolation comes from [`campaign_run_dir`] beneath it.
+/// The default parent of run directories: stable across processes, so
+/// `--resume` finds an earlier run's checkpoints; the verb that chose it
+/// removes it once empty.
 #[must_use]
 pub fn default_work_dir() -> PathBuf {
     std::env::temp_dir().join("xbar-mc")
-}
-
-/// The run directory a campaign owns beneath `work_dir`, derived from the
-/// campaign identity `(seed, samples, shards, stream[, model kind])` — two
-/// coordinators running *different* campaigns against the same
-/// `--work-dir` can no longer clobber each other's `partial-N.json` files.
-/// Default-model campaigns keep the exact pre-model directory name (CI's
-/// resume smoke hardcodes it); a non-default spatial model appends its
-/// kind. Parameters that don't fit in a path (defect rate, circuit list,
-/// model parameters) are covered by the `campaign.json` manifest check
-/// inside the directory.
-#[must_use]
-pub fn campaign_run_dir(work_dir: &Path, config: &McConfig, shards: usize) -> PathBuf {
-    let mut name = format!(
-        "run-seed{}-n{}-k{}-{}",
-        config.seed, config.samples, shards, config.stream
-    );
-    if !config.model.is_default() {
-        let _ = write!(name, "-{}", config.model.kind().as_str());
-    }
-    work_dir.join(name)
 }
 
 /// Per-run counters reported by [`run_coordinator_with_report`]:
@@ -268,10 +248,6 @@ pub fn merge_partials(
     })
 }
 
-pub(crate) fn partial_path(run_dir: &Path, index: usize) -> PathBuf {
-    run_dir.join(format!("partial-{index}.json"))
-}
-
 // ---------------------------------------------------------------------------
 // Deterministic retry backoff
 // ---------------------------------------------------------------------------
@@ -299,260 +275,6 @@ pub fn backoff_delay(seed: u64, shard: usize, attempt: usize, base: Duration) ->
     // 53 high bits -> a fraction in [0, 1).
     let frac = (hash >> 11) as f64 / (1u64 << 53) as f64;
     step.mul_f64(1.0 + frac)
-}
-
-// ---------------------------------------------------------------------------
-// Campaign manifest: what a run directory belongs to
-// ---------------------------------------------------------------------------
-
-/// Renders the `campaign.json` manifest: the campaign identity in the
-/// encoding partials and the merged artifact share
-/// ([`McConfig::write_identity`]), the shard count, the fleet and the
-/// circuit list. `hosts` is the fleet's host attribution (`"name*slots"`
-/// per entry, `["local*N"]` for `mc coordinate`) — informational
-/// provenance, rendered only when non-empty. It deliberately does NOT
-/// participate in [`campaign_mismatch`]: the same campaign may be resumed
-/// with a different fleet or verb.
-pub(crate) fn render_campaign_manifest(
-    config: &McConfig,
-    shards: usize,
-    hosts: &[String],
-) -> String {
-    let quoted = |names: &[String]| -> String {
-        let entries: Vec<String> = names
-            .iter()
-            .map(|name| format!("\"{}\"", super::json::escape(name)))
-            .collect();
-        entries.join(", ")
-    };
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": \"{CAMPAIGN_SCHEMA}\",");
-    config.write_identity(&mut out);
-    let _ = writeln!(out, "  \"shards\": {shards},");
-    if !hosts.is_empty() {
-        let _ = writeln!(out, "  \"hosts\": [{}],", quoted(hosts));
-    }
-    let _ = writeln!(out, "  \"circuits\": [{}]", quoted(&config.circuits));
-    out.push_str("}\n");
-    out
-}
-
-/// Every key a `xbar-mc-campaign/1` manifest may carry. The parser
-/// rejects anything else: a manifest written by a newer tool describes
-/// campaign identity this coordinator cannot check, and silently ignoring
-/// the extra field could merge partials from a different campaign.
-const CAMPAIGN_MANIFEST_KEYS: [&str; 11] = [
-    "schema",
-    "seed",
-    "defect_rate",
-    "samples",
-    "shards",
-    "rng_stream",
-    "defect_model",
-    "cluster_size",
-    "line_rate",
-    "circuits",
-    // Launcher host attribution: provenance, not campaign identity — a
-    // resume may use a different fleet, so the parser tolerates the key
-    // and the mismatch check ignores it.
-    "hosts",
-];
-
-pub(crate) fn parse_campaign_manifest(text: &str) -> Result<(McConfig, usize), String> {
-    let doc = super::json::Json::parse(text).map_err(|e| format!("malformed manifest: {e}"))?;
-    let schema = doc
-        .get("schema")
-        .and_then(super::json::Json::as_str)
-        .ok_or("manifest missing `schema`")?;
-    if schema != CAMPAIGN_SCHEMA {
-        return Err(format!(
-            "manifest schema mismatch: got {schema:?}, expected {CAMPAIGN_SCHEMA:?}"
-        ));
-    }
-    if let super::json::Json::Obj(map) = &doc {
-        if let Some(unknown) = map
-            .keys()
-            .find(|key| !CAMPAIGN_MANIFEST_KEYS.contains(&key.as_str()))
-        {
-            return Err(format!(
-                "manifest carries unknown key `{unknown}` (written by a newer tool?); \
-                 refusing to resume a campaign whose identity cannot be fully checked"
-            ));
-        }
-    }
-    let circuits = doc
-        .get("circuits")
-        .and_then(super::json::Json::as_arr)
-        .ok_or("manifest missing `circuits` array")?
-        .iter()
-        .map(|value| {
-            value
-                .as_str()
-                .map(str::to_owned)
-                .ok_or_else(|| "manifest circuit entry is not a string".to_owned())
-        })
-        .collect::<Result<Vec<String>, String>>()?;
-    let config = McConfig::read_identity(&doc, circuits).map_err(|e| format!("manifest {e}"))?;
-    let shards = doc
-        .get("shards")
-        .and_then(super::json::Json::as_usize)
-        .ok_or("manifest missing usize `shards`")?;
-    Ok((config, shards))
-}
-
-/// Describes how `found` differs from the campaign `expected`
-/// ([`McConfig::mismatch`] plus the shard count, which fixes the slice
-/// every checkpoint holds); `None` when they describe the same campaign.
-fn campaign_mismatch(
-    expected: &McConfig,
-    expected_shards: usize,
-    found: &McConfig,
-    found_shards: usize,
-) -> Option<String> {
-    let mut diffs: Vec<String> = expected.mismatch(found).into_iter().collect();
-    if found_shards != expected_shards {
-        diffs.push(format!("shards {found_shards} != {expected_shards}"));
-    }
-    (!diffs.is_empty()).then(|| diffs.join(", "))
-}
-
-/// An exclusive claim on a campaign run directory, held for the
-/// coordinator's lifetime: a kernel lock ([`fs::File::try_lock`]) on the
-/// run directory's `coordinator.lock` file. The kernel alone decides who
-/// owns the directory. Closing the file releases the claim, and so does
-/// the holder's death, `kill -9` included, so a killed coordinator never
-/// leaves a claim behind and nothing checks owner liveness. The file's
-/// bytes mean nothing: no coordinator writes them, and an unlocked file,
-/// whatever it holds, is claimed like a new one.
-#[derive(Debug)]
-pub(crate) struct RunDirLock {
-    _file: fs::File,
-}
-
-/// Claims `run_dir` for this coordinator. Separate claims exclude each
-/// other whether they come from two processes or from two callers in
-/// one process.
-///
-/// # Errors
-///
-/// Reports a claim already held ("campaign already running") or an I/O
-/// failure opening or locking the lock file.
-fn acquire_run_dir_lock(run_dir: &Path) -> Result<RunDirLock, String> {
-    let path = run_dir.join("coordinator.lock");
-    claim_lock_file(&path, open_lock_file(&path)?)
-}
-
-fn open_lock_file(path: &Path) -> Result<fs::File, String> {
-    fs::OpenOptions::new()
-        .create(true)
-        .truncate(false)
-        .write(true)
-        .open(path)
-        .map_err(|e| format!("cannot lock {}: {e}", path.display()))
-}
-
-/// Locks `file`, opened on `path` at some earlier point, as the claim on
-/// `path`. A finished campaign unlinks its lock file while still holding
-/// it, so the file may have left the path since it was opened: a lock on
-/// that orphan would exclude nobody. Once locked, the path must still
-/// name the locked file; otherwise the path is reopened and claimed anew.
-fn claim_lock_file(path: &Path, mut file: fs::File) -> Result<RunDirLock, String> {
-    loop {
-        match file.try_lock() {
-            Ok(()) => {}
-            Err(fs::TryLockError::WouldBlock) => {
-                return Err(format!(
-                    "campaign already running: another coordinator holds {}",
-                    path.display()
-                ))
-            }
-            Err(fs::TryLockError::Error(e)) => {
-                return Err(format!("cannot lock {}: {e}", path.display()))
-            }
-        }
-        if path_names_file(path, &file)? {
-            return Ok(RunDirLock { _file: file });
-        }
-        file = open_lock_file(path)?;
-    }
-}
-
-/// Whether `path` names `file` (the same device and inode); false once
-/// the path is gone or names another file.
-#[cfg(unix)]
-fn path_names_file(path: &Path, file: &fs::File) -> Result<bool, String> {
-    use std::os::unix::fs::MetadataExt;
-    let held = file
-        .metadata()
-        .map_err(|e| format!("cannot stat {}: {e}", path.display()))?;
-    match fs::metadata(path) {
-        Ok(named) => Ok((named.dev(), named.ino()) == (held.dev(), held.ino())),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
-        Err(e) => Err(format!("cannot stat {}: {e}", path.display())),
-    }
-}
-
-/// Without inode identity in `std`, other platforms trust the handle.
-#[cfg(not(unix))]
-fn path_names_file(_path: &Path, _file: &fs::File) -> Result<bool, String> {
-    Ok(true)
-}
-
-/// Prepares the run directory: creates it, claims it with an exclusive
-/// lifetime lock (a second coordinator on the same live campaign fails
-/// fast instead of racing on `campaign.json` and the partials), and
-/// either validates an existing `campaign.json` manifest against this
-/// campaign or writes a fresh one. A directory claimed by a *different*
-/// campaign — or holding partials with no manifest at all — is rejected
-/// with a clear error instead of silently clobbered.
-pub(crate) fn preflight_run_dir(
-    config: &McConfig,
-    shards: usize,
-    hosts: &[String],
-    run_dir: &Path,
-) -> Result<RunDirLock, String> {
-    fs::create_dir_all(run_dir)
-        .map_err(|e| format!("cannot create run dir {}: {e}", run_dir.display()))?;
-    let lock = acquire_run_dir_lock(run_dir)?;
-    let manifest_path = run_dir.join("campaign.json");
-    match fs::read_to_string(&manifest_path) {
-        Ok(text) => {
-            let (found, found_shards) = parse_campaign_manifest(&text).map_err(|e| {
-                format!(
-                    "{}: {e}; remove the directory (or pick another --work-dir) to proceed",
-                    manifest_path.display()
-                )
-            })?;
-            if let Some(diff) = campaign_mismatch(config, shards, &found, found_shards) {
-                return Err(format!(
-                    "run dir {} belongs to a different campaign ({diff}); refusing to \
-                     clobber its partials — remove the directory or pick another --work-dir",
-                    run_dir.display()
-                ));
-            }
-            Ok(lock)
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            // No manifest: a partial here was written by something we
-            // cannot identify (a pre-manifest run or a foreign tool) —
-            // refuse rather than mix campaigns.
-            if let Some(index) = (0..shards).find(|i| partial_path(run_dir, *i).exists()) {
-                return Err(format!(
-                    "run dir {} holds {} but no campaign manifest; refusing to \
-                     clobber — remove the directory or pick another --work-dir",
-                    run_dir.display(),
-                    partial_path(run_dir, index).display()
-                ));
-            }
-            fs::write(
-                &manifest_path,
-                render_campaign_manifest(config, shards, hosts),
-            )
-            .map_err(|e| format!("cannot write {}: {e}", manifest_path.display()))?;
-            Ok(lock)
-        }
-        Err(e) => Err(format!("cannot read {}: {e}", manifest_path.display())),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -597,7 +319,7 @@ pub fn run_coordinator_with_report(
         quarantine_after: DEFAULT_QUARANTINE_AFTER,
         probation: DEFAULT_PROBATION,
     };
-    run_scheduler(&launch, &LocalProc, "mc coordinate")
+    run_scheduler(&launch, &LocalProc, "mc coordinate", |_, _| Ok(()))
         .map(|(merged, report)| (merged, report.base))
 }
 
@@ -898,185 +620,5 @@ mod tests {
         }
         // The exponent is capped: huge attempt counts cannot overflow.
         assert!(backoff_delay(7, 3, 10_000, base) < base * 128);
-    }
-
-    #[test]
-    fn campaign_manifest_roundtrips_and_detects_mismatches() {
-        let config = config();
-        let text = render_campaign_manifest(&config, 3, &[]);
-        let (back, shards) = parse_campaign_manifest(&text).expect("parses");
-        assert_eq!(back, config);
-        assert_eq!(shards, 3);
-        assert!(campaign_mismatch(&config, 3, &back, shards).is_none());
-        // Manifests from before partials and manifests shared one identity
-        // encoding spell out the default stream; they still read.
-        let legacy = "{\n  \"schema\": \"xbar-mc-campaign/1\",\n  \"seed\": 5,\n  \
-                      \"defect_rate\": 0.1,\n  \"samples\": 20,\n  \"shards\": 3,\n  \
-                      \"rng_stream\": \"v1\",\n  \"circuits\": [\"rd53\"]\n}\n";
-        assert_eq!(
-            parse_campaign_manifest(legacy).expect("legacy layout"),
-            (config.clone(), 3)
-        );
-
-        let mut other = config.clone();
-        other.defect_rate = 0.25;
-        let diff = campaign_mismatch(&config, 3, &other, 3).expect("must differ");
-        assert!(diff.contains("defect_rate"), "{diff}");
-        let diff = campaign_mismatch(&config, 3, &config, 5).expect("must differ");
-        assert!(diff.contains("shards"), "{diff}");
-
-        let mut other = config.clone();
-        other.model = clustered_model();
-        let diff = campaign_mismatch(&config, 3, &other, 3).expect("must differ");
-        assert!(diff.contains("defect_model"), "{diff}");
-        // A non-default campaign's manifest declares and round-trips its
-        // stream and model (a default one never mentions them, above).
-        assert!(!text.contains("rng_stream") && !text.contains("defect_model"));
-        other.stream = SampleStream::V2;
-        let text = render_campaign_manifest(&other, 3, &[]);
-        assert!(text.contains("\"cluster_size\": 3.0"), "{text}");
-        assert_eq!(parse_campaign_manifest(&text).expect("parses"), (other, 3));
-    }
-
-    #[test]
-    fn manifest_with_an_unknown_key_is_rejected_not_ignored() {
-        // A future tool that extends campaign identity must not have its
-        // manifests silently reinterpreted by this coordinator.
-        let text = render_campaign_manifest(&config(), 3, &[]).replace(
-            "\"shards\": 3,",
-            "\"shards\": 3,\n  \"voltage_drift\": 0.3,",
-        );
-        let err = parse_campaign_manifest(&text).expect_err("must fail");
-        assert!(err.contains("voltage_drift"), "{err}");
-        assert!(err.contains("unknown key"), "{err}");
-    }
-
-    #[test]
-    fn manifest_host_attribution_roundtrips_and_stays_out_of_identity() {
-        // A manifest records its fleet; the key parses back cleanly (it
-        // is in CAMPAIGN_MANIFEST_KEYS) and never feeds campaign_mismatch
-        // — the same campaign may resume on different hosts. Manifests
-        // written before fleets were recorded carry no such key.
-        let config = config();
-        let hosts = vec!["alpha*2".to_owned(), "beta".to_owned()];
-        let text = render_campaign_manifest(&config, 3, &hosts);
-        assert!(
-            text.contains("\"hosts\": [\"alpha*2\", \"beta\"]"),
-            "{text}"
-        );
-        let (back, shards) = parse_campaign_manifest(&text).expect("hosts key tolerated");
-        assert_eq!(back, config);
-        assert_eq!(shards, 3);
-        assert!(campaign_mismatch(&config, 3, &back, shards).is_none());
-        assert!(
-            !render_campaign_manifest(&config, 3, &[]).contains("hosts"),
-            "hostless manifests keep their pre-launcher bytes"
-        );
-    }
-
-    #[test]
-    fn run_dir_name_derives_from_campaign_identity() {
-        let config = config();
-        let dir = campaign_run_dir(Path::new("/w"), &config, 4);
-        assert_eq!(dir, PathBuf::from("/w/run-seed5-n20-k4-v1"));
-        let v2 = McConfig {
-            stream: SampleStream::V2,
-            ..self::config()
-        };
-        assert_ne!(campaign_run_dir(Path::new("/w"), &v2, 4), dir);
-        // Non-default models get their own directory; the default keeps
-        // the exact pre-model name (CI's resume smoke hardcodes it).
-        let clustered = McConfig {
-            model: clustered_model(),
-            ..self::config()
-        };
-        assert_eq!(
-            campaign_run_dir(Path::new("/w"), &clustered, 4),
-            PathBuf::from("/w/run-seed5-n20-k4-v1-clustered")
-        );
-    }
-
-    fn lock_scratch(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("xbar-lock-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).expect("create");
-        dir
-    }
-
-    #[test]
-    fn run_dir_lock_is_exclusive_whatever_the_file_holds_and_releases_on_drop() {
-        let dir = lock_scratch("exclusive");
-        let path = dir.join("coordinator.lock");
-        // The file's bytes claim nothing: an empty file, a pid written by
-        // an older release and garbage are all claimed while nobody holds
-        // the lock, and all block a second claim while somebody does.
-        for planted in ["", "4294967294\n", "1 18446744073709551615\n", "garbage"] {
-            fs::write(&path, planted).expect("plant lock file");
-            let lock = acquire_run_dir_lock(&dir).expect("an unheld lock file is claimed");
-            let err = acquire_run_dir_lock(&dir).expect_err("a held claim blocks");
-            assert!(err.contains("campaign already running"), "{err}");
-            assert!(err.contains("coordinator.lock"), "{err}");
-            drop(lock);
-            drop(acquire_run_dir_lock(&dir).expect("dropping the claim releases it"));
-        }
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn a_claim_through_a_handle_to_an_unlinked_lock_file_fails() {
-        let dir = lock_scratch("unlinked");
-        let path = dir.join("coordinator.lock");
-        let holder = acquire_run_dir_lock(&dir).expect("first claim");
-        // A contender opens the lock file while the holder still has it.
-        let stale = open_lock_file(&path).expect("contender opens");
-        // The holder finishes: it unlinks the file, then releases it.
-        fs::remove_file(&path).expect("unlink");
-        drop(holder);
-        // A new coordinator creates and claims a fresh file on the path.
-        let fresh = acquire_run_dir_lock(&dir).expect("fresh claim");
-        // The contender's lock on the orphaned inode would succeed; the
-        // claim must not.
-        let err = claim_lock_file(&path, stale).expect_err("a stale handle claims nothing");
-        assert!(err.contains("campaign already running"), "{err}");
-        drop(fresh);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn concurrent_claims_on_one_run_dir_have_exactly_one_winner() {
-        const CONTENDERS: usize = 4;
-        const ROUNDS: usize = 100;
-        let dir = lock_scratch("race");
-        let barrier = std::sync::Barrier::new(CONTENDERS);
-        for round in 0..ROUNDS {
-            // Even rounds race to create the lock file, odd rounds to lock
-            // the one an earlier round left unheld.
-            if round % 2 == 0 {
-                let _ = fs::remove_file(dir.join("coordinator.lock"));
-            }
-            let winners = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..CONTENDERS)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            barrier.wait();
-                            let claim = acquire_run_dir_lock(&dir);
-                            // Winners hold on until every contender has
-                            // tried, so a late claim cannot slip in after
-                            // an early release.
-                            barrier.wait();
-                            claim.is_ok()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|handle| handle.join().expect("contender"))
-                    .filter(|&won| won)
-                    .count()
-            });
-            assert_eq!(winners, 1, "round {round}: {winners} claims won");
-        }
-        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -1,4 +1,4 @@
-//! Minimal hand-rolled JSON reader for shard partial-result files (the
+//! Minimal hand-rolled JSON reader for shard partial result files (the
 //! workspace deliberately carries no serde).
 //!
 //! Numbers are kept as **raw source slices** and converted on access:

@@ -5,8 +5,8 @@
 //! ([`crate::sample_seed`]), so a contiguous slice of the sample range can
 //! be reproduced by any process that knows the experiment configuration
 //! and its [`ShardSpec`]. Each worker folds its slice into the mergeable
-//! accumulators of [`xbar_core::stats`] and writes a self-describing
-//! partial-result file ([`partial::ShardPartial`], hand-rolled JSON via
+//! accumulators of [`xbar_core::stats`] and streams a self-describing
+//! partial result ([`partial::ShardPartial`], hand-rolled JSON via
 //! [`json`]); the [`coordinator`] is a fault-tolerant campaign runner —
 //! bounded event-driven scheduling, watchdog timeouts for hung workers,
 //! per-shard deterministic backoff retry, and checkpoint/resume over a
@@ -37,6 +37,7 @@ pub mod cli;
 pub mod coordinator;
 pub mod json;
 pub mod partial;
+pub(crate) mod run_dir;
 
 use crate::cli::ExpArgs;
 use crate::experiment::Params;

@@ -1,5 +1,5 @@
-//! Self-describing partial-result files: what an `xbar mc shard` worker
-//! writes and the scheduler merges.
+//! Self-describing partial results: what an `xbar mc shard` worker
+//! streams, the scheduler checkpoints and merges.
 //!
 //! The document embeds the full experiment configuration and the shard's
 //! slice, so a partial is verifiable on its own — the coordinator rejects
@@ -183,7 +183,7 @@ impl ShardPartial {
         out
     }
 
-    /// Parses and validates a partial-result document.
+    /// Parses and validates a partial result document.
     ///
     /// # Errors
     ///

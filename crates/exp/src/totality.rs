@@ -6,9 +6,9 @@
 
 use crate::launch::parse_hosts;
 use crate::service::protocol::Request;
-use crate::shard::coordinator::{parse_campaign_manifest, render_campaign_manifest};
 use crate::shard::json::{Json, MAX_DEPTH};
 use crate::shard::partial::ShardPartial;
+use crate::shard::run_dir::{parse_campaign_manifest, render_campaign_manifest};
 use crate::shard::{run_shard, McConfig, ShardSpec};
 use proptest::prelude::*;
 use std::panic::catch_unwind;

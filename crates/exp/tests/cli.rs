@@ -533,16 +533,7 @@ fn a_closed_stdout_is_a_clean_exit() {
     }
     // A streamed partial is the exception: its launcher must see the
     // failed stream.
-    let out = xbar_to_closed_stdout(&[
-        "mc",
-        "shard",
-        "--samples",
-        "4",
-        "--circuits",
-        "rd53",
-        "--out",
-        "-",
-    ]);
+    let out = xbar_to_closed_stdout(&["mc", "shard", "--samples", "4", "--circuits", "rd53"]);
     let err = stderr(&out);
     assert_eq!(out.status.code(), Some(1), "stderr: {err}");
     assert!(err.contains("cannot stream partial"), "stderr: {err}");

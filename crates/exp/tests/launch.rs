@@ -33,9 +33,15 @@ fn campaign() -> McConfig {
 }
 
 /// A unique scratch directory per test (no tempfile crate in the
-/// workspace); cleaned up by the launcher on success.
+/// workspace); see [`remove_work_dir`].
 fn scratch(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("xbar-launch-test-{}-{tag}", std::process::id()))
+}
+
+/// Removes a finished launch's work dir, which the launch itself never
+/// removes: with its run directory gone it must be empty.
+fn remove_work_dir(cfg: &LaunchConfig) {
+    std::fs::remove_dir(&cfg.work_dir).expect("the launch left only an empty work dir");
 }
 
 /// A launch over the loopback fleet with test-friendly settings: the
@@ -105,6 +111,7 @@ fn loopback_fleet_is_byte_identical_to_monolithic_with_host_attribution() {
         "counters stay in fleet order"
     );
     assert_eq!(report.hosts[1].name, "beta");
+    remove_work_dir(&cfg);
 }
 
 #[test]
@@ -120,6 +127,7 @@ fn exec_template_transport_matches_monolithic() {
     .expect("template");
     let (merged, _) = run_launch_with_report(&cfg, &transport).expect("launch");
     assert_eq!(render_stats_json(&merged), monolithic());
+    remove_work_dir(&cfg);
 }
 
 #[test]
@@ -137,6 +145,7 @@ fn torn_stream_is_rejected_and_retried_to_identical_bytes() {
         "the torn transfer costs a retry: {:?}",
         report.base
     );
+    remove_work_dir(&cfg);
 }
 
 #[test]
@@ -157,6 +166,7 @@ fn host_death_mid_campaign_fails_over_to_the_survivor() {
         3,
         "the survivor carries the campaign"
     );
+    remove_work_dir(&cfg);
 }
 
 #[test]
@@ -180,6 +190,7 @@ fn quarantined_host_receives_no_further_shards() {
         3,
         "every shard lands on the healthy host"
     );
+    remove_work_dir(&cfg);
 }
 
 #[test]
@@ -228,6 +239,7 @@ fn hedged_straggler_wins_on_the_other_host_and_the_loser_is_discarded() {
         0,
         "the stalled host never finishes its flight"
     );
+    remove_work_dir(&cfg);
 }
 
 #[test]

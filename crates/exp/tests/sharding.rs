@@ -6,7 +6,7 @@
 //! merged stats artifact byte-identical to the monolithic in-process run.
 
 use std::path::PathBuf;
-use std::process::{Command, Stdio};
+use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
 use xbar_core::{DefectModelKind, DefectModelSpec, SampleStream};
 use xbar_exp::shard::coordinator::{
@@ -32,9 +32,15 @@ fn campaign() -> McConfig {
 }
 
 /// A unique scratch directory per test (no tempfile crate in the
-/// workspace); cleaned up by the coordinator on success.
+/// workspace); see [`remove_work_dir`].
 fn scratch(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("xbar-shard-test-{}-{tag}", std::process::id()))
+}
+
+/// Removes a finished campaign's work dir, which the campaign itself
+/// never removes: with its run directory gone it must be empty.
+fn remove_work_dir(cfg: &CoordinatorConfig) {
+    std::fs::remove_dir(&cfg.work_dir).expect("the campaign left only an empty work dir");
 }
 
 fn coordinator(tag: &str, shards: usize) -> CoordinatorConfig {
@@ -66,6 +72,7 @@ fn sharded_runs_are_byte_identical_to_monolithic_across_shard_counts() {
             mono,
             "{shards} worker processes must reproduce the monolithic artifact"
         );
+        remove_work_dir(&cfg);
     }
 }
 
@@ -90,6 +97,7 @@ fn v2_campaigns_shard_byte_identically_too() {
     cfg.config = config;
     let (merged, _) = run_coordinator_with_report(&cfg).expect("coordinator run");
     assert_eq!(render_stats_json(&merged), mono);
+    remove_work_dir(&cfg);
 }
 
 #[test]
@@ -126,6 +134,7 @@ fn clustered_campaigns_shard_byte_identically_through_real_workers() {
         mono,
         "3 worker processes must reproduce the monolithic clustered artifact"
     );
+    remove_work_dir(&cfg);
 }
 
 #[test]
@@ -142,6 +151,7 @@ fn empty_shards_need_no_workers_and_merge_cleanly() {
     let (merged, report) = run_coordinator_with_report(&cfg).expect("coordinator run");
     assert_eq!(render_stats_json(&merged), mono);
     assert_eq!(report.spawned, 4, "only non-empty shards spawn workers");
+    remove_work_dir(&cfg);
 }
 
 #[test]
@@ -217,6 +227,7 @@ fn slow_but_finishing_worker_is_not_killed() {
     assert_eq!(report.timeouts, 0, "{report:?}");
     assert_eq!(report.retries, 0, "{report:?}");
     assert_eq!(report.spawned, 2, "{report:?}");
+    remove_work_dir(&cfg);
 }
 
 #[test]
@@ -286,6 +297,7 @@ fn resume_reuses_valid_partials_and_schedules_only_the_rest() {
     );
     assert_eq!(r2.reused, 1, "{r2:?}");
     assert_eq!(r2.spawned, 2, "{r2:?}");
+    remove_work_dir(&cfg);
 }
 
 #[test]
@@ -400,15 +412,21 @@ fn resume_after_coordinator_kill_finishes_the_campaign_with_identical_bytes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Runs `xbar mc <args>` on `campaign()`; returns the output whatever
+/// the exit.
+fn mc(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_xbar"))
+        .arg("mc")
+        .args(args)
+        .args(["--samples", "30", "--circuits", "rd53"])
+        .output()
+        .expect("spawn xbar")
+}
+
 /// Runs `xbar mc <args>` on `campaign()` in 2 shards, asserting success;
 /// returns its stdout.
 fn xbar_mc(args: &[&str]) -> String {
-    let out = Command::new(env!("CARGO_BIN_EXE_xbar"))
-        .arg("mc")
-        .args(args)
-        .args(["--samples", "30", "--circuits", "rd53", "--shards", "2"])
-        .output()
-        .expect("spawn xbar");
+    let out = mc(&[args, &["--shards", "2"]].concat());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "xbar mc {args:?}: {stderr}");
     String::from_utf8_lossy(&out.stdout).into_owned()
@@ -601,4 +619,147 @@ fn unknown_circuit_fails_before_spawning_anything() {
     cfg.config.circuits = vec!["not-a-circuit".to_owned()];
     let err = run_coordinator_with_report(&cfg).expect_err("must fail");
     assert!(err.contains("not-a-circuit"), "{err}");
+}
+
+fn utf8(path: &std::path::Path) -> &str {
+    path.to_str().expect("utf8 path")
+}
+
+#[test]
+fn results_inside_the_work_dir_land_and_the_work_dir_stays() {
+    // `--out` and `--artifact` inside an existing, empty `--work-dir`:
+    // each verb writes them, then removes its run directory and nothing
+    // else, so the named work dir stays.
+    let work = scratch("results-inside");
+    let _ = std::fs::remove_dir_all(&work);
+    std::fs::create_dir_all(&work).expect("scratch dir");
+    let mono = render_stats_json(&run_monolithic(&campaign()));
+    let table2 = Command::new(env!("CARGO_BIN_EXE_xbar"))
+        .args([
+            "run",
+            "table2",
+            "--json",
+            "--samples",
+            "30",
+            "--circuits",
+            "rd53",
+        ])
+        .output()
+        .expect("spawn xbar run");
+    assert!(table2.status.success(), "xbar run table2 failed");
+    let artifact = work.join("artifact.json");
+    for (verb, flags) in [
+        ("coordinate", &["--shards", "3"][..]),
+        (
+            "launch",
+            &[
+                "--hosts",
+                "alpha*2,beta",
+                "--shards",
+                "3",
+                "--artifact",
+                utf8(&artifact),
+            ][..],
+        ),
+    ] {
+        let out = work.join(format!("{verb}.json"));
+        let done = mc(&[
+            &[verb][..],
+            flags,
+            &["--work-dir", utf8(&work), "--out", utf8(&out)],
+        ]
+        .concat());
+        assert!(
+            done.status.success(),
+            "mc {verb}: {}",
+            String::from_utf8_lossy(&done.stderr)
+        );
+        assert_eq!(
+            std::fs::read_to_string(&out).expect("--out"),
+            mono,
+            "{verb}"
+        );
+    }
+    assert_eq!(
+        std::fs::read(&artifact).expect("--artifact"),
+        table2.stdout,
+        "the launched artifact is `xbar run table2 --json`"
+    );
+    let runs: Vec<String> = std::fs::read_dir(&work)
+        .expect("the work dir stays")
+        .map(|entry| {
+            entry
+                .expect("entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .filter(|name| name.starts_with("run-"))
+        .collect();
+    assert!(runs.is_empty(), "run directories left behind: {runs:?}");
+    let _ = std::fs::remove_dir_all(&work);
+}
+
+#[test]
+fn an_unwritable_out_keeps_every_checkpoint_for_resume() {
+    // The run directory goes only once the result is written: a failed
+    // `--out` leaves all of it, and `--resume` then spawns nothing.
+    let dir = scratch("unwritable-out");
+    let _ = std::fs::remove_dir_all(&dir);
+    let work = dir.join("work");
+    let shards = ["coordinate", "--shards", "3", "--work-dir", utf8(&work)];
+    let missing = dir.join("missing").join("o.json");
+    let failed = mc(&[&shards[..], &["--out", utf8(&missing)]].concat());
+    let stderr = String::from_utf8_lossy(&failed.stderr);
+    assert_eq!(failed.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("cannot write"), "{stderr}");
+    let run_dir = campaign_run_dir(&work, &campaign(), 3);
+    assert!(run_dir.is_dir(), "the run directory must survive: {stderr}");
+
+    let good = dir.join("o.json");
+    let resumed = mc(&[&shards[..], &["--resume", "--out", utf8(&good)]].concat());
+    let stdout = String::from_utf8_lossy(&resumed.stdout);
+    assert!(
+        resumed.status.success(),
+        "{stdout}\n{}",
+        String::from_utf8_lossy(&resumed.stderr)
+    );
+    assert!(
+        stdout.contains("spawned 0 worker(s), reused 3 partial(s)"),
+        "every shard must be reused: {stdout}"
+    );
+    assert_eq!(
+        std::fs::read_to_string(&good).expect("--out"),
+        render_stats_json(&run_monolithic(&campaign()))
+    );
+    assert!(!run_dir.exists(), "written, the run directory goes");
+    assert!(work.is_dir(), "the named work dir stays");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn the_default_work_dir_goes_after_success() {
+    // Without `--work-dir` the verb chose `<temp>/xbar-mc`, so it removes
+    // it again once the campaign's run directory is gone.
+    let temp = scratch("default-work-dir");
+    let _ = std::fs::remove_dir_all(&temp);
+    std::fs::create_dir_all(&temp).expect("scratch dir");
+    let out = temp.join("o.json");
+    let done = Command::new(env!("CARGO_BIN_EXE_xbar"))
+        .args(["mc", "coordinate", "--shards", "2", "--out", utf8(&out)])
+        .args(["--samples", "30", "--circuits", "rd53"])
+        .env("TMPDIR", &temp)
+        .output()
+        .expect("spawn xbar");
+    assert!(
+        done.status.success(),
+        "{}",
+        String::from_utf8_lossy(&done.stderr)
+    );
+    assert_eq!(
+        std::fs::read_to_string(&out).expect("--out"),
+        render_stats_json(&run_monolithic(&campaign()))
+    );
+    assert!(!temp.join("xbar-mc").exists(), "the default work dir goes");
+    let _ = std::fs::remove_dir_all(&temp);
 }
