@@ -7,6 +7,7 @@ use crate::experiment::{
     spec, write_csv_if_requested, Artifact, ExpError, Experiment, ParamKind, ParamSpec, Params,
     Reporter, CLUSTER_SIZE_PARAM, DEFECT_MODEL_PARAM, LINE_RATE_PARAM, RNG_STREAM_PARAM,
 };
+use crate::experiments::mapping_cover;
 use crate::shard::json::JsonValue;
 use crate::table::{pct, Table};
 use xbar_core::{estimate_yield, FunctionMatrix, MapperKind, YieldConfig};
@@ -92,7 +93,7 @@ impl Experiment for EstimateYieldExperiment {
         }
         let spare_rows = params.usize("spare-rows");
 
-        let cover = info.mapping_cover(params.seed);
+        let cover = mapping_cover(info, params.seed);
         let fm = FunctionMatrix::from_cover(&cover);
         let result = estimate_yield(
             &fm,

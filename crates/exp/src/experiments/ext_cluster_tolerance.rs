@@ -13,6 +13,7 @@ use crate::experiment::{
     spec, write_csv_if_requested, Artifact, ExpError, Experiment, ParamKind, ParamSpec, Params,
     Reporter, RNG_STREAM_PARAM,
 };
+use crate::experiments::mapping_cover;
 use crate::experiments::table2::{fold_circuits, CircuitJob};
 use crate::shard::json::JsonValue;
 use crate::table::{pct, Table};
@@ -54,7 +55,7 @@ impl Experiment for ExtClusterToleranceExperiment {
         let circuit = params.str("circuit");
         let info = find(circuit)
             .map_err(|_| ExpError::Usage(format!("--circuit: {circuit:?} is not registered")))?;
-        let cover = info.mapping_cover(params.seed);
+        let cover = mapping_cover(info, params.seed);
         reporter.line(format!(
             "circuit: {circuit} (P = {}), defect rate {:.1}%",
             cover.len(),

@@ -6,6 +6,7 @@ use crate::experiment::{
     spec, write_csv_if_requested, Artifact, ExpError, Experiment, ParamKind, ParamSpec, Params,
     Reporter,
 };
+use crate::experiments::mapping_cover;
 use crate::shard::json::JsonValue;
 use crate::table::{pct, Table};
 use xbar_core::{column_redundancy_yield, FunctionMatrix, MapperKind};
@@ -57,7 +58,7 @@ impl Experiment for ExtColumnRedundancyExperiment {
                 "--stuck-closed-fraction must be in [0, 1]".to_owned(),
             ));
         }
-        let cover = info.mapping_cover(params.seed);
+        let cover = mapping_cover(info, params.seed);
         let fm = FunctionMatrix::from_cover(&cover);
         reporter.line(format!(
             "circuit: {circuit} ({} rows x {} cols optimum), mixed defects: {:.0}% of defects \

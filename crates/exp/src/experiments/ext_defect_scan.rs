@@ -10,6 +10,7 @@ use crate::experiment::{
     spec, write_csv_if_requested, Artifact, ExpError, Experiment, ParamKind, ParamSpec, Params,
     Reporter,
 };
+use crate::experiments::mapping_cover;
 use crate::shard::json::JsonValue;
 use crate::table::Table;
 use rand::rngs::StdRng;
@@ -63,7 +64,7 @@ impl Experiment for ExtDefectScanExperiment {
                 "--stuck-closed-fraction must be in [0, 1]".to_owned(),
             ));
         }
-        let cover = info.mapping_cover(params.seed);
+        let cover = mapping_cover(info, params.seed);
         let fm = FunctionMatrix::from_cover(&cover);
         let rows = fm.num_rows();
         let cols = fm.num_cols();

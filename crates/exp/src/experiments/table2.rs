@@ -14,6 +14,7 @@ use crate::experiment::{
     spec, write_csv_if_requested, Artifact, ExpError, Experiment, ParamKind, ParamSpec, Params,
     Reporter, CLUSTER_SIZE_PARAM, DEFECT_MODEL_PARAM, LINE_RATE_PARAM, RNG_STREAM_PARAM,
 };
+use crate::experiments::mapping_cover;
 use crate::mc::{available_workers, fold_jobs};
 use crate::shard::json::JsonValue;
 use crate::table::{pct, secs, Table};
@@ -201,9 +202,10 @@ struct PreparedCircuit {
 /// Workers share the jobs as [`crate::mc`]'s pooled fold lays them out:
 /// chunks in job order, each circuit's cover prepared once, on a worker,
 /// overlapping the previous circuit's sampling, and dropped after its last
-/// chunk. For a registry circuit that is [`BenchmarkInfo::mapping_cover`]:
-/// two minimizations (the function and its complement) for an exact
-/// circuit, milliseconds even for rd84; twins are generated, not
+/// chunk. For a registry circuit that is `experiments::mapping_cover`: an
+/// exact circuit's cover is parsed from the PLA text the build script
+/// derived with [`BenchmarkInfo::mapping_cover`] (about 0.13 ms for
+/// rd84), so no process minimizes it again; twins are generated, not
 /// minimized. Every worker keeps one engine and one crossbar matrix across
 /// circuits (the crossbar is resized when the circuit changes), so the hot
 /// loop performs zero heap allocations. Sampling goes through the job's
@@ -233,7 +235,7 @@ pub(crate) fn fold_circuits(
             let registry_cover;
             let cover = match jobs[j].cover {
                 CoverSource::Registry(info) => {
-                    registry_cover = info.mapping_cover(args.seed);
+                    registry_cover = mapping_cover(info, args.seed);
                     &registry_cover
                 }
                 CoverSource::Given(cover) => cover,
@@ -572,7 +574,7 @@ pub fn table2_artifact_from_accums(
     let mut accums = Vec::with_capacity(circuits.len());
     for (name, accum) in circuits {
         let info = find(name).map_err(|e| format!("registry lookup for {name:?}: {e}"))?;
-        let cover = info.mapping_cover(seed);
+        let cover = mapping_cover(info, seed);
         rows.push(row_from_accum(info, &cover, accum));
         accums.push(*accum);
     }

@@ -345,7 +345,7 @@ const CAMPAIGN_FLAGS: [&str; 8] = [
     "--defect-rate",
     "0.1",
     "--circuits",
-    "rd53",
+    "rd53,sqrt8",
 ];
 
 #[test]

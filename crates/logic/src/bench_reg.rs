@@ -5,8 +5,10 @@
 //! Three synthesis sources (see DESIGN.md §4):
 //!
 //! * [`BenchmarkSource::Exact`] — the function is mathematically defined
-//!   (`rd53`, `rd73`, `rd84`, `sqrt8`, `squar5`, `clip`); we build its truth
-//!   table and minimize with our espresso-style minimizer.
+//!   (`rd53`, `rd73`, `rd84`, `sqrt8`, `squar5`); we build its truth table
+//!   and minimize with our espresso-style minimizer. `clip` is a twin: the
+//!   MCNC circuit is not the clamp [`exact_truth_table`] defines (see its
+//!   registry entry).
 //! * [`BenchmarkSource::Statistical`] — no public functional definition; a
 //!   seeded random SOP with the published `I`/`O`/`P`/`IR`
 //!   (a *statistical twin*, [`crate::random::CalibratedTwinSpec`]).
