@@ -15,6 +15,7 @@
 use crate::bits;
 use rand::prelude::*;
 use rand::rngs::StdRng;
+use std::cell::RefCell;
 use std::fmt;
 use xbar_device::{Crossbar, Defect};
 use xbar_logic::{Cover, Phase};
@@ -122,13 +123,7 @@ pub struct FunctionMatrix {
     num_outputs: usize,
     minterm_rows: Vec<BitRow>,
     output_rows: Vec<BitRow>,
-    /// Literal/membership source for re-programming machines.
-    cubes: Vec<CubeSpec>,
 }
-
-/// One cube as programmed: its `(input, phase)` literals and the outputs it
-/// belongs to.
-type CubeSpec = (Vec<(usize, bool)>, Vec<usize>);
 
 impl FunctionMatrix {
     /// Builds the FM of a cover.
@@ -138,22 +133,16 @@ impl FunctionMatrix {
         let k = cover.num_outputs();
         let cols = 2 * i + 2 * k;
         let mut minterm_rows = Vec::with_capacity(cover.len());
-        let mut cubes = Vec::with_capacity(cover.len());
         for cube in cover.iter() {
             let mut row = BitRow::zeros(cols);
-            let mut literals = Vec::new();
-            let mut memberships = Vec::new();
             for (var, phase) in cube.literals() {
                 let positive = phase == Phase::Positive;
                 row.set(if positive { var } else { i + var }, true);
-                literals.push((var, positive));
             }
             for o in cube.outputs() {
                 row.set(2 * i + o, true);
-                memberships.push(o);
             }
             minterm_rows.push(row);
-            cubes.push((literals, memberships));
         }
         let mut output_rows = Vec::with_capacity(k);
         for o in 0..k {
@@ -167,7 +156,6 @@ impl FunctionMatrix {
             num_outputs: k,
             minterm_rows,
             output_rows,
-            cubes,
         }
     }
 
@@ -225,18 +213,6 @@ impl FunctionMatrix {
         } else {
             &self.output_rows[row - self.minterm_rows.len()]
         }
-    }
-
-    /// Literals and output memberships of minterm `i` (for programming a
-    /// machine).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i` is out of range.
-    #[must_use]
-    pub fn minterm_program(&self, i: usize) -> (&[(usize, bool)], &[usize]) {
-        let (lits, mems) = &self.cubes[i];
-        (lits, mems)
     }
 }
 
@@ -570,6 +546,9 @@ impl DefectSampler {
     /// `rate` is the target *cell* defect rate; the `lines` model, which
     /// has no cell layer, ignores it. The `composite` model draws its
     /// clustered cells first and its line faults second, on one generator.
+    /// The i.i.d. V2 draw decodes through a gap table that each thread
+    /// keeps for the last rate it sampled: a change of rate rebuilds it,
+    /// in a few µs.
     pub fn resample(self, cm: &mut CrossbarMatrix, rate: f64, rng: &mut StdRng) {
         let model = self.model;
         match (model.kind(), self.stream) {
@@ -648,6 +627,116 @@ fn v1_threshold(rate: f64) -> u64 {
     (rate.clamp(0.0, 1.0) * TWO53).ceil() as u64
 }
 
+/// 2³², the scale of the [`SampleStream::V2`] sub-draws.
+const TWO32: f64 = 4_294_967_296.0;
+
+/// A [`GapTable`] bucket is the draws sharing their top 12 bits.
+const BUCKET_SHIFT: u32 = 20;
+
+/// The flag bit of a [`GapTable`] bucket entry: the gap varies inside the
+/// bucket, or reaches 64.
+const WALK: u8 = 0x80;
+
+/// The [`SampleStream::V2`] gap decoder of one rate.
+///
+/// A 32-bit sub-draw `raw` decodes to the gap `#{k : raw < t_k}` over the
+/// 64 thresholds `t_k = ⌊q^(k+1)·2³²⌋`, `q = 1 − rate`, built by the
+/// iterated `f64` product. A draw lies below `t_k` with probability
+/// `q^(k+1)`, so the gap is Geometric(`rate`). At 64 the gap becomes
+/// `max(64, ⌊ln((raw + 1)/2³²)/ln q⌋)`, the exact logarithmic inversion
+/// of the same draw.
+///
+/// One load answers almost every draw. The table holds one `u8` per
+/// 12-bit bucket of the draw: the gap at the bucket's last draw, which is
+/// the bucket's smallest gap, since the thresholds decrease. The entry is
+/// flagged with [`WALK`] when a threshold lies inside the bucket, so the
+/// gap varies there, or when the gap reaches 64; a flagged draw walks the
+/// thresholds upward from the entry's gap, then takes the ln tail. At most
+/// 64 buckets hold a threshold, so outside the tail the walk is rare.
+struct GapTable {
+    /// `rate.to_bits()` of the rate the table decodes.
+    rate_bits: u64,
+    /// `t_k`, non-increasing in `k`.
+    thresholds: [u32; 64],
+    /// Per bucket `raw >> BUCKET_SHIFT`: the gap at its last draw, with
+    /// [`WALK`] set where that gap does not answer every draw.
+    buckets: [u8; 1 << (32 - BUCKET_SHIFT)],
+    /// `ln q`, for the tail.
+    ln_q: f64,
+}
+
+impl GapTable {
+    /// A table no rate matches: NaN never reaches the decoder.
+    const UNBUILT: Self = Self {
+        rate_bits: f64::NAN.to_bits(),
+        thresholds: [0; 64],
+        buckets: [0; 1 << (32 - BUCKET_SHIFT)],
+        ln_q: 0.0,
+    };
+
+    /// Rebuilds the table in place for `rate`, with `0 < rate` and
+    /// `1 − rate < 1`.
+    fn build(&mut self, rate: f64) {
+        let q = 1.0 - rate;
+        let mut p = 1.0f64;
+        for t in &mut self.thresholds {
+            p *= q;
+            *t = (p * TWO32) as u32;
+        }
+        // From the top bucket down, `gap` counts the thresholds above the
+        // bucket's last draw: that draw's gap.
+        let mut gap = 0usize;
+        for (b, entry) in self.buckets.iter_mut().enumerate().rev() {
+            let first = (b as u32) << BUCKET_SHIFT;
+            let last = first | ((1 << BUCKET_SHIFT) - 1);
+            while gap < 64 && self.thresholds[gap] > last {
+                gap += 1;
+            }
+            let walk = gap == 64 || self.thresholds[gap] > first;
+            *entry = gap as u8 | if walk { WALK } else { 0 };
+        }
+        self.ln_q = q.ln();
+        self.rate_bits = rate.to_bits();
+    }
+
+    /// The gap `raw` decodes to.
+    #[inline]
+    fn gap(&self, raw: u32) -> usize {
+        let entry = self.buckets[(raw >> BUCKET_SHIFT) as usize];
+        if entry & WALK == 0 {
+            usize::from(entry)
+        } else {
+            self.walk(raw, usize::from(entry & !WALK))
+        }
+    }
+
+    /// A flagged draw's gap: the thresholds above `raw` counted upward
+    /// from `gap`, a lower bound, and the ln tail at 64.
+    fn walk(&self, raw: u32, mut gap: usize) -> usize {
+        while gap < 64 && raw < self.thresholds[gap] {
+            gap += 1;
+        }
+        if gap < 64 {
+            return gap;
+        }
+        let u = (f64::from(raw) + 1.0) * (1.0 / TWO32);
+        ((u.ln() / self.ln_q) as usize).max(64)
+    }
+}
+
+thread_local! {
+    /// This thread's [`GapTable`], for the last rate it sampled. A change
+    /// of rate rebuilds it (a few µs); every Monte Carlo loop holds its
+    /// rate fixed, so one table per thread is enough. It is boxed on the
+    /// thread's first V2 draw, so a thread that never draws V2 keeps an
+    /// empty slot instead of 4.4 KB of table.
+    static GAP_TABLE: RefCell<Option<Box<GapTable>>> = const { RefCell::new(None) };
+}
+
+/// Matrices up to this many crosspoints (every Table II circuit) draw V2
+/// defects into a linear row-major bit buffer on the stack (4 KiB).
+const LINEAR_BITS: usize = 1 << 15;
+
 impl CrossbarMatrix {
     /// A defect-free CM.
     #[must_use]
@@ -707,22 +796,24 @@ impl CrossbarMatrix {
     }
 
     /// The [`SampleStream::V2`] sweep: geometric skip over the row-major
-    /// crosspoint sequence — one `u64` draw per *defect* instead of one
-    /// per crosspoint, writing row bits and column bitplanes straight from
-    /// the skip stream.
+    /// crosspoint sequence — one 32-bit sub-draw per *defect* instead of
+    /// one draw per crosspoint, decoded to the gap before the defect by
+    /// this thread's [`GapTable`] (built on the first call at a rate).
     ///
-    /// The gap before each defect is Geometric(`rate`) by fixed-point
-    /// inversion: with `q = 1 - rate`, a raw draw lies below
-    /// `⌊q^k · 2^64⌋` with probability `q^k`, so the number of leading
-    /// table entries above the draw *is* the gap. The table covers gaps up
-    /// to 64; the `q^64` tail falls back to exact logarithmic inversion of
-    /// the same draw, keeping the stream a pure function of the seed.
+    /// Each `next_u64` yields two sub-draws, the low half first. The draw
+    /// whose gap reaches past the last crosspoint ends the sweep; it is
+    /// consumed, and the rest of its `u64` is dropped. Both marking paths
+    /// below consume the generator identically, so the stream depends on
+    /// the seed, the rate and the crosspoint count only.
     fn resample_geometric(&mut self, rate: f64, rng: &mut StdRng) {
         let (rows, cols, pw) = (self.rows.len(), self.cols, self.plane_words);
         let n = rows * cols;
         // NaN-rejecting guard: no defects to draw (matches V1, where
-        // `random_bool(rate <= 0)` never fires).
-        if n == 0 || rate.is_nan() || rate <= 0.0 {
+        // `random_bool(rate <= 0)` never fires). A rate below f64
+        // resolution around 1.0 (< 2⁻⁵³) leaves `q = 1`: its expected
+        // defect count is ≈ 0 for any real array, so it draws nothing
+        // rather than divide by ln(1) = 0 in the tail.
+        if n == 0 || rate.is_nan() || rate <= 0.0 || 1.0 - rate >= 1.0 {
             self.clear_defects();
             return;
         }
@@ -736,173 +827,132 @@ impl CrossbarMatrix {
             }
             return;
         }
-        const TWO32: f64 = 4_294_967_296.0; // 2^32
-        let q = 1.0 - rate;
-        if q >= 1.0 {
-            // rate below f64 resolution around 1.0 (< 2\u{207b}\u{2075}\u{00b3}): the expected
-            // defect count is \u{2248} 0 for any real array; treat as defect-free
-            // rather than divide by ln(1) = 0 below.
-            self.clear_defects();
-            return;
-        }
-        // Geometric-gap tables: `thresholds[k] = \u{230a}q^(k+1)\u{00b7}2\u{00b3}\u{00b2}\u{230b}` (padded
-        // with four zeros so the branchless probe below never reads out of
-        // bounds), and a top-byte jump table whose entry is the number of
-        // thresholds above every draw with that top byte \u{2014} a lower bound
-        // on the gap, exact for most draws.
-        let mut thresholds = [0u32; 68];
-        let mut p = 1.0f64;
-        for t in &mut thresholds[..64] {
-            p *= q;
-            *t = (p * TWO32) as u32;
-        }
-        let mut lut = [0u8; 256];
-        let mut j = 0usize;
-        for b in (0..256usize).rev() {
-            let max_raw = ((b as u32) << 24) | 0x00FF_FFFF;
-            while j < 64 && thresholds[j] > max_raw {
-                j += 1;
+        GAP_TABLE.with_borrow_mut(|slot| {
+            let table = slot.get_or_insert_with(|| Box::new(GapTable::UNBUILT));
+            if table.rate_bits != rate.to_bits() {
+                table.build(rate);
             }
-            lut[b] = j as u8;
-        }
-        let ln_q = q.ln();
-        // One gap per 32-bit sub-draw (low half first, two per `next_u64`),
-        // which quantizes gap probabilities at 2\u{207b}\u{00b3}\u{00b2} \u{2014} immaterial
-        // statistically, and simply part of the frozen V2 stream
-        // definition. The gap is the count of thresholds above the draw
-        // (they decrease, so "draw below threshold" holds on a prefix):
-        // a 4-wide branchless probe from the jump table's lower bound
-        // resolves it without data-dependent branches except in the rare
-        // near-tail buckets where more than four thresholds share a top
-        // byte.
-        let gap_of = |raw: u32| -> usize {
-            let lb = lut[(raw >> 24) as usize] as usize;
-            let mut gap = lb
-                + usize::from(raw < thresholds[lb])
-                + usize::from(raw < thresholds[lb + 1])
-                + usize::from(raw < thresholds[lb + 2])
-                + usize::from(raw < thresholds[lb + 3]);
-            if gap == lb + 4 {
-                while gap < 64 && raw < thresholds[gap] {
-                    gap += 1;
-                }
-            }
-            if gap >= 64 {
-                // Tail (the first 64 gaps don't cover the draw): exact
-                // logarithmic inversion of the same draw. Only reachable
-                // when raw < thresholds[63] = \u{230a}q\u{2076}\u{2074}\u{00b7}2\u{00b3}\u{00b2}\u{230b}, so frequent
-                // only at low rates where defects (and draws) are rare.
-                let u = (f64::from(raw) + 1.0) * (1.0 / TWO32);
-                gap = ((u.ln() / ln_q) as usize).max(64);
-            }
-            gap
-        };
-        // `remaining` counts candidate crosspoints left, including the
-        // current one. Both paths below consume the RNG identically (one
-        // sub-draw per defect plus the terminating draw), so the stream
-        // is shape-independent; only the marking differs.
-        let mut remaining = n;
-        // Fast path: matrices up to LINEAR_BITS crosspoints (every Table
-        // II circuit) scatter defects branch-free into a linear row-major
-        // bit buffer on the stack, then convert to row words and column
-        // planes word-parallel \u{2014} the defect loop has no data-dependent
-        // branches at all, and the matrix is fully overwritten so no
-        // clearing pass is needed.
-        const LINEAR_BITS: usize = 1 << 15; // 4 KiB stack buffer
-        if n <= LINEAR_BITS {
-            let mut lbuf = [0u64; LINEAR_BITS / 64 + 1]; // +1: probe pad
-            let mut pos = usize::MAX; // wraps to the first gap on add
-            'draws: loop {
-                let wide = rng.next_u64();
-                for raw in [wide as u32, (wide >> 32) as u32] {
-                    let gap = gap_of(raw);
-                    if gap >= remaining {
-                        break 'draws;
-                    }
-                    remaining -= gap + 1;
-                    pos = pos.wrapping_add(gap + 1);
-                    lbuf[pos >> 6] |= 1u64 << (pos & 63);
-                }
-            }
-            let rows_s: &mut [BitRow] = &mut self.rows;
-            let planes_s: &mut [u64] = &mut self.planes;
-            if cols <= 64 {
-                // Single-word rows: realign each row's `cols` bits out of
-                // the linear stream (unaligned double-word read), write
-                // the row, and collect the per-row defect masks into a
-                // 64\u{00d7}64 tile transposed into the column planes once per
-                // row block.
-                let full_mask = if cols == 64 {
-                    !0u64
-                } else {
-                    (1u64 << cols) - 1
-                };
-                let mut bitpos = 0usize;
-                for block in 0..pw {
-                    let base = block * 64;
-                    let upper = rows.min(base + 64) - base;
-                    let mut tile = [0u64; 64];
-                    for (i, row) in rows_s[base..base + upper].iter_mut().enumerate() {
-                        let pair = u128::from(lbuf[bitpos >> 6])
-                            | (u128::from(lbuf[(bitpos >> 6) + 1]) << 64);
-                        let def = ((pair >> (bitpos & 63)) as u64) & full_mask;
-                        row.words[0] = full_mask ^ def;
-                        tile[i] = def;
-                        bitpos += cols;
-                    }
-                    transpose64(&mut tile);
-                    for (c2, word) in tile.iter().enumerate().take(cols) {
-                        planes_s[c2 * pw + block] = *word;
-                    }
-                }
+            if n <= LINEAR_BITS {
+                self.scatter_linear(table, rng);
             } else {
-                // Multi-word rows (wider than any Table II circuit):
-                // realign per row word, then rebuild the planes with the
-                // shared word-parallel transpose pass.
-                let row_words = bits::words_for(cols);
-                let top = cols % 64;
-                let mut rowbase = 0usize;
-                for row in rows_s.iter_mut() {
-                    for (w, word) in row.words.iter_mut().enumerate() {
-                        let bp = rowbase + w * 64;
-                        let pair =
-                            u128::from(lbuf[bp >> 6]) | (u128::from(lbuf[(bp >> 6) + 1]) << 64);
-                        let mask = if w == row_words - 1 && top != 0 {
-                            (1u64 << top) - 1
-                        } else {
-                            !0u64
-                        };
-                        *word = mask ^ (((pair >> (bp & 63)) as u64) & mask);
-                    }
-                    rowbase += cols;
+                self.scatter_cells(table, rng);
+            }
+        });
+    }
+
+    /// V2's path for matrices up to [`LINEAR_BITS`] crosspoints: defects
+    /// land branch-free in a linear row-major bit buffer on the stack,
+    /// which is then converted to row words and column planes
+    /// word-parallel. The matrix is fully overwritten, so no clearing pass
+    /// is needed.
+    fn scatter_linear(&mut self, table: &GapTable, rng: &mut StdRng) {
+        let (rows, cols, pw) = (self.rows.len(), self.cols, self.plane_words);
+        // One pad word past the last: the realignment below reads word
+        // pairs. `remaining` counts the crosspoints left, the current one
+        // included. The buffer word being filled lives in `word`, stored
+        // whole after every defect: the word index only grows, so a word,
+        // once left, is final.
+        let mut lbuf = [0u64; LINEAR_BITS / 64 + 1];
+        let mut remaining = rows * cols;
+        let mut pos = usize::MAX; // wraps to the first gap on add
+        let (mut at, mut word) = (0usize, 0u64);
+        'draws: loop {
+            let wide = rng.next_u64();
+            for raw in [wide as u32, (wide >> 32) as u32] {
+                let gap = table.gap(raw);
+                if gap >= remaining {
+                    break 'draws;
                 }
-                self.rebuild_planes();
+                remaining -= gap + 1;
+                pos = pos.wrapping_add(gap + 1);
+                let (next, bit) = (pos >> 6, 1u64 << (pos & 63));
+                word = if next == at { word | bit } else { bit };
+                at = next;
+                lbuf[at] = word;
+            }
+        }
+        let rows_s: &mut [BitRow] = &mut self.rows;
+        let planes_s: &mut [u64] = &mut self.planes;
+        if cols <= 64 {
+            // Single-word rows: realign each row's `cols` bits out of
+            // the linear stream (unaligned double-word read), write
+            // the row, and collect the per-row defect masks into a
+            // 64×64 tile transposed into the column planes once per
+            // row block.
+            let full_mask = if cols == 64 {
+                !0u64
+            } else {
+                (1u64 << cols) - 1
+            };
+            let mut bitpos = 0usize;
+            for block in 0..pw {
+                let base = block * 64;
+                let upper = rows.min(base + 64) - base;
+                let mut tile = [0u64; 64];
+                for (i, row) in rows_s[base..base + upper].iter_mut().enumerate() {
+                    let pair =
+                        u128::from(lbuf[bitpos >> 6]) | (u128::from(lbuf[(bitpos >> 6) + 1]) << 64);
+                    let def = ((pair >> (bitpos & 63)) as u64) & full_mask;
+                    row.words[0] = full_mask ^ def;
+                    tile[i] = def;
+                    bitpos += cols;
+                }
+                transpose64(&mut tile);
+                for (c2, word) in tile.iter().enumerate().take(cols) {
+                    planes_s[c2 * pw + block] = *word;
+                }
             }
         } else {
-            // Large matrices: per-defect scatter against the cleared
-            // matrix. The wrap loop's total iterations are bounded by
-            // `rows` (r only advances), so this stays O(defects + rows).
-            self.clear_defects();
-            let rows_s: &mut [BitRow] = &mut self.rows;
-            let planes_s: &mut [u64] = &mut self.planes;
-            let (mut r, mut c) = (0usize, 0usize);
-            'draws2: loop {
-                let wide = rng.next_u64();
-                for raw in [wide as u32, (wide >> 32) as u32] {
-                    let gap = gap_of(raw);
-                    if gap >= remaining {
-                        break 'draws2;
-                    }
-                    remaining -= gap + 1;
-                    c += gap;
-                    while c >= cols {
-                        c -= cols;
-                        r += 1;
-                    }
-                    rows_s[r].words[c >> 6] &= !(1u64 << (c & 63));
-                    planes_s[c * pw + (r >> 6)] |= 1u64 << (r & 63);
-                    c += 1;
+            // Multi-word rows (wider than any Table II circuit):
+            // realign per row word, then rebuild the planes with the
+            // shared word-parallel transpose pass.
+            let row_words = bits::words_for(cols);
+            let top = cols % 64;
+            let mut rowbase = 0usize;
+            for row in rows_s.iter_mut() {
+                for (w, word) in row.words.iter_mut().enumerate() {
+                    let bp = rowbase + w * 64;
+                    let pair = u128::from(lbuf[bp >> 6]) | (u128::from(lbuf[(bp >> 6) + 1]) << 64);
+                    let mask = if w == row_words - 1 && top != 0 {
+                        (1u64 << top) - 1
+                    } else {
+                        !0u64
+                    };
+                    *word = mask ^ (((pair >> (bp & 63)) as u64) & mask);
                 }
+                rowbase += cols;
+            }
+            self.rebuild_planes();
+        }
+    }
+
+    /// V2's path above [`LINEAR_BITS`] crosspoints: per-defect scatter
+    /// against the cleared matrix. The wrap loop's total iterations are
+    /// bounded by `rows` (`r` only advances), so this stays
+    /// O(defects + rows).
+    fn scatter_cells(&mut self, table: &GapTable, rng: &mut StdRng) {
+        self.clear_defects();
+        let (cols, pw) = (self.cols, self.plane_words);
+        let mut remaining = self.rows.len() * cols;
+        let rows_s: &mut [BitRow] = &mut self.rows;
+        let planes_s: &mut [u64] = &mut self.planes;
+        let (mut r, mut c) = (0usize, 0usize);
+        'draws: loop {
+            let wide = rng.next_u64();
+            for raw in [wide as u32, (wide >> 32) as u32] {
+                let gap = table.gap(raw);
+                if gap >= remaining {
+                    break 'draws;
+                }
+                remaining -= gap + 1;
+                c += gap;
+                while c >= cols {
+                    c -= cols;
+                    r += 1;
+                }
+                rows_s[r].words[c >> 6] &= !(1u64 << (c & 63));
+                planes_s[c * pw + (r >> 6)] |= 1u64 << (r & 63);
+                c += 1;
             }
         }
     }
@@ -1191,14 +1241,6 @@ mod tests {
     }
 
     #[test]
-    fn fm_minterm_program_roundtrip() {
-        let fm = FunctionMatrix::from_cover(&fig8_cover());
-        let (lits, mems) = fm.minterm_program(1);
-        assert_eq!(lits, &[(1, false), (2, true)]);
-        assert_eq!(mems, &[0]);
-    }
-
-    #[test]
     fn row_matching_rules() {
         let fm = FunctionMatrix::from_cover(&fig8_cover());
         let mut cm_row = BitRow::ones(10);
@@ -1411,6 +1453,57 @@ mod tests {
         let v1 = DefectSampler::v1().sample(34, 16, 0.1, &mut rng_a);
         let v2 = DefectSampler::v2().sample(34, 16, 0.1, &mut rng_b);
         assert_ne!(v1, v2);
+    }
+
+    /// The gap table answers every draw it is asked about as the V2
+    /// definition does: the thresholds `⌊q^(k+1)·2³²⌋` (iterated product)
+    /// counted one by one, then the ln tail at 64. The draws are every
+    /// bucket's first and last draw, every threshold and its neighbours,
+    /// and a strided sweep of all 2³² draws.
+    #[test]
+    fn gap_table_decodes_like_the_definition() {
+        let rates = [
+            1e-9,
+            1e-4,
+            0.01,
+            0.05,
+            0.1,
+            0.25,
+            0.5,
+            0.9,
+            1.0 - 1.0 / f64::from(1u32 << 20),
+        ];
+        for rate in rates {
+            let q = 1.0 - rate;
+            let mut p = 1.0f64;
+            let thresholds: Vec<u32> = (0..64)
+                .map(|_| {
+                    p *= q;
+                    (p * TWO32) as u32
+                })
+                .collect();
+            let reference = |raw: u32| {
+                let count = thresholds.iter().filter(|&&t| raw < t).count();
+                if count < 64 {
+                    return count;
+                }
+                let u = (f64::from(raw) + 1.0) / TWO32;
+                ((u.ln() / q.ln()) as usize).max(64)
+            };
+            let mut table = GapTable::UNBUILT;
+            table.build(rate);
+            let buckets = (0..1u32 << (32 - BUCKET_SHIFT)).flat_map(|b| {
+                let first = b << BUCKET_SHIFT;
+                [first, first | ((1 << BUCKET_SHIFT) - 1)]
+            });
+            let edges = thresholds
+                .iter()
+                .flat_map(|&t| [t.wrapping_sub(1), t, t.wrapping_add(1)]);
+            let sweep = (0..=u32::MAX).step_by(32_771);
+            for raw in buckets.chain(edges).chain(sweep) {
+                assert_eq!(table.gap(raw), reference(raw), "rate {rate:e}, draw {raw}");
+            }
+        }
     }
 
     #[test]

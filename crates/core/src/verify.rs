@@ -7,11 +7,10 @@
 //! as a functional mismatch.
 
 use crate::mapping::RowAssignment;
-use crate::matrices::FunctionMatrix;
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use xbar_device::{Crossbar, DeviceError, TwoLevelMachine};
-use xbar_logic::Cover;
+use xbar_logic::{Cover, Phase};
 
 /// Programs `cover` onto `xbar` according to `assignment`, producing a
 /// ready-to-run [`TwoLevelMachine`]. The crossbar keeps its defects.
@@ -25,14 +24,17 @@ pub fn program_two_level(
     assignment: &RowAssignment,
     xbar: Crossbar,
 ) -> Result<TwoLevelMachine, DeviceError> {
-    let fm = FunctionMatrix::from_cover(cover);
     let mut machine = TwoLevelMachine::new(xbar, cover.num_inputs(), cover.num_outputs())?;
-    for i in 0..fm.num_minterms() {
-        let (literals, memberships) = fm.minterm_program(i);
-        machine.program_minterm(assignment.fm_to_cm[i], literals, memberships)?;
+    for (i, cube) in cover.iter().enumerate() {
+        let literals: Vec<_> = cube
+            .literals()
+            .map(|(var, phase)| (var, phase == Phase::Positive))
+            .collect();
+        let memberships: Vec<_> = cube.outputs().collect();
+        machine.program_minterm(assignment.fm_to_cm[i], &literals, &memberships)?;
     }
     for k in 0..cover.num_outputs() {
-        machine.program_output(assignment.fm_to_cm[fm.num_minterms() + k], k)?;
+        machine.program_output(assignment.fm_to_cm[cover.len() + k], k)?;
     }
     Ok(machine)
 }
@@ -80,7 +82,7 @@ pub fn verify_against_cover(
 mod tests {
     use super::*;
     use crate::mapping::{map_hybrid, map_naive};
-    use crate::matrices::CrossbarMatrix;
+    use crate::matrices::{CrossbarMatrix, FunctionMatrix};
     use xbar_device::{Defect, DefectProfile};
     use xbar_logic::{cube, Cover};
 

@@ -3,8 +3,9 @@
 //! the RNG, the matrix it produces must be indistinguishable from placing
 //! the same defects one [`CrossbarMatrix::set_defective`] call at a time —
 //! row words AND column bitplanes, word for word, across the 64-row plane
-//! boundary. V1 is pinned the same way to its definition, one
-//! `random_bool` per crosspoint. V1/V2 divergence and in-place resample
+//! boundary. Both streams are pinned to their definitions too: V1 to one
+//! `random_bool` per crosspoint, V2 to its threshold count and ln tail,
+//! on both of its marking paths. V1/V2 divergence and in-place resample
 //! identity are covered over arbitrary shapes too.
 
 use memristive_xbar_repro::core::{
@@ -43,6 +44,60 @@ fn v1_by_definition(rows: usize, cols: usize, rate: f64, rng: &mut StdRng) -> Cr
         }
     }
     cm
+}
+
+/// The [`SampleStream::V2`] stream by its definition. With `q = 1 − rate`
+/// and the thresholds `t_k = ⌊q^(k+1)·2³²⌋`, k = 0..63, built by the
+/// iterated `f64` product, each `next_u64` gives two 32-bit draws, the low
+/// half first. A draw decodes to the gap `#{k : raw < t_k}`, which at 64
+/// becomes `max(64, ⌊ln((raw + 1)/2³²)/ln q⌋)`. Each gap skips that many
+/// functional crosspoints in row-major order and places one defect with
+/// [`CrossbarMatrix::set_defective`]; the draw whose gap reaches past the
+/// last crosspoint ends the map. A rate of NaN, at most 0, or too small
+/// to move `q` off 1 draws nothing and leaves the map perfect; a rate of
+/// at least 1 draws nothing and fails every crosspoint.
+fn v2_by_definition(rows: usize, cols: usize, rate: f64, rng: &mut StdRng) -> CrossbarMatrix {
+    const TWO32: f64 = 4_294_967_296.0;
+    let mut cm = CrossbarMatrix::perfect(rows, cols);
+    let n = rows * cols;
+    if n == 0 || rate.is_nan() || rate <= 0.0 || 1.0 - rate >= 1.0 {
+        return cm;
+    }
+    if rate >= 1.0 {
+        for cell in 0..n {
+            cm.set_defective(cell / cols, cell % cols);
+        }
+        return cm;
+    }
+    let q = 1.0 - rate;
+    let mut p = 1.0f64;
+    let thresholds: Vec<u32> = (0..64)
+        .map(|_| {
+            p *= q;
+            (p * TWO32) as u32
+        })
+        .collect();
+    let gap = |raw: u32| {
+        let count = thresholds.iter().filter(|&&t| raw < t).count();
+        if count < 64 {
+            return count;
+        }
+        let u = (f64::from(raw) + 1.0) / TWO32;
+        ((u.ln() / q.ln()) as usize).max(64)
+    };
+    let mut next = 0; // the first crosspoint not yet decided
+    loop {
+        let wide = rng.next_u64();
+        for raw in [wide as u32, (wide >> 32) as u32] {
+            let g = gap(raw);
+            if g >= n - next {
+                return cm;
+            }
+            let cell = next + g;
+            cm.set_defective(cell / cols, cell % cols);
+            next = cell + 1;
+        }
+    }
 }
 
 fn assert_words_identical(a: &CrossbarMatrix, b: &CrossbarMatrix) -> Result<(), TestCaseError> {
@@ -107,6 +162,42 @@ proptest! {
         let mut reference_rng = rng.clone();
         let cm = DefectSampler::v1().sample(rows, cols, rate, &mut rng);
         let reference = v1_by_definition(rows, cols, rate, &mut reference_rng);
+        assert_words_identical(&cm, &reference)?;
+        prop_assert_eq!(rng, reference_rng, "the generator ends in another state");
+    }
+
+    /// The V2 sampler equals its definition on the linear-buffer path
+    /// (up to 2¹⁵ crosspoints): every row word and every plane word match
+    /// the per-defect reference, and the generator ends in the same state,
+    /// for shapes on both sides of the 64-row and 64-column word
+    /// boundaries, for the tail regime's rates (most gaps reach 64 at
+    /// 10⁻⁴ and 0.003), and for rates at and beyond the ends of `[0, 1]`,
+    /// NaN included. Consecutive cases change the rate, so each case also
+    /// rebuilds the sampler's per-thread gap table.
+    #[test]
+    fn v2_sample_equals_its_definition(
+        rows in 0usize..=140,
+        cols in 0usize..=140,
+        rate_millis in 0u64..=1000,
+        special in 0usize..14,
+        seed in 0u64..u64::MAX,
+    ) {
+        let rate = match special {
+            0 => 0.0,
+            1 => 1.0,
+            2 => 1.5,
+            3 => f64::NAN,
+            4 => 1e-4,
+            5 => 0.003,
+            6 => 0.9,
+            7 => -0.25,
+            8 => 1e-20,
+            _ => rate_millis as f64 / 1000.0,
+        };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut reference_rng = rng.clone();
+        let cm = DefectSampler::v2().sample(rows, cols, rate, &mut rng);
+        let reference = v2_by_definition(rows, cols, rate, &mut reference_rng);
         assert_words_identical(&cm, &reference)?;
         prop_assert_eq!(rng, reference_rng, "the generator ends in another state");
     }
@@ -254,6 +345,43 @@ proptest! {
             prop_assert_eq!(clean.functional_fraction(), 1.0);
             let dead = sampler.sample(rows, cols, 1.0, &mut StdRng::seed_from_u64(seed));
             prop_assert_eq!(dead.functional_fraction(), 0.0);
+        }
+    }
+}
+
+/// The V2 sampler equals its definition above 2¹⁵ crosspoints, where it
+/// places each defect straight into the cleared matrix instead of the
+/// linear buffer: single-row, single-column, multi-word-row and square
+/// shapes, and the largest shape the linear buffer takes, across the
+/// tail regime and dense rates. Each map is drawn into a dirty buffer, so
+/// nothing of the previous map may survive.
+#[test]
+fn v2_large_maps_equal_their_definition() {
+    let shapes = [
+        (128, 256), // 2¹⁵ crosspoints: the linear buffer's largest
+        (1, 32_769),
+        (32_769, 1),
+        (182, 181),
+        (129, 260),
+        (300, 120),
+        (64, 513),
+    ];
+    let rates = [1e-4, 0.003, 0.01, 0.1, 0.5, 0.9];
+    for (rows, cols) in shapes {
+        let mut cm = DefectSampler::v1().sample(rows, cols, 0.5, &mut StdRng::seed_from_u64(7));
+        for rate in rates {
+            for seed in [1u64, 2018] {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut reference_rng = rng.clone();
+                DefectSampler::v2().resample(&mut cm, rate, &mut rng);
+                let reference = v2_by_definition(rows, cols, rate, &mut reference_rng);
+                let case = format!("{rows}x{cols} at {rate}, seed {seed}");
+                assert!(cm == reference, "{case}: the maps differ");
+                assert!(
+                    rng == reference_rng,
+                    "{case}: the generator ends in another state"
+                );
+            }
         }
     }
 }
