@@ -13,8 +13,9 @@
 //! physical columns, then run the row mapper on the re-indexed crossbar
 //! matrix, retrying with randomized column routes on failure.
 
+use crate::bits;
 use crate::mapping::RowAssignment;
-use crate::matrices::{BitRow, CrossbarMatrix, FunctionMatrix};
+use crate::matrices::{CrossbarMatrix, FunctionMatrix};
 use crate::redundancy::MapperKind;
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -61,14 +62,9 @@ pub fn map_with_column_redundancy(
             }
         }
     }
-    let mut defects = vec![0usize; physical];
-    for (p, count) in defects.iter_mut().enumerate() {
-        for r in 0..cm.num_rows() {
-            if !cm.row(r).get(p) {
-                *count += 1;
-            }
-        }
-    }
+    let defects: Vec<usize> = (0..physical)
+        .map(|p| bits::count_all(cm.defect_plane(p)))
+        .collect();
     let mut logical_order: Vec<usize> = (0..logical).collect();
     logical_order.sort_by_key(|&l| std::cmp::Reverse(usage[l]));
     let mut physical_order: Vec<usize> = (0..physical).collect();
@@ -106,15 +102,11 @@ fn try_route(
     column_assignment: &[usize],
     mapper: MapperKind,
 ) -> Option<RowAssignment> {
-    let logical = fm.num_cols();
-    let mut routed = CrossbarMatrix::perfect(cm.num_rows(), logical);
-    for r in 0..cm.num_rows() {
-        let mut row = BitRow::zeros(logical);
-        for (l, &p) in column_assignment.iter().enumerate() {
-            row.set(l, cm.row(r).get(p));
-        }
-        for l in 0..logical {
-            if !row.get(l) {
+    let mut routed = CrossbarMatrix::perfect(cm.num_rows(), fm.num_cols());
+    for (l, &p) in column_assignment.iter().enumerate() {
+        let plane = cm.defect_plane(p);
+        for r in 0..cm.num_rows() {
+            if bits::get_bit(plane, r) {
                 routed.set_defective(r, l);
             }
         }

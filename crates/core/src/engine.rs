@@ -9,11 +9,11 @@
 //! dense O(n·r) probe sweep per sample. This revision makes the *build*
 //! word-parallel too:
 //!
-//! * **Bitplane construction** — [`CrossbarMatrix`] maintains one packed
-//!   defect bitplane per column (bit `r` of plane `c` set when CM row `r`
-//!   is defective at column `c`), kept in sync by
-//!   [`DefectSampler::resample`](crate::DefectSampler::resample) during
-//!   the sampling sweep itself. A whole adjacency row for FM row `f` is then
+//! * **Bitplane construction** — [`CrossbarMatrix`] is stored as one
+//!   packed defect bitplane per column (bit `r` of plane `c` set when CM
+//!   row `r` is defective at column `c`), which
+//!   [`DefectSampler::resample`](crate::DefectSampler::resample) writes
+//!   directly. A whole adjacency row for FM row `f` is then
 //!   `AND(!plane[j])` over `f`'s one-columns — O(|ones(f)| · r/64) word
 //!   ops instead of `r` per-row probes.
 //! * **FM campaign cache** — the FM side of a Monte Carlo campaign never
@@ -765,7 +765,7 @@ mod tests {
             for f in 0..fm.num_rows() {
                 let row = &cand[f * words..(f + 1) * words];
                 for c in 0..words * 64 {
-                    let expect = c < rows && row_compatible(fm.row(f), cm.row(c));
+                    let expect = c < rows && row_compatible(fm.row(f), &cm.row(c));
                     assert_eq!(get_bit(row, c), expect, "rows {rows}, f {f}, c {c}");
                 }
             }

@@ -31,7 +31,7 @@ impl RowAssignment {
                 return false;
             }
             used[cm_row] = true;
-            if !row_compatible(fm.row(fm_row), cm.row(cm_row)) {
+            if !row_compatible(fm.row(fm_row), &cm.row(cm_row)) {
                 return false;
             }
         }
@@ -157,8 +157,14 @@ pub mod reference {
     //! calls them.
 
     use super::{HybridOptions, MappingOutcome, MappingStats, RowAssignment};
-    use crate::matrices::{row_compatible, CrossbarMatrix, FunctionMatrix};
+    use crate::matrices::{row_compatible, BitRow, CrossbarMatrix, FunctionMatrix};
     use xbar_assign::{hopcroft_karp, munkres, BipartiteGraph, CostMatrix};
+
+    /// Every row of `cm`, built once per call: the dense scans probe each
+    /// row many times.
+    fn rows_of(cm: &CrossbarMatrix) -> Vec<BitRow> {
+        (0..cm.num_rows()).map(|r| cm.row(r)).collect()
+    }
 
     /// Dense [`super::map_hybrid`]: the original Algorithm 1 scan.
     #[must_use]
@@ -185,13 +191,14 @@ pub mod reference {
             };
         }
 
+        let cm_rows = rows_of(cm);
         // occupant[cm_row] = Some(fm_minterm) while matched.
         let mut occupant: Vec<Option<usize>> = vec![None; r];
         let mut minterm_to_cm: Vec<usize> = vec![usize::MAX; p];
 
         let compat = |fm_row: usize, cm_row: usize, stats: &mut MappingStats| {
             stats.compatibility_checks += 1;
-            row_compatible(fm.row(fm_row), cm.row(cm_row))
+            row_compatible(fm.row(fm_row), &cm_rows[cm_row])
         };
 
         for i in 0..p {
@@ -257,7 +264,10 @@ pub mod reference {
                 stats.assignment_rows = k;
                 let matrix = CostMatrix::from_fn(k, unmatched.len(), |o, u| {
                     stats.compatibility_checks += 1;
-                    i64::from(!row_compatible(&fm.output_rows()[o], cm.row(unmatched[u])))
+                    i64::from(!row_compatible(
+                        &fm.output_rows()[o],
+                        &cm_rows[unmatched[u]],
+                    ))
                 });
                 let solution = munkres(&matrix).expect("k <= unmatched rows");
                 if solution.cost != 0 {
@@ -279,7 +289,7 @@ pub mod reference {
                             continue;
                         }
                         stats.compatibility_checks += 1;
-                        if row_compatible(&fm.output_rows()[o], cm.row(u)) {
+                        if row_compatible(&fm.output_rows()[o], &cm_rows[u]) {
                             taken[ui] = true;
                             fm_to_cm.push(u);
                             placed = true;
@@ -325,9 +335,10 @@ pub mod reference {
             };
         }
         stats.assignment_rows = n;
+        let cm_rows = rows_of(cm);
         let matrix = CostMatrix::from_fn(n, r, |fm_row, cm_row| {
             stats.compatibility_checks += 1;
-            i64::from(!row_compatible(fm.row(fm_row), cm.row(cm_row)))
+            i64::from(!row_compatible(fm.row(fm_row), &cm_rows[cm_row]))
         });
         let solution = munkres(&matrix).expect("n <= r");
         if solution.cost != 0 {
@@ -353,8 +364,9 @@ pub mod reference {
         if fm.num_rows() > cm.num_rows() {
             return false;
         }
+        let cm_rows = rows_of(cm);
         let graph = BipartiteGraph::from_fn(fm.num_rows(), cm.num_rows(), |f, c| {
-            row_compatible(fm.row(f), cm.row(c))
+            row_compatible(fm.row(f), &cm_rows[c])
         });
         hopcroft_karp(&graph).is_perfect_on_left()
     }

@@ -42,15 +42,8 @@ impl BitRow {
     #[must_use]
     pub fn ones(cols: usize) -> Self {
         let mut row = Self::zeros(cols);
-        row.fill_ones();
+        bits::set_range(&mut row.words, cols);
         row
-    }
-
-    /// Resets the row to all-ones without reallocating: whole words are
-    /// written as `!0` and the partial top word is masked to `cols` bits.
-    pub fn fill_ones(&mut self) {
-        self.words.fill(0);
-        bits::set_range(&mut self.words, self.cols);
     }
 
     /// The packed `u64` words backing the row (LSB-first; bit `c` of the
@@ -480,8 +473,9 @@ impl fmt::Display for DefectModelSpec {
 /// is a `Copy` value wrapping the chosen [`SampleStream`] and
 /// [`DefectModelSpec`], which together fully determine RNG consumption,
 /// so two samplers with the same pair are interchangeable mid-campaign.
-/// Every draw fully overwrites the matrix (rows *and* column bitplanes),
-/// so a (sampler, seed) pair reproduces bit-identical maps on any host.
+/// Every draw fully overwrites the matrix's column bitplanes, its only
+/// state, so a (sampler, seed) pair reproduces bit-identical maps on any
+/// host.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DefectSampler {
     stream: SampleStream,
@@ -538,10 +532,11 @@ impl DefectSampler {
         cm
     }
 
-    /// Re-samples `cm` in place as a fresh defect map, reusing its row and
-    /// plane buffers (zero allocation per trial). Consumes the RNG exactly
-    /// like [`DefectSampler::sample`] on the same stream and model, so
-    /// with the same generator state both produce bit-identical matrices.
+    /// Re-samples `cm` in place as a fresh defect map, reusing its plane
+    /// buffer (zero allocation per trial, but for V1's tiles above 512
+    /// columns). Consumes the RNG exactly like [`DefectSampler::sample`]
+    /// on the same stream and model, so with the same generator state
+    /// both produce bit-identical matrices.
     ///
     /// `rate` is the target *cell* defect rate; the `lines` model, which
     /// has no cell layer, ignores it. The `composite` model draws its
@@ -571,27 +566,28 @@ impl DefectSampler {
 
 /// The crossbar matrix: functional map of the physical array.
 ///
-/// Alongside the row bitsets it maintains **column defect bitplanes**: one
-/// packed `u64` bitset per column, bit `r` of plane `c` set exactly when
-/// row `r` is *defective* (0) at column `c`. The planes are the transposed
-/// complement of the rows, kept in sync by every mutator, so the matching
-/// engine can build a whole compatibility-adjacency row as `AND` of
-/// `!plane[c]` over an FM row's one-columns — word-parallel over CM *rows*
-/// instead of one probe per row.
+/// The map is stored as **column defect bitplanes** only: one packed
+/// `u64` bitset per column, bit `r` of plane `c` set exactly when row `r`
+/// is *defective* (0) at column `c`, and every bit at a row index
+/// `>= num_rows()` clear. The matching engine builds a whole
+/// compatibility-adjacency row as `AND` of `!plane[c]` over an FM row's
+/// one-columns — word-parallel over CM *rows* instead of one probe per
+/// row. The paper's rows (Fig. 8b) are built from the planes on demand by
+/// [`CrossbarMatrix::row`], for the cold readers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CrossbarMatrix {
-    rows: Vec<BitRow>,
+    rows: usize,
     cols: usize,
     /// Column defect bitplanes: `cols` bitsets of `plane_words` words.
     planes: Vec<u64>,
-    /// Words per column plane: `bits::words_for(rows.len())`.
+    /// Words per column plane: `bits::words_for(rows)`.
     plane_words: usize,
 }
 
 /// In-place 64×64 bit-matrix transpose (Hacker's Delight §7-3): bit `b`
 /// of word `k` moves to bit `k` of word `b`, in `O(64·log 64)` word ops
 /// via recursive block swaps — the word-parallel kernel behind
-/// [`CrossbarMatrix::rebuild_planes`].
+/// [`CrossbarMatrix::store_tile`].
 fn transpose64(a: &mut [u64; 64]) {
     // Hacker's Delight writes this for MSB-first rows; [`BitRow`] packs
     // LSB-first, so each step swaps the *high* half of `a[k]` with the
@@ -743,31 +739,33 @@ impl CrossbarMatrix {
     pub fn perfect(rows: usize, cols: usize) -> Self {
         let plane_words = bits::words_for(rows);
         Self {
-            rows: (0..rows).map(|_| BitRow::ones(cols)).collect(),
+            rows,
             cols,
             planes: vec![0; cols * plane_words],
             plane_words,
         }
     }
 
-    /// Resets every crosspoint to functional (rows all-ones, planes zero)
-    /// without reallocating — the prologue of every resample that marks
-    /// only the defects (the V1 sweep and V2's small-matrix path overwrite
-    /// every word instead). Row clearing is inlined (whole words, then the
-    /// masked top word) instead of calling [`BitRow::fill_ones`] per row:
-    /// the prologue runs once per Monte Carlo trial, so per-row call
-    /// overhead is measurable.
+    /// Resets every crosspoint to functional without reallocating — the
+    /// prologue of every resample that marks only the defects (the V1
+    /// sweep and V2's linear-buffer path store every plane word instead).
     fn clear_defects(&mut self) {
-        let full = self.cols / 64;
-        let tail = self.cols % 64;
-        let tail_mask = (1u64 << tail).wrapping_sub(1);
-        for row in &mut self.rows {
-            row.words[..full].fill(!0);
-            if tail != 0 {
-                row.words[full] = tail_mask;
-            }
-        }
         self.planes.fill(0);
+    }
+
+    /// Transposes `tile` into plane word `block` of the columns from
+    /// `w·64` on. On entry, bit `b` of `tile[i]` is the defect at row
+    /// `block·64 + i`, column `w·64 + b`. Tile rows past the last row must
+    /// be 0. Bits of columns past the last are never stored, so they need
+    /// no mask. The plane writer of the V1 sweep and of V2's linear buffer.
+    fn store_tile(&mut self, w: usize, block: usize, tile: &mut [u64; 64]) {
+        transpose64(tile);
+        let (first, pw) = (w * 64, self.plane_words);
+        // Now bit `i` of `tile[b]` is the defect at (block·64 + i,
+        // w·64 + b): exactly plane word `block` of column `w·64 + b`.
+        for (b, &word) in tile[..(self.cols - first).min(64)].iter().enumerate() {
+            self.planes[(first + b) * pw + block] = word;
+        }
     }
 
     /// The [`SampleStream::V1`] sweep: one uniform draw per crosspoint in
@@ -775,24 +773,41 @@ impl CrossbarMatrix {
     /// `rng.random_bool(rate)` would return true. **Frozen** — every pre-V2
     /// golden value and shard byte-compare is defined against this exact
     /// RNG consumption. Each draw is compared as an integer against
-    /// [`v1_threshold`] and packed into its row word without a branch;
-    /// the column bitplanes are then rebuilt from the rows in one
-    /// word-parallel transpose ([`Self::rebuild_planes`]).
+    /// [`v1_threshold`] and packed into its row word without a branch. A
+    /// row's words go straight into its 64-row block's tiles, one tile per
+    /// row word, and each block's tiles are then transposed into the
+    /// planes ([`Self::store_tile`]). The tiles live on the stack up to
+    /// 512 columns.
     fn resample_dense(&mut self, rate: f64, rng: &mut StdRng) {
         let threshold = v1_threshold(rate);
-        let cols = self.cols;
-        for row in &mut self.rows {
-            for (w, word) in row.words.iter_mut().enumerate() {
-                let bits = (cols - w * 64).min(64);
-                let mut defects = 0u64;
-                for b in 0..bits {
-                    defects |= u64::from(rng.next_u64() >> 11 < threshold) << b;
+        let (rows, cols) = (self.rows, self.cols);
+        let row_words = cols.div_ceil(64);
+        let mut stack = [[0u64; 64]; 8];
+        let mut heap = Vec::new();
+        let tiles: &mut [[u64; 64]] = if row_words <= stack.len() {
+            &mut stack[..row_words]
+        } else {
+            heap.resize(row_words, [0; 64]);
+            &mut heap
+        };
+        for block in 0..self.plane_words {
+            let upper = rows.min(block * 64 + 64) - block * 64;
+            for i in 0..upper {
+                for (w, tile) in tiles.iter_mut().enumerate() {
+                    let mut defects = 0u64;
+                    for b in 0..(cols - w * 64).min(64) {
+                        defects |= u64::from(rng.next_u64() >> 11 < threshold) << b;
+                    }
+                    tile[i] = defects;
                 }
-                let mask = if bits == 64 { !0 } else { (1 << bits) - 1 };
-                *word = !defects & mask;
+            }
+            for (w, tile) in tiles.iter_mut().enumerate() {
+                // In a short last block, the rows past the last still hold
+                // the previous block's transposed words.
+                tile[upper..].fill(0);
+                self.store_tile(w, block, tile);
             }
         }
-        self.rebuild_planes();
     }
 
     /// The [`SampleStream::V2`] sweep: geometric skip over the row-major
@@ -806,8 +821,7 @@ impl CrossbarMatrix {
     /// below consume the generator identically, so the stream depends on
     /// the seed, the rate and the crosspoint count only.
     fn resample_geometric(&mut self, rate: f64, rng: &mut StdRng) {
-        let (rows, cols, pw) = (self.rows.len(), self.cols, self.plane_words);
-        let n = rows * cols;
+        let n = self.rows * self.cols;
         // NaN-rejecting guard: no defects to draw (matches V1, where
         // `random_bool(rate <= 0)` never fires). A rate below f64
         // resolution around 1.0 (< 2⁻⁵³) leaves `q = 1`: its expected
@@ -818,12 +832,9 @@ impl CrossbarMatrix {
             return;
         }
         if rate >= 1.0 {
-            self.clear_defects();
-            for row in &mut self.rows {
-                row.words.fill(0);
-            }
-            for c in 0..cols {
-                bits::set_range(&mut self.planes[c * pw..(c + 1) * pw], rows);
+            // With rows > 0, `set_range` writes every word of a plane.
+            for plane in self.planes.chunks_exact_mut(self.plane_words) {
+                bits::set_range(plane, self.rows);
             }
             return;
         }
@@ -842,11 +853,11 @@ impl CrossbarMatrix {
 
     /// V2's path for matrices up to [`LINEAR_BITS`] crosspoints: defects
     /// land branch-free in a linear row-major bit buffer on the stack,
-    /// which is then converted to row words and column planes
-    /// word-parallel. The matrix is fully overwritten, so no clearing pass
-    /// is needed.
+    /// which is then cut into 64×64 tiles, one per (row word, 64-row
+    /// block), each transposed into the planes ([`Self::store_tile`]).
+    /// Every plane word is stored, so no clearing pass is needed.
     fn scatter_linear(&mut self, table: &GapTable, rng: &mut StdRng) {
-        let (rows, cols, pw) = (self.rows.len(), self.cols, self.plane_words);
+        let (rows, cols) = (self.rows, self.cols);
         // One pad word past the last: the realignment below reads word
         // pairs. `remaining` counts the crosspoints left, the current one
         // included. The buffer word being filled lives in `word`, stored
@@ -871,58 +882,21 @@ impl CrossbarMatrix {
                 lbuf[at] = word;
             }
         }
-        let rows_s: &mut [BitRow] = &mut self.rows;
-        let planes_s: &mut [u64] = &mut self.planes;
-        if cols <= 64 {
-            // Single-word rows: realign each row's `cols` bits out of
-            // the linear stream (unaligned double-word read), write
-            // the row, and collect the per-row defect masks into a
-            // 64×64 tile transposed into the column planes once per
-            // row block.
-            let full_mask = if cols == 64 {
-                !0u64
-            } else {
-                (1u64 << cols) - 1
-            };
-            let mut bitpos = 0usize;
-            for block in 0..pw {
+        for w in 0..cols.div_ceil(64) {
+            for block in 0..self.plane_words {
                 let base = block * 64;
-                let upper = rows.min(base + 64) - base;
                 let mut tile = [0u64; 64];
-                for (i, row) in rows_s[base..base + upper].iter_mut().enumerate() {
-                    let pair =
-                        u128::from(lbuf[bitpos >> 6]) | (u128::from(lbuf[(bitpos >> 6) + 1]) << 64);
-                    let def = ((pair >> (bitpos & 63)) as u64) & full_mask;
-                    row.words[0] = full_mask ^ def;
-                    tile[i] = def;
-                    bitpos += cols;
+                for (i, defects) in tile[..rows.min(base + 64) - base].iter_mut().enumerate() {
+                    // The row word's 64 bits, realigned out of the stream
+                    // by an unaligned double-word read. Past the row's end
+                    // they are the next row's, in tile columns that
+                    // `store_tile` never stores.
+                    let at = (base + i) * cols + w * 64;
+                    let pair = u128::from(lbuf[at >> 6]) | (u128::from(lbuf[(at >> 6) + 1]) << 64);
+                    *defects = (pair >> (at & 63)) as u64;
                 }
-                transpose64(&mut tile);
-                for (c2, word) in tile.iter().enumerate().take(cols) {
-                    planes_s[c2 * pw + block] = *word;
-                }
+                self.store_tile(w, block, &mut tile);
             }
-        } else {
-            // Multi-word rows (wider than any Table II circuit):
-            // realign per row word, then rebuild the planes with the
-            // shared word-parallel transpose pass.
-            let row_words = bits::words_for(cols);
-            let top = cols % 64;
-            let mut rowbase = 0usize;
-            for row in rows_s.iter_mut() {
-                for (w, word) in row.words.iter_mut().enumerate() {
-                    let bp = rowbase + w * 64;
-                    let pair = u128::from(lbuf[bp >> 6]) | (u128::from(lbuf[(bp >> 6) + 1]) << 64);
-                    let mask = if w == row_words - 1 && top != 0 {
-                        (1u64 << top) - 1
-                    } else {
-                        !0u64
-                    };
-                    *word = mask ^ (((pair >> (bp & 63)) as u64) & mask);
-                }
-                rowbase += cols;
-            }
-            self.rebuild_planes();
         }
     }
 
@@ -933,9 +907,7 @@ impl CrossbarMatrix {
     fn scatter_cells(&mut self, table: &GapTable, rng: &mut StdRng) {
         self.clear_defects();
         let (cols, pw) = (self.cols, self.plane_words);
-        let mut remaining = self.rows.len() * cols;
-        let rows_s: &mut [BitRow] = &mut self.rows;
-        let planes_s: &mut [u64] = &mut self.planes;
+        let mut remaining = self.rows * cols;
         let (mut r, mut c) = (0usize, 0usize);
         'draws: loop {
             let wide = rng.next_u64();
@@ -950,8 +922,7 @@ impl CrossbarMatrix {
                     c -= cols;
                     r += 1;
                 }
-                rows_s[r].words[c >> 6] &= !(1u64 << (c & 63));
-                planes_s[c * pw + (r >> 6)] |= 1u64 << (r & 63);
+                self.planes[c * pw + (r >> 6)] |= 1u64 << (r & 63);
                 c += 1;
             }
         }
@@ -967,7 +938,7 @@ impl CrossbarMatrix {
     /// its own, distinct from the V1/V2 streams.
     fn resample_clustered(&mut self, rate: f64, cluster: f64, rng: &mut StdRng) {
         self.clear_defects();
-        let n = self.rows.len() * self.cols;
+        let n = self.rows * self.cols;
         let rate = if rate.is_nan() {
             0.0
         } else {
@@ -1009,8 +980,7 @@ impl CrossbarMatrix {
         }
     }
 
-    /// Marks the row-major linear span `[start, start + len)` defective,
-    /// updating row words and column bitplanes together.
+    /// Marks the row-major linear span `[start, start + len)` defective.
     fn mark_defective_span(&mut self, start: usize, len: usize) {
         let (cols, pw) = (self.cols, self.plane_words);
         let mut pos = start;
@@ -1020,7 +990,6 @@ impl CrossbarMatrix {
             let seg = (cols - c).min(end - pos);
             let (rw, rb) = (r >> 6, 1u64 << (r & 63));
             for cc in c..c + seg {
-                self.rows[r].words[cc >> 6] &= !(1u64 << (cc & 63));
                 self.planes[cc * pw + rw] |= rb;
             }
             pos += seg;
@@ -1030,31 +999,24 @@ impl CrossbarMatrix {
     /// Layers [`DefectModelKind::Lines`] faults onto the current map
     /// without clearing it: each row then each column breaks independently
     /// with probability `line_rate` (one uniform per line, index order). A
-    /// broken wordline is a single word fill over its [`BitRow`]; a broken
-    /// bitline is a single fill over its column plane.
+    /// broken wordline sets one bit in every plane; a broken bitline fills
+    /// its plane.
     fn apply_line_faults(&mut self, line_rate: f64, rng: &mut StdRng) {
         let rate = if line_rate.is_nan() {
             0.0
         } else {
             line_rate.clamp(0.0, 1.0)
         };
-        let (rows, cols, pw) = (self.rows.len(), self.cols, self.plane_words);
+        let (rows, cols, pw) = (self.rows, self.cols, self.plane_words);
         for r in 0..rows {
             if rng.random_bool(rate) {
-                self.rows[r].words.fill(0);
-                let (rw, rb) = (r >> 6, 1u64 << (r & 63));
-                for c in 0..cols {
-                    self.planes[c * pw + rw] |= rb;
+                for plane in self.planes.chunks_exact_mut(pw) {
+                    plane[r >> 6] |= 1u64 << (r & 63);
                 }
             }
         }
         for c in 0..cols {
             if rng.random_bool(rate) {
-                let (cw, cb) = (c >> 6, !(1u64 << (c & 63)));
-                for row in &mut self.rows {
-                    row.words[cw] &= cb;
-                }
-                self.planes[c * pw..(c + 1) * pw].fill(0);
                 bits::set_range(&mut self.planes[c * pw..(c + 1) * pw], rows);
             }
         }
@@ -1065,73 +1027,24 @@ impl CrossbarMatrix {
     /// column everywhere (both lines are unusable, §IV-A).
     #[must_use]
     pub fn from_crossbar(xbar: &Crossbar) -> Self {
-        let mut cm = Self::perfect(xbar.rows(), xbar.cols());
-        for r in 0..xbar.rows() {
-            for c in 0..xbar.cols() {
-                if xbar.crosspoint(r, c).defect == Defect::StuckOpen {
-                    cm.rows[r].set(c, false);
+        let (rows, cols) = (xbar.rows(), xbar.cols());
+        let mut cm = Self::perfect(rows, cols);
+        let dead_cols: Vec<bool> = (0..cols).map(|c| xbar.col_has_stuck_closed(c)).collect();
+        for r in 0..rows {
+            let dead_row = xbar.row_has_stuck_closed(r);
+            for (c, &dead_col) in dead_cols.iter().enumerate() {
+                if dead_row || dead_col || xbar.crosspoint(r, c).defect == Defect::StuckOpen {
+                    cm.set_defective(r, c);
                 }
             }
         }
-        for r in 0..xbar.rows() {
-            if xbar.row_has_stuck_closed(r) {
-                cm.rows[r] = BitRow::zeros(xbar.cols());
-            }
-        }
-        for c in 0..xbar.cols() {
-            if xbar.col_has_stuck_closed(c) {
-                for r in 0..xbar.rows() {
-                    cm.rows[r].set(c, false);
-                }
-            }
-        }
-        cm.rebuild_planes();
         cm
-    }
-
-    /// Recomputes the column bitplanes from the row bitsets — a bit-matrix
-    /// transpose of the complemented rows, processed as 64×64 tiles
-    /// ([`transpose64`]) so the cost is a few word ops per tile rather
-    /// than one scattered read-modify-write per defect. Used by the cold
-    /// constructors and as the epilogue of the V1 sweep and of V2's
-    /// multi-word-row path.
-    fn rebuild_planes(&mut self) {
-        let (rows, cols, pw) = (self.rows.len(), self.cols, self.plane_words);
-        let row_words = bits::words_for(cols);
-        let tail = cols % 64;
-        for w in 0..row_words {
-            // Complementing rows turns "functional" bits into "defect"
-            // bits; the mask keeps phantom columns (bits `>= cols` in the
-            // top word) from becoming phantom defects.
-            let mask = if w == row_words - 1 && tail != 0 {
-                (1u64 << tail).wrapping_sub(1)
-            } else {
-                !0
-            };
-            let tile_cols = cols.min((w + 1) * 64) - w * 64;
-            for block in 0..pw {
-                let base = block * 64;
-                let upper = rows.min(base + 64);
-                let mut tile = [0u64; 64];
-                for (i, row) in self.rows[base..upper].iter().enumerate() {
-                    tile[i] = !row.words[w] & mask;
-                }
-                transpose64(&mut tile);
-                // After the transpose, `tile[b]` bit `i` = defect at
-                // (base + i, w·64 + b): exactly plane word `block` of
-                // column `w·64 + b`. Each (column, block) pair is written
-                // exactly once across the two outer loops.
-                for (b, &word) in tile[..tile_cols].iter().enumerate() {
-                    self.planes[(w * 64 + b) * pw + block] = word;
-                }
-            }
-        }
     }
 
     /// Number of physical rows.
     #[must_use]
     pub fn num_rows(&self) -> usize {
-        self.rows.len()
+        self.rows
     }
 
     /// Number of columns.
@@ -1140,14 +1053,23 @@ impl CrossbarMatrix {
         self.cols
     }
 
-    /// Row accessor.
+    /// Row `row` of the paper's CM (Fig. 8b), built from the planes: bit
+    /// `c` is 1 exactly when the crosspoint is functional. A cold
+    /// accessor, O(`num_cols()`) per call; the engine reads the planes.
     ///
     /// # Panics
     ///
     /// Panics when `row` is out of range.
     #[must_use]
-    pub fn row(&self, row: usize) -> &BitRow {
-        &self.rows[row]
+    pub fn row(&self, row: usize) -> BitRow {
+        assert!(row < self.rows, "row out of range");
+        let mut out = BitRow::ones(self.cols);
+        for (c, plane) in self.planes.chunks_exact(self.plane_words).enumerate() {
+            if bits::get_bit(plane, row) {
+                bits::clear_bit(&mut out.words, c);
+            }
+        }
+        out
     }
 
     /// Words per column defect plane: `bits::words_for(num_rows())`.
@@ -1175,13 +1097,16 @@ impl CrossbarMatrix {
         &self.planes
     }
 
-    /// Marks a crosspoint defective (stuck-open) — test helper.
+    /// Marks a crosspoint defective (stuck-open), one plane bit. The cold
+    /// per-cell mutator: [`CrossbarMatrix::from_crossbar`], column
+    /// redundancy's routed maps and hand-built test maps use it; the
+    /// samplers write whole plane words.
     ///
     /// # Panics
     ///
     /// Panics on out-of-range indices.
     pub fn set_defective(&mut self, row: usize, col: usize) {
-        self.rows[row].set(col, false);
+        assert!(row < self.rows, "row out of range");
         let pw = self.plane_words;
         bits::set_bit(&mut self.planes[col * pw..(col + 1) * pw], row);
     }
@@ -1189,12 +1114,11 @@ impl CrossbarMatrix {
     /// Fraction of functional crosspoints.
     #[must_use]
     pub fn functional_fraction(&self) -> f64 {
-        let total = self.rows.len() * self.cols;
+        let total = self.rows * self.cols;
         if total == 0 {
             return 1.0;
         }
-        let ones: usize = self.rows.iter().map(BitRow::count_ones).sum();
-        ones as f64 / total as f64
+        (total - bits::count_all(&self.planes)) as f64 / total as f64
     }
 }
 
@@ -1519,23 +1443,39 @@ mod tests {
         assert!(!cm.row(0).get(7));
     }
 
-    /// Checks the bitplane invariant from first principles: bit `r` of
-    /// plane `c` set exactly when row `r` has a 0 at column `c`, and all
-    /// bits at row index `>= num_rows()` clear.
+    /// Checks the planes' invariants from first principles: they span
+    /// `num_cols() × plane_words()` words; every bit at a row index
+    /// `>= num_rows()` is clear, which keeps the derived `Eq` a comparison
+    /// of maps; and [`CrossbarMatrix::row`] reads the plane bits back, bit
+    /// `c` of row `r` being 0 exactly when bit `r` of plane `c` is set,
+    /// with no bit past the last column.
     fn assert_planes_consistent(cm: &CrossbarMatrix) {
-        let pw = cm.plane_words();
-        assert_eq!(pw, crate::bits::words_for(cm.num_rows()));
-        assert_eq!(cm.defect_planes().len(), cm.num_cols() * pw);
-        for c in 0..cm.num_cols() {
+        let (rows, cols, pw) = (cm.num_rows(), cm.num_cols(), cm.plane_words());
+        assert_eq!(pw, crate::bits::words_for(rows));
+        assert_eq!(cm.defect_planes().len(), cols * pw);
+        for c in 0..cols {
             let plane = cm.defect_plane(c);
-            for bit in 0..pw * 64 {
-                let expect = bit < cm.num_rows() && !cm.row(bit).get(c);
-                assert_eq!(
-                    crate::bits::get_bit(plane, bit),
-                    expect,
-                    "col {c}, row-bit {bit}"
+            for bit in rows..pw * 64 {
+                assert!(
+                    !crate::bits::get_bit(plane, bit),
+                    "col {c}, padding bit {bit}"
                 );
             }
+        }
+        for r in 0..rows {
+            let row = cm.row(r);
+            assert_eq!(row.cols(), cols);
+            let mut functional = 0;
+            for c in 0..cols {
+                let defective = crate::bits::get_bit(cm.defect_plane(c), r);
+                assert_eq!(row.get(c), !defective, "row {r}, col {c}");
+                functional += usize::from(!defective);
+            }
+            assert_eq!(
+                row.count_ones(),
+                functional,
+                "row {r}: bits past the last column"
+            );
         }
     }
 
@@ -1549,7 +1489,7 @@ mod tests {
             let cm = DefectSampler::v1().sample(rows, 12, 0.3, &mut rng);
             assert_planes_consistent(&cm);
         }
-        // In-place resampling keeps planes in sync.
+        // In-place resampling over a previous map.
         let mut cm = DefectSampler::v1().sample(70, 9, 0.4, &mut rng);
         for _ in 0..3 {
             DefectSampler::v1().resample(&mut cm, 0.15, &mut rng);
@@ -1559,6 +1499,16 @@ mod tests {
         cm.set_defective(69, 8);
         cm.set_defective(0, 0);
         assert_planes_consistent(&cm);
+        // Broken lines, alone and over clustered cells, on both sides of
+        // the 64-row word boundary.
+        for kind in [DefectModelKind::Lines, DefectModelKind::Composite] {
+            let spec = DefectModelSpec::new(kind, 3.0, 0.3).expect("valid");
+            for rows in [64usize, 65] {
+                let cm = DefectSampler::with_model(SampleStream::V1, spec)
+                    .sample(rows, 12, 0.2, &mut rng);
+                assert_planes_consistent(&cm);
+            }
+        }
     }
 
     #[test]
@@ -1757,7 +1707,7 @@ mod tests {
         let fm = FunctionMatrix::from_cover(&fig8_cover());
         let cm = CrossbarMatrix::perfect(6, 10);
         for r in 0..fm.num_rows() {
-            assert!(row_compatible(fm.row(r), cm.row(0)));
+            assert!(row_compatible(fm.row(r), &cm.row(0)));
             let _ = r;
         }
     }

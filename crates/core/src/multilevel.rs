@@ -243,12 +243,13 @@ fn try_rows(
         .collect();
 
     let r = cm.num_rows();
+    let cm_rows: Vec<BitRow> = (0..r).map(|t| cm.row(t)).collect();
     let mut occupant: Vec<Option<usize>> = vec![None; r];
     let mut row_of: Vec<usize> = vec![usize::MAX; needs.len()];
     for i in 0..needs.len() {
         let mut placed = false;
         for (t, slot) in occupant.iter_mut().enumerate() {
-            if slot.is_none() && needs[i].fits_in(cm.row(t)) {
+            if slot.is_none() && needs[i].fits_in(&cm_rows[t]) {
                 *slot = Some(i);
                 row_of[i] = t;
                 placed = true;
@@ -260,11 +261,11 @@ fn try_rows(
         }
         'steal: for t in 0..r {
             let Some(j) = occupant[t] else { continue };
-            if !needs[i].fits_in(cm.row(t)) {
+            if !needs[i].fits_in(&cm_rows[t]) {
                 continue;
             }
             for u in 0..r {
-                if occupant[u].is_none() && needs[j].fits_in(cm.row(u)) {
+                if occupant[u].is_none() && needs[j].fits_in(&cm_rows[u]) {
                     occupant[u] = Some(j);
                     row_of[j] = u;
                     occupant[t] = Some(i);

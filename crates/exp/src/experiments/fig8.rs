@@ -62,7 +62,7 @@ impl Experiment for Fig8Experiment {
         reporter.line("(c) matching matrix (0 = row matching possible):");
         let n = fm.num_rows();
         let matrix = CostMatrix::from_fn(n, cm.num_rows(), |f, c| {
-            i64::from(!row_compatible(fm.row(f), cm.row(c)))
+            i64::from(!row_compatible(fm.row(f), &cm.row(c)))
         });
         let mut header = String::from("        ");
         for c in 0..cm.num_rows() {

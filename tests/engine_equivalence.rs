@@ -219,7 +219,7 @@ proptest! {
         for f in 0..fm.num_rows() {
             let row = &cand[f * words..(f + 1) * words];
             for c in 0..words * 64 {
-                let expect = c < r && row_compatible(fm.row(f), cm.row(c));
+                let expect = c < r && row_compatible(fm.row(f), &cm.row(c));
                 prop_assert_eq!(
                     bits::get_bit(row, c), expect,
                     "fm row {}, cm row {} (r = {})", f, c, r

@@ -1,13 +1,24 @@
-//! Distribution tests of the [`SampleStream::V2`] sampler.
+//! Distribution tests of the [`SampleStream::V1`] and
+//! [`SampleStream::V2`] samplers.
 //!
-//! `sampler_equivalence` pins V2 to its definition draw for draw; these
-//! tests check that the definition draws the model it claims: every
-//! crosspoint stuck-open independently with probability `rate`. Then, in
-//! row-major order, the functional crosspoints before each defect number
-//! Geometric(`rate`), `P(G = g) = (1 − rate)^g · rate`. A biased threshold,
-//! a wrong cutover to the logarithmic tail at gap 64, or a placement bias
-//! shows up as a Pearson χ² misfit.
+//! `sampler_equivalence` pins both streams to their definitions draw for
+//! draw; these tests check that the definitions draw the model they
+//! claim: every crosspoint stuck-open independently with probability
+//! `rate`.
 //!
+//! - **Gaps (V2).** In row-major order, the functional crosspoints before
+//!   each defect number Geometric(`rate`), `P(G = g) = (1 − rate)^g ·
+//!   rate`. A biased threshold, a wrong cutover to the logarithmic tail at
+//!   gap 64, or a placement bias shows up as a Pearson χ² misfit.
+//! - **Cells (V1 and V2).** Over many maps, each crosspoint's defect count
+//!   is Binomial(maps, `rate`), and neighbouring crosspoints are
+//!   co-defective at `rate²`: inside a row word, across the word edge at
+//!   column 64, across a row end, inside a plane word, and across the
+//!   plane-word edge at row 64. A conversion to the column planes that
+//!   drops a column or leaks one row into the next fails these. The maps
+//!   are read only through [`CrossbarMatrix::defect_plane`].
+//!
+//! [`SampleStream::V1`]: memristive_xbar_repro::core::SampleStream::V1
 //! [`SampleStream::V2`]: memristive_xbar_repro::core::SampleStream::V2
 
 use memristive_xbar_repro::core::{CrossbarMatrix, DefectSampler};
@@ -21,6 +32,9 @@ const MIN_EXPECTED: f64 = 10.0;
 /// `Φ⁻¹(1 − 10⁻⁶)`: each rate's test fails a correct sampler on about
 /// one seed in a million. The seeds are fixed, so the verdict repeats.
 const Z_FALSE_ALARM: f64 = 4.753_424_308_822_899;
+/// `Φ⁻¹(1 − 5·10⁻⁷)`: a two-sided z-test at this bound fails a correct
+/// sampler on about one seed in a million.
+const Z_TWO_SIDED: f64 = 4.891_638_475_698_59;
 
 /// Appends the gaps of `cm` to `out`: in row-major order, the functional
 /// crosspoints before each defect, counted from the crosspoint after the
@@ -125,4 +139,127 @@ fn v2_gaps_follow_the_geometric_law() {
             gaps.len()
         );
     }
+}
+
+/// The defect map of `cm`, row-major, read from its column planes.
+fn defect_cells(cm: &CrossbarMatrix, out: &mut [bool]) {
+    let (rows, cols) = (cm.num_rows(), cm.num_cols());
+    for c in 0..cols {
+        let plane = cm.defect_plane(c);
+        for r in 0..rows {
+            out[r * cols + c] = plane[r / 64] >> (r % 64) & 1 == 1;
+        }
+    }
+}
+
+/// Disjoint pairs of neighbouring cells of a `rows × cols` map, as
+/// row-major cell indices, one list per class. No cell is in two pairs of
+/// one class, so under the i.i.d. model the pairs of a class are
+/// co-defective independently, each with probability `rate²`. A class the
+/// shape does not have is left out.
+fn neighbour_pairs(rows: usize, cols: usize) -> Vec<(&'static str, Vec<(usize, usize)>)> {
+    let cell = |r: usize, c: usize| r * cols + c;
+    let (mut inside_word, mut word_edge, mut row_end) = (vec![], vec![], vec![]);
+    let (mut inside_plane_word, mut plane_word_edge) = (vec![], vec![]);
+    for r in 0..rows {
+        for c in (1..cols).step_by(2) {
+            inside_word.push((cell(r, c - 1), cell(r, c)));
+        }
+        for c in (64..cols).step_by(64) {
+            word_edge.push((cell(r, c - 1), cell(r, c)));
+        }
+        if r + 1 < rows {
+            row_end.push((cell(r, cols - 1), cell(r + 1, 0)));
+            let vertical = (0..cols).map(|c| (cell(r, c), cell(r + 1, c)));
+            if r % 2 == 0 {
+                inside_plane_word.extend(vertical);
+            } else if r % 64 == 63 {
+                plane_word_edge.extend(vertical);
+            }
+        }
+    }
+    [
+        ("horizontal inside a row word", inside_word),
+        ("across the column 63/64 word edge", word_edge),
+        ("across a row end", row_end),
+        ("vertical inside a plane word", inside_plane_word),
+        ("across the row 63/64 plane-word edge", plane_word_edge),
+    ]
+    .into_iter()
+    .filter(|(_, pairs)| !pairs.is_empty())
+    .collect()
+}
+
+/// Draws `maps` maps of `rows × cols` at `rate` from `sampler` and checks
+/// the i.i.d. law cell by cell:
+/// - (a) each crosspoint's defect count over the maps is
+///   Binomial(`maps`, `rate`): Pearson's X² summed over every cell, one
+///   degree of freedom per cell, against its Wilson–Hilferty quantile
+///   that a correct sampler exceeds with probability 10⁻⁶;
+/// - (b) for each class of [`neighbour_pairs`], the co-defect count over
+///   the maps is Binomial(`maps · pairs`, `rate²`): a two-sided z-score
+///   within [`Z_TWO_SIDED`].
+fn check_cells_are_iid(sampler: DefectSampler, rows: usize, cols: usize, maps: u32, seed: u64) {
+    let rate = 0.1;
+    let classes = neighbour_pairs(rows, cols);
+    let mut counts = vec![0u32; rows * cols];
+    let mut co_defects = vec![0u64; classes.len()];
+    let mut cells = vec![false; rows * cols];
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut cm = CrossbarMatrix::perfect(rows, cols);
+    for _ in 0..maps {
+        sampler.resample(&mut cm, rate, &mut rng);
+        defect_cells(&cm, &mut cells);
+        for (count, &defect) in counts.iter_mut().zip(&cells) {
+            *count += u32::from(defect);
+        }
+        for ((_, pairs), co) in classes.iter().zip(&mut co_defects) {
+            *co += pairs.iter().filter(|&&(a, b)| cells[a] && cells[b]).count() as u64;
+        }
+    }
+    let shape = format!("{} {rows}x{cols}, seed {seed}", sampler.stream());
+
+    let n = f64::from(maps);
+    let variance = n * rate * (1.0 - rate);
+    let x2: f64 = counts
+        .iter()
+        .map(|&k| (f64::from(k) - n * rate).powi(2) / variance)
+        .sum();
+    let dof = (rows * cols) as f64;
+    let h = 2.0 / (9.0 * dof);
+    let critical = dof * (1.0 - h + Z_FALSE_ALARM * h.sqrt()).powi(3);
+    assert!(
+        x2 <= critical,
+        "{shape}: per-cell X² = {x2:.1} over {dof} degrees of freedom exceeds {critical:.1}"
+    );
+
+    let both = rate * rate;
+    for ((class, pairs), &co) in classes.iter().zip(&co_defects) {
+        let trials = n * pairs.len() as f64;
+        let z = (co as f64 - trials * both) / (trials * both * (1.0 - both)).sqrt();
+        assert!(
+            z.abs() <= Z_TWO_SIDED,
+            "{shape}: {co} co-defective pairs {class}, expected {:.0} (z = {z:.1})",
+            trials * both
+        );
+    }
+}
+
+/// V1's cells are i.i.d. at the rate: at 130 × 70, whose rows split into
+/// two words at column 64 and whose planes split at rows 64 and 128, and
+/// at rd53's 34 × 16.
+#[test]
+fn v1_cells_are_independent_at_the_rate() {
+    check_cells_are_iid(DefectSampler::v1(), 130, 70, 400, 11);
+    check_cells_are_iid(DefectSampler::v1(), 34, 16, 1_000, 12);
+}
+
+/// V2's cells are i.i.d. at the rate, on the same shapes as V1 (the
+/// linear-buffer path) and at 182 × 181, above 2¹⁵ crosspoints (the
+/// per-defect path), whose rows and planes both span three words.
+#[test]
+fn v2_cells_are_independent_at_the_rate() {
+    check_cells_are_iid(DefectSampler::v2(), 130, 70, 400, 21);
+    check_cells_are_iid(DefectSampler::v2(), 34, 16, 1_000, 22);
+    check_cells_are_iid(DefectSampler::v2(), 182, 181, 300, 23);
 }

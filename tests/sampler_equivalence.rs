@@ -102,7 +102,7 @@ fn v2_by_definition(rows: usize, cols: usize, rate: f64, rng: &mut StdRng) -> Cr
 
 fn assert_words_identical(a: &CrossbarMatrix, b: &CrossbarMatrix) -> Result<(), TestCaseError> {
     for r in 0..a.num_rows() {
-        prop_assert_eq!(a.row(r).words(), b.row(r).words(), "row {} words differ", r);
+        prop_assert_eq!(a.row(r), b.row(r), "row {} differs", r);
     }
     prop_assert_eq!(a.plane_words(), b.plane_words());
     for c in 0..a.num_cols() {
