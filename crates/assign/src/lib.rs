@@ -36,6 +36,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![forbid(unsafe_code)]
 
 pub mod bits;
 mod hopcroft_karp;

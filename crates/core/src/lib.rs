@@ -65,6 +65,8 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 /// Shared packed-`u64` bitset primitives (canonical implementation in
 /// [`xbar_assign::bits`]; re-exported here so `xbar_core` code and

@@ -562,6 +562,44 @@ impl DefectSampler {
             }
         }
     }
+
+    /// The maps [`DefectSampler::resample_batch`] draws in one sweep: one
+    /// per 64-bit lane of an AVX2 register.
+    pub const BATCH: usize = 4;
+
+    /// Re-samples every map of `cms` in place, each from its own seed:
+    /// `cms[l]` comes out exactly as
+    /// `self.resample(&mut cms[l], rate, &mut StdRng::seed_from_u64(seeds[l]))`
+    /// would leave it, whatever the host.
+    ///
+    /// The maps go in groups of [`DefectSampler::BATCH`]. On an x86-64
+    /// host with AVX2, detected at run time, an i.i.d. [`SampleStream::V1`]
+    /// group of two or more maps of one shape is drawn in one sweep, each
+    /// map's xoshiro256++ generator in its own lane. Every other group
+    /// (another stream or model, mixed shapes, a lone map, another CPU)
+    /// takes [`DefectSampler::resample`] map by map, and the scalar V1
+    /// sweep stays the stream's definition.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `cms` and `seeds` differ in length.
+    pub fn resample_batch(self, cms: &mut [CrossbarMatrix], rate: f64, seeds: &[u64]) {
+        assert_eq!(cms.len(), seeds.len(), "one seed per map");
+        let dense_v1 = (self.model.kind(), self.stream) == (DefectModelKind::Iid, SampleStream::V1);
+        for (group, seeds) in cms.chunks_mut(Self::BATCH).zip(seeds.chunks(Self::BATCH)) {
+            let shape = (group[0].rows, group[0].cols);
+            if dense_v1
+                && group.len() > 1
+                && group.iter().all(|cm| (cm.rows, cm.cols) == shape)
+                && CrossbarMatrix::resample_dense_lanes(group, v1_threshold(rate), seeds)
+            {
+                continue;
+            }
+            for (cm, &seed) in group.iter_mut().zip(seeds) {
+                self.resample(cm, rate, &mut StdRng::seed_from_u64(seed));
+            }
+        }
+    }
 }
 
 /// The crossbar matrix: functional map of the physical array.
@@ -621,6 +659,18 @@ fn v1_threshold(rate: f64) -> u64 {
         return 0;
     }
     (rate.clamp(0.0, 1.0) * TWO53).ceil() as u64
+}
+
+/// One SplitMix64 step: `StdRng::seed_from_u64` fills its four state
+/// words with four of them, and so does each lane of
+/// [`CrossbarMatrix::resample_dense_avx2`].
+#[cfg(target_arch = "x86_64")]
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// 2³², the scale of the [`SampleStream::V2`] sub-draws.
@@ -806,6 +856,122 @@ impl CrossbarMatrix {
                 // the previous block's transposed words.
                 tile[upper..].fill(0);
                 self.store_tile(w, block, tile);
+            }
+        }
+    }
+
+    /// Draws `cms` (at most [`DefectSampler::BATCH`] maps of one shape)
+    /// with [`Self::resample_dense_avx2`] when this host has AVX2, with
+    /// `seeds[l]` seeding map `l`, and returns whether it did. The one
+    /// place the workspace runs `unsafe` code.
+    #[allow(unsafe_code)]
+    #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+    fn resample_dense_lanes(cms: &mut [CrossbarMatrix], threshold: u64, seeds: &[u64]) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: the kernel is safe code whose only precondition, the
+            // AVX2 its `target_feature` names, was detected on this host
+            // just now.
+            unsafe { Self::resample_dense_avx2(cms, threshold, seeds) };
+            return true;
+        }
+        false
+    }
+
+    /// The [`SampleStream::V1`] sweep of up to four maps of one shape at
+    /// once, map `l` drawn from `seeds[l]` bit for bit as
+    /// [`Self::resample_dense`] draws it from `StdRng::seed_from_u64`.
+    ///
+    /// Lane `l` of four 256-bit registers holds map `l`'s xoshiro256++
+    /// state, seeded as `seed_from_u64` seeds it (four SplitMix64
+    /// outputs), and every step advances the four generators together;
+    /// AVX2 has no 64-bit rotate, so each rotate is two shifts and an OR.
+    /// A crosspoint is defective when its draw's top 53 bits `k` lie below
+    /// [`v1_threshold`]. Since `k < 2⁵³` and the threshold lies in
+    /// `[0, 2⁵³]`, that is exactly the sign bit of `k − threshold`, which
+    /// is shifted into the lane's row word from the top. After a row
+    /// word's `m` draws, draw `b` sits at bit `64 − m + b`, so the word is
+    /// shifted down by `64 − m` as it leaves its lane. The words land in
+    /// each map's tiles, one per row word, stored per 64-row block by
+    /// [`Self::store_tile`] as the scalar sweep stores them. Lanes past
+    /// the last map draw from seed 0, and their words are dropped.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn resample_dense_avx2(cms: &mut [CrossbarMatrix], threshold: u64, seeds: &[u64]) {
+        use std::arch::x86_64::{
+            _mm256_add_epi64, _mm256_and_si256, _mm256_extract_epi64, _mm256_or_si256,
+            _mm256_set1_epi64x, _mm256_set_epi64x, _mm256_setzero_si256, _mm256_slli_epi64,
+            _mm256_srli_epi64, _mm256_sub_epi64, _mm256_xor_si256,
+        };
+        const LANES: usize = DefectSampler::BATCH;
+        let (maps, rows, cols) = (cms.len(), cms[0].rows, cms[0].cols);
+        debug_assert!(maps <= LANES && maps == seeds.len());
+        debug_assert!(cms.iter().all(|cm| (cm.rows, cm.cols) == (rows, cols)));
+        // `words[k][l]`: state word `k` of lane `l`.
+        let mut words = [[0u64; LANES]; 4];
+        for l in 0..LANES {
+            let mut seed = seeds.get(l).copied().unwrap_or(0);
+            for word in &mut words {
+                word[l] = splitmix64(&mut seed);
+            }
+        }
+        let [mut s0, mut s1, mut s2, mut s3] =
+            words.map(|w| _mm256_set_epi64x(w[3] as i64, w[2] as i64, w[1] as i64, w[0] as i64));
+        let threshold = _mm256_set1_epi64x(threshold as i64);
+        let sign = _mm256_set1_epi64x(i64::MIN);
+        let row_words = cols.div_ceil(64);
+        // Row `i` of map `l`'s tile of row word `w` is
+        // `tiles[(l * row_words + w) * 64 + i]`.
+        let mut tiles = vec![0u64; maps * row_words * 64];
+        for block in 0..cms[0].plane_words {
+            let upper = rows.min(block * 64 + 64) - block * 64;
+            for i in 0..upper {
+                for w in 0..row_words {
+                    let m = (cols - w * 64).min(64);
+                    let mut defects = _mm256_setzero_si256();
+                    for _ in 0..m {
+                        let sum = _mm256_add_epi64(s0, s3);
+                        let rotated = _mm256_or_si256(
+                            _mm256_slli_epi64::<23>(sum),
+                            _mm256_srli_epi64::<41>(sum),
+                        );
+                        let draw = _mm256_add_epi64(rotated, s0);
+                        let t = _mm256_slli_epi64::<17>(s1);
+                        s2 = _mm256_xor_si256(s2, s0);
+                        s3 = _mm256_xor_si256(s3, s1);
+                        s1 = _mm256_xor_si256(s1, s2);
+                        s0 = _mm256_xor_si256(s0, s3);
+                        s2 = _mm256_xor_si256(s2, t);
+                        s3 = _mm256_or_si256(
+                            _mm256_slli_epi64::<45>(s3),
+                            _mm256_srli_epi64::<19>(s3),
+                        );
+                        let below = _mm256_sub_epi64(_mm256_srli_epi64::<11>(draw), threshold);
+                        defects = _mm256_or_si256(
+                            _mm256_srli_epi64::<1>(defects),
+                            _mm256_and_si256(below, sign),
+                        );
+                    }
+                    let lanes = [
+                        _mm256_extract_epi64::<0>(defects),
+                        _mm256_extract_epi64::<1>(defects),
+                        _mm256_extract_epi64::<2>(defects),
+                        _mm256_extract_epi64::<3>(defects),
+                    ];
+                    for (l, lane) in lanes.into_iter().take(maps).enumerate() {
+                        tiles[(l * row_words + w) * 64 + i] = (lane as u64) >> (64 - m);
+                    }
+                }
+            }
+            for (cm, tiles) in cms
+                .iter_mut()
+                .zip(tiles.chunks_exact_mut(row_words.max(1) * 64))
+            {
+                for (w, tile) in tiles.chunks_exact_mut(64).enumerate() {
+                    let tile: &mut [u64; 64] = tile.try_into().expect("64-word chunks");
+                    tile[upper..].fill(0);
+                    cm.store_tile(w, block, tile);
+                }
             }
         }
     }
@@ -1304,6 +1470,52 @@ mod tests {
         assert_eq!(v1_threshold(f64::NAN), 0);
         assert_eq!(v1_threshold(-0.25), 0);
         assert_eq!(v1_threshold(1.5), TWO53);
+    }
+
+    /// The four-lane V1 kernel, called directly rather than through
+    /// [`DefectSampler::resample_batch`]'s dispatch, draws every map of
+    /// one to four as the scalar sweep draws it from its seed, over dirty
+    /// buffers, on both sides of the 64-row and 64-column word edges.
+    #[test]
+    fn the_avx2_kernel_draws_each_map_as_the_scalar_sweep() {
+        let shapes = [
+            (1, 1),
+            (5, 63),
+            (64, 64),
+            (65, 65),
+            (130, 44),
+            (70, 142),
+            (0, 9),
+            (9, 0),
+        ];
+        for (rows, cols) in shapes {
+            for maps in 1..=DefectSampler::BATCH {
+                for rate in [0.0, 0.1, 0.5, 1.0] {
+                    let seeds: Vec<u64> = (0..maps as u64).map(|l| 1000 * l + 7).collect();
+                    let mut dirty = StdRng::seed_from_u64(3);
+                    let mut cms: Vec<CrossbarMatrix> = (0..maps)
+                        .map(|_| DefectSampler::v1().sample(rows, cols, 0.5, &mut dirty))
+                        .collect();
+                    if !CrossbarMatrix::resample_dense_lanes(&mut cms, v1_threshold(rate), &seeds) {
+                        eprintln!("skipped: this host has no AVX2");
+                        return;
+                    }
+                    for (cm, &seed) in cms.iter().zip(&seeds) {
+                        let want = DefectSampler::v1().sample(
+                            rows,
+                            cols,
+                            rate,
+                            &mut StdRng::seed_from_u64(seed),
+                        );
+                        assert!(
+                            *cm == want,
+                            "{rows}x{cols}, {maps} maps, rate {rate}, seed {seed}"
+                        );
+                        assert_planes_consistent(cm);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

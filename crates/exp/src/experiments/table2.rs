@@ -15,7 +15,7 @@ use crate::experiment::{
     Reporter, CLUSTER_SIZE_PARAM, DEFECT_MODEL_PARAM, LINE_RATE_PARAM, RNG_STREAM_PARAM,
 };
 use crate::experiments::mapping_cover;
-use crate::mc::{available_workers, fold_jobs};
+use crate::mc::{available_workers, fold_jobs, sample_seed};
 use crate::shard::json::JsonValue;
 use crate::table::{pct, secs, Table};
 use std::ops::Range;
@@ -206,14 +206,17 @@ struct PreparedCircuit {
 /// exact circuit's cover is parsed from the PLA text the build script
 /// derived with [`BenchmarkInfo::mapping_cover`] (about 0.13 ms for
 /// rd84), so no process minimizes it again; twins are generated, not
-/// minimized. Every worker keeps one engine and one crossbar matrix across
-/// circuits (the crossbar is resized when the circuit changes), so the hot
-/// loop performs zero heap allocations. Sampling goes through the job's
-/// stream-selected [`DefectSampler`]: under V1 it consumes the per-sample
-/// RNG exactly like the original dense sampler, keeping the statistics
-/// bit-identical to the pre-engine implementation; V2 pins its own golden
-/// values. Non-default spatial models dispatch through the same handle, so
-/// the i.i.d. hot path stays untouched.
+/// minimized. Every worker keeps one engine and [`DefectSampler::BATCH`]
+/// crossbar matrices across circuits (resized together when the circuit
+/// changes). A worker walks its chunk in groups of `BATCH` samples: it
+/// draws the group's maps with one [`DefectSampler::resample_batch`] call,
+/// each from its own sample's seed, then maps them one by one in sample
+/// order. Sampling goes through the job's stream-selected
+/// [`DefectSampler`]: under V1 every map is bit for bit the one the
+/// original dense sampler draws from its sample's seed, keeping the
+/// statistics bit-identical to the pre-engine implementation (on an AVX2
+/// host four V1 maps share one sweep); V2 pins its own golden values.
+/// Non-default spatial models dispatch through the same handle, map by map.
 ///
 /// HBA runs and is timed on every trial. An HBA success is a valid full
 /// assignment, hence a perfect matching, so it certifies EA success; EA is
@@ -226,11 +229,12 @@ pub(crate) fn fold_circuits(
     args: &ExpArgs,
     range: Range<usize>,
 ) -> Vec<(LayoutFacts, CircuitAccum)> {
+    const BATCH: usize = DefectSampler::BATCH;
     let facts: Vec<OnceLock<LayoutFacts>> = jobs.iter().map(|_| OnceLock::new()).collect();
+    let seed = mc_seed(args.seed);
     let accums = fold_jobs(
         available_workers(),
         &vec![range; jobs.len()],
-        mc_seed(args.seed),
         |j| {
             let registry_cover;
             let cover = match jobs[j].cover {
@@ -248,33 +252,46 @@ pub(crate) fn fold_circuits(
                 sampler: DefectSampler::with_model(args.stream, jobs[j].model),
             }
         },
-        || (MatchEngine::new(), CrossbarMatrix::perfect(0, 0)),
-        |accum: &mut CircuitAccum, (engine, cm), circuit: &PreparedCircuit, index, seed| {
+        || {
+            let cms: [CrossbarMatrix; BATCH] =
+                std::array::from_fn(|_| CrossbarMatrix::perfect(0, 0));
+            (MatchEngine::new(), cms)
+        },
+        |accum: &mut CircuitAccum, (engine, cms), circuit: &PreparedCircuit, samples| {
             let fm = &circuit.fm;
-            if (cm.num_rows(), cm.num_cols()) != (fm.num_rows(), fm.num_cols()) {
-                // A new circuit: resize the crossbar and warm the
+            if (cms[0].num_rows(), cms[0].num_cols()) != (fm.num_rows(), fm.num_cols()) {
+                // A new circuit: resize the crossbars and warm the
                 // engine's FM cache outside the timers (every query
                 // revalidates that cache, so a same-shape switch is
                 // still safe).
-                *cm = CrossbarMatrix::perfect(fm.num_rows(), fm.num_cols());
+                cms.fill(CrossbarMatrix::perfect(fm.num_rows(), fm.num_cols()));
                 engine.prepare_fm(fm);
             }
-            let mut rng: rand::rngs::StdRng = rand::SeedableRng::seed_from_u64(seed);
-            circuit.sampler.resample(cm, args.defect_rate, &mut rng);
-            let t0 = Instant::now();
-            let (hba_ok, _) = engine.hybrid_success(fm, cm);
-            accum.hba_time.push(t0.elapsed().as_secs_f64());
-            let ea_ok = if index % EA_TIMING_STRIDE == 0 {
-                let t1 = Instant::now();
-                let (ea_ok, _) = engine.exact_success(fm, cm);
-                accum.ea_time.push(t1.elapsed().as_secs_f64());
-                ea_ok
-            } else {
-                hba_ok || engine.exact_success(fm, cm).0
-            };
-            debug_assert!(!hba_ok || ea_ok, "HBA success must imply EA success");
-            accum.hba.push(hba_ok);
-            accum.ea.push(ea_ok);
+            let end = samples.end;
+            for first in samples.step_by(BATCH) {
+                let group = first..end.min(first + BATCH);
+                let seeds: [u64; BATCH] = std::array::from_fn(|l| sample_seed(seed, first + l));
+                let cms = &mut cms[..group.len()];
+                circuit
+                    .sampler
+                    .resample_batch(cms, args.defect_rate, &seeds[..group.len()]);
+                for (cm, index) in cms.iter().zip(group) {
+                    let t0 = Instant::now();
+                    let (hba_ok, _) = engine.hybrid_success(fm, cm);
+                    accum.hba_time.push(t0.elapsed().as_secs_f64());
+                    let ea_ok = if index % EA_TIMING_STRIDE == 0 {
+                        let t1 = Instant::now();
+                        let (ea_ok, _) = engine.exact_success(fm, cm);
+                        accum.ea_time.push(t1.elapsed().as_secs_f64());
+                        ea_ok
+                    } else {
+                        hba_ok || engine.exact_success(fm, cm).0
+                    };
+                    debug_assert!(!hba_ok || ea_ok, "HBA success must imply EA success");
+                    accum.hba.push(hba_ok);
+                    accum.ea.push(ea_ok);
+                }
+            }
         },
         |accum, piece| accum.merge(&piece),
     );
@@ -653,6 +670,57 @@ mod tests {
         // Runtimes are wall-clock, but their counts must still line up.
         assert_eq!(merged.hba_time.count, whole.hba_time.count);
         assert_eq!(merged.ea_time.count, whole.ea_time.count);
+
+        // A V1 campaign whose maps cross the word edges (rd73's 130 rows,
+        // exp5's 142 columns: three row words), cut off the 4-sample
+        // group grid and across the 32-sample chunk edge, against the
+        // monolithic fold and a scalar reference fold.
+        let args = ExpArgs {
+            samples: 70,
+            ..quick_args()
+        };
+        let infos = [
+            find("rd73").expect("registered"),
+            find("exp5").expect("registered"),
+        ];
+        let jobs = infos.map(|info| CircuitJob::registry(info, args.model));
+        let whole = fold_circuits(&jobs, &args, 0..70);
+        let mut merged = [CircuitAccum::new(); 2];
+        for pair in [0usize, 1, 5, 31, 33, 64, 70].windows(2) {
+            for (total, (_, piece)) in
+                merged
+                    .iter_mut()
+                    .zip(fold_circuits(&jobs, &args, pair[0]..pair[1]))
+            {
+                total.merge(&piece);
+            }
+        }
+        for ((info, (_, whole)), merged) in infos.iter().zip(&whole).zip(&merged) {
+            let cover = mapping_cover(info, args.seed);
+            let fm = FunctionMatrix::from_cover(&cover);
+            let mut cm = CrossbarMatrix::perfect(fm.num_rows(), fm.num_cols());
+            let mut engine = MatchEngine::new();
+            let mut reference = CircuitAccum::new();
+            for i in 0..70 {
+                let mut rng: rand::rngs::StdRng =
+                    rand::SeedableRng::seed_from_u64(sample_seed(mc_seed(args.seed), i));
+                DefectSampler::v1().resample(&mut cm, args.defect_rate, &mut rng);
+                let hba_ok = engine.hybrid_success(&fm, &cm).0;
+                let ea_ok = if i % EA_TIMING_STRIDE == 0 {
+                    engine.exact_success(&fm, &cm).0
+                } else {
+                    hba_ok || engine.exact_success(&fm, &cm).0
+                };
+                reference.push(hba_ok, 0.0, ea_ok, 0.0);
+            }
+            let name = info.name;
+            for accum in [whole, merged] {
+                assert_eq!(accum.hba, reference.hba, "{name}");
+                assert_eq!(accum.ea, reference.ea, "{name}");
+                assert_eq!(accum.hba_time.count, 70, "{name}");
+                assert_eq!(accum.ea_time.count, 5, "{name}: 0, 16, 32, 48, 64");
+            }
+        }
     }
 
     #[test]

@@ -9,10 +9,14 @@
 //! of *jobs* (a Table II circuit is one), each a sample range plus a
 //! per-job preparation, and folds them all through one `thread::scope`:
 //! its workers claim [`CHUNK`]-sample chunks from one atomic cursor in job
-//! order, fold each sample into a per-worker accumulator for its job, and
-//! the accumulators are merged per job in worker order at the end. There
-//! is no shared mutable state on the hot path, and an exact accumulator
-//! (integer counters) reads the same under any worker count or timing.
+//! order, fold each chunk into a per-worker accumulator for its job, and
+//! the accumulators are merged per job in worker order at the end. The
+//! fold callback gets the chunk's whole sample range, so it can draw
+//! several samples' defect maps in one sweep (Table II draws
+//! `DefectSampler::BATCH` at a time) before folding them in sample order.
+//! There is no shared mutable state on the hot path, and an exact
+//! accumulator (integer counters) reads the same under any worker count
+//! or timing.
 //! A job is prepared once: by the worker that ran the previous job's
 //! first chunk, ahead of time, or else by the first worker that claims
 //! one of its chunks. Its prepared state is dropped after its last chunk,
@@ -168,10 +172,13 @@ where
     fold_jobs(
         available_workers(),
         &[range],
-        experiment_seed,
         |_| (),
         init,
-        |accum, state, (), i, seed| fold(accum, state, i, seed),
+        |accum, state, (), samples| {
+            for i in samples {
+                fold(accum, state, i, sample_seed(experiment_seed, i));
+            }
+        },
         merge,
     )
     .pop()
@@ -181,20 +188,24 @@ where
 /// Folds every job's samples through one pool of `workers` threads and
 /// returns one merged accumulator per job, in job order.
 ///
-/// Job `j` covers the global samples `jobs[j]`; sample `i` is folded as
-/// `fold(accum, state, prepared, i, sample_seed(experiment_seed, i))`,
-/// where `state` is the worker's own value (`init`, run once per worker,
-/// before its first sample) and `prepared` is `prepare(j)`, shared by
-/// the workers folding job `j`.
+/// Job `j` covers the global samples `jobs[j]`, and is folded a chunk at
+/// a time: a chunk's samples `samples` (a non-empty sub-range of
+/// `jobs[j]`, at most [`CHUNK`] long) are folded by one call
+/// `fold(accum, state, prepared, samples)`, where `state` is the worker's
+/// own value (`init`, run once per worker, before its first chunk) and
+/// `prepared` is `prepare(j)`, shared by the workers folding job `j`.
+/// The callback derives each sample's seed itself, from its global index
+/// (see [`sample_seed`]).
 ///
 /// Workers claim [`CHUNK`]-sample chunks from one cursor in job order (an
-/// empty job is one empty chunk). Each job is prepared exactly once: the
-/// worker that ran job `j`'s first chunk then prepares job `j + 1` while
-/// the others sample, unless another worker has it already, and a chunk
-/// whose job is unprepared prepares it first. The last chunk to finish
-/// drops the prepared state. Each worker folds into its own accumulator
-/// per job, and these are merged per job in worker order, so integer
-/// accumulators come out the same whatever the worker count or timing.
+/// empty job is one empty chunk, never folded). Each job is prepared
+/// exactly once: the worker that ran job `j`'s first chunk then prepares
+/// job `j + 1` while the others sample, unless another worker has it
+/// already, and a chunk whose job is unprepared prepares it first. The
+/// last chunk to finish drops the prepared state. Each worker folds into
+/// its own accumulator per job, and these are merged per job in worker
+/// order, so integer accumulators come out the same whatever the worker
+/// count or timing.
 ///
 /// # Panics
 ///
@@ -202,7 +213,6 @@ where
 pub(crate) fn fold_jobs<P, S, A, R, I, F, M>(
     workers: usize,
     jobs: &[Range<usize>],
-    experiment_seed: u64,
     prepare: R,
     init: I,
     fold: F,
@@ -213,7 +223,7 @@ where
     A: Default + Send,
     R: Fn(usize) -> P + Sync,
     I: Fn() -> S + Sync,
-    F: Fn(&mut A, &mut S, &P, usize, u64) + Sync,
+    F: Fn(&mut A, &mut S, &P, Range<usize>) + Sync,
     M: Fn(&mut A, A),
 {
     // `starts[j]` is job j's first chunk; chunk c of the whole list
@@ -248,15 +258,7 @@ where
             let prepared = slots[job].acquire(|| prepare(job));
             if !samples.is_empty() {
                 let state = state.get_or_insert_with(&init);
-                for i in samples {
-                    fold(
-                        &mut accums[job],
-                        state,
-                        &prepared,
-                        i,
-                        sample_seed(experiment_seed, i),
-                    );
-                }
+                fold(&mut accums[job], state, &prepared, samples);
             }
             drop(prepared);
             slots[job].finish_chunk();
@@ -589,10 +591,13 @@ mod tests {
             let pooled = fold_jobs(
                 workers,
                 &jobs,
-                13,
                 |job| job as u64,
                 || (),
-                |accum, (), &weight, _, seed| weighted(accum, weight, seed),
+                |accum, (), &weight, samples| {
+                    for i in samples {
+                        weighted(accum, weight, sample_seed(13, i));
+                    }
+                },
                 add,
             );
             assert_eq!(pooled, alone, "{workers} workers");
@@ -608,10 +613,16 @@ mod tests {
                 let runs = fold_jobs(
                     workers,
                     std::slice::from_ref(&range),
-                    5,
                     |_| (),
                     || (),
-                    |runs: &mut Runs<_>, (), (), i, seed| runs.push(i, (i, seed)),
+                    |runs: &mut Runs<_>, (), (), samples: Range<usize>| {
+                        // A chunk: non-empty, inside its job, at most CHUNK.
+                        assert!(!samples.is_empty() && samples.len() <= CHUNK);
+                        assert!(range.start <= samples.start && samples.end <= range.end);
+                        for i in samples {
+                            runs.push(i, (i, sample_seed(5, i)));
+                        }
+                    },
                     Runs::append,
                 );
                 let collected: Vec<_> =
@@ -629,10 +640,13 @@ mod tests {
             let runs = fold_jobs(
                 workers,
                 &awkward_jobs(),
-                3,
                 |_| (),
                 || inits.fetch_add(1, Ordering::Relaxed),
-                |runs: &mut Runs<usize>, &mut id, (), i, _| runs.push(i, id),
+                |runs: &mut Runs<usize>, &mut id, (), samples| {
+                    for i in samples {
+                        runs.push(i, id);
+                    }
+                },
                 Runs::append,
             );
             // 38 chunks: a state made per chunk or per job would
@@ -685,7 +699,6 @@ mod tests {
             let counts = fold_jobs(
                 workers,
                 &jobs,
-                9,
                 |job| {
                     prepares[job].fetch_add(1, Ordering::SeqCst);
                     // Live jobs: at most one per worker inside a chunk,
@@ -701,9 +714,11 @@ mod tests {
                     }
                 },
                 || (),
-                |count: &mut usize, (), prepared: &Prepared<'_>, _, _| {
-                    assert_eq!(drops[prepared.job].load(Ordering::SeqCst), 0);
-                    *count += 1;
+                |count: &mut usize, (), prepared: &Prepared<'_>, samples| {
+                    for _ in samples {
+                        assert_eq!(drops[prepared.job].load(Ordering::SeqCst), 0);
+                        *count += 1;
+                    }
                 },
                 |count, piece| *count += piece,
             );
@@ -728,7 +743,6 @@ mod tests {
         let counts = fold_jobs(
             2,
             &[0..1, 1..2, 2..3],
-            1,
             |job| {
                 if job == 0 {
                     let on_release = on_release.lock().expect("one job 0");
@@ -748,7 +762,7 @@ mod tests {
                 }
             },
             || (),
-            |count: &mut usize, (), _: &Prepared<'_>, _, _| *count += 1,
+            |count: &mut usize, (), _: &Prepared<'_>, samples| *count += samples.len(),
             |count, piece| *count += piece,
         );
         assert_eq!(counts, [1, 1, 1]);

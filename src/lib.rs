@@ -32,6 +32,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use xbar_assign as assign;
 pub use xbar_core as core;

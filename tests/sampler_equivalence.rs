@@ -6,7 +6,9 @@
 //! boundary. Both streams are pinned to their definitions too: V1 to one
 //! `random_bool` per crosspoint, V2 to its threshold count and ln tail,
 //! on both of its marking paths. V1/V2 divergence and in-place resample
-//! identity are covered over arbitrary shapes too.
+//! identity are covered over arbitrary shapes too, and a batch draw
+//! (`DefectSampler::resample_batch`, four-lane V1 kernel included) is
+//! pinned to the same definitions map by map.
 
 use memristive_xbar_repro::core::{
     CrossbarMatrix, DefectModelKind, DefectModelSpec, DefectSampler, SampleStream,
@@ -329,6 +331,65 @@ proptest! {
             (observed - rate).abs() <= 6.0 * sd + 0.005,
             "target {rate}, cluster {cluster}: observed {observed} (sd {sd})"
         );
+    }
+
+    /// A batch draw equals the per-map draws it stands for: each of 0–9
+    /// maps, drawn over a dirty buffer, equals its stream's definition
+    /// (i.i.d. V1 and V2) or a per-map `resample` (the other models) from
+    /// `StdRng::seed_from_u64(seeds[l])`, for shapes on both sides of the
+    /// 64-row and 64-column word edges, zero-sized ones included, and for
+    /// rates at and beyond the ends of `[0, 1]`, NaN included. On an AVX2
+    /// host the i.i.d. V1 groups of two to four maps of one shape run the
+    /// four-lane kernel; a group holding a mixed-shape batch's transposed
+    /// last map, and every other model, take the per-map fallback.
+    #[test]
+    fn resample_batch_equals_each_maps_own_draw(
+        maps in 0usize..=9,
+        rows in 0usize..=140,
+        cols in 0usize..=140,
+        rate_millis in 0u64..=1000,
+        special in 0usize..12,
+        model_idx in 0usize..=DefectModelKind::ALL.len(),
+        mixed in proptest::bool::ANY,
+        seed in 0u64..u64::MAX,
+    ) {
+        let rate = match special {
+            0 => 0.0,
+            1 => 1.0,
+            2 => 1.5,
+            3 => -0.25,
+            4 => f64::NAN,
+            _ => rate_millis as f64 / 1000.0,
+        };
+        // `model_idx` past the last model picks i.i.d. V2.
+        let sampler = match DefectModelKind::ALL.get(model_idx) {
+            Some(&kind) => DefectSampler::with_model(
+                SampleStream::V1,
+                DefectModelSpec::new(kind, 2.5, 0.1).expect("in-range parameters"),
+            ),
+            None => DefectSampler::v2(),
+        };
+        let shape = |l: usize| if mixed && l + 1 == maps { (cols, rows) } else { (rows, cols) };
+        let seeds: Vec<u64> = (0..maps as u64).map(|l| seed.wrapping_add(l)).collect();
+        let mut dirty = StdRng::seed_from_u64(seed ^ 0xD1B7);
+        let mut cms: Vec<CrossbarMatrix> = (0..maps)
+            .map(|l| DefectSampler::v1().sample(shape(l).0, shape(l).1, 0.5, &mut dirty))
+            .collect();
+        sampler.resample_batch(&mut cms, rate, &seeds);
+        for (l, (cm, &seed)) in cms.iter().zip(&seeds).enumerate() {
+            let (r, c) = shape(l);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let want = if sampler == DefectSampler::v1() {
+                v1_by_definition(r, c, rate, &mut rng)
+            } else if sampler == DefectSampler::v2() {
+                v2_by_definition(r, c, rate, &mut rng)
+            } else {
+                sampler.sample(r, c, rate, &mut rng)
+            };
+            prop_assert_eq!(cm.num_rows(), r);
+            prop_assert_eq!(cm.num_cols(), c);
+            assert_words_identical(cm, &want)?;
+        }
     }
 
     /// Both streams agree exactly on the expected defect density at the
