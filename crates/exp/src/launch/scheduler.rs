@@ -20,9 +20,13 @@
 //!   a *different* host — first valid partial wins, the loser is
 //!   cancelled and discarded (the exact-tiling merge validation would
 //!   reject its duplicate anyway).
+//!
+//! The loop wakes on events: when a pass moves nothing, it waits for a
+//! process-wide signal that a worker's exit raises, or for its earliest
+//! timer (a watchdog deadline, a hedge threshold, a backoff expiry).
 
 use super::pool::{HostCount, HostPool, HostSpec};
-use super::transport::{Transport, WorkerJob};
+use super::transport::{Transport, WorkerJob, FLIGHT_EXITS};
 use crate::experiments::table2::CircuitAccum;
 use crate::shard::coordinator::{backoff_delay, merge_partials, MergedResult, RunReport, Worker};
 use crate::shard::partial::ShardPartial;
@@ -44,8 +48,14 @@ pub(crate) fn local_fleet(slots: Option<usize>) -> Vec<HostSpec> {
     }]
 }
 
-/// How often the scheduler polls flights when nothing has changed.
+/// The longest the loop waits while flights are live: the bound for a
+/// flight that never raises [`FLIGHT_EXITS`] (a wrapped or injected one).
 const POLL_INTERVAL: Duration = Duration::from_millis(4);
+/// The first re-poll delay after a wake that resolved nothing. A worker
+/// closes its pipes, which raises the signal, a moment before it can be
+/// reaped, so the loop re-polls at this delay, doubling up to
+/// [`POLL_INTERVAL`], before it blocks on the signal again.
+const RECHECK_DELAY: Duration = Duration::from_micros(50);
 
 /// Launcher configuration: the coordinator knobs plus the fleet and its
 /// health/hedging policy.
@@ -404,23 +414,30 @@ impl Launcher<'_> {
         progressed
     }
 
-    /// When nothing moved, how long to sleep: the short poll tick while
-    /// flights are live, else until the earliest backoff expiry. The pool
-    /// never quarantines its last available host, so a due item always
-    /// finds one and the wait is never a probation.
+    /// When nothing moved, how long the loop may wait for a flight to
+    /// exit: until its earliest timer (a watchdog deadline, a hedge
+    /// threshold, a backoff expiry), and while flights are live at most
+    /// [`POLL_INTERVAL`]. A due item waits for a slot, which a flight's
+    /// exit frees; the pool never quarantines its last available host, so
+    /// with no flight live a due item always finds one.
     fn idle_wait(&self) -> Duration {
-        if !self.flights.is_empty() {
-            return POLL_INTERVAL;
-        }
-        self.queue
+        let now = Instant::now();
+        let hedge_after = self.cfg.hedge_after;
+        let flight_timers = self
+            .flights
             .iter()
-            .map(|item| item.ready_at)
-            .min()
-            .map_or(POLL_INTERVAL, |ready| {
-                ready
-                    .saturating_duration_since(Instant::now())
-                    .max(POLL_INTERVAL)
-            })
+            .flat_map(|f| [f.deadline, hedge_after.map(|after| f.started + after)]);
+        let next_timer = flight_timers
+            .flatten()
+            .chain(self.queue.iter().map(|item| item.ready_at))
+            .filter(|&at| at > now)
+            .min();
+        let until_timer = next_timer.map_or(POLL_INTERVAL, |at| at - now);
+        if self.flights.is_empty() {
+            until_timer
+        } else {
+            until_timer.min(POLL_INTERVAL)
+        }
     }
 
     /// Kills and discards every live flight (fail-fast path; checkpoints
@@ -524,17 +541,39 @@ pub(crate) fn run_scheduler(
     }
 
     // The event loop: dispatch due work onto healthy hosts, poll flights,
-    // hedge stragglers, sleep only when nothing moved. Terminates because
+    // hedge stragglers, wait only when nothing moved. Terminates because
     // every shard either completes or exhausts its attempts (quarantine
     // never takes the last available host, so it cannot block dispatch).
+    //
+    // The signal's count is read before each pass, so a worker that exits
+    // during the pass cuts the next wait short. A raise since the previous
+    // pass may come from a worker that is not reapable yet: until the
+    // loop has re-polled at a doubling `recheck` delay, it does not block
+    // on the count it read after that raise.
+    let mut last_seen = FLIGHT_EXITS.count();
+    let mut recheck = None;
     while launcher.permanent.is_empty()
         && (!launcher.queue.is_empty() || !launcher.flights.is_empty())
     {
+        let seen = FLIGHT_EXITS.count();
+        if seen != last_seen {
+            last_seen = seen;
+            recheck = Some(RECHECK_DELAY);
+        }
         let filled = launcher.fill();
         let reaped = launcher.reap();
         let hedged = launcher.hedge();
-        if !filled && !reaped && !hedged {
-            std::thread::sleep(launcher.idle_wait());
+        if filled || reaped || hedged {
+            continue;
+        }
+        let wait = launcher.idle_wait();
+        if let Some(delay) = recheck {
+            FLIGHT_EXITS.wait_past(seen, delay.min(wait));
+            recheck = Some(delay * 2).filter(|next| *next < POLL_INTERVAL);
+        } else {
+            #[cfg(test)]
+            tests::before_block();
+            FLIGHT_EXITS.wait_past(seen, wait);
         }
     }
 
@@ -572,4 +611,217 @@ pub(crate) fn run_scheduler(
         run_dir.remove();
     }
     Ok((merged, report))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::launch::pool::{DEFAULT_PROBATION, DEFAULT_QUARANTINE_AFTER};
+    use crate::launch::transport::Flight;
+    use crate::shard::coordinator::{render_stats_json, run_monolithic, DEFAULT_RETRY_BASE};
+    use crate::shard::run_shard;
+    use std::cell::{Cell, RefCell};
+    use std::rc::Rc;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    use xbar_core::{DefectModelSpec, SampleStream};
+
+    thread_local! {
+        /// Runs just before the loop on this thread blocks on the flight
+        /// signal (any wait that is not a re-poll after a wake).
+        static BEFORE_BLOCK: RefCell<Option<Box<dyn Fn()>>> = const { RefCell::new(None) };
+    }
+
+    pub(super) fn before_block() {
+        BEFORE_BLOCK.with(|hook| {
+            if let Some(hook) = hook.borrow().as_ref() {
+                hook();
+            }
+        });
+    }
+
+    /// A flight that ends the way a worker process does: after `running`
+    /// polls it raises the signal (its pipes closed) and answers `None`,
+    /// answers `None` to one more poll (not reapable yet), and then
+    /// resolves. `ready` counts flights waiting for that last poll.
+    struct ExitingFlight {
+        running: usize,
+        polls: usize,
+        partial: Vec<u8>,
+        ready: Arc<AtomicUsize>,
+    }
+
+    impl Flight for ExitingFlight {
+        fn poll(&mut self) -> Option<Result<Vec<u8>, String>> {
+            self.polls += 1;
+            if self.polls <= self.running {
+                return None;
+            }
+            match self.polls - self.running {
+                1 => FLIGHT_EXITS.raise(),
+                2 => {
+                    self.ready.fetch_add(1, Ordering::SeqCst);
+                }
+                _ => {
+                    self.ready.fetch_sub(1, Ordering::SeqCst);
+                    return Some(Ok(std::mem::take(&mut self.partial)));
+                }
+            }
+            None
+        }
+
+        fn cancel(&mut self) {}
+    }
+
+    /// Dispatches [`ExitingFlight`]s carrying each shard's real partial;
+    /// shard `i` runs for `8 * (i % 3)` polls before its worker exits.
+    struct ExitingTransport {
+        partials: Vec<Vec<u8>>,
+        ready: Arc<AtomicUsize>,
+    }
+
+    impl Transport for ExitingTransport {
+        fn dispatch(&self, _host: &str, job: &WorkerJob) -> Result<Box<dyn Flight>, String> {
+            let at = job.args.iter().position(|a| a == "--shard-index");
+            let index: usize = at
+                .and_then(|at| job.args.get(at + 1))
+                .and_then(|text| text.parse().ok())
+                .ok_or("no --shard-index")?;
+            Ok(Box::new(ExitingFlight {
+                running: 8 * (index % 3),
+                polls: 0,
+                partial: self.partials[index].clone(),
+                ready: Arc::clone(&self.ready),
+            }))
+        }
+    }
+
+    fn launch_config(tag: &str, shards: usize, slots: usize) -> LaunchConfig {
+        let work_dir =
+            std::env::temp_dir().join(format!("xbar-scheduler-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&work_dir);
+        LaunchConfig {
+            config: McConfig {
+                samples: shards,
+                seed: 11,
+                defect_rate: 0.1,
+                stream: SampleStream::V1,
+                model: DefectModelSpec::default(),
+                circuits: vec!["rd53".to_owned()],
+            },
+            shards,
+            max_attempts: 1,
+            worker: Worker::xbar(PathBuf::from("unused")),
+            work_dir,
+            extra_worker_args: Vec::new(),
+            keep_partials: false,
+            shard_timeout: None,
+            hedge_after: None,
+            resume: false,
+            retry_base: DEFAULT_RETRY_BASE,
+            hosts: local_fleet(Some(slots)),
+            quarantine_after: DEFAULT_QUARANTINE_AFTER,
+            probation: DEFAULT_PROBATION,
+        }
+    }
+
+    /// A worker closes its pipes, which raises the signal, a moment
+    /// before it can be reaped, so the first poll after the wake can
+    /// still answer `None`. The loop must poll such a flight again before
+    /// it blocks; a loop that blocks on the count it read after the wake
+    /// sleeps out its whole wait once per flight.
+    #[test]
+    fn a_wake_that_resolves_nothing_is_polled_again_before_blocking() {
+        let cfg = launch_config("wake", 12, 2);
+        let ready = Arc::new(AtomicUsize::new(0));
+        let transport = ExitingTransport {
+            partials: ShardSpec::partition(cfg.config.samples, cfg.shards)
+                .iter()
+                .map(|spec| run_shard(&cfg.config, spec).to_json().into_bytes())
+                .collect(),
+            ready: Arc::clone(&ready),
+        };
+        let blocks = Rc::new(Cell::new(0));
+        let lost_wakes = Rc::new(Cell::new(0));
+        BEFORE_BLOCK.with(|hook| {
+            let (blocks, lost_wakes) = (Rc::clone(&blocks), Rc::clone(&lost_wakes));
+            *hook.borrow_mut() = Some(Box::new(move || {
+                blocks.set(blocks.get() + 1);
+                if ready.load(Ordering::SeqCst) > 0 {
+                    lost_wakes.set(lost_wakes.get() + 1);
+                }
+            }));
+        });
+        let outcome = run_launch_with_report(&cfg, &transport);
+        BEFORE_BLOCK.with(|hook| hook.borrow_mut().take());
+        let _ = std::fs::remove_dir_all(&cfg.work_dir);
+
+        let (merged, report) = outcome.expect("the campaign completes");
+        assert_eq!(report.base.spawned, 12);
+        assert_eq!(report.base.max_inflight_observed, 2);
+        assert_eq!(
+            render_stats_json(&merged),
+            render_stats_json(&run_monolithic(&cfg.config))
+        );
+        assert!(blocks.get() > 0, "running flights leave the loop idle");
+        assert_eq!(
+            lost_wakes.get(),
+            0,
+            "the loop blocked while an exited flight waited to be polled again"
+        );
+    }
+
+    #[test]
+    fn the_idle_wait_runs_to_the_earliest_timer() {
+        let mut cfg = launch_config("idle", 2, 1);
+        cfg.hedge_after = Some(Duration::from_secs(5));
+        cfg.shard_timeout = Some(Duration::from_secs(9));
+        let run_dir = RunDir::claim(&cfg.work_dir, &cfg.config, cfg.shards, &[]).expect("claims");
+        let specs = ShardSpec::partition(cfg.config.samples, cfg.shards);
+        let transport = ExitingTransport {
+            partials: vec![Vec::new(); cfg.shards],
+            ready: Arc::new(AtomicUsize::new(0)),
+        };
+        let mut launcher = Launcher {
+            cfg: &cfg,
+            transport: &transport,
+            label: "test",
+            run_dir: &run_dir,
+            pool: HostPool::new(&cfg.hosts, cfg.quarantine_after, cfg.probation),
+            queue: VecDeque::new(),
+            flights: Vec::new(),
+            partials: vec![None; cfg.shards],
+            report: LaunchReport::default(),
+            permanent: Vec::new(),
+            last_error: String::new(),
+        };
+        let backoff = |ms| QueueItem {
+            spec: specs[1],
+            attempt: 2,
+            ready_at: Instant::now() + Duration::from_millis(ms),
+        };
+
+        // No flight live: the wait runs to the backoff expiry, even past
+        // the tick.
+        launcher.queue.push_back(backoff(50));
+        let wait = launcher.idle_wait();
+        assert!(
+            wait > POLL_INTERVAL && wait <= Duration::from_millis(50),
+            "{wait:?}"
+        );
+
+        // A live flight: at most the tick, and a backoff due sooner wins.
+        assert!(launcher.dispatch(0, specs[0], 1, false));
+        assert_eq!(launcher.idle_wait(), POLL_INTERVAL);
+        launcher.queue[0] = backoff(1);
+        assert!(launcher.idle_wait() <= Duration::from_millis(1));
+
+        // A due item waits for a slot; a passed timer is no timer.
+        launcher.queue[0] = backoff(0);
+        launcher.flights[0].deadline = Some(Instant::now());
+        assert_eq!(launcher.idle_wait(), POLL_INTERVAL);
+        drop(launcher);
+        run_dir.remove();
+        let _ = std::fs::remove_dir_all(&cfg.work_dir);
+    }
 }

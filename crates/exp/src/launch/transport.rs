@@ -7,6 +7,8 @@
 //! document on success, which the scheduler still validates with
 //! [`crate::shard::partial::ShardPartial::validate_for`] because a
 //! *transport-level* success says nothing about transfer integrity.
+//! Between polls the scheduler waits on `FLIGHT_EXITS`, a signal that
+//! every flight backed by a local process raises as its worker exits.
 //!
 //! Two real transports cover the practical space without new
 //! dependencies: [`LocalProc`] runs the argv directly (production on one
@@ -16,11 +18,12 @@
 //! with deterministic fault injection for tests and CI.
 
 use std::collections::HashMap;
-use std::io::Read as _;
+use std::io::Read;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// The full worker invocation a transport must execute: binary plus every
 /// argument (shard flags, injection passthrough). Transports
@@ -74,18 +77,68 @@ impl Transport for Box<dyn Transport> {
     }
 }
 
+/// The process-wide wake-up signal for flights: a count of worker exits
+/// plus a condvar. A [`ProcFlight`]'s pipe readers raise it as their
+/// pipes reach EOF, so a scheduler waiting on it wakes as soon as one of
+/// its workers exits instead of at its next tick. Every scheduler in the
+/// process shares it; one woken by another's worker just polls again.
+pub(crate) struct FlightSignal {
+    count: Mutex<u64>,
+    raised: Condvar,
+}
+
+/// The one [`FlightSignal`] of this process.
+pub(crate) static FLIGHT_EXITS: FlightSignal = FlightSignal {
+    count: Mutex::new(0),
+    raised: Condvar::new(),
+};
+
+impl FlightSignal {
+    /// The number of raises so far.
+    pub(crate) fn count(&self) -> u64 {
+        *self.count.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Counts one raise and wakes every waiter.
+    pub(crate) fn raise(&self) {
+        *self.count.lock().unwrap_or_else(PoisonError::into_inner) += 1;
+        self.raised.notify_all();
+    }
+
+    /// Blocks until the count differs from `seen` or `timeout` passes.
+    pub(crate) fn wait_past(&self, seen: u64, timeout: Duration) {
+        let count = self.count.lock().unwrap_or_else(PoisonError::into_inner);
+        let _ = self
+            .raised
+            .wait_timeout_while(count, timeout, |count| *count == seen);
+    }
+}
+
 /// A flight backed by a local child process with piped stdout/stderr.
-/// Each pipe is drained by its own reader thread so a worker writing more
-/// than a pipe buffer of output can never deadlock against a scheduler
-/// that only polls.
+/// Each pipe is drained by its own reader thread, so a worker writing more
+/// than a pipe buffer of output never waits for its scheduler to read;
+/// the reader raises [`FLIGHT_EXITS`] when its pipe reaches EOF.
 struct ProcFlight {
     child: Child,
     stdout: Option<JoinHandle<Vec<u8>>>,
-    stderr: Option<JoinHandle<String>>,
+    stderr: Option<JoinHandle<Vec<u8>>>,
     done: bool,
 }
 
+/// Reads `pipe` to its end on a new thread, then raises [`FLIGHT_EXITS`].
+fn drain(mut pipe: impl Read + Send + 'static) -> std::io::Result<JoinHandle<Vec<u8>>> {
+    std::thread::Builder::new().spawn(move || {
+        let mut bytes = Vec::new();
+        let _ = pipe.read_to_end(&mut bytes);
+        FLIGHT_EXITS.raise();
+        bytes
+    })
+}
+
 impl ProcFlight {
+    /// Starts `program` and its two pipe readers. A reader the OS refuses
+    /// to start is a dispatch error: the child is killed and reaped (by
+    /// `Drop`) before it returns.
     fn spawn(program: &str, args: &[String]) -> Result<Self, String> {
         let mut child = Command::new(program)
             .args(args)
@@ -94,24 +147,18 @@ impl ProcFlight {
             .stderr(Stdio::piped())
             .spawn()
             .map_err(|e| format!("cannot spawn {program}: {e}"))?;
-        let mut out_pipe = child.stdout.take().expect("piped stdout");
-        let stdout = std::thread::spawn(move || {
-            let mut bytes = Vec::new();
-            let _ = out_pipe.read_to_end(&mut bytes);
-            bytes
-        });
-        let mut err_pipe = child.stderr.take().expect("piped stderr");
-        let stderr = std::thread::spawn(move || {
-            let mut text = String::new();
-            let _ = err_pipe.read_to_string(&mut text);
-            text
-        });
-        Ok(Self {
+        let out_pipe = child.stdout.take().expect("piped stdout");
+        let err_pipe = child.stderr.take().expect("piped stderr");
+        let mut flight = Self {
             child,
-            stdout: Some(stdout),
-            stderr: Some(stderr),
+            stdout: None,
+            stderr: None,
             done: false,
-        })
+        };
+        let no_reader = |e| format!("cannot start a pipe reader for {program}: {e}");
+        flight.stdout = Some(drain(out_pipe).map_err(no_reader)?);
+        flight.stderr = Some(drain(err_pipe).map_err(no_reader)?);
+        Ok(flight)
     }
 
     fn join_stdout(&mut self) -> Vec<u8> {
@@ -122,11 +169,12 @@ impl ProcFlight {
     }
 
     fn join_stderr_tail(&mut self) -> String {
-        let text = self
+        let bytes = self
             .stderr
             .take()
             .and_then(|h| h.join().ok())
             .unwrap_or_default();
+        let text = String::from_utf8_lossy(&bytes);
         let lines: Vec<&str> = text.lines().collect();
         lines[lines.len().saturating_sub(3)..].join(" | ")
     }

@@ -1,15 +1,19 @@
 //! The `xbar serve` daemon: accept loop, worker pool, and job execution.
 //!
-//! Thread model: one accept thread blocks in `accept` and spawns a thread
-//! per connection (requests are line-oriented and short-lived), and a
-//! fixed pool of `--max-inflight` worker threads pulls jobs from the
+//! Thread model: one accept thread blocks in `accept` and hands each
+//! connection to a parked handler thread, starting a new handler only
+//! when none is parked, so no connection waits behind another. A handler
+//! answers one connection (requests are line-oriented and short-lived; a
+//! `submit` with `wait` holds it until the job settles), then parks for
+//! the next; at most `PARKED_HANDLERS` stay parked and the others exit.
+//! A fixed pool of `--max-inflight` worker threads pulls jobs from the
 //! shared [`JobQueue`] — the pool size *is* the concurrency bound. No
-//! path polls. The accept thread wakes when a client connects, an idle
-//! worker when a job is queued, and a connection following a job
-//! (`submit` with `wait`) when the job settles or its next `progress`
-//! event is due (`PROGRESS_INTERVAL`), so a cache hit is answered as soon
-//! as its connection is accepted and a cold job as soon as its worker
-//! concludes.
+//! path polls. The accept thread wakes when a client connects, a parked
+//! handler when it is handed a connection, an idle worker when a job is
+//! queued, and a connection following a job when the job settles or its
+//! next `progress` event is due (`PROGRESS_INTERVAL`), so a cache hit is
+//! answered as soon as its connection is accepted and a cold job as soon
+//! as its worker concludes.
 //!
 //! Shutdown — a `shutdown` request or [`ServiceHandle::shutdown_and_wait`]
 //! — sets a flag, drains the queue (queued jobs are cancelled, running
@@ -59,12 +63,13 @@ use crate::shard::coordinator::{campaign_run_dir, default_worker, Worker, DEFAUL
 use crate::shard::json::JsonValue;
 use crate::shard::run_dir::RunDir;
 use crate::shard::McConfig;
+use std::collections::VecDeque;
 use std::fs;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -77,6 +82,12 @@ const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
 /// How long a drained daemon waits for connections still writing a
 /// reply, so a client that stopped reading cannot hold the exit.
 const REPLY_DRAIN_LIMIT: Duration = Duration::from_secs(5);
+/// Connection handlers that stay parked for the next connection; a
+/// handler that finishes when this many are parked exits.
+const PARKED_HANDLERS: usize = 8;
+/// The longest request line the daemon reads, newline included; a longer
+/// one gets an `error` line and the connection closes.
+const MAX_REQUEST_LINE: usize = 64 * 1024;
 
 /// `xbar serve` configuration.
 #[derive(Debug, Clone)]
@@ -150,6 +161,7 @@ struct ServiceState {
     started: Instant,
     shutdown: AtomicBool,
     replies: Replies,
+    handlers: Handlers,
 }
 
 /// Requests being answered right now. Connection threads are detached, so
@@ -184,6 +196,92 @@ impl Drop for ReplyGuard<'_> {
         if *count == 0 {
             self.0.idle.notify_all();
         }
+    }
+}
+
+/// The connection handler threads. The accept thread hands a connection
+/// to a parked handler, or starts a new one when none is parked; a
+/// handler that finished its connection parks for the next one, or exits
+/// when `PARKED_HANDLERS` are parked already or the accept thread is gone.
+#[derive(Debug, Default)]
+struct Handlers {
+    lobby: Mutex<Lobby>,
+    arrived: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct Lobby {
+    /// Connections handed over, not yet taken by a handler.
+    waiting: VecDeque<TcpStream>,
+    /// Handlers parked for the next connection.
+    parked: usize,
+    /// Handler threads started so far (`stats`: `handlers_started`).
+    started: u64,
+    /// Set when the accept thread exits; parked handlers exit with it.
+    closed: bool,
+}
+
+impl Handlers {
+    fn lock(&self) -> MutexGuard<'_, Lobby> {
+        self.lobby.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Hands `stream` to a parked handler, or starts a handler for it.
+    /// When the OS refuses the thread, the connection gets an `error`
+    /// line and closes.
+    fn hand_over(&self, state: &Arc<ServiceState>, stream: TcpStream) {
+        let mut lobby = self.lock();
+        lobby.waiting.push_back(stream);
+        if lobby.parked >= lobby.waiting.len() {
+            drop(lobby);
+            self.arrived.notify_one();
+            return;
+        }
+        drop(lobby);
+        let state = Arc::clone(state);
+        if let Err(e) = std::thread::Builder::new().spawn(move || handler_loop(&state)) {
+            let stream = self.lock().waiting.pop_back();
+            if let Some(mut stream) = stream {
+                let message = format!("cannot start a connection handler: {e}");
+                send(&mut stream, &error_line(&message));
+            }
+        }
+    }
+
+    /// Wakes every parked handler to exit; later ones exit instead of
+    /// parking.
+    fn close(&self) {
+        self.lock().closed = true;
+        self.arrived.notify_all();
+    }
+}
+
+/// A handler thread: answers the connections it is handed, parking in
+/// between, until [`Handlers`] lets it go.
+fn handler_loop(state: &Arc<ServiceState>) {
+    let handlers = &state.handlers;
+    let mut lobby = handlers.lock();
+    lobby.started += 1;
+    loop {
+        let Some(mut stream) = lobby.waiting.pop_front() else {
+            if lobby.closed || lobby.parked >= PARKED_HANDLERS {
+                return;
+            }
+            lobby.parked += 1;
+            lobby = handlers
+                .arrived
+                .wait_while(lobby, |lobby| lobby.waiting.is_empty() && !lobby.closed)
+                .unwrap_or_else(PoisonError::into_inner);
+            lobby.parked -= 1;
+            continue;
+        };
+        drop(lobby);
+        handle_connection(state, &mut stream);
+        // The connection closes with the lobby held, so a client that
+        // reads its connection to the end and connects again finds this
+        // handler parked.
+        lobby = handlers.lock();
+        drop(stream);
     }
 }
 
@@ -280,6 +378,7 @@ pub fn start(options: ServeOptions) -> Result<ServiceHandle, String> {
         started: Instant::now(),
         shutdown: AtomicBool::new(false),
         replies: Replies::default(),
+        handlers: Handlers::default(),
     });
 
     let workers = (0..state.options.max_inflight)
@@ -290,7 +389,10 @@ pub fn start(options: ServeOptions) -> Result<ServiceHandle, String> {
         .collect();
     let acceptor = {
         let state = Arc::clone(&state);
-        std::thread::spawn(move || accept_loop(&state, &listener))
+        std::thread::spawn(move || {
+            accept_loop(&state, &listener);
+            state.handlers.close();
+        })
     };
     Ok(ServiceHandle {
         state,
@@ -309,10 +411,7 @@ fn accept_loop(state: &Arc<ServiceState>, listener: &TcpListener) {
             return;
         }
         match accepted {
-            Ok((stream, _)) => {
-                let state = Arc::clone(state);
-                std::thread::spawn(move || handle_connection(&state, stream));
-            }
+            Ok((stream, _)) => state.handlers.hand_over(state, stream),
             Err(e) => {
                 eprintln!("xbar serve: accept error: {e}");
                 std::thread::sleep(ACCEPT_ERROR_BACKOFF);
@@ -327,24 +426,37 @@ fn worker_loop(state: &Arc<ServiceState>) {
     }
 }
 
-fn handle_connection(state: &Arc<ServiceState>, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let Ok(read_half) = stream.try_clone() else {
+fn handle_connection(state: &Arc<ServiceState>, writer: &mut TcpStream) {
+    let _ = writer.set_nodelay(true);
+    let Ok(read_half) = writer.try_clone() else {
         return;
     };
-    let mut writer = stream;
-    for line in BufReader::new(read_half).lines() {
-        let Ok(line) = line else {
-            return; // client disconnected mid-line
+    let mut reader = BufReader::new(read_half);
+    let mut bytes = Vec::new();
+    loop {
+        bytes.clear();
+        let mut capped = reader.by_ref().take(MAX_REQUEST_LINE as u64);
+        match capped.read_until(b'\n', &mut bytes) {
+            Ok(0) | Err(_) => return, // closed, or the client vanished
+            Ok(MAX_REQUEST_LINE) if bytes.last() != Some(&b'\n') => {
+                let message = format!("request line longer than {MAX_REQUEST_LINE} bytes");
+                send(writer, &error_line(&message));
+                return;
+            }
+            Ok(_) => {}
+        }
+        let Ok(line) = std::str::from_utf8(&bytes) else {
+            return; // not a text line
         };
+        let line = line.trim_end_matches(['\r', '\n']);
         if line.trim().is_empty() {
             continue;
         }
-        let reply_ok = match Request::parse(&line) {
-            Err(e) => send(&mut writer, &error_line(&e)),
+        let reply_ok = match Request::parse(line) {
+            Err(e) => send(writer, &error_line(&e)),
             Ok(request) => {
                 let stop_after = matches!(request, Request::Shutdown);
-                let ok = handle_request(state, &mut writer, request);
+                let ok = handle_request(state, writer, request);
                 if stop_after {
                     return;
                 }
@@ -645,6 +757,10 @@ fn stats_line(state: &Arc<ServiceState>) -> String {
             (
                 "cache_entries".to_owned(),
                 JsonValue::usize(state.cache.len()),
+            ),
+            (
+                "handlers_started".to_owned(),
+                JsonValue::u64(state.handlers.lock().started),
             ),
             ("uptime_ms".to_owned(), JsonValue::u64(uptime)),
         ],

@@ -7,18 +7,21 @@
 //! whose artifact cannot be cached leaves checkpoints a resubmit resumes
 //! from, a waiting client cut off by a restart still gets its own
 //! request's bytes, a request line nested past the JSON parser's bound
-//! gets an `error` line, and a shutdown drains running jobs to their
-//! waiting clients before the daemon exits.
+//! or longer than the daemon reads gets an `error` line, connection
+//! handlers are reused between connections and never make one wait
+//! behind another, and a shutdown drains running jobs to their waiting
+//! clients before the daemon exits.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitStatus, Output, Stdio};
 use std::time::{Duration, Instant};
 use xbar_core::{DefectModelSpec, SampleStream};
 use xbar_exp::experiment::{find_experiment, Params};
-use xbar_exp::service::cache_key;
+use xbar_exp::service::{cache_key, ArtifactCache, Request};
 use xbar_exp::shard::coordinator::campaign_run_dir;
+use xbar_exp::shard::json::Json;
 use xbar_exp::shard::partial::ShardPartial;
 use xbar_exp::shard::McConfig;
 
@@ -691,7 +694,9 @@ fn a_line_nested_past_the_parsers_bound_gets_one_error_line() {
     let work_dir = scratch("nesting");
     let daemon = Daemon::start(&work_dir, &["--in-process-jobs"]);
     let mut stream = TcpStream::connect(&daemon.addr).expect("connect");
-    let mut line = "[".repeat(200_000);
+    // Nested far past the bound, and still shorter than the longest line
+    // the daemon reads.
+    let mut line = "[".repeat(60_000);
     line.push('\n');
     stream.write_all(line.as_bytes()).expect("send");
     // Closing the write half ends the connection once the line is answered.
@@ -779,6 +784,215 @@ fn a_daemon_on_an_unspecified_address_exits_after_shutdown() {
     daemon.addr = format!("127.0.0.1:{port}");
     let stats = daemon.submit(&["--stats"]);
     assert!(stats.status.success(), "{stats:?}");
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&work_dir);
+}
+
+/// The `table2` campaign the handler tests answer from a primed cache.
+const PRIMED: [&str; 4] = ["--quick", "--circuits", "misex1", "--seed"];
+
+/// Stores `artifact` in `work_dir`'s cache as the answer to
+/// `table2 <PRIMED> <seed>`, and returns that request's `submit` line.
+fn prime_cache_hit(work_dir: &Path, seed: &str, artifact: &str) -> String {
+    let args: Vec<String> = PRIMED
+        .iter()
+        .chain(&[seed])
+        .map(|s| (*s).to_owned())
+        .collect();
+    let exp = find_experiment("table2").expect("registered");
+    let params = Params::parse(exp.extra_params(), args.iter().cloned()).expect("parses");
+    ArtifactCache::open(&work_dir.join("cache"))
+        .expect("open the cache")
+        .store(&cache_key(exp, &params), artifact)
+        .expect("prime the cache");
+    Request::Submit {
+        experiment: "table2".to_owned(),
+        args,
+        wait: true,
+    }
+    .render()
+}
+
+fn connect(addr: &str) -> BufReader<TcpStream> {
+    BufReader::new(TcpStream::connect(addr).expect("connect"))
+}
+
+/// Sends one request line and reads `count` reply lines, each parsed.
+fn exchange(conn: &mut BufReader<TcpStream>, line: &str, count: usize) -> Vec<Json> {
+    writeln!(conn.get_mut(), "{line}").expect("send");
+    (0..count)
+        .map(|_| {
+            let mut reply = String::new();
+            conn.read_line(&mut reply).expect("read");
+            Json::parse(&reply).unwrap_or_else(|e| panic!("{e}: {reply:?}"))
+        })
+        .collect()
+}
+
+fn reply_type(reply: &Json) -> &str {
+    reply
+        .get("type")
+        .and_then(Json::as_str)
+        .expect("typed reply")
+}
+
+/// The `stats` counter `key`.
+fn stat(daemon: &Daemon, key: &str) -> u64 {
+    let stats = stdout_str(&daemon.submit(&["--stats"]));
+    let doc = Json::parse(&stats).expect("stats parse");
+    doc.get(key)
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("no {key} in {stats}"))
+}
+
+#[test]
+fn sequential_cache_hits_reuse_parked_handlers() {
+    let work_dir = scratch("parked");
+    let hit = prime_cache_hit(&work_dir, "5", "primed artifact\n");
+    let daemon = Daemon::start(&work_dir, &["--in-process-jobs"]);
+    for _ in 0..200 {
+        // Each client reads its connection to the end. The handler closes
+        // it from the lobby and parks before it lets the lobby go, so the
+        // next connection finds that handler parked.
+        let mut stream = TcpStream::connect(&daemon.addr).expect("connect");
+        writeln!(stream, "{hit}").expect("send");
+        stream.shutdown(Shutdown::Write).expect("half-close");
+        let replies: Vec<String> = BufReader::new(stream)
+            .lines()
+            .collect::<Result<_, _>>()
+            .expect("read to the end");
+        assert_eq!(replies.len(), 2, "{replies:?}");
+        let result = Json::parse(&replies[1]).expect("reply parses");
+        let artifact = result.get("artifact").and_then(Json::as_str);
+        assert_eq!(artifact, Some("primed artifact\n"));
+    }
+    let started = stat(&daemon, "handlers_started");
+    assert_eq!(
+        started, 1,
+        "200 sequential hits and a stats request started {started} handler threads"
+    );
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&work_dir);
+}
+
+#[test]
+fn waiting_followers_never_make_a_cache_hit_wait() {
+    let work_dir = scratch("followers");
+    let hit = prime_cache_hit(&work_dir, "6", "primed artifact\n");
+    // Two serialized shards of at least 300 ms each: the job runs for
+    // 600 ms or more after its first follower submits.
+    let daemon = Daemon::start(
+        &work_dir,
+        &[
+            "--job-shards",
+            "2",
+            "--job-max-inflight",
+            "1",
+            "--worker-arg",
+            "--inject-slow-ms",
+            "--worker-arg",
+            "300",
+        ],
+    );
+    let slow = Request::Submit {
+        experiment: "table2".to_owned(),
+        args: SLOW_JOB[1..].iter().map(|s| (*s).to_owned()).collect(),
+        wait: true,
+    }
+    .render();
+
+    // Twelve followers of one job, each holding its connection (and its
+    // handler) until the job settles.
+    let (submitted, job_ids) = std::sync::mpsc::channel();
+    let followers: Vec<_> = (0..12)
+        .map(|_| {
+            let (addr, slow, submitted) = (daemon.addr.clone(), slow.clone(), submitted.clone());
+            std::thread::spawn(move || {
+                let mut conn = connect(&addr);
+                let first = exchange(&mut conn, &slow, 1).remove(0);
+                assert_eq!(reply_type(&first), "submitted");
+                let job = first.get("job").and_then(Json::as_u64).expect("job id");
+                submitted.send(job).expect("report the job");
+                for line in conn.lines() {
+                    let line = line.expect("read");
+                    let reply = Json::parse(&line).expect("reply parses");
+                    match reply_type(&reply) {
+                        "progress" => {}
+                        "result" => {
+                            let artifact = reply.get("artifact").and_then(Json::as_str);
+                            return artifact.expect("artifact").to_owned();
+                        }
+                        other => panic!("unexpected {other}: {line}"),
+                    }
+                }
+                panic!("the connection closed before the result");
+            })
+        })
+        .collect();
+    let jobs: Vec<u64> = job_ids.iter().take(12).collect();
+    assert!(jobs.iter().all(|&job| job == jobs[0]), "{jobs:?}");
+
+    // A cache hit sent while all twelve wait is answered before the job
+    // settles.
+    let mut conn = connect(&daemon.addr);
+    let replies = exchange(&mut conn, &hit, 2);
+    assert_eq!(reply_type(&replies[1]), "result");
+    let status = Request::Status { job: jobs[0] }.render();
+    let status = exchange(&mut conn, &status, 1).remove(0);
+    let state = status.get("state").and_then(Json::as_str);
+    assert!(
+        matches!(state, Some("queued" | "running")),
+        "the hit waited for the job: {status:?}"
+    );
+    drop(conn);
+
+    let reference = xbar()
+        .arg("run")
+        .args(SLOW_JOB)
+        .arg("--json")
+        .output()
+        .expect("run xbar run");
+    for follower in followers {
+        let artifact = follower.join().expect("follower thread");
+        assert_eq!(artifact, stdout_str(&reference));
+    }
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&work_dir);
+}
+
+#[test]
+fn an_over_long_request_line_gets_one_error_line() {
+    let work_dir = scratch("long-line");
+    let hit = prime_cache_hit(&work_dir, "7", "primed artifact\n");
+    let daemon = Daemon::start(&work_dir, &["--in-process-jobs"]);
+    let stream = TcpStream::connect(&daemon.addr).expect("connect");
+    // 2 MiB and no newline. The daemon stops reading long before the
+    // end, so the writes fail once it closes the connection.
+    let writer = {
+        let mut stream = stream.try_clone().expect("clone");
+        std::thread::spawn(move || {
+            let chunk = vec![b'x'; 64 * 1024];
+            for _ in 0..32 {
+                if stream.write_all(&chunk).is_err() {
+                    break;
+                }
+            }
+        })
+    };
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("the error line");
+    let reply = Json::parse(&line).expect("reply parses");
+    assert_eq!(reply_type(&reply), "error", "{line}");
+    assert!(line.contains("longer than"), "{line}");
+    // Then the connection closes: the end of the stream, or a reset.
+    let mut rest = Vec::new();
+    let _ = reader.read_to_end(&mut rest);
+    assert!(rest.is_empty(), "{:?}", String::from_utf8_lossy(&rest));
+    writer.join().expect("writer thread");
+
+    let replies = exchange(&mut connect(&daemon.addr), &hit, 2);
+    assert_eq!(reply_type(&replies[1]), "result");
     daemon.shutdown();
     let _ = std::fs::remove_dir_all(&work_dir);
 }
